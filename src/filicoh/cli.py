@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,11 @@ CAP_SEED = 0
 CAP_SAMPLES = 200
 # expensive per-lambda checks run on at most this many vectors
 VERIFY_SAMPLE_CAP = 20
+
+# Grids run in one thread and nothing here uses an executor.  The name is
+# kept because bench/spans.py rebinds cli.ThreadPoolExecutor when it
+# installs its tracer; drop it together with that line.
+ThreadPoolExecutor = object
 
 
 class UsageError(Exception):
@@ -105,6 +109,8 @@ def resolve_lambdas(p: int, spec: str) -> tuple[list[tuple[int, ...]], str | Non
             seed = int(spec.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad random seed in lambda spec {spec!r}")
+        if seed < 0:
+            raise UsageError(f"random seed must be non-negative in lambda spec {spec!r}")
         lam = _random_lambda(np.random.default_rng(seed), p)
         note = f"lambda=random seed {seed} -> {lam_str(lam)}"
         return [lam], note
@@ -203,9 +209,7 @@ def _grid_rows(cfg) -> tuple[list[dict], list[str]]:
         if note:
             notes.append(note)
         cases.extend((p, lam) for lam in lams)
-    # cases are independent; order the results, not the completion
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(cases)))) as pool:
-        rows = list(pool.map(lambda c: dims_row(*c), cases))
+    rows = [dims_row(p, lam) for p, lam in cases]
     rows.sort(key=lambda r: (r["prime"], tuple(r["lambda"])))
     return rows, notes
 
@@ -511,8 +515,11 @@ def run_iso(cfg: RunConfig) -> int:
         return _run_iso_classify(cfg, p, notes)
     lam = _single_lambda(p, cfg.lambda_spec, notes)
     lam2 = _single_lambda(p, cfg.lambda_prime_spec, notes)
-    report = isoclass.proposition_formula_check(p, lam, lam2)
-    witness = isoclass.iso_bruteforce(p, lam, lam2)
+    try:
+        report = isoclass.proposition_formula_check(p, lam, lam2)
+        witness = isoclass.iso_bruteforce(p, lam, lam2)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     lines = [f"# {n}" for n in notes]
     lines.append(f"isomorphic, {witness}" if witness else "not isomorphic")
     payload = {**report, "command": "iso", "notes": notes}

@@ -1,11 +1,12 @@
 """Alternating cochains in degrees 1..3 and the differentials d1, d2.
 
 Cochains are stored sparsely on strictly increasing 1-based index tuples.
-The differentials are computed generically from an algebra's structure
-constants; the closed-form expressions for the maximal-class family are
-kept alongside purely as oracles (they are compared against the generic
-route in tests and in the verification report, never used as the source
-of truth).
+d1_matrix and d2_matrix, the production route, are assembled directly from
+an algebra's nonzero structure constants.  d1 and d2 compute the same
+differentials one cochain at a time by evaluation; they and the closed-form
+expressions for the maximal-class family are kept as oracles (compared
+against the matrices in tests and in the verification report, never used
+as the source of truth).
 """
 
 from __future__ import annotations
@@ -248,21 +249,45 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
 
 
 def d1_matrix(algebra: liealg.LieAlgebra):
-    """Matrix of d1 with columns over the degree-1 duals, rows over pairs."""
-    cols = [
-        d1(algebra, dual_cochain(algebra.prime, algebra.dim, (k,))).to_vector()
-        for k in range(1, algebra.dim + 1)
-    ]
-    return np.stack(cols, axis=1) % algebra.prime
+    """Matrix of d1 with columns over the degree-1 duals, rows over pairs.
+
+    Assembled from the structure constants: row (i, j), column k holds the
+    coefficient of e_k in [e_i, e_j].  Column k equals d1 of the dual e^k.
+    """
+    pairs = index_tuples(algebra.dim, 2)
+    out = gf.zeros((len(pairs), algebra.dim))
+    for row, pair in enumerate(pairs):
+        vec = algebra.brackets.get(pair)
+        if vec is not None:
+            out[row] = vec
+    return out
 
 
 def d2_matrix(algebra: liealg.LieAlgebra):
-    """Matrix of d2 with columns over the degree-2 duals, rows over triples."""
-    pairs = index_tuples(algebra.dim, 2)
-    cols = [
-        d2(algebra, dual_cochain(algebra.prime, algebra.dim, pair)).to_vector() for pair in pairs
-    ]
-    return np.stack(cols, axis=1) % algebra.prime
+    """Matrix of d2 with columns over the degree-2 duals, rows over triples.
+
+    Assembled from the structure constants in O(nnz * dim) steps: each
+    nonzero c_k of [e_i, e_j] contributes c_k * e^{k,z}([e_i, e_j], e_z)
+    to the triple {i, j, z} for every z outside {i, j, k}.  The sign is
+    -1 when i < z < j (the middle term of d2), times -1 when k > z (the
+    order of the pair dual).  Column (a, b) equals d2 of the dual e^{a,b}.
+    """
+    n = algebra.dim
+    pair_col = {pair: col for col, pair in enumerate(index_tuples(n, 2))}
+    triple_row = {triple: row for row, triple in enumerate(index_tuples(n, 3))}
+    out = gf.zeros((len(triple_row), len(pair_col)))
+    for (i, j), vec in algebra.brackets.items():
+        for k in np.flatnonzero(vec) + 1:
+            c = int(vec[k - 1])
+            for z in range(1, n + 1):
+                if z in (i, j, k):
+                    continue
+                sign = -1 if i < z < j else 1
+                if k > z:
+                    sign = -sign
+                row = triple_row[tuple(sorted((i, j, z)))]
+                out[row, pair_col[(min(k, z), max(k, z))]] += sign * c
+    return out % algebra.prime
 
 
 def phi_k(p: int, k: int) -> Cochain:

@@ -100,7 +100,11 @@ def _is_standard(A: liealg.LieAlgebra) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _standard_d2_matrix(p: int):
-    return cochains.d2_matrix(liealg.make_m0(p))
+    """d2 of the maximal-class algebra, built once per prime; read-only
+    because every caller shares the cached array."""
+    m = cochains.d2_matrix(liealg.make_m0(p))
+    m.setflags(write=False)
+    return m
 
 
 def _d2_block(A: liealg.LieAlgebra):
@@ -171,16 +175,22 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     )
 
 
+def _d1_star_matrix(R: restricted.RestrictedAlgebra):
+    """Matrix of d1* over the degree-1 duals: d1 rows over the induced
+    omega values.  Column k is the coordinate vector of d1*(e^k)."""
+    A = R.algebra
+    ind_rows = gf.zeros((A.dim, A.dim))
+    for j in range(1, A.dim + 1):
+        psi = cochains.dual_cochain(A.prime, A.dim, (j,))
+        ind_rows[:, j - 1] = rcoch.ind1_values(R, psi)
+    return np.vstack([cochains.d1_matrix(A), ind_rows])
+
+
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-1 cohomology: d1 plus the induced omega values."""
     A = R.algebra
     p = A.prime
-    ind_rows = gf.zeros((A.dim, A.dim))
-    for j in range(1, A.dim + 1):
-        psi = cochains.dual_cochain(p, A.dim, (j,))
-        ind_rows[:, j - 1] = rcoch.ind1_values(R, psi)
-    stacked = np.vstack([cochains.d1_matrix(A), ind_rows])
-    kernel = gf.kernel_basis(stacked, p)
+    kernel = gf.kernel_basis(_d1_star_matrix(R), p)
     reps = _select(
         [],
         kernel,
@@ -272,11 +282,8 @@ def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     A = R.algebra
     p = A.prime
     kernel = gf.kernel_basis(_restricted_two_matrix(R), p)
-    image_rows = []
-    for k in range(1, A.dim + 1):
-        psi = cochains.dual_cochain(p, A.dim, (k,))
-        image_rows.append(rcoch.d1_star(R, psi).to_vector())
-    image_dim = gf.rank(np.stack(image_rows), p)
+    image_rows = _d1_star_matrix(R).T
+    image_dim = gf.rank(image_rows, p)
     build = lambda v: rcoch.RestrictedTwoCochain.from_vector(p, A.dim, v)
     reps = _select(image_rows, kernel, _h2_star_candidates(R, kernel_keys=False), build, p)
     kbasis = _select([], kernel, _h2_star_candidates(R, kernel_keys=True), build, p)

@@ -83,7 +83,8 @@ def rref(m, p: int) -> tuple[Mat, list[int]]:
 
     Pivoting is deterministic: columns are scanned left to right and the
     first row at or below the current one with a nonzero entry becomes the
-    pivot row.  Pivots are normalized to 1 and cleared above and below.
+    pivot row.  Pivots are normalized to 1, and one outer-product update
+    clears the whole pivot column above and below.
 
     Args:
         m: matrix (2-D array-like), possibly with zero rows or columns.
@@ -102,19 +103,19 @@ def rref(m, p: int) -> tuple[Mat, list[int]]:
     for col in range(ncols):
         if row >= nrows:
             break
-        pivot_row = None
-        for i in range(row, nrows):
-            if r[i, col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        below = np.flatnonzero(r[row:, col])
+        if below.size == 0:
             continue
+        pivot_row = row + int(below[0])
         if pivot_row != row:
             r[[row, pivot_row]] = r[[pivot_row, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
-        for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+        # left of col the pivot row is zero, so only columns col.. change
+        r[row, col:] = (r[row, col:] * inv_mod(r[row, col], p)) % p
+        factors = r[:, col].copy()
+        factors[row] = 0
+        targets = np.flatnonzero(factors)
+        if targets.size:
+            r[targets, col:] = (r[targets, col:] - np.outer(factors[targets], r[row, col:])) % p
         pivots.append(col)
         row += 1
     return r, pivots
@@ -140,12 +141,12 @@ def kernel_basis(m, p: int) -> Mat:
     arr = normalize(m, p)
     ncols = arr.shape[1]
     r, pivots = rref(arr, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = zeros((len(free), ncols))
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for row_i, c in enumerate(pivots):
-            basis[idx, c] = (-r[row_i, f]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
 
 

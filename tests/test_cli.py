@@ -49,6 +49,13 @@ def test_dims_rejects_bad_lambda_spec(capsys):
     assert "bad lambda spec" in err
 
 
+def test_dims_rejects_negative_random_seed(capsys):
+    code, out, err = run(capsys, "dims", "--prime", "5", "--lambda", "random:-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err and "Traceback" not in err
+
+
 def test_dims_json_shape(capsys):
     code, out, _ = run(capsys, "dims", "--prime", "3", "--lambda", "all",
                        "--format", "json")
@@ -200,6 +207,16 @@ def test_iso_rejects_all_spec(capsys):
                        "--lambda-prime", "zero")
     assert code == 2
     assert "single lambda" in err
+
+
+def test_iso_pairwise_rejects_prime_above_search_limit(capsys):
+    code, out, err = run(capsys, "iso", "--prime", "37", "--lambda", "zero",
+                         "--lambda-prime", "zero")
+    assert code == 2
+    assert out == ""
+    assert "diagonal search is limited to p <= 31" in err
+    # the same refusal classify mode gives
+    assert run(capsys, "iso", "--prime", "37", "--lambda", "all") == (2, "", err)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filicoh import cochains, gf, liealg
+from filicoh import cochains, extensions, gf, liealg
 from filicoh.cochains import Cochain, dual_cochain
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -139,7 +139,39 @@ def test_d2_printed_variant_agrees_at_three():
         assert cochains.d2_closed_m0_printed(p, i, j) == cochains.d2(A, dual_cochain(p, p, (i, j)))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def _oracle_matrix(A, differential, degree):
+    """Matrix of an evaluate-based differential, one dual cochain per column."""
+    cols = [
+        differential(A, dual_cochain(A.prime, A.dim, key)).to_vector()
+        for key in cochains.index_tuples(A.dim, degree)
+    ]
+    return np.stack(cols, axis=1)
+
+
+def _assert_matrices_match_oracle(A):
+    for built, oracle in (
+        (cochains.d1_matrix(A), _oracle_matrix(A, cochains.d1, 1)),
+        (cochains.d2_matrix(A), _oracle_matrix(A, cochains.d2, 2)),
+    ):
+        assert built.shape == oracle.shape
+        for col in range(oracle.shape[1]):
+            assert (built[:, col] == oracle[:, col]).all(), f"column {col}"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_matrices_match_evaluate_oracle(p):
+    _assert_matrices_match_oracle(liealg.make_m0(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_matrices_match_evaluate_oracle_on_extensions(p):
+    # dim p+1, with brackets landing on the new central generator
+    for k in cochains.phi_weights(p):
+        E = extensions.extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
+        _assert_matrices_match_oracle(E)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_d2_after_d1_is_zero(p):
     A = liealg.make_m0(p)
     m = gf.mat_mul(cochains.d2_matrix(A), cochains.d1_matrix(A), p)

@@ -330,3 +330,10 @@ def test_summary_json_shape():
 def test_summary_consistency_guard():
     with pytest.raises(ValueError):
         coh.CohomologySummary(3, None, 2, False, 2, 4, 1, [], [])
+
+
+def test_standard_d2_matrix_is_read_only():
+    m = coh._standard_d2_matrix(5)
+    with pytest.raises(ValueError):
+        m[0, 0] = 1
+    assert coh._standard_d2_matrix(5) is m
