@@ -10,6 +10,7 @@ verification mismatch, and 2 for a usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -134,14 +135,22 @@ def lam_str(lam) -> str:
 GROUP_NAMES = ("H1", "H1+", "H2", "H2+")
 
 
+@functools.lru_cache(maxsize=None)
+def ordinary_summary(p: int, degree: int) -> cohomology.CohomologySummary:
+    """H1 or H2 of the maximal-class algebra.  Neither depends on lambda,
+    so each is computed once per prime and shared: callers must not
+    mutate it."""
+    A = liealg.make_m0(p)
+    return cohomology.h1(A) if degree == 1 else cohomology.h2(A)
+
+
 def group_summaries(p, lam):
     """All four cohomology summaries for one family member."""
-    A = liealg.make_m0(p)
     R = restricted.make_m0_lambda(p, lam)
     return {
-        "H1": cohomology.h1(A),
+        "H1": ordinary_summary(p, 1),
         "H1+": cohomology.h1_star(R),
-        "H2": cohomology.h2(A),
+        "H2": ordinary_summary(p, 2),
         "H2+": cohomology.h2_star(R),
     }
 
@@ -184,10 +193,15 @@ def _dims_table(rows, notes) -> str:
 
 
 def emit(cfg: RunConfig, text: str) -> None:
-    sys.stdout.write(text)
+    """Write the report to --output, if given, then to stdout, so that an
+    unwritable path prints nothing."""
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {cfg.output}: {exc.strerror or exc}")
+    sys.stdout.write(text)
 
 
 def _emit_report(cfg, payload, table_text) -> None:
@@ -237,12 +251,11 @@ def run_basis(cfg: RunConfig) -> int:
     lines = [f"# {n}" for n in notes]
     rows = []
     for lam in lams:
-        A = liealg.make_m0(p)
         if cfg.restricted:
             R = restricted.make_m0_lambda(p, lam)
             s = cohomology.h1_star(R) if cfg.degree == 1 else cohomology.h2_star(R)
         else:
-            s = cohomology.h1(A) if cfg.degree == 1 else cohomology.h2(A)
+            s = ordinary_summary(p, cfg.degree)
         report = cohomology.compare(s, cohomology.expected_summary(p, lam))
         ok = ok and report["ok"]
         rows.append({**cohomology.summary_to_json(s), "ok": report["ok"]})

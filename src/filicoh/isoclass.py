@@ -1,10 +1,15 @@
-"""Graded restricted isomorphism of the p-power family by diagonal search.
+"""Graded restricted isomorphism of the p-power family.
 
 A graded isomorphism is diagonal on the one-dimensional graded pieces and
 is pinned by two nonzero scalars mu1, mu2; the remaining factors follow
 from bracket preservation as mu_k = mu2 * mu1^(k-2).  Two power vectors
 are isomorphic exactly when lam_k * mu_p = mu_k^p * lam'_k for all k and
 some choice of (mu1, mu2), which a (p-1)^2 search decides outright.
+
+The maps act on a power vector by scaling each entry, so its class is its
+orbit under the (p-1)^2 factor vectors mu_k^p * mu_p^(-1).
+partition_classes groups vectors by a canonical key, the lexicographic
+minimum of that orbit; the pairwise search iso_bruteforce is its oracle.
 
 The literature states an alternative closed condition set whose k = 1, 2
 clauses look reparameterized; proposition_formula_check compares its
@@ -90,17 +95,31 @@ def proof_transform(p: int, lam2, mu1: int, mu2: int) -> tuple[int, ...]:
 
 
 def partition_classes(p: int, lam_list) -> list[list[tuple[int, ...]]]:
-    """Group power vectors into isomorphism classes by representative search."""
-    classes: list[list[tuple[int, ...]]] = []
+    """Group power vectors into isomorphism classes by canonical orbit key.
+
+    Classes come in order of first appearance and keep their members in
+    input order, the partition a pairwise search against each class's first
+    member would give.
+    """
+    # the pairwise search's limit, kept so that both iso modes serve the
+    # same primes whatever the list holds
+    if p > 31:
+        raise ValueError("diagonal search is limited to p <= 31")
+    if not gf.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    factors = [
+        proof_transform(p, (1,) * p, mu1, mu2)
+        for mu1 in range(1, p)
+        for mu2 in range(1, p)
+    ]
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for lam in lam_list:
         lam = tuple(int(x) % p for x in lam)
-        for cls in classes:
-            if iso_bruteforce(p, lam, cls[0]) is not None:
-                cls.append(lam)
-                break
-        else:
-            classes.append([lam])
-    return classes
+        if len(lam) != p:
+            raise ValueError("power vectors must have one entry per basis vector")
+        key = min(tuple([f * x % p for f, x in zip(fs, lam)]) for fs in factors)
+        classes.setdefault(key, []).append(lam)
+    return list(classes.values())
 
 
 def _statement_conditions(p, lam, lam2, mu1, mu2) -> bool:

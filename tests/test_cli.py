@@ -215,8 +215,10 @@ def test_iso_pairwise_rejects_prime_above_search_limit(capsys):
     assert code == 2
     assert out == ""
     assert "diagonal search is limited to p <= 31" in err
-    # the same refusal classify mode gives
-    assert run(capsys, "iso", "--prime", "37", "--lambda", "all") == (2, "", err)
+    # the same refusal classify mode gives, for every lambda set, even a
+    # single vector that needs no search
+    for spec in ("all", "zero", "random:3"):
+        assert run(capsys, "iso", "--prime", "37", "--lambda", spec) == (2, "", err)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,41 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
     json.loads(target.read_text(encoding="utf-8"))
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "dims", "--prime", "5", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output ")
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
+def test_ordinary_groups_computed_once_per_prime(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(cli.cohomology, name)
+
+        def wrapper(A):
+            calls.append(name)
+            return real(A)
+        return wrapper
+
+    for name in ("h1", "h2"):
+        monkeypatch.setattr(cli.cohomology, name, counted(name))
+    cli.ordinary_summary.cache_clear()
+    try:
+        rows = [cli.dims_row(5, lam) for lam in ((0,) * 5, (1, 0, 2, 0, 0), (0,) * 5)]
+    finally:
+        cli.ordinary_summary.cache_clear()
+    assert sorted(calls) == ["h1", "h2"]
+    assert all(r["ok"] for r in rows)
+    assert rows[0] == rows[2]
+    a, b = cli.group_summaries(5, (0,) * 5), cli.group_summaries(5, (1,) * 5)
+    assert a["H1"] is b["H1"] and a["H2"] is b["H2"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filicoh import isoclass
+from filicoh.cli import resolve_lambdas
 from filicoh.isoclass import (
     IsoWitness,
     diag_iso_check,
@@ -19,6 +21,21 @@ from filicoh.isoclass import (
 
 def all_lambdas(p):
     return [tuple(v) for v in itertools.product(range(p), repeat=p)]
+
+
+def pairwise_partition(p, lams):
+    """The reference partition: each vector joins the first class whose
+    first member the diagonal search finds it isomorphic to."""
+    classes = []
+    for lam in lams:
+        lam = tuple(int(x) % p for x in lam)
+        for cls in classes:
+            if iso_bruteforce(p, lam, cls[0]) is not None:
+                cls.append(lam)
+                break
+        else:
+            classes.append([lam])
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +252,66 @@ def test_partition_respects_input_order():
     classes = partition_classes(5, [(0,) * 5, (1, 0, 0, 0, 0), (2, 0, 0, 0, 0)])
     assert classes[0] == [(0, 0, 0, 0, 0)]
     assert classes[1] == [(1, 0, 0, 0, 0), (2, 0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_partition_matches_pairwise_search_on_every_vector(p):
+    lams = all_lambdas(p)
+    assert partition_classes(p, lams) == pairwise_partition(p, lams)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_partition_matches_pairwise_search_on_capped_all(p):
+    lams, _ = resolve_lambdas(p, "all")
+    assert partition_classes(p, lams) == pairwise_partition(p, lams)
+
+
+@st.composite
+def lambda_lists(draw):
+    """Up to 30 vectors over GF(p), drawn as transforms of a few base
+    vectors so that classes have several members and repeats occur."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    vec = st.lists(st.integers(0, p - 1), min_size=p, max_size=p).map(tuple)
+    bases = draw(st.lists(vec, min_size=1, max_size=5))
+    scalar = st.integers(1, p - 1)
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(bases), scalar, scalar), min_size=1, max_size=30
+    ))
+    return p, [proof_transform(p, lam, mu1, mu2) for lam, mu1, mu2 in picks]
+
+
+@settings(deadline=None)
+@given(lambda_lists())
+def test_partition_matches_pairwise_search_on_random_lists(case):
+    p, lams = case
+    assert partition_classes(p, lams) == pairwise_partition(p, lams)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 31]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.integers(0, p - 1), min_size=p, max_size=p),
+    st.integers(1, p - 1),
+    st.integers(1, p - 1),
+)))
+def test_transformed_vector_falls_in_its_class(case):
+    p, lam, mu1, mu2 = case
+    other = proof_transform(p, lam, mu1, mu2)
+    assert partition_classes(p, [lam, other]) == [[tuple(lam), other]]
+
+
+def test_partition_refuses_prime_above_search_limit():
+    # refused before any vector is looked at, whatever the list holds
+    for lams in ([], [(0,) * 37], [(0,) * 37, (1,) * 37]):
+        with pytest.raises(ValueError, match="p <= 31"):
+            partition_classes(37, lams)
+
+
+def test_partition_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="not prime"):
+        partition_classes(4, [(0,) * 4])
+    with pytest.raises(ValueError, match="one entry per basis vector"):
+        partition_classes(5, [(0, 0, 0)])
 
 
 # ---------------------------------------------------------------------------
