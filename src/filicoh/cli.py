@@ -271,18 +271,6 @@ def run_basis(cfg: RunConfig) -> int:
 # verify
 
 
-def _random_cocycle(rng, p):
-    """A degree-2 cocycle: span of the closed generators plus a coboundary."""
-    A = liealg.make_m0(p)
-    phi = int(rng.integers(0, p)) * cochains.dual_cochain(p, p, (1, p))
-    for k in cochains.phi_weights(p):
-        phi = phi + int(rng.integers(0, p)) * cochains.phi_k(p, k)
-    psi = cochains.Cochain(
-        p, p, 1, {(k,): int(rng.integers(0, p)) for k in range(1, p + 1)}
-    )
-    return phi + cochains.d1(A, psi)
-
-
 def _check(checks, name, ok, detail="", info=False):
     checks.append({"name": name, "ok": bool(ok), "detail": detail, "info": info})
 
@@ -371,7 +359,7 @@ def _verify_lambda_sampled(p, lams, checks, rng):
                 bad_star += 1
             if rcoch.star_eval(R.algebra, c2, g) != psi.evaluate(restricted.p_power(R, g)):
                 bad_ind1 += 1
-        phi = _random_cocycle(rng, p)
+        phi = cochains.random_cocycle(rng, p)
         omega = tuple(int(x) for x in rng.integers(0, p, size=p))
         c2 = rcoch.RestrictedTwoCochain(phi, omega)
         g = gf.normalize(rng.integers(0, p, size=p), p)
@@ -586,14 +574,6 @@ def run_extend(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep
-
-
-def run_sweep(cfg: RunConfig) -> int:
-    return run_dims(cfg)
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 
 
@@ -660,7 +640,7 @@ COMMANDS = {
     "verify": run_verify,
     "iso": run_iso,
     "extend": run_extend,
-    "sweep": run_sweep,
+    "sweep": run_dims,
 }
 
 

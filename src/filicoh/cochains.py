@@ -168,15 +168,6 @@ class Cochain:
         coeffs = {tuple(t["indices"]): int(t["coefficient"]) for t in data["terms"]}
         return cls(data["prime"], data["dim"], data["degree"], coeffs)
 
-    def weight_decomposition(self) -> dict[int, "Cochain"]:
-        """Split by total index weight (the sum of the tuple entries)."""
-        parts: dict[int, dict] = {}
-        for key, value in self.coeffs.items():
-            parts.setdefault(sum(key), {})[key] = value
-        return {
-            w: Cochain(self.prime, self.dim, self.degree, cs) for w, cs in sorted(parts.items())
-        }
-
     def homogeneous_weight(self):
         """The common index weight, None for 0 or mixed cochains."""
         weights = {sum(key) for key in self.coeffs}
@@ -309,6 +300,21 @@ def phi_k(p: int, k: int) -> Cochain:
 def phi_weights(p: int) -> list[int]:
     """The odd weights k of the distinguished cocycles phi_k for this prime."""
     return list(range(5, p + 3, 2))
+
+
+def random_cocycle(rng, p: int) -> Cochain:
+    """A degree-2 cocycle of make_m0(p): a random combination of the closed
+    generators e^{1,p} and phi_k plus a random coboundary.
+
+    rng is a numpy Generator; its draws come in a fixed order (the e^{1,p}
+    coefficient, one per phi_k, then one per e^k), so a seed replays.
+    """
+    A = liealg.make_m0(p)
+    phi = int(rng.integers(0, p)) * dual_cochain(p, p, (1, p))
+    for k in phi_weights(p):
+        phi = phi + int(rng.integers(0, p)) * phi_k(p, k)
+    psi = Cochain(p, p, 1, {(k,): int(rng.integers(0, p)) for k in range(1, p + 1)})
+    return phi + d1(A, psi)
 
 
 def d1_closed_m0(p: int, k: int) -> Cochain:

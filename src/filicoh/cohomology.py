@@ -12,7 +12,7 @@ raises on a mismatch, it reports one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from . import restricted_cochains as rcoch
 
 @dataclass
 class CohomologySummary:
-    """One cohomology group: dimensions plus labeled basis data."""
+    """One cohomology group: dimensions, labeled representatives and the
+    kernel rows they were picked from."""
 
     prime: int
     lam: tuple[int, ...] | None
@@ -32,15 +33,15 @@ class CohomologySummary:
     kernel_dim: int
     image_dim: int
     representatives: list
-    kernel_basis: list
+    kernel: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         if self.dimension != self.kernel_dim - self.image_dim:
             raise ValueError("dimension must equal kernel_dim - image_dim")
         if len(self.representatives) != self.dimension:
             raise ValueError("representative count must equal dimension")
-        if len(self.kernel_basis) != self.kernel_dim:
-            raise ValueError("kernel basis size must equal kernel_dim")
+        if len(self.kernel) != self.kernel_dim:
+            raise ValueError("kernel size must equal kernel_dim")
 
 
 @dataclass(frozen=True)
@@ -71,22 +72,35 @@ class ExpectedSummary:
         return table[(degree, restricted_flag)]
 
 
-def _select(image_rows, kernel_rows, candidates, fallback, p):
-    """Greedy pick of labeled kernel elements independent modulo the image.
+def _cohomology(matrix, image_rows, candidates, build, *, prime, lam, degree, restricted):
+    """ker(matrix) modulo the span of image_rows, with labeled representatives.
 
-    candidates: (object, vector) pairs tried in order; only those inside
-    the kernel span compete.  fallback turns a raw kernel row into an
-    object so the pick always completes even if the candidates fall short.
+    candidates: cochains tried in order; only those that matrix kills
+    compete.  The kernel rows follow them, turned into cochains by build
+    when picked, so the pick always completes.  A vector is kept exactly
+    when it grows the span past the image.
     """
-    picked_objs = []
-    span = gf.SpanTracker(p, image_rows)
-    kernel_span = gf.SpanTracker(p, kernel_rows)
-    pool = [(obj, vec) for obj, vec in candidates if kernel_span.contains(vec)]
-    pool += [(fallback(vec), vec) for vec in kernel_rows]
-    for obj, vec in pool:
-        if span.add(vec):
-            picked_objs.append(obj)
-    return picked_objs
+    kernel = gf.kernel_basis(matrix, prime)
+    span = gf.SpanTracker(prime, image_rows)
+    image_dim = span.rank
+    pool = [(c, c.to_vector()) for c in candidates]
+    pool = [(c, v) for c, v in pool if not gf.mat_mul(matrix, v, prime).any()]
+    pool += [(None, v) for v in kernel]
+    reps = []
+    for c, v in pool:
+        if span.add(v):
+            reps.append(build(v) if c is None else c)
+    return CohomologySummary(
+        prime=prime,
+        lam=lam,
+        degree=degree,
+        restricted=restricted,
+        dimension=len(kernel) - image_dim,
+        kernel_dim=len(kernel),
+        image_dim=image_dim,
+        representatives=reps,
+        kernel=kernel,
+    )
 
 
 def _is_standard(A: liealg.LieAlgebra) -> bool:
@@ -113,65 +127,30 @@ def _d2_block(A: liealg.LieAlgebra):
     return cochains.d2_matrix(A)
 
 
-def _dual_candidates_deg1(p, dim):
-    return [
-        (cochains.dual_cochain(p, dim, (k,)), gf.normalize([0] * (k - 1) + [1] + [0] * (dim - k), p))
-        for k in range(1, dim + 1)
-    ]
+def _deg1_duals(p, dim):
+    return [cochains.dual_cochain(p, dim, (k,)) for k in range(1, dim + 1)]
 
 
-def _pair_candidates(p, dim, keys):
-    out = []
-    for key in keys:
-        c = cochains.dual_cochain(p, dim, key) if isinstance(key, tuple) else key
-        out.append((c, c.to_vector()))
-    return out
-
-
-def _h2_rep_candidates(p, dim):
-    # distinguished cocycles first: the top corner pair, then the
-    # alternating weight forms in increasing weight
-    if dim == p and p >= 3:
-        keys = [(1, p)] + [cochains.phi_k(p, k) for k in cochains.phi_weights(p)]
-    elif dim == p == 2:
-        keys = [(1, 2)]
-    else:
-        keys = cochains.index_tuples(dim, 2)
-    return _pair_candidates(p, dim, keys)
-
-
-def _h2_kernel_candidates(p, dim):
-    if dim == p and p >= 3:
-        keys = [(1, j) for j in range(2, p + 1)]
-        keys += [cochains.phi_k(p, k) for k in cochains.phi_weights(p)]
-    elif dim == p == 2:
-        keys = [(1, 2)]
-    else:
-        keys = cochains.index_tuples(dim, 2)
-    return _pair_candidates(p, dim, keys)
+def _h2_forms(p, dim):
+    """Distinguished degree-2 cocycles: on the family the top corner pair,
+    then the alternating weight forms in increasing weight; otherwise
+    every pair dual."""
+    if dim == p:
+        return [cochains.dual_cochain(p, dim, (1, p))] + [
+            cochains.phi_k(p, k) for k in cochains.phi_weights(p)
+        ]
+    return [cochains.dual_cochain(p, dim, key) for key in cochains.index_tuples(dim, 2)]
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     """Ordinary degree-1 cohomology: the whole kernel of d1."""
     p = A.prime
-    kernel = gf.kernel_basis(cochains.d1_matrix(A), p)
-    reps = _select(
-        [],
-        kernel,
-        _dual_candidates_deg1(p, A.dim),
+    return _cohomology(
+        cochains.d1_matrix(A),
+        (),
+        _deg1_duals(p, A.dim),
         lambda v: cochains.Cochain.from_vector(p, A.dim, 1, v),
-        p,
-    )
-    return CohomologySummary(
-        prime=p,
-        lam=None,
-        degree=1,
-        restricted=False,
-        dimension=len(kernel),
-        kernel_dim=len(kernel),
-        image_dim=0,
-        representatives=reps,
-        kernel_basis=list(reps),
+        prime=p, lam=None, degree=1, restricted=False,
     )
 
 
@@ -190,46 +169,24 @@ def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-1 cohomology: d1 plus the induced omega values."""
     A = R.algebra
     p = A.prime
-    kernel = gf.kernel_basis(_d1_star_matrix(R), p)
-    reps = _select(
-        [],
-        kernel,
-        _dual_candidates_deg1(p, A.dim),
+    return _cohomology(
+        _d1_star_matrix(R),
+        (),
+        _deg1_duals(p, A.dim),
         lambda v: cochains.Cochain.from_vector(p, A.dim, 1, v),
-        p,
-    )
-    return CohomologySummary(
-        prime=p,
-        lam=R.lam,
-        degree=1,
-        restricted=True,
-        dimension=len(kernel),
-        kernel_dim=len(kernel),
-        image_dim=0,
-        representatives=reps,
-        kernel_basis=list(reps),
+        prime=p, lam=R.lam, degree=1, restricted=True,
     )
 
 
 def h2(A: liealg.LieAlgebra) -> CohomologySummary:
     """Ordinary degree-2 cohomology: ker d2 modulo im d1."""
     p = A.prime
-    kernel = gf.kernel_basis(_d2_block(A), p)
-    image_rows = cochains.d1_matrix(A).T
-    image_dim = gf.rank(image_rows, p)
-    build = lambda v: cochains.Cochain.from_vector(p, A.dim, 2, v)
-    reps = _select(image_rows, kernel, _h2_rep_candidates(p, A.dim), build, p)
-    kbasis = _select([], kernel, _h2_kernel_candidates(p, A.dim), build, p)
-    return CohomologySummary(
-        prime=p,
-        lam=None,
-        degree=2,
-        restricted=False,
-        dimension=len(kernel) - image_dim,
-        kernel_dim=len(kernel),
-        image_dim=image_dim,
-        representatives=reps,
-        kernel_basis=kbasis,
+    return _cohomology(
+        _d2_block(A),
+        cochains.d1_matrix(A).T,
+        _h2_forms(p, A.dim),
+        lambda v: cochains.Cochain.from_vector(p, A.dim, 2, v),
+        prime=p, lam=None, degree=2, restricted=False,
     )
 
 
@@ -251,52 +208,22 @@ def _restricted_two_matrix(R: restricted.RestrictedAlgebra):
     return np.hstack([left, gf.zeros((left.shape[0], A.dim))])
 
 
-def _h2_star_candidates(R: restricted.RestrictedAlgebra, kernel_keys: bool):
+def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
+    """Restricted degree-2 cohomology: ker d2* modulo im d1*.
+
+    Candidates are the Frobenius duals, then the ordinary H2 forms with
+    zero omega."""
     A = R.algebra
     p = A.prime
     dim = A.dim
-    npairs = dim * (dim - 1) // 2
-    out = []
-    for k in range(1, dim + 1):
-        c = rcoch.frobenius_dual_cochain(p, dim, k)
-        out.append((c, c.to_vector()))
-    if dim == p and p >= 3:
-        if kernel_keys:
-            keys = [(1, j) for j in range(2, p + 1)]
-        else:
-            keys = [(1, p)]
-        forms = [cochains.dual_cochain(p, dim, key) for key in keys]
-        forms += [cochains.phi_k(p, k) for k in cochains.phi_weights(p)]
-    elif dim == p == 2:
-        forms = [cochains.dual_cochain(p, dim, (1, 2))]
-    else:
-        forms = [cochains.dual_cochain(p, dim, key) for key in cochains.index_tuples(dim, 2)]
-    for phi in forms:
-        c = rcoch.RestrictedTwoCochain(phi, (0,) * dim)
-        out.append((c, c.to_vector()))
-    return out
-
-
-def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
-    """Restricted degree-2 cohomology: ker d2* modulo im d1*."""
-    A = R.algebra
-    p = A.prime
-    kernel = gf.kernel_basis(_restricted_two_matrix(R), p)
-    image_rows = _d1_star_matrix(R).T
-    image_dim = gf.rank(image_rows, p)
-    build = lambda v: rcoch.RestrictedTwoCochain.from_vector(p, A.dim, v)
-    reps = _select(image_rows, kernel, _h2_star_candidates(R, kernel_keys=False), build, p)
-    kbasis = _select([], kernel, _h2_star_candidates(R, kernel_keys=True), build, p)
-    return CohomologySummary(
-        prime=p,
-        lam=R.lam,
-        degree=2,
-        restricted=True,
-        dimension=len(kernel) - image_dim,
-        kernel_dim=len(kernel),
-        image_dim=image_dim,
-        representatives=reps,
-        kernel_basis=kbasis,
+    candidates = [rcoch.frobenius_dual_cochain(p, dim, k) for k in range(1, dim + 1)]
+    candidates += [rcoch.RestrictedTwoCochain(phi, (0,) * dim) for phi in _h2_forms(p, dim)]
+    return _cohomology(
+        _restricted_two_matrix(R),
+        _d1_star_matrix(R).T,
+        candidates,
+        lambda v: rcoch.RestrictedTwoCochain.from_vector(p, dim, v),
+        prime=p, lam=R.lam, degree=2, restricted=True,
     )
 
 

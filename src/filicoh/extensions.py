@@ -101,7 +101,7 @@ def is_trivial_ordinary_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -
     if not cochains.d2(A, phi).is_zero():
         raise ValueError("triviality is decided for cocycles only")
     image_rows = cochains.d1_matrix(A).T
-    return gf.in_span(image_rows, phi.to_vector(), A.prime)
+    return gf.SpanTracker(A.prime, image_rows).contains(phi.to_vector())
 
 
 def coboundary_shift_is_isomorphism(

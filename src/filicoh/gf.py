@@ -59,10 +59,6 @@ def mat_mul(a, b, p: int) -> Mat:
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
-def mat_vec(m, v, p: int) -> Mat:
-    return (np.asarray(m, dtype=np.int64) @ np.asarray(v, dtype=np.int64)) % p
-
-
 def mat_pow(m, k: int, p: int) -> Mat:
     """m**k mod p by repeated squaring.  k >= 0."""
     if k < 0:
@@ -138,9 +134,8 @@ def kernel_basis(m, p: int) -> Mat:
     Returns:
         Array of shape (nullity, ncols); zero rows when the kernel is 0.
     """
-    arr = normalize(m, p)
-    ncols = arr.shape[1]
-    r, pivots = rref(arr, p)
+    r, pivots = rref(m, p)
+    ncols = r.shape[1]
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
@@ -148,61 +143,6 @@ def kernel_basis(m, p: int) -> Mat:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
-
-
-def row_space_basis(rows, p: int) -> Mat:
-    """Canonical (rref) basis of the span of the given row vectors."""
-    arr = normalize(rows, p)
-    if arr.size == 0:
-        return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 0)
-    r, pivots = rref(arr, p)
-    return r[: len(pivots)]
-
-
-def in_span(rows, v, p: int) -> bool:
-    """Whether vector v lies in the row span of `rows` over GF(p)."""
-    arr = normalize(rows, p)
-    vec = normalize(v, p).reshape(1, -1)
-    if arr.size == 0:
-        return not vec.any()
-    return rank(arr, p) == rank(np.vstack([arr, vec]), p)
-
-
-def complement_basis(sub, whole, p: int) -> Mat:
-    """Complete `sub` to a basis of span(whole) by greedy selection.
-
-    Candidates are taken from the rows of `whole` in their given order and
-    kept exactly when they enlarge the span.  The returned rows are the
-    kept candidates themselves, unreduced, so a caller controls which
-    vectors represent the complement by ordering `whole`.
-
-    Args:
-        sub: rows spanning a subspace of span(whole); may be empty.
-        whole: candidate rows whose span contains span(sub).
-        p: prime modulus.
-
-    Returns:
-        Array of appended rows; len == dim span(whole) - dim span(sub).
-    """
-    whole_arr = normalize(whole, p)
-    ncols = whole_arr.shape[1] if whole_arr.ndim == 2 else 0
-    sub_arr = normalize(sub, p) if np.asarray(sub).size else zeros((0, ncols))
-    if sub_arr.ndim != 2:
-        sub_arr = sub_arr.reshape(0, ncols)
-    current = sub_arr
-    current_rank = rank(current, p) if current.size else 0
-    target = rank(whole_arr, p) if whole_arr.size else 0
-    picked = []
-    for row in whole_arr:
-        if current_rank >= target:
-            break
-        candidate = np.vstack([current, row.reshape(1, -1)]) if current.size else row.reshape(1, -1)
-        r = rank(candidate, p)
-        if r > current_rank:
-            picked.append(row.copy())
-            current = candidate
-            current_rank = r
-    return np.array(picked, dtype=np.int64) if picked else zeros((0, ncols))
 
 
 class SpanTracker:

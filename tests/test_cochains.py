@@ -192,6 +192,7 @@ def test_phi_k_structure(p):
     for k in cochains.phi_weights(p):
         phi = cochains.phi_k(p, k)
         assert phi.homogeneous_weight() == k
+        assert (phi + dual_cochain(p, p, (1, 2))).homogeneous_weight() is None
         expected_terms = {(i, k - i) for i in range(2, (k - 1) // 2 + 1)}
         assert set(phi.coeffs) == expected_terms
         for i in range(2, (k - 1) // 2 + 1):
@@ -235,18 +236,6 @@ def test_d_coefficients_match_pointwise_evaluation(p):
     for _ in range(20):
         u, v = (liealg.random_element(A, rng) for _ in range(2))
         assert d1c.evaluate(u, v) == c1.evaluate(A.bracket(u, v))
-
-
-def test_weight_decomposition_splits_and_recombines():
-    p = 7
-    c = dual_cochain(p, p, (1, 2)) + (3 * dual_cochain(p, p, (2, 5)))
-    parts = c.weight_decomposition()
-    assert set(parts) == {3, 7}
-    total = Cochain(p, p, 2)
-    for part in parts.values():
-        total = total + part
-    assert total == c
-    assert c.homogeneous_weight() is None
 
 
 def test_json_round_trip_preserves_cochain():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from filicoh import cochains, cohomology as coh, gf, liealg, restricted
+from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import dual_cochain
+from test_acceptance import criterion_lambdas
 
 ODD_PRIMES = [3, 5, 7, 11]
 
@@ -45,15 +47,12 @@ def test_h1_p2():
 def test_h1_star_matches_h1_odd_primes(p):
     # identical kernels, asserted on reduced bases, for every lambda shape
     A = liealg.make_m0(p)
-    plain = gf.row_space_basis(
-        np.stack([r.to_vector() for r in coh.h1(A).kernel_basis]), p
-    )
+    plain = gf.rref(coh.h1(A).kernel, p)[0]
     for lam in [(0,) * p, one_hot(p, 1), one_hot(p, p)] + rand_lams(p, 2, 5 * p):
         R = restricted.make_m0_lambda(p, lam)
         s = coh.h1_star(R)
         assert s.dimension == 2
-        reduced = gf.row_space_basis(np.stack([r.to_vector() for r in s.kernel_basis]), p)
-        assert (plain == reduced).all()
+        assert (plain == gf.rref(s.kernel, p)[0]).all()
 
 
 def test_h1_star_p2_depends_on_lambda():
@@ -101,20 +100,15 @@ def test_h2_p7_golden_reps():
     ]
 
 
-def test_h2_p7_golden_kernel_basis():
-    s = coh.h2(liealg.make_m0(7))
-    labels = [str(r) for r in s.kernel_basis]
-    assert labels == [
-        "e^{1,2}",
-        "e^{1,3}",
-        "e^{1,4}",
-        "e^{1,5}",
-        "e^{1,6}",
-        "e^{1,7}",
-        "e^{2,3}",
-        "e^{2,5} - e^{3,4}",
-        "e^{2,7} - e^{3,6} + e^{4,5}",
-    ]
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_h2_kernel_is_paper_cocycles(p):
+    # ker d2 is spanned by the e^{1,j} and the phi_k, as reduced bases
+    s = coh.h2(liealg.make_m0(p))
+    cocycles = [dual_cochain(p, p, (1, j)) for j in range(2, p + 1)]
+    cocycles += [cochains.phi_k(p, k) for k in cochains.phi_weights(p)]
+    assert s.kernel_dim == len(cocycles)
+    paper = gf.rref(np.stack([c.to_vector() for c in cocycles]), p)[0]
+    assert (gf.rref(s.kernel, p)[0] == paper).all()
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
@@ -211,14 +205,29 @@ def test_splitting_at_trivial_powers(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_h2_star_reps_are_restricted_cocycles(p):
-    from filicoh import restricted_cochains as rcoch
-
     rng = np.random.default_rng(11 + p)
     lam = tuple(int(x) for x in rng.integers(0, p, size=p))
     R = restricted.make_m0_lambda(p, lam)
     s = coh.h2_star(R)
     for r in s.representatives:
         assert rcoch.d2_star(R, r).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_image_dim_is_rank_of_image(p):
+    # oracle: rank of the images of the degree-1 duals, evaluated one at a
+    # time, over the acceptance grid of lambda vectors
+    A = liealg.make_m0(p)
+    duals = [dual_cochain(p, p, (k,)) for k in range(1, p + 1)]
+    assert coh.h1(A).image_dim == 0
+    assert coh.h2(A).image_dim == gf.rank(
+        np.stack([cochains.d1(A, psi).to_vector() for psi in duals]), p
+    )
+    for lam in criterion_lambdas(p):
+        R = restricted.make_m0_lambda(p, lam)
+        assert coh.h1_star(R).image_dim == 0
+        rows = np.stack([rcoch.d1_star(R, psi).to_vector() for psi in duals])
+        assert coh.h2_star(R).image_dim == gf.rank(rows, p), lam
 
 
 def test_h2_star_p3_all_lambda_sweep():
@@ -278,7 +287,7 @@ def test_compare_flags_single_field():
         kernel_dim=s.kernel_dim + 1,
         image_dim=s.image_dim + 1,
         representatives=s.representatives,
-        kernel_basis=s.kernel_basis + [s.representatives[0]],
+        kernel=np.vstack([s.kernel, s.representatives[0].to_vector()]),
     )
     report = coh.compare(s, coh.expected_summary(p, (0,) * p))
     assert not report["ok"]

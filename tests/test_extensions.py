@@ -45,7 +45,7 @@ def test_new_generator_is_central():
     for k in range(1, 9):
         assert not E.bracket(E.basis_vector(k), c).any()
     rows = liealg.center(E)
-    assert gf.in_span(rows, c, 7)
+    assert gf.SpanTracker(7, rows).contains(c)
 
 
 def test_noncocycle_rejected_with_witness():

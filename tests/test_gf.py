@@ -63,26 +63,12 @@ def test_kernel_basis_known():
     assert set(brute) == span
 
 
-def test_complement_basis_prefers_candidate_order():
-    sub = [[1, 1]]
-    whole = [[1, 0], [0, 1]]
-    comp = gf.complement_basis(sub, whole, 3)
-    assert comp.tolist() == [[1, 0]]
-    comp_rev = gf.complement_basis(sub, [[0, 1], [1, 0]], 3)
-    assert comp_rev.tolist() == [[0, 1]]
-
-
-def test_complement_basis_empty_sub():
-    comp = gf.complement_basis([], [[1, 2], [2, 4], [0, 1]], 5)
-    assert comp.tolist() == [[1, 2], [0, 1]]
-
-
 def test_in_span():
-    rows = [[1, 0, 2], [0, 1, 1]]
-    assert gf.in_span(rows, [1, 1, 3], 5)
-    assert not gf.in_span(rows, [0, 0, 1], 5)
-    assert gf.in_span([], [0, 0], 5)
-    assert not gf.in_span([], [1, 0], 5)
+    tracker = gf.SpanTracker(5, [[1, 0, 2], [0, 1, 1]])
+    assert tracker.contains([1, 1, 3])
+    assert not tracker.contains([0, 0, 1])
+    assert gf.SpanTracker(5).contains([0, 0])
+    assert not gf.SpanTracker(5).contains([1, 0])
 
 
 def matrices(p, max_dim=4):
@@ -121,19 +107,6 @@ def test_kernel_vectors_annihilate(data, p):
     assert len(basis) == arr.shape[1] - gf.rank(arr, p)
 
 
-@settings(max_examples=60, derandomize=True)
-@given(data=st.data(), p=st.sampled_from(PRIMES))
-def test_complement_restores_full_rank(data, p):
-    """sub plus its complement spans exactly span(whole)."""
-    whole = gf.normalize(data.draw(matrices(p)), p)
-    k = data.draw(st.integers(min_value=0, max_value=len(whole)))
-    sub = whole[:k]
-    comp = gf.complement_basis(sub, whole, p)
-    combined = np.vstack([sub, comp]) if comp.size else sub
-    assert gf.rank(combined, p) == gf.rank(whole, p)
-    assert len(comp) == gf.rank(whole, p) - gf.rank(sub, p)
-
-
 @settings(max_examples=40, derandomize=True)
 @given(data=st.data(), p=st.sampled_from(PRIMES))
 def test_mat_pow_matches_repeated_mul(data, p):
@@ -163,7 +136,7 @@ def test_span_tracker_matches_rank_and_in_span():
         assert tracker.rank == gf.rank(rows, p)
         for _ in range(20):
             v = rng.integers(0, p, size=9)
-            assert tracker.contains(v) == gf.in_span(rows, v, p)
+            assert tracker.contains(v) == (gf.rank(np.vstack([rows, v]), p) == tracker.rank)
 
 
 def test_span_tracker_add_reports_growth():
