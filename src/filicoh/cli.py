@@ -14,19 +14,17 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import cochains, cohomology, extensions, gf, isoclass, liealg, restricted
+from . import checks, cochains, cohomology, extensions, gf, isoclass, liealg, restricted
 from . import restricted_cochains as rcoch
 
 # master seed for the capped "all" enumeration; echoed in every report
 # that uses it so runs are replayable
 CAP_SEED = 0
 CAP_SAMPLES = 200
-# expensive per-lambda checks run on at most this many vectors
-VERIFY_SAMPLE_CAP = 20
 
 # Grids run in one thread and nothing here uses an executor.  The name is
 # kept because bench/spans.py rebinds cli.ThreadPoolExecutor when it
@@ -49,7 +47,6 @@ class RunConfig:
     restricted: bool = False
     lambda_prime_spec: str | None = None
     cocycle: str | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,7 @@ def resolve_lambdas(p: int, spec: str) -> tuple[list[tuple[int, ...]], str | Non
         if seed < 0:
             raise UsageError(f"random seed must be non-negative in lambda spec {spec!r}")
         lam = _random_lambda(np.random.default_rng(seed), p)
-        note = f"lambda=random seed {seed} -> {lam_str(lam)}"
+        note = f"lambda=random seed {seed} -> {restricted.lam_str(lam)}"
         return [lam], note
     try:
         lam = tuple(int(x) % p for x in spec.split(","))
@@ -122,10 +119,6 @@ def resolve_lambdas(p: int, spec: str) -> tuple[list[tuple[int, ...]], str | Non
     if len(lam) != p:
         raise UsageError(f"lambda must have {p} entries for p={p}, got {len(lam)}")
     return [lam], None
-
-
-def lam_str(lam) -> str:
-    return ",".join(str(int(x)) for x in lam)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +175,8 @@ def _dims_table(rows, notes) -> str:
             shown = str(g["computed"]) if g["ok"] else f"{g['computed']}!={g['expected']}"
             cells.append(f"{name}={shown}")
         status = "ok" if row["ok"] else "FAIL"
-        lines.append(
-            f"p={row['prime']} {' '.join(cells)} {status} lambda={lam_str(row['lambda'])}"
-        )
+        lam = restricted.lam_str(row["lambda"])
+        lines.append(f"p={row['prime']} {' '.join(cells)} {status} lambda={lam}")
     bad = sum(1 for r in rows if not r["ok"])
     lines.append(
         f"{len(rows)} case(s): all pass" if not bad else f"{len(rows)} case(s): {bad} FAILED"
@@ -217,7 +209,7 @@ def _emit_report(cfg, payload, table_text) -> None:
 
 def _grid_rows(cfg) -> tuple[list[dict], list[str]]:
     cases = []
-    notes = list(cfg.notes)
+    notes = []
     for p in cfg.primes:
         lams, note = resolve_lambdas(p, cfg.lambda_spec)
         if note:
@@ -243,9 +235,7 @@ def run_dims(cfg: RunConfig) -> int:
 def run_basis(cfg: RunConfig) -> int:
     (p,) = cfg.primes
     lams, note = resolve_lambdas(p, cfg.lambda_spec)
-    notes = list(cfg.notes)
-    if note:
-        notes.append(note)
+    notes = [note] if note else []
     name = f"H{cfg.degree}{'+' if cfg.restricted else ''}"
     ok = True
     lines = [f"# {n}" for n in notes]
@@ -259,7 +249,7 @@ def run_basis(cfg: RunConfig) -> int:
         report = cohomology.compare(s, cohomology.expected_summary(p, lam))
         ok = ok and report["ok"]
         rows.append({**cohomology.summary_to_json(s), "ok": report["ok"]})
-        lines.append(f"{name} basis, p={p}, lambda={lam_str(lam)} (dim {s.dimension})")
+        lines.append(f"{name} basis, p={p}, lambda={restricted.lam_str(lam)} (dim {s.dimension})")
         for rep in s.representatives:
             lines.append(f"  {rep}")
     payload = {"command": "basis", "group": name, "notes": notes, "rows": rows, "ok": ok}
@@ -271,189 +261,40 @@ def run_basis(cfg: RunConfig) -> int:
 # verify
 
 
-def _check(checks, name, ok, detail="", info=False):
-    checks.append({"name": name, "ok": bool(ok), "detail": detail, "info": info})
-
-
-def _verify_prime_checks(p, checks, rng):
-    A = liealg.make_m0(p)
-    ok, _ = liealg.jacobi_check(A)
-    _check(checks, "jacobi identity", ok)
-
-    n = 20
-    ok = True
-    for _ in range(n):
-        g = gf.normalize(rng.integers(0, p, size=p), p)
-        h = gf.normalize(rng.integers(0, p, size=p), p)
-        if (A.bracket(g, h) != liealg.bracket_closed_m0(p, g, h)).any():
-            ok = False
-    _check(checks, "bracket closed form", ok, f"{n} random pairs")
-
-    ok = all(
-        cochains.d1(A, cochains.dual_cochain(p, p, (k,))) == cochains.d1_closed_m0(p, k)
-        for k in range(1, p + 1)
-    )
-    _check(checks, "degree-1 differential closed form", ok, "all duals")
-
-    pairs = cochains.index_tuples(p, 2)
-    ok = all(
-        cochains.d2(A, cochains.dual_cochain(p, p, pair))
-        == cochains.d2_closed_m0_corrected(p, *pair)
-        for pair in pairs
-    )
-    _check(checks, "degree-2 differential closed form (corrected)", ok, "all dual pairs")
-
-    deviant = [
-        pair
-        for pair in pairs
-        if cochains.d2(A, cochains.dual_cochain(p, p, pair))
-        != cochains.d2_closed_m0_printed(p, *pair)
-    ]
-    detail = (
-        f"printed variant deviates from the generic differential on "
-        f"{len(deviant)} of {len(pairs)} dual pairs"
-    )
-    if deviant:
-        detail += f", first at e^{{{deviant[0][0]},{deviant[0][1]}}}"
-    _check(checks, "degree-2 closed form as printed", True, detail, info=True)
-
-    ok = all(
-        cochains.d2(A, cochains.d1(A, cochains.dual_cochain(p, p, (k,)))).is_zero()
-        for k in range(1, p + 1)
-    )
-    _check(checks, "complex identity d2(d1(psi)) = 0", ok, "all duals")
-
-
-def _verify_lambda_cheap(p, lams, checks, rng):
-    bad_power = bad_complex = bad_dims = 0
-    for lam in lams:
-        R = restricted.make_m0_lambda(p, lam)
-        for _ in range(3):
-            g = gf.normalize(rng.integers(0, p, size=p), p)
-            if (restricted.p_power_jacobson(R, g) != restricted.p_power_closed(R, g)).any():
-                bad_power += 1
-        for k in range(1, p + 1):
-            psi = cochains.dual_cochain(p, p, (k,))
-            if not rcoch.d2_star(R, rcoch.d1_star(R, psi)).is_zero():
-                bad_complex += 1
-        if not dims_row(p, lam)["ok"]:
-            bad_dims += 1
-    cover = f"{len(lams)} lambda vector(s)"
-    _check(checks, "p-power recursion vs closed form", bad_power == 0, f"{cover}, 3 samples each")
-    _check(checks, "restricted complex identity", bad_complex == 0, f"{cover}, all duals")
-    _check(checks, "dimension table", bad_dims == 0, cover)
-
-
-def _verify_lambda_sampled(p, lams, checks, rng):
-    sample = lams[:VERIFY_SAMPLE_CAP]
-    cover = f"{len(sample)} of {len(lams)} lambda vector(s)"
-    bad_star = bad_dstar = bad_ind1 = bad_ext = bad_prop = 0
-    for lam in sample:
-        R = restricted.make_m0_lambda(p, lam)
-        for k in range(1, p + 1):
-            psi = cochains.dual_cochain(p, p, (k,))
-            c2 = rcoch.d1_star(R, psi)
-            g = gf.normalize(rng.integers(0, p, size=p), p)
-            h = gf.normalize(rng.integers(0, p, size=p), p)
-            if not rcoch.star_property_holds(R.algebra, c2, g, h):
-                bad_star += 1
-            if rcoch.star_eval(R.algebra, c2, g) != psi.evaluate(restricted.p_power(R, g)):
-                bad_ind1 += 1
-        phi = cochains.random_cocycle(rng, p)
-        omega = tuple(int(x) for x in rng.integers(0, p, size=p))
-        c2 = rcoch.RestrictedTwoCochain(phi, omega)
-        g = gf.normalize(rng.integers(0, p, size=p), p)
-        h = gf.normalize(rng.integers(0, p, size=p), p)
-        if not rcoch.star_property_holds(R.algebra, c2, g, h):
-            bad_star += 1
-        rc3 = rcoch.d2_star(R, c2)
-        for _ in range(3):
-            g = gf.normalize(rng.integers(0, p, size=p), p)
-            h1 = gf.normalize(rng.integers(0, p, size=p), p)
-            h2 = gf.normalize(rng.integers(0, p, size=p), p)
-            if not rcoch.doublestar_property_holds(R.algebra, rc3, g, h1, h2):
-                bad_dstar += 1
-        for k in (1, 2, p):
-            dual = rcoch.frobenius_dual_cochain(p, p, k)
-            try:
-                res = extensions.extend_restricted(R, dual)
-            except (ValueError, RuntimeError):
-                bad_ext += 1
-                continue
-            # the form part of (0, ebar^k) is a coboundary, so E_k splits
-            # when forgotten down to an ordinary extension
-            if not extensions.is_trivial_ordinary_extension(R.algebra, dual.phi):
-                bad_ext += 1
-            if res.algebra.labels[-1] != extensions.CENTER_LABEL:
-                bad_ext += 1
-        if p <= 31:
-            mu1 = int(rng.integers(1, p)) if p > 2 else 1
-            mu2 = int(rng.integers(1, p)) if p > 2 else 1
-            other = isoclass.proof_transform(p, lam, mu1, mu2)
-            if isoclass.iso_bruteforce(p, other, lam) is None:
-                bad_prop += 1
-    _check(checks, "omega sum rule on induced and cocycle pairs", bad_star == 0, cover)
-    _check(checks, "induced omega matches psi of the p-power", bad_ind1 == 0, cover)
-    _check(checks, "beta sum rule on induced triples", bad_dstar == 0, f"{cover}, 3 triples each")
-    _check(checks, "central extensions verify and stay trivial", bad_ext == 0, cover)
-    _check(checks, "diagonal search confirms transformed vectors", bad_prop == 0, cover)
-    return sample
-
-
-def _verify_proposition_report(p, lams, checks, rng):
-    if p > 31:
-        return
-    agree = total = 0
-    first_disagreement = None
-    for lam in lams[:VERIFY_SAMPLE_CAP]:
-        lam2 = tuple(int(x) for x in rng.integers(0, p, size=p))
-        rep = isoclass.proposition_formula_check(p, lam, lam2)
-        total += 1
-        if rep["agree"]:
-            agree += 1
-        elif first_disagreement is None:
-            first_disagreement = (lam, lam2)
-    detail = f"condition-set comparison: {agree}/{total} verdicts agree"
-    if first_disagreement:
-        a, b = first_disagreement
-        detail += f", first disagreement at lambda={lam_str(a)} vs {lam_str(b)}"
-    _check(checks, "closed condition set vs diagonal search", True, detail, info=True)
-
-
 def _p2_basis_table(lams) -> list[str]:
     lines = ["basis table for p=2 (restricted groups depend on lambda):"]
     for lam in lams:
         summaries = group_summaries(2, lam)
         h1s = ", ".join(str(r) for r in summaries["H1+"].representatives)
         h2s = ", ".join(str(r) for r in summaries["H2+"].representatives)
-        lines.append(f"  lambda={lam_str(lam)}: H1+ = [{h1s}]; H2+ = [{h2s}]")
+        lines.append(f"  lambda={restricted.lam_str(lam)}: H1+ = [{h1s}]; H2+ = [{h2s}]")
     return lines
 
 
 def run_verify(cfg: RunConfig) -> int:
     (p,) = cfg.primes
     lams, note = resolve_lambdas(p, cfg.lambda_spec)
-    notes = list(cfg.notes)
-    if note:
-        notes.append(note)
+    notes = [note] if note else []
     rng = np.random.default_rng([CAP_SEED, p, len(lams)])
-    checks: list[dict] = []
-    _verify_prime_checks(p, checks, rng)
-    _verify_lambda_cheap(p, lams, checks, rng)
-    _verify_lambda_sampled(p, lams, checks, rng)
-    _verify_proposition_report(p, lams, checks, rng)
+    records: list[dict] = []
+    identity = checks.prime_checks(p, records, rng)
+    checks.lambda_checks(p, lams, identity, records, rng)
+    bad_dims = sum(1 for lam in lams if not dims_row(p, lam)["ok"])
+    checks.record(records, "dimension table", bad_dims == 0, f"{len(lams)} lambda vector(s)")
+    checks.sampled_checks(p, lams, records, rng)
+    checks.proposition_report(p, lams, records, rng)
 
-    hard = [c for c in checks if not c["info"]]
+    hard = [c for c in records if not c["info"]]
     ok = all(c["ok"] for c in hard)
     lines = [f"# {n}" for n in notes]
     lines.append(f"verify p={p}, {len(lams)} lambda vector(s)")
-    for c in checks:
+    for c in records:
         tag = "info" if c["info"] else ("ok" if c["ok"] else "FAIL")
         detail = f" ({c['detail']})" if c["detail"] else ""
         lines.append(f"  {tag:4s} {c['name']}{detail}")
     if p == 2:
         lines.extend(_p2_basis_table(lams))
-    informational = sum(1 for c in checks if c["info"])
+    informational = sum(1 for c in records if c["info"])
     lines.append(
         f"verify result: {'pass' if ok else 'FAIL'} "
         f"({len(hard)} checks, {informational} informational)"
@@ -463,7 +304,7 @@ def run_verify(cfg: RunConfig) -> int:
         "prime": p,
         "notes": notes,
         "lambda_count": len(lams),
-        "checks": checks,
+        "checks": records,
         "ok": ok,
     }
     _emit_report(cfg, payload, "\n".join(lines) + "\n")
@@ -511,7 +352,7 @@ def _run_iso_classify(cfg: RunConfig, p: int, notes: list[str]) -> int:
 
 def run_iso(cfg: RunConfig) -> int:
     (p,) = cfg.primes
-    notes = list(cfg.notes)
+    notes = []
     if cfg.lambda_prime_spec is None:
         return _run_iso_classify(cfg, p, notes)
     lam = _single_lambda(p, cfg.lambda_spec, notes)
@@ -555,7 +396,7 @@ def parse_cocycle_spec(p: int, spec: str) -> rcoch.RestrictedTwoCochain:
 
 def run_extend(cfg: RunConfig) -> int:
     (p,) = cfg.primes
-    notes = list(cfg.notes)
+    notes = []
     lam = _single_lambda(p, cfg.lambda_spec, notes)
     if not cfg.cocycle:
         raise UsageError("extend requires --cocycle")

@@ -104,29 +104,6 @@ def is_trivial_ordinary_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -
     return gf.SpanTracker(A.prime, image_rows).contains(phi.to_vector())
 
 
-def coboundary_shift_is_isomorphism(
-    A: liealg.LieAlgebra, phi: cochains.Cochain, psi: cochains.Cochain
-) -> bool:
-    """Verify x -> x + psi(x) c carries the phi-extension onto the
-    (phi + d1 psi)-extension bracket-for-bracket."""
-    p = A.prime
-    E1 = extend_ordinary(A, phi).algebra
-    E2 = extend_ordinary(A, phi + cochains.d1(A, psi)).algebra
-    n = A.dim
-
-    def image(vec):
-        out = gf.normalize(vec, p).copy()
-        out[-1] = (out[-1] + psi.evaluate(vec[:-1])) % p
-        return out
-
-    for i, j in cochains.index_tuples(n + 1, 2):
-        lhs = E2.bracket(image(E1.basis_vector(i)), image(E1.basis_vector(j)))
-        rhs = image(E1.bracket_basis(i, j))
-        if not ((lhs - rhs) % p == 0).all():
-            return False
-    return True
-
-
 def extension_to_json(result: ExtensionResult) -> dict:
     """Algebra JSON plus a provenance block naming the source cocycle."""
     if result.pmap is not None:

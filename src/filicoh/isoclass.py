@@ -22,6 +22,10 @@ from dataclasses import dataclass
 
 from . import gf
 
+# the largest prime both iso modes and verify's diagonal-search checks serve,
+# whatever the lambda list holds
+SEARCH_LIMIT = 31
+
 
 @dataclass(frozen=True)
 class IsoWitness:
@@ -75,8 +79,8 @@ def diag_iso_check(p: int, lam, lam2, mu1: int, mu2: int) -> bool:
 def iso_bruteforce(p: int, lam, lam2) -> IsoWitness | None:
     """First diagonal witness in lexicographic (mu1, mu2) order, or None
     after exhausting all (p-1)^2 candidates."""
-    if p > 31:
-        raise ValueError("diagonal search is limited to p <= 31")
+    if p > SEARCH_LIMIT:
+        raise ValueError(f"diagonal search is limited to p <= {SEARCH_LIMIT}")
     lam, lam2 = _check_args(p, lam, lam2)
     for mu1 in range(1, p):
         for mu2 in range(1, p):
@@ -101,10 +105,8 @@ def partition_classes(p: int, lam_list) -> list[list[tuple[int, ...]]]:
     input order, the partition a pairwise search against each class's first
     member would give.
     """
-    # the pairwise search's limit, kept so that both iso modes serve the
-    # same primes whatever the list holds
-    if p > 31:
-        raise ValueError("diagonal search is limited to p <= 31")
+    if p > SEARCH_LIMIT:
+        raise ValueError(f"diagonal search is limited to p <= {SEARCH_LIMIT}")
     if not gf.is_prime(p):
         raise ValueError(f"{p} is not prime")
     factors = [

@@ -8,8 +8,6 @@ e_1, ..., e_p with the only nonzero brackets [e_1, e_i] = e_{i+1} for
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from . import gf
@@ -122,16 +120,6 @@ def bracket_closed_m0(p, g, h):
     return out
 
 
-def left_normed_bracket(algebra, elements):
-    """[x_1, x_2, ..., x_m] folded left: [[...[[x_1, x_2], x_3]...], x_m]."""
-    if len(elements) < 2:
-        raise ValueError("left-normed bracket needs at least two factors")
-    acc = algebra.bracket(elements[0], elements[1])
-    for x in elements[2:]:
-        acc = algebra.bracket(acc, x)
-    return acc
-
-
 def ad_matrix(algebra, g):
     """Matrix of ad(g) = [g, -] acting on column coefficient vectors."""
     cols = [algebra.bracket(g, algebra.basis_vector(j)) for j in range(1, algebra.dim + 1)]
@@ -184,11 +172,6 @@ def is_graded(algebra):
             if coeffs[k - 1] != 0 and w[k - 1] != w[i - 1] + w[j - 1]:
                 return False, (i, j, k)
     return True, None
-
-
-def random_element(algebra, rng: random.Random):
-    """Uniformly random coefficient vector drawn from a seeded generator."""
-    return np.array([rng.randrange(algebra.prime) for _ in range(algebra.dim)], dtype=np.int64)
 
 
 def to_json(algebra) -> dict:

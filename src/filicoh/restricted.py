@@ -83,6 +83,10 @@ def make_m0_lambda(p: int, lam) -> RestrictedAlgebra:
     return RestrictedAlgebra(A, powers, lam=lam)
 
 
+def lam_str(lam) -> str:
+    return ",".join(str(int(x)) for x in lam)
+
+
 def p_power_closed(R: RestrictedAlgebra, g):
     """p-th power via the maximal-class closed form.
 

@@ -174,6 +174,62 @@ def test_verify_json_separates_informational(capsys):
     assert all(c["ok"] for c in hard)
 
 
+def verify_tags(capsys, *argv):
+    """Exit code and {check name: ok/FAIL/info} of a verify table report."""
+    code, out, _ = run(capsys, "verify", *argv)
+    tags = {}
+    for line in out.splitlines():
+        tag, _, rest = line.strip().partition(" ")
+        if tag in ("ok", "FAIL", "info"):
+            # every check with a parenthesised name also prints a detail
+            tags[rest.strip().rsplit(" (", 1)[0]] = tag
+    return code, tags
+
+
+def test_verify_fails_on_nonzero_induced_beta(monkeypatch, capsys):
+    real = cli.rcoch.ind2_matrix
+
+    def corrupted(R, phi):
+        out = real(R, phi)
+        out[0, 0] = (out[0, 0] + 1) % R.prime
+        return out
+
+    monkeypatch.setattr(cli.rcoch, "ind2_matrix", corrupted)
+    # H2+ is built from the same function, and with it corrupted the
+    # dimension table raises before any report is printed
+    monkeypatch.setattr(cli, "dims_row", lambda p, lam: {"ok": True})
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "zero")
+    assert code == 1
+    assert tags["restricted complex identity"] == "FAIL"
+    assert tags["complex identity d2(d1(psi)) = 0"] == "ok"
+
+
+def test_verify_fails_on_corrupted_d2(monkeypatch, capsys):
+    real = cli.cochains.d2
+
+    def corrupted(A, c2):
+        return real(A, c2) + cli.cochains.dual_cochain(A.prime, A.dim, (1, 2, 3))
+
+    monkeypatch.setattr(cli.cochains, "d2", corrupted)
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "zero")
+    assert code == 1
+    assert tags["complex identity d2(d1(psi)) = 0"] == "FAIL"
+    assert tags["restricted complex identity"] == "FAIL"
+
+
+def test_verify_fails_on_wrong_corrected_closed_form(monkeypatch, capsys):
+    real = cli.cochains.d2_closed_m0_corrected
+
+    def wrong(p, i, j):
+        return real(p, i, j) + cli.cochains.dual_cochain(p, p, (1, 2, 3))
+
+    monkeypatch.setattr(cli.cochains, "d2_closed_m0_corrected", wrong)
+    code, tags = verify_tags(capsys, "--prime", "5", "--lambda", "zero")
+    assert code == 1
+    assert tags["degree-2 differential closed form (corrected)"] == "FAIL"
+    assert tags["complex identity d2(d1(psi)) = 0"] == "ok"
+
+
 # ---------------------------------------------------------------------------
 # iso
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filicoh import gf, liealg
+from helpers import left_normed_bracket, random_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -84,8 +85,8 @@ def test_p_fold_left_normed_bracket_vanishes(p):
     A = liealg.make_m0(p)
     rng = random.Random(7)
     for _ in range(30):
-        elts = [liealg.random_element(A, rng) for _ in range(p)]
-        assert not liealg.left_normed_bracket(A, elts).any()
+        elts = [random_element(A, rng) for _ in range(p)]
+        assert not left_normed_bracket(A, elts).any()
 
 
 def test_left_normed_chain_reaches_top():
@@ -108,7 +109,7 @@ def test_ad_nilpotent_of_order_p(p):
     A = liealg.make_m0(p)
     rng = random.Random(11)
     for _ in range(20):
-        g = liealg.random_element(A, rng)
+        g = random_element(A, rng)
         m = liealg.ad_matrix(A, g)
         assert not gf.mat_pow(m, p, p).any()
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from filicoh import gf, liealg, restricted
+from helpers import random_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -71,7 +72,7 @@ def test_jacobson_matches_closed_random(p):
     for _ in range(25):
         lam = [rng.randrange(p) for _ in range(p)]
         R = restricted.make_m0_lambda(p, lam)
-        g = liealg.random_element(R.algebra, rng)
+        g = random_element(R.algebra, rng)
         assert (restricted.p_power_closed(R, g) == restricted.p_power_jacobson(R, g)).all()
 
 
@@ -81,8 +82,8 @@ def test_corrections_vanish_on_maximal_class(p):
     rng = random.Random(17)
     R = restricted.make_m0_lambda(p, [1] * p)
     for _ in range(20):
-        g = liealg.random_element(R.algebra, rng)
-        h = liealg.random_element(R.algebra, rng)
+        g = random_element(R.algebra, rng)
+        h = random_element(R.algebra, rng)
         assert not restricted.jacobson_corrections(R, g, h).any()
 
 
@@ -92,8 +93,8 @@ def test_p_power_additive_and_semilinear_on_family(p):
     lam = [rng.randrange(p) for _ in range(p)]
     R = restricted.make_m0_lambda(p, lam)
     for _ in range(15):
-        g = liealg.random_element(R.algebra, rng)
-        h = liealg.random_element(R.algebra, rng)
+        g = random_element(R.algebra, rng)
+        h = random_element(R.algebra, rng)
         a = rng.randrange(p)
         lhs = restricted.p_power_closed(R, (g + h) % p)
         rhs = (restricted.p_power_closed(R, g) + restricted.p_power_closed(R, h)) % p
@@ -134,7 +135,7 @@ def test_jacobson_on_algebra_with_nonzero_corrections(p):
         rhs = gf.mat_pow(liealg.ad_matrix(A, g), p, p)
         assert (lhs == rhs).all(), g
     for _ in range(10):
-        g = liealg.random_element(A, rng)
+        g = random_element(A, rng)
         a = rng.randrange(p)
         scaled = restricted.p_power_jacobson(R, (a * g) % p)
         expected = (pow(a, p, p) * restricted.p_power_jacobson(R, g)) % p

@@ -508,7 +508,7 @@ def test_d2_star_top_dual_beta():
     assert not out.beta_pairs[1:].any()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_d2_star_after_d1_star_is_zero(p):
     rng = np.random.default_rng(1700 + p)
     lams = [(0,) * p, rand_lambda(rng, p)]
