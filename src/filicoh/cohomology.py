@@ -1,12 +1,15 @@
-"""Degree 1 and 2 cohomology, ordinary and restricted, with labeled bases.
+"""Degree 1 and 2 cohomology of the family m_0^lambda(p), with labeled bases.
 
-Each computation assembles the differential matrices over the dual bases,
-extracts kernel and image, and picks representatives by a deterministic
-greedy pass over a candidate list of distinguished cocycles.  Candidates
-are consumed in order and kept exactly when they grow the span past the
-image, so golden tests can compare labels rather than raw coordinates.
-The closed-form dimension counts live in expected_summary; compare never
-raises on a mismatch, it reports one.
+Only make_m0(p) and its restricted family members are accepted; anything
+else raises ValueError.  d2 is reduced once per prime to its nonzero rref
+rows, which H2 eliminates and H2+ stacks over the lambda-dependent
+induced-beta rows: the kernel is that of the dense d2 or d2*, so its
+canonical basis is too.  Representatives are always distinguished
+cocycles, picked by a deterministic greedy pass that keeps a candidate
+exactly when it grows the span past the image, so golden tests can
+compare labels rather than raw coordinates.  The closed-form dimension
+counts live in expected_summary; compare never raises on a mismatch, it
+reports one.
 """
 
 from __future__ import annotations
@@ -72,24 +75,18 @@ class ExpectedSummary:
         return table[(degree, restricted_flag)]
 
 
-def _cohomology(matrix, image_rows, candidates, build, *, prime, lam, degree, restricted):
+def _cohomology(matrix, image_rows, candidates, *, prime, lam, degree, restricted):
     """ker(matrix) modulo the span of image_rows, with labeled representatives.
 
-    candidates: cochains tried in order; only those that matrix kills
-    compete.  The kernel rows follow them, turned into cochains by build
-    when picked, so the pick always completes.  A vector is kept exactly
-    when it grows the span past the image.
+    candidates: (cochain, coordinate vector) pairs tried in order; only
+    those that matrix kills compete, and one is kept exactly when it grows
+    the span past the image.  On the family the distinguished cocycles
+    always complete the quotient (CohomologySummary raises if they do not).
     """
     kernel = gf.kernel_basis(matrix, prime)
     span = gf.SpanTracker(prime, image_rows)
     image_dim = span.rank
-    pool = [(c, c.to_vector()) for c in candidates]
-    pool = [(c, v) for c, v in pool if not gf.mat_mul(matrix, v, prime).any()]
-    pool += [(None, v) for v in kernel]
-    reps = []
-    for c, v in pool:
-        if span.add(v):
-            reps.append(build(v) if c is None else c)
+    reps = [c for c, v in candidates if not gf.mat_mul(matrix, v, prime).any() and span.add(v)]
     return CohomologySummary(
         prime=prime,
         lam=lam,
@@ -103,126 +100,97 @@ def _cohomology(matrix, image_rows, candidates, build, *, prime, lam, degree, re
     )
 
 
-def _is_standard(A: liealg.LieAlgebra) -> bool:
-    if A.dim != A.prime:
-        return False
-    try:
-        return A == liealg.make_m0(A.prime)
-    except ValueError:
-        return False
+@functools.lru_cache(maxsize=None)
+def _d2_rows(p: int):
+    """Nonzero rows of rref(d2) of make_m0(p): the kernel of d2, eliminated
+    once per prime.  Read-only because every caller shares the array."""
+    r, pivots = gf.rref(cochains.d2_matrix(liealg.make_m0(p)), p)
+    rows = r[: len(pivots)].copy()
+    rows.setflags(write=False)
+    return rows
+
+
+def _ind2_block(R: restricted.RestrictedAlgebra):
+    """Induced-beta rows of d2* over the pair duals: row (i, j), column
+    (a, b) is e^{a,b}(e_i ^ e_j^[p])."""
+    n = R.dim
+    a, b = (np.array(t) - 1 for t in zip(*cochains.index_tuples(n, 2)))
+    eye, powers = gf.identity(n), np.stack(R.basis_p_powers)  # row j holds e_j^[p]
+    block = eye[:, None, a] * powers[None, :, b] - eye[:, None, b] * powers[None, :, a]
+    return block.reshape(n * n, -1) % R.prime
 
 
 @functools.lru_cache(maxsize=None)
-def _standard_d2_matrix(p: int):
-    """d2 of the maximal-class algebra, built once per prime; read-only
-    because every caller shares the cached array."""
-    m = cochains.d2_matrix(liealg.make_m0(p))
-    m.setflags(write=False)
-    return m
-
-
-def _d2_block(A: liealg.LieAlgebra):
-    if _is_standard(A):
-        return _standard_d2_matrix(A.prime)
-    return cochains.d2_matrix(A)
-
-
-def _deg1_duals(p, dim):
-    return [cochains.dual_cochain(p, dim, (k,)) for k in range(1, dim + 1)]
-
-
-def _h2_forms(p, dim):
-    """Distinguished degree-2 cocycles: on the family the top corner pair,
-    then the alternating weight forms in increasing weight; otherwise
-    every pair dual."""
-    if dim == p:
-        return [cochains.dual_cochain(p, dim, (1, p))] + [
-            cochains.phi_k(p, k) for k in cochains.phi_weights(p)
-        ]
-    return [cochains.dual_cochain(p, dim, key) for key in cochains.index_tuples(dim, 2)]
+def _candidates(p: int, degree: int, restricted: bool):
+    """Distinguished cocycles with their read-only coordinate vectors, built
+    once per prime.  Degree 1: the duals e^k.  Degree 2: the top corner
+    pair, then the alternating weight forms in increasing weight; for H2+
+    these follow the Frobenius duals, with zero omega."""
+    if degree == 1:
+        forms = [cochains.dual_cochain(p, p, (k,)) for k in range(1, p + 1)]
+    else:
+        forms = [cochains.dual_cochain(p, p, (1, p))]
+        forms += [cochains.phi_k(p, k) for k in cochains.phi_weights(p)]
+        if restricted:
+            forms = [rcoch.frobenius_dual_cochain(p, p, k) for k in range(1, p + 1)] + [
+                rcoch.RestrictedTwoCochain(phi, (0,) * p) for phi in forms
+            ]
+    pairs = tuple((c, c.to_vector()) for c in forms)
+    for _, v in pairs:
+        v.setflags(write=False)
+    return pairs
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:
-    """Ordinary degree-1 cohomology: the whole kernel of d1."""
-    p = A.prime
+    """Ordinary degree-1 cohomology of make_m0(p): the whole kernel of d1."""
+    if A != liealg.make_m0(A.prime):
+        raise ValueError("h1 is computed on make_m0(p) only")
     return _cohomology(
-        cochains.d1_matrix(A),
-        (),
-        _deg1_duals(p, A.dim),
-        lambda v: cochains.Cochain.from_vector(p, A.dim, 1, v),
-        prime=p, lam=None, degree=1, restricted=False,
+        cochains.d1_matrix(A), (), _candidates(A.prime, 1, False),
+        prime=A.prime, lam=None, degree=1, restricted=False,
     )
 
 
 def _d1_star_matrix(R: restricted.RestrictedAlgebra):
     """Matrix of d1* over the degree-1 duals: d1 rows over the induced
-    omega values.  Column k is the coordinate vector of d1*(e^k)."""
-    A = R.algebra
-    ind_rows = gf.zeros((A.dim, A.dim))
-    for j in range(1, A.dim + 1):
-        psi = cochains.dual_cochain(A.prime, A.dim, (j,))
-        ind_rows[:, j - 1] = rcoch.ind1_values(R, psi)
-    return np.vstack([cochains.d1_matrix(A), ind_rows])
+    omega rows, whose row k is e_k^[p].  Column k is the coordinate vector
+    of d1*(e^k)."""
+    return np.vstack([cochains.d1_matrix(R.algebra), np.stack(R.basis_p_powers)])
 
 
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-1 cohomology: d1 plus the induced omega values."""
-    A = R.algebra
-    p = A.prime
+    if not R.is_m0_family or R.algebra != liealg.make_m0(R.prime):
+        raise ValueError("h1_star is computed on the family m_0^lambda(p) only")
     return _cohomology(
-        _d1_star_matrix(R),
-        (),
-        _deg1_duals(p, A.dim),
-        lambda v: cochains.Cochain.from_vector(p, A.dim, 1, v),
-        prime=p, lam=R.lam, degree=1, restricted=True,
+        _d1_star_matrix(R), (), _candidates(R.prime, 1, True),
+        prime=R.prime, lam=R.lam, degree=1, restricted=True,
     )
 
 
 def h2(A: liealg.LieAlgebra) -> CohomologySummary:
-    """Ordinary degree-2 cohomology: ker d2 modulo im d1."""
-    p = A.prime
+    """Ordinary degree-2 cohomology of make_m0(p): ker d2 modulo im d1."""
+    if A != liealg.make_m0(A.prime):
+        raise ValueError("h2 is computed on make_m0(p) only")
     return _cohomology(
-        _d2_block(A),
-        cochains.d1_matrix(A).T,
-        _h2_forms(p, A.dim),
-        lambda v: cochains.Cochain.from_vector(p, A.dim, 2, v),
-        prime=p, lam=None, degree=2, restricted=False,
+        _d2_rows(A.prime), cochains.d1_matrix(A).T, _candidates(A.prime, 2, False),
+        prime=A.prime, lam=None, degree=2, restricted=False,
     )
-
-
-def _restricted_two_matrix(R: restricted.RestrictedAlgebra):
-    """Matrix of d2* over the (pair duals, Frobenius duals) coordinates.
-
-    Columns for the Frobenius duals are zero since d2* ignores the omega
-    part; rows stack the d2 triples over the flattened induced-beta grid.
-    """
-    A = R.algebra
-    p = A.prime
-    pairs = cochains.index_tuples(A.dim, 2)
-    top = _d2_block(A)
-    bottom = gf.zeros((A.dim * A.dim, len(pairs)))
-    for col, key in enumerate(pairs):
-        phi = cochains.dual_cochain(p, A.dim, key)
-        bottom[:, col] = rcoch.ind2_matrix(R, phi).reshape(-1)
-    left = np.vstack([top, bottom])
-    return np.hstack([left, gf.zeros((left.shape[0], A.dim))])
 
 
 def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-2 cohomology: ker d2* modulo im d1*.
 
-    Candidates are the Frobenius duals, then the ordinary H2 forms with
-    zero omega."""
-    A = R.algebra
-    p = A.prime
-    dim = A.dim
-    candidates = [rcoch.frobenius_dual_cochain(p, dim, k) for k in range(1, dim + 1)]
-    candidates += [rcoch.RestrictedTwoCochain(phi, (0,) * dim) for phi in _h2_forms(p, dim)]
+    d2* is the reduced d2 rows over the induced-beta block, with zero
+    columns for the Frobenius duals since d2* ignores the omega part."""
+    if not R.is_m0_family or R.algebra != liealg.make_m0(R.prime):
+        raise ValueError("h2_star is computed on the family m_0^lambda(p) only")
+    p = R.prime
+    left = np.vstack([_d2_rows(p), _ind2_block(R)])
     return _cohomology(
-        _restricted_two_matrix(R),
+        np.hstack([left, gf.zeros((left.shape[0], p))]),
         _d1_star_matrix(R).T,
-        candidates,
-        lambda v: rcoch.RestrictedTwoCochain.from_vector(p, dim, v),
+        _candidates(p, 2, True),
         prime=p, lam=R.lam, degree=2, restricted=True,
     )
 

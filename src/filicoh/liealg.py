@@ -121,9 +121,18 @@ def bracket_closed_m0(p, g, h):
 
 
 def ad_matrix(algebra, g):
-    """Matrix of ad(g) = [g, -] acting on column coefficient vectors."""
-    cols = [algebra.bracket(g, algebra.basis_vector(j)) for j in range(1, algebra.dim + 1)]
-    return np.stack(cols, axis=1) % algebra.prime
+    """Matrix of ad(g) = [g, -] acting on column coefficient vectors.
+
+    Column j is [g, e_j] = sum_i g_i [e_i, e_j], read off the stored
+    structure constants: a pair (i, j) with [e_i, e_j] = v adds g_i v to
+    column j and -g_j v to column i.
+    """
+    g = gf.normalize(g, algebra.prime)
+    out = gf.zeros((algebra.dim, algebra.dim))
+    for (i, j), v in algebra.brackets.items():
+        out[:, j - 1] += g[i - 1] * v
+        out[:, i - 1] -= g[j - 1] * v
+    return out % algebra.prime
 
 
 def jacobi_check(algebra):

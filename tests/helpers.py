@@ -1,11 +1,12 @@
-"""Test-only helpers: a seeded element generator and two oracles that
-nothing in the package calls."""
+"""Test-only helpers: a seeded element generator and oracles that nothing
+in the package calls."""
 
 import random
 
 import numpy as np
 
 from filicoh import cochains, extensions, gf
+from filicoh import restricted_cochains as rcoch
 
 
 def random_element(algebra, rng: random.Random):
@@ -42,3 +43,24 @@ def coboundary_shift_is_isomorphism(A, phi, psi) -> bool:
         if not ((lhs - rhs) % p == 0).all():
             return False
     return True
+
+
+def bracket_ad_matrix(algebra, g):
+    """ad(g) column by column: column j is the bracket [g, e_j]."""
+    cols = [algebra.bracket(g, algebra.basis_vector(j)) for j in range(1, algebra.dim + 1)]
+    return np.stack(cols, axis=1) % algebra.prime
+
+
+def dense_d2_star(R):
+    """Matrix of d2* over the (pair duals, Frobenius duals) coordinates,
+    stacked densely: all d2 rows over the induced-beta rows, each column
+    of the latter from one ind2_matrix call, then zero Frobenius columns."""
+    A = R.algebra
+    p = A.prime
+    pairs = cochains.index_tuples(A.dim, 2)
+    bottom = gf.zeros((A.dim * A.dim, len(pairs)))
+    for col, key in enumerate(pairs):
+        phi = cochains.dual_cochain(p, A.dim, key)
+        bottom[:, col] = rcoch.ind2_matrix(R, phi).reshape(-1)
+    left = np.vstack([cochains.d2_matrix(A), bottom])
+    return np.hstack([left, gf.zeros((left.shape[0], A.dim))])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from filicoh import cochains, cohomology as coh, gf, liealg, restricted
+from filicoh import cochains, cohomology as coh, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import dual_cochain
+from helpers import dense_d2_star
 from test_acceptance import criterion_lambdas
 
 ODD_PRIMES = [3, 5, 7, 11]
@@ -341,8 +342,77 @@ def test_summary_consistency_guard():
         coh.CohomologySummary(3, None, 2, False, 2, 4, 1, [], [])
 
 
-def test_standard_d2_matrix_is_read_only():
-    m = coh._standard_d2_matrix(5)
+def test_d2_rows_is_read_only():
+    m = coh._d2_rows(5)
     with pytest.raises(ValueError):
         m[0, 0] = 1
-    assert coh._standard_d2_matrix(5) is m
+    assert coh._d2_rows(5) is m
+
+
+# ---------------------------------------------------------------------------
+# the per-prime reduced route against the dense stacks
+
+GRID_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("p", GRID_PRIMES)
+def test_h2_kernel_matches_dense_d2(p):
+    A = liealg.make_m0(p)
+    assert_same_array(coh.h2(A).kernel, gf.kernel_basis(cochains.d2_matrix(A), p))
+
+
+@pytest.mark.parametrize("p", GRID_PRIMES)
+def test_h2_star_kernel_matches_dense_stack(p):
+    for lam in criterion_lambdas(p):
+        R = restricted.make_m0_lambda(p, lam)
+        dense = dense_d2_star(R)
+        n = p * (p - 1) // 2
+        assert_same_array(coh._ind2_block(R), dense[-p * p :, :n])
+        assert_same_array(coh.h2_star(R).kernel, gf.kernel_basis(dense, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ind2_block_matches_ind2_matrix_for_any_powers(p):
+    # on the family only e_p^[p] terms occur; random powers reach every entry
+    rng = np.random.default_rng(3 * p)
+    powers = rng.integers(0, p, size=(p, p))
+    R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
+    n = p * (p - 1) // 2
+    assert_same_array(coh._ind2_block(R), dense_d2_star(R)[-p * p :, :n])
+
+
+@pytest.mark.parametrize("p", GRID_PRIMES)
+def test_d1_star_matrix_columns_are_d1_star(p):
+    for lam in criterion_lambdas(p):
+        R = restricted.make_m0_lambda(p, lam)
+        m = coh._d1_star_matrix(R)
+        for k in range(1, p + 1):
+            want = rcoch.d1_star(R, dual_cochain(p, p, (k,))).to_vector()
+            assert (m[:, k - 1] == want).all(), (lam, k)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ordinary_groups_reject_algebras_off_the_family(p):
+    E = extensions.extend_ordinary(liealg.make_m0(p), dual_cochain(p, p, (1, p))).algebra
+    for group in (coh.h1, coh.h2):
+        with pytest.raises(ValueError, match="make_m0"):
+            group(E)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_restricted_groups_reject_algebras_off_the_family(p):
+    member = restricted.make_m0_lambda(p, one_hot(p, 1))
+    abelian = liealg.LieAlgebra(p, p, {}, weights=range(1, p + 1))
+    for R in (
+        restricted.RestrictedAlgebra(member.algebra, member.basis_p_powers),
+        restricted.RestrictedAlgebra(abelian, member.basis_p_powers, lam=member.lam),
+    ):
+        for group in (coh.h1_star, coh.h2_star):
+            with pytest.raises(ValueError, match="family"):
+                group(R)

@@ -107,6 +107,28 @@ def test_kernel_vectors_annihilate(data, p):
     assert len(basis) == arr.shape[1] - gf.rank(arr, p)
 
 
+@settings(max_examples=60, derandomize=True)
+@given(data=st.data(), p=st.sampled_from(PRIMES))
+def test_kernel_basis_depends_only_on_row_space(data, p):
+    """The nonzero rref rows of m stacked over random combinations of m's
+    rows give m's kernel basis byte for byte."""
+    m = gf.normalize(data.draw(matrices(p)), p)
+    r, pivots = gf.rref(m, p)
+    k = data.draw(st.integers(min_value=0, max_value=4))
+    combos = data.draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=p - 1), min_size=len(m), max_size=len(m)),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    mixed = gf.mat_mul(gf.normalize(combos, p).reshape(k, len(m)), m, p)
+    want = gf.kernel_basis(m, p)
+    got = gf.kernel_basis(np.vstack([r[: len(pivots)], mixed]), p)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, derandomize=True)
 @given(data=st.data(), p=st.sampled_from(PRIMES))
 def test_mat_pow_matches_repeated_mul(data, p):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filicoh import gf, liealg
-from helpers import left_normed_bracket, random_element
+from filicoh import cochains, extensions, gf, liealg
+from helpers import bracket_ad_matrix, left_normed_bracket, random_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -112,6 +112,23 @@ def test_ad_nilpotent_of_order_p(p):
         g = random_element(A, rng)
         m = liealg.ad_matrix(A, g)
         assert not gf.mat_pow(m, p, p).any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ad_matrix_matches_bracket_columns(p):
+    """ad(g) from the structure constants equals the bracket-built columns,
+    on make_m0(p) and on its phi_k extensions, whose brackets land on c."""
+    A = liealg.make_m0(p)
+    algebras = [A] + [
+        extensions.extend_ordinary(A, cochains.phi_k(p, k)).algebra
+        for k in cochains.phi_weights(p)
+    ]
+    rng = random.Random(17 + p)
+    for B in algebras:
+        elements = [B.basis_vector(k) for k in range(1, B.dim + 1)]
+        elements += [random_element(B, rng) for _ in range(5)]
+        for g in elements:
+            assert (liealg.ad_matrix(B, g) == bracket_ad_matrix(B, g)).all()
 
 
 def test_ad_matrix_of_e1():
