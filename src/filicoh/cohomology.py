@@ -160,7 +160,7 @@ def _d1_star_matrix(R: restricted.RestrictedAlgebra):
 
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-1 cohomology: d1 plus the induced omega values."""
-    if not R.is_m0_family or R.algebra != liealg.make_m0(R.prime):
+    if not R.is_m0_family:
         raise ValueError("h1_star is computed on the family m_0^lambda(p) only")
     return _cohomology(
         _d1_star_matrix(R), (), _candidates(R.prime, 1, True),
@@ -183,7 +183,7 @@ def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
 
     d2* is the reduced d2 rows over the induced-beta block, with zero
     columns for the Frobenius duals since d2* ignores the omega part."""
-    if not R.is_m0_family or R.algebra != liealg.make_m0(R.prime):
+    if not R.is_m0_family:
         raise ValueError("h2_star is computed on the family m_0^lambda(p) only")
     p = R.prime
     left = np.vstack([_d2_rows(p), _ind2_block(R)])

@@ -138,22 +138,22 @@ def ad_matrix(algebra, g):
 def jacobi_check(algebra):
     """Check the Jacobi identity on all basis triples.
 
+    Column k of ad([e_i, e_j]) - [ad e_i, ad e_j] is the Jacobiator of
+    (e_i, e_j, e_k), so each pair i < j is checked on all k > j at once.
+
     Returns:
         (True, None) on success, else (False, (i, j, k)) with the first
         failing 1-based triple in lexicographic order.
     """
     n = algebra.dim
-    basis = [algebra.basis_vector(k) for k in range(1, n + 1)]
+    ads = np.stack([ad_matrix(algebra, algebra.basis_vector(k)) for k in range(1, n + 1)])
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                s = (
-                    algebra.bracket(algebra.bracket(basis[i - 1], basis[j - 1]), basis[k - 1])
-                    + algebra.bracket(algebra.bracket(basis[j - 1], basis[k - 1]), basis[i - 1])
-                    + algebra.bracket(algebra.bracket(basis[k - 1], basis[i - 1]), basis[j - 1])
-                ) % algebra.prime
-                if s.any():
-                    return False, (i, j, k)
+            a, b = ads[i - 1], ads[j - 1]
+            jacobiator = np.tensordot(algebra.bracket_basis(i, j), ads, 1) - a @ b + b @ a
+            failing = np.flatnonzero((jacobiator[:, j:] % algebra.prime).any(axis=0))
+            if failing.size:
+                return False, (i, j, j + 1 + int(failing[0]))
     return True, None
 
 

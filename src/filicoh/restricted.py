@@ -1,16 +1,21 @@
 """Restricted structures: p-power maps on graded Lie algebras over GF(p).
 
 A restricted structure assigns to each basis vector e_k a p-th power
-e_k^[p], here stored as a coefficient vector.  Two evaluators for the
-p-th power of a general element are kept deliberately separate so they
-can serve as mutual oracles:
+e_k^[p], here stored as a coefficient vector.  The p-power, the omega of
+a restricted 2-cochain and the beta of a restricted 3-cochain are all
+p-semilinear on scaled basis vectors and additive up to a correction sum;
+`split_sum` is the one loop that evaluates such a map at a general
+element.  Two evaluators for the p-th power are kept deliberately
+separate so they can serve as mutual oracles:
 
 * p_power_closed: the one-line formula valid on the maximal-class family,
   where every iterated bracket of length p vanishes and the p-power of
   sum(a_k e_k) is sum(a_k^p e_k^[p]).
-* p_power_jacobson: the general recursion that splits an element into
-  basis terms and adds the correction terms s_i(g, h), where i * s_i is
-  the coefficient of t^(i-1) in ad(t g + h)^(p-1) applied to g.
+* p_power_jacobson: `split_sum` with Jacobson's correction terms
+  s_i(g, h), where i * s_i is the coefficient of t^(i-1) in
+  ad(t g + h)^(p-1) applied to g.  That polynomial is built as a vector
+  recursion: one vector per power of t, with p-1 applications of
+  w -> ad(h) w + t ad(g) w starting from w = g.
 """
 
 from __future__ import annotations
@@ -23,11 +28,10 @@ from . import gf, liealg
 class RestrictedAlgebra:
     """A Lie algebra together with basis p-powers.
 
-    basis_p_powers[k-1] is the coefficient vector of e_k^[p].  When the
-    algebra is a member of the maximal-class family with e_k^[p] in the
-    span of the top basis vector, `lam` stores the coefficient vector
-    (lam[k-1] = coefficient of e_dim in e_k^[p]) and unlocks the closed
-    p-power formula.
+    basis_p_powers[k-1] is the coefficient vector of e_k^[p].  `lam` marks
+    a member of the maximal-class family: the algebra is make_m0(p) and
+    e_k^[p] = lam[k-1] e_p for every k, which the constructor checks.  It
+    unlocks the closed p-power formula.
     """
 
     def __init__(self, algebra: liealg.LieAlgebra, basis_p_powers, lam=None):
@@ -38,6 +42,15 @@ class RestrictedAlgebra:
             raise ValueError("basis_p_powers must give one vector of length dim per basis vector")
         self.basis_p_powers = powers
         self.lam = None if lam is None else tuple(int(x) % p for x in lam)
+        if self.lam is not None and (
+            algebra != liealg.make_m0(p)
+            or len(self.lam) != p
+            or any(v[:-1].any() or v[-1] != x for v, x in zip(powers, self.lam))
+        ):
+            raise ValueError(
+                "lambda is given only for the family m_0^lambda(p): "
+                "make_m0(p) with e_k^[p] = lambda_k e_p"
+            )
 
     @property
     def prime(self):
@@ -105,66 +118,66 @@ def p_power_closed(R: RestrictedAlgebra, g):
     return out
 
 
-def _poly_mul(a, b, p):
-    """Product of two matrix polynomials given as lists of coefficient matrices."""
-    out = [gf.zeros(a[0].shape) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if not ai.any():
-            continue
-        for j, bj in enumerate(b):
-            if not bj.any():
-                continue
-            out[i + j] = (out[i + j] + ai @ bj) % p
-    return out
+def split_sum(p: int, v, on_basis, correction):
+    """Value at v of a map known on scaled basis vectors and additive up
+    to a correction: f(a e_k) = on_basis(k, a^p), with k 0-based, and
+    f(x + y) = f(x) + f(y) + correction(x, y).
+
+    v is split into its basis terms lowest index first, in one pass: each
+    term adds its basis value, and the correction is taken between the
+    term and the sum of the terms after it.  Values are ints or vectors;
+    the sum is returned mod p, and 0 when v is zero.
+    """
+    v = gf.normalize(v, p)
+    tail = v
+    total = 0
+    for k in np.flatnonzero(v):
+        total = total + on_basis(k, pow(int(v[k]), p, p))
+        tail = tail.copy()
+        tail[k] = 0
+        if tail.any():
+            head = gf.zeros(len(v))
+            head[k] = v[k]
+            total = total + correction(head, tail)
+    return total % p
 
 
 def jacobson_corrections(R: RestrictedAlgebra, g, h):
     """Sum of the correction terms s_i(g, h), i = 1..p-1.
 
     i * s_i(g, h) is the coefficient of t^(i-1) in ad(t g + h)^(p-1)
-    applied to g, computed here by exact polynomial matrix arithmetic in
-    the formal variable t.
+    applied to g.  Row d of w holds the coefficient of t^d; each of the
+    p-1 factors maps w to ad(h) w + t ad(g) w.  Once w is zero it stays
+    zero, so the sum is zero.
     """
     p = R.prime
     A = R.algebra
     g = gf.normalize(g, p)
     h = gf.normalize(h, p)
-    lin = [liealg.ad_matrix(A, h), liealg.ad_matrix(A, g)]  # ad(h) + t ad(g)
-    power = [gf.identity(A.dim)]
+    ad_h = liealg.ad_matrix(A, h).T
+    ad_g = liealg.ad_matrix(A, g).T
+    w = g[None, :]
     for _ in range(p - 1):
-        power = _poly_mul(power, lin, p)
-    total = gf.zeros(A.dim)
-    for i in range(1, p):
-        coeff_vec = (power[i - 1] @ g) % p
-        total = (total + gf.inv_mod(i, p) * coeff_vec) % p
-    return total
+        if not w.any():
+            return gf.zeros(A.dim)
+        nxt = gf.zeros((len(w) + 1, A.dim))
+        nxt[:-1] = w @ ad_h
+        nxt[1:] += w @ ad_g
+        w = nxt % p
+    inverses = np.array([gf.inv_mod(i, p) for i in range(1, p)], dtype=np.int64)
+    return (inverses @ w[: p - 1]) % p
 
 
 def p_power_jacobson(R: RestrictedAlgebra, g):
-    """p-th power of a general element by basis splitting plus corrections.
-
-    Splits g into its basis terms t_1 + t_2 + ... (increasing index) and
-    applies (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y) one term at a
-    time.  Scaled basis vectors use (a e_k)^[p] = a^p e_k^[p].
+    """p-th power of a general element by basis splitting plus corrections:
+    (a e_k)^[p] = a^p e_k^[p] and (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).
     """
-    p = R.prime
-    g = gf.normalize(g, p)
-    support = [k for k in range(R.dim) if g[k] != 0]
-    if not support:
-        return gf.zeros(R.dim)
-    if len(support) == 1:
-        k = support[0]
-        return (pow(int(g[k]), p, p) * R.basis_p_powers[k]) % p
-    head = gf.zeros(R.dim)
-    head[support[0]] = g[support[0]]
-    rest = g.copy()
-    rest[support[0]] = 0
-    out = (
-        p_power_jacobson(R, head)
-        + p_power_jacobson(R, rest)
-        + jacobson_corrections(R, head, rest)
-    ) % p
-    return out
+    value = split_sum(
+        R.prime, g,
+        lambda k, scale: scale * R.basis_p_powers[k],
+        lambda x, y: jacobson_corrections(R, x, y),
+    )
+    return gf.zeros(R.dim) + value
 
 
 def p_power(R: RestrictedAlgebra, g):

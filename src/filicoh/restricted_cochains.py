@@ -16,10 +16,13 @@ a bilinear-in-the-first-argument companion beta determined by its values
 on basis pairs, with the analogous correction rule in its second argument
 (subtracted, and weighted by alpha(g ^ [..] ^ last)).
 
-The correction sum has 2^(p-2) terms; a dynamic program over (prefix
-length, number of slots assigned the first argument) evaluates it in
-O(p^2) bracket operations and is the production route.  The literal
-enumeration is kept as an oracle for p <= 13.
+Both omega and beta (in h) are evaluated by `restricted.split_sum`, the
+loop the Jacobson p-power shares: split the argument into basis terms
+lowest index first and add the correction sum at each split.  The
+correction sum has 2^(p-2) terms; a dynamic program over (prefix length,
+number of slots assigned the first argument) evaluates it in O(p^2)
+bracket operations and is the production route.  The literal enumeration
+is kept as an oracle for p <= 13.
 """
 
 from __future__ import annotations
@@ -207,79 +210,47 @@ def doublestar_correction(algebra, alpha: cochains.Cochain, g, h1, h2, naive=Fal
 
 
 def star_eval(algebra, c: RestrictedTwoCochain, g, naive=False):
-    """Evaluate omega at g.
-
-    Scaled basis vectors use omega(a e_k) = a^p omega_k; a general g is
-    split into basis terms lowest index first, adding the correction sum
-    at each split.  The result does not depend on the split order.
+    """Evaluate omega at g: omega(a e_k) = a^p omega_k on scaled basis
+    vectors, and the correction sum at each split of `restricted.split_sum`.
+    The result does not depend on the split order.
     """
-    p = algebra.prime
-    g = gf.normalize(g, p)
-    support = [k for k in range(len(g)) if g[k]]
-    if not support:
-        return 0
-    if len(support) == 1:
-        k = support[0]
-        return (pow(int(g[k]), p, p) * c.omega_basis[k]) % p
-    head = gf.zeros(len(g))
-    head[support[0]] = g[support[0]]
-    tail = g.copy()
-    tail[support[0]] = 0
-    return (
-        star_eval(algebra, c, head, naive=naive)
-        + star_eval(algebra, c, tail, naive=naive)
-        + star_correction(algebra, c.phi, head, tail, naive=naive)
-    ) % p
+    return restricted.split_sum(
+        algebra.prime, g,
+        lambda k, scale: scale * c.omega_basis[k],
+        lambda x, y: star_correction(algebra, c.phi, x, y, naive=naive),
+    )
 
 
 def doublestar_eval(algebra, rc3: RestrictedThreeCochain, g, h, naive=False):
-    """Evaluate beta at (g, h): linear in g, split recursion in h."""
+    """Evaluate beta at (g, h): linear in g, and split in h like omega,
+    with the correction subtracted."""
     p = algebra.prime
     g = gf.normalize(g, p)
-    h = gf.normalize(h, p)
-    support = [k for k in range(len(h)) if h[k]]
-    if not support:
-        return 0
-    if len(support) == 1:
-        k = support[0]
-        scale = pow(int(h[k]), p, p)
-        pairing = int((g @ rc3.beta_pairs[:, k]) % p)
-        return (scale * pairing) % p
-    head = gf.zeros(len(h))
-    head[support[0]] = h[support[0]]
-    tail = h.copy()
-    tail[support[0]] = 0
-    return (
-        doublestar_eval(algebra, rc3, g, head, naive=naive)
-        + doublestar_eval(algebra, rc3, g, tail, naive=naive)
-        - doublestar_correction(algebra, rc3.alpha, g, head, tail, naive=naive)
-    ) % p
+    return restricted.split_sum(
+        p, h,
+        lambda k, scale: scale * int((g @ rc3.beta_pairs[:, k]) % p),
+        lambda x, y: -doublestar_correction(algebra, rc3.alpha, g, x, y, naive=naive),
+    )
 
 
 def star_property_holds(algebra, c: RestrictedTwoCochain, g, h) -> bool:
     """Check the omega sum rule at one pair (g, h)."""
-    p = algebra.prime
-    lhs = star_eval(algebra, c, (gf.normalize(g, p) + gf.normalize(h, p)) % p)
     rhs = (
         star_eval(algebra, c, g)
         + star_eval(algebra, c, h)
-        + star_correction(algebra, c.phi, gf.normalize(g, p), gf.normalize(h, p))
-    ) % p
-    return lhs == rhs
+        + star_correction(algebra, c.phi, g, h)
+    )
+    return star_eval(algebra, c, np.add(g, h)) == rhs % algebra.prime
 
 
 def doublestar_property_holds(algebra, rc3: RestrictedThreeCochain, g, h1, h2) -> bool:
     """Check the beta sum rule at one triple (g, h1, h2)."""
-    p = algebra.prime
-    h1 = gf.normalize(h1, p)
-    h2 = gf.normalize(h2, p)
-    lhs = doublestar_eval(algebra, rc3, g, (h1 + h2) % p)
     rhs = (
         doublestar_eval(algebra, rc3, g, h1)
         + doublestar_eval(algebra, rc3, g, h2)
         - doublestar_correction(algebra, rc3.alpha, g, h1, h2)
-    ) % p
-    return lhs == rhs
+    )
+    return doublestar_eval(algebra, rc3, g, np.add(h1, h2)) == rhs % algebra.prime
 
 
 def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from filicoh import cochains, extensions, gf
+from filicoh import cochains, extensions, gf, liealg
 from filicoh import restricted_cochains as rcoch
 
 
@@ -64,3 +64,43 @@ def dense_d2_star(R):
         bottom[:, col] = rcoch.ind2_matrix(R, phi).reshape(-1)
     left = np.vstack([cochains.d2_matrix(A), bottom])
     return np.hstack([left, gf.zeros((left.shape[0], A.dim))])
+
+
+def jacobi_check_triples(algebra):
+    """Jacobi identity basis triple by basis triple, three brackets of
+    brackets each: (True, None) or (False, first failing (i, j, k))."""
+    n = algebra.dim
+    basis = [algebra.basis_vector(k) for k in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                x, y, z = basis[i - 1], basis[j - 1], basis[k - 1]
+                s = (
+                    algebra.bracket(algebra.bracket(x, y), z)
+                    + algebra.bracket(algebra.bracket(y, z), x)
+                    + algebra.bracket(algebra.bracket(z, x), y)
+                ) % algebra.prime
+                if s.any():
+                    return False, (i, j, k)
+    return True, None
+
+
+def jacobson_corrections_matrix_poly(R, g, h):
+    """Sum of the Jacobson corrections s_i(g, h) from the full matrix
+    polynomial ad(t g + h)^(p-1), one n x n matrix per power of t, applied
+    to g only at the end."""
+    p = R.prime
+    A = R.algebra
+    g = gf.normalize(g, p)
+    lin = [liealg.ad_matrix(A, h), liealg.ad_matrix(A, g)]  # ad(h) + t ad(g)
+    power = [gf.identity(A.dim)]
+    for _ in range(p - 1):
+        out = [gf.zeros((A.dim, A.dim)) for _ in range(len(power) + 1)]
+        for i, a in enumerate(power):
+            for j, b in enumerate(lin):
+                out[i + j] = (out[i + j] + a @ b) % p
+        power = out
+    total = gf.zeros(A.dim)
+    for i in range(1, p):
+        total = (total + gf.inv_mod(i, p) * (power[i - 1] @ g)) % p
+    return total

@@ -1,5 +1,6 @@
 """Lie algebra core: construction, brackets, grading, center, serialization."""
 
+import itertools
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filicoh import cochains, extensions, gf, liealg
-from helpers import bracket_ad_matrix, left_normed_bracket, random_element
+from helpers import bracket_ad_matrix, jacobi_check_triples, left_normed_bracket, random_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -159,6 +160,35 @@ def test_jacobi_detects_violation():
     ok, witness = liealg.jacobi_check(B)
     assert not ok
     assert witness == (1, 2, 3)
+
+
+def random_structure_constants(rng, p, dim):
+    """Sparse random brackets on dim basis vectors: Jacobi holds on some
+    draws and fails on others."""
+    brackets = {}
+    for i, j in itertools.combinations(range(1, dim + 1), 2):
+        if rng.random() < 0.3:
+            brackets[(i, j)] = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(dim)]
+    return liealg.LieAlgebra(p, dim, brackets, weights=range(1, dim + 1))
+
+
+def test_jacobi_check_matches_triple_oracle_on_random_algebras():
+    rng = random.Random(8)
+    broken = 0
+    for _ in range(600):
+        A = random_structure_constants(rng, rng.choice([2, 3, 5, 7]), rng.randint(1, 6))
+        got = liealg.jacobi_check(A)
+        assert got == jacobi_check_triples(A), A.brackets
+        broken += not got[0]
+    assert 100 < broken < 500
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_jacobi_check_matches_triple_oracle_on_phi_extensions(p):
+    A = liealg.make_m0(p)
+    for k in cochains.phi_weights(p):
+        E = extensions.extend_ordinary(A, cochains.phi_k(p, k)).algebra
+        assert liealg.jacobi_check(E) == jacobi_check_triples(E) == (True, None)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

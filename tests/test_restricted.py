@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from filicoh import gf, liealg, restricted
-from helpers import random_element
+from filicoh import cochains, extensions, gf, liealg, restricted
+from filicoh import restricted_cochains as rcoch
+from helpers import jacobson_corrections_matrix_poly, random_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -142,6 +143,47 @@ def test_jacobson_on_algebra_with_nonzero_corrections(p):
         assert (scaled == expected).all()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_corrections_match_matrix_polynomial_on_affine_line(p):
+    R = affine_line_algebra(p)
+    elements = [np.array(v) for v in itertools.product(range(p), repeat=2)]
+    nonzero = 0
+    for g in elements:
+        for h in elements:
+            got = restricted.jacobson_corrections(R, g, h)
+            assert (got == jacobson_corrections_matrix_poly(R, g, h)).all(), (g, h)
+            nonzero += bool(got.any())
+    assert nonzero
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_corrections_match_matrix_polynomial_on_family(p):
+    rng = random.Random(40 + p)
+    R = restricted.make_m0_lambda(p, [rng.randrange(p) for _ in range(p)])
+    for _ in range(10):
+        g = random_element(R.algebra, rng)
+        h = random_element(R.algebra, rng)
+        want = jacobson_corrections_matrix_poly(R, g, h)
+        assert (restricted.jacobson_corrections(R, g, h) == want).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_corrections_match_matrix_polynomial_on_phi_extensions(p):
+    rng = random.Random(60 + p)
+    R = restricted.make_m0_lambda(p, [0] * p)
+    nonzero = 0
+    for k in cochains.phi_weights(p):
+        c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(p, k), (0,) * p)
+        RE = extensions.extend_restricted(R, c2).pmap
+        for _ in range(10):
+            g = random_element(RE.algebra, rng)
+            h = random_element(RE.algebra, rng)
+            got = restricted.jacobson_corrections(RE, g, h)
+            assert (got == jacobson_corrections_matrix_poly(RE, g, h)).all()
+            nonzero += bool(got.any())
+    assert nonzero
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_verify_restricted_map_on_family(p):
     rng = random.Random(p + 1)
@@ -172,3 +214,17 @@ def test_restricted_json_round_trip(p):
     R2 = affine_line_algebra(p)
     back2 = restricted.from_json(restricted.to_json(R2))
     assert back2 == R2
+
+
+def test_from_json_rejects_lambda_contradicting_p_powers():
+    data = restricted.to_json(restricted.make_m0_lambda(5, [1, 0, 0, 0, 0]))
+    data["lambda"] = [0, 1, 0, 0, 0]
+    with pytest.raises(ValueError, match="family"):
+        restricted.from_json(data)
+
+
+def test_from_json_rejects_family_power_off_the_top_line():
+    data = restricted.to_json(restricted.make_m0_lambda(5, [1, 0, 0, 0, 0]))
+    data["p_powers"][0][3] = 2  # e_1^[p] = 2 e_4 + e_5
+    with pytest.raises(ValueError, match="family"):
+        restricted.from_json(data)
