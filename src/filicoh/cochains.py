@@ -226,6 +226,8 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
     if c2.degree != 2:
         raise ValueError("d2 needs a degree-2 cochain")
     p = algebra.prime
+    if c2.is_zero():  # d2 is linear
+        return Cochain(p, algebra.dim, 3)
     coeffs = {}
     for l, m, n in index_tuples(algebra.dim, 3):
         el, em, en = (algebra.basis_vector(k) for k in (l, m, n))

@@ -1,10 +1,13 @@
 """Degree 1 and 2 cohomology of the family m_0^lambda(p), with labeled bases.
 
 Only make_m0(p) and its restricted family members are accepted; anything
-else raises ValueError.  d2 is reduced once per prime to its nonzero rref
-rows, which H2 eliminates and H2+ stacks over the lambda-dependent
-induced-beta rows: the kernel is that of the dense d2 or d2*, so its
-canonical basis is too.  Representatives are always distinguished
+else raises ValueError.  d1 and d2 are reduced once per prime to their
+nonzero rref rows.  A family member changes only the induced rows (omega
+for d1*, beta for d2*), and those depend on lambda only through a basis of
+the p-power vectors, one vector on the family; per lambda only these few
+rows are eliminated against the per-prime reduction (gf.extend_rref).  An
+rref is unique, so the kernel is that of the dense d1* or d2*, and so is
+its canonical basis.  Representatives are always distinguished
 cocycles, picked by a deterministic greedy pass that keeps a candidate
 exactly when it grows the span past the image, so golden tests can
 compare labels rather than raw coordinates.  The closed-form dimension
@@ -75,18 +78,22 @@ class ExpectedSummary:
         return table[(degree, restricted_flag)]
 
 
-def _cohomology(matrix, image_rows, candidates, *, prime, lam, degree, restricted):
-    """ker(matrix) modulo the span of image_rows, with labeled representatives.
+def _cohomology(rows, pivots, image_rows, candidates, *, prime, lam, degree, restricted):
+    """Kernel of the matrix whose rref is (rows, pivots), modulo the span of
+    image_rows, with labeled representatives.
 
-    candidates: (cochain, coordinate vector) pairs tried in order; only
-    those that matrix kills compete, and one is kept exactly when it grows
-    the span past the image.  On the family the distinguished cocycles
-    always complete the quotient (CohomologySummary raises if they do not).
+    candidates: (cochains, read-only stack of their coordinate vectors),
+    tried in order; only those that the matrix kills compete, and one is
+    kept exactly when it grows the span past the image.  On the family the
+    distinguished cocycles always complete the quotient (CohomologySummary
+    raises if they do not).
     """
-    kernel = gf.kernel_basis(matrix, prime)
+    kernel = gf.kernel_from_rref(rows, pivots, prime)
     span = gf.SpanTracker(prime, image_rows)
     image_dim = span.rank
-    reps = [c for c, v in candidates if not gf.mat_mul(matrix, v, prime).any() and span.add(v)]
+    forms, vectors = candidates
+    killed = ~gf.mat_mul(rows, vectors.T, prime).any(axis=0)
+    reps = [c for c, v, k in zip(forms, vectors, killed) if k and span.add(v)]
     return CohomologySummary(
         prime=prime,
         lam=lam,
@@ -101,31 +108,42 @@ def _cohomology(matrix, image_rows, candidates, *, prime, lam, degree, restricte
 
 
 @functools.lru_cache(maxsize=None)
-def _d2_rows(p: int):
-    """Nonzero rows of rref(d2) of make_m0(p): the kernel of d2, eliminated
-    once per prime.  Read-only because every caller shares the array."""
-    r, pivots = gf.rref(cochains.d2_matrix(liealg.make_m0(p)), p)
-    rows = r[: len(pivots)].copy()
+def _reduced(p: int, degree: int):
+    """Nonzero rref rows and pivots of d1 (degree 1), or of d2 with the p
+    zero Frobenius columns of d2* appended (degree 2), for make_m0(p):
+    eliminated once per prime.  Read-only because every caller shares it."""
+    A = liealg.make_m0(p)
+    r, pivots = gf.rref(cochains.d1_matrix(A) if degree == 1 else cochains.d2_matrix(A), p)
+    frobenius = gf.zeros((len(pivots), p if degree == 2 else 0))
+    rows = np.hstack([r[: len(pivots)], frobenius])
     rows.setflags(write=False)
-    return rows
+    return rows, tuple(pivots)
 
 
-def _ind2_block(R: restricted.RestrictedAlgebra):
-    """Induced-beta rows of d2* over the pair duals: row (i, j), column
-    (a, b) is e^{a,b}(e_i ^ e_j^[p])."""
-    n = R.dim
+def _power_rows(R: restricted.RestrictedAlgebra):
+    """A basis of the span of the e_k^[p]: the nonzero rref rows of the
+    power matrix, at most one row on the family."""
+    r, pivots = gf.rref(np.stack(R.basis_p_powers), R.prime)
+    return r[: len(pivots)]
+
+
+def _ind2_block(powers, p: int):
+    """Induced-beta rows of d2* over the pair duals for the p-power vectors
+    in the rows of powers: row (i, j), column (a, b) is e^{a,b}(e_i ^ w_j)
+    with w_j row j of powers."""
+    n = powers.shape[1]
     a, b = (np.array(t) - 1 for t in zip(*cochains.index_tuples(n, 2)))
-    eye, powers = gf.identity(n), np.stack(R.basis_p_powers)  # row j holds e_j^[p]
+    eye = gf.identity(n)
     block = eye[:, None, a] * powers[None, :, b] - eye[:, None, b] * powers[None, :, a]
-    return block.reshape(n * n, -1) % R.prime
+    return block.reshape(-1, len(a)) % p
 
 
 @functools.lru_cache(maxsize=None)
 def _candidates(p: int, degree: int, restricted: bool):
-    """Distinguished cocycles with their read-only coordinate vectors, built
-    once per prime.  Degree 1: the duals e^k.  Degree 2: the top corner
-    pair, then the alternating weight forms in increasing weight; for H2+
-    these follow the Frobenius duals, with zero omega."""
+    """Distinguished cocycles with the read-only stack of their coordinate
+    vectors, built once per prime.  Degree 1: the duals e^k.  Degree 2: the
+    top corner pair, then the alternating weight forms in increasing
+    weight; for H2+ these follow the Frobenius duals, with zero omega."""
     if degree == 1:
         forms = [cochains.dual_cochain(p, p, (k,)) for k in range(1, p + 1)]
     else:
@@ -135,10 +153,9 @@ def _candidates(p: int, degree: int, restricted: bool):
             forms = [rcoch.frobenius_dual_cochain(p, p, k) for k in range(1, p + 1)] + [
                 rcoch.RestrictedTwoCochain(phi, (0,) * p) for phi in forms
             ]
-    pairs = tuple((c, c.to_vector()) for c in forms)
-    for _, v in pairs:
-        v.setflags(write=False)
-    return pairs
+    vectors = np.stack([c.to_vector() for c in forms])
+    vectors.setflags(write=False)
+    return tuple(forms), vectors
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:
@@ -146,7 +163,7 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     if A != liealg.make_m0(A.prime):
         raise ValueError("h1 is computed on make_m0(p) only")
     return _cohomology(
-        cochains.d1_matrix(A), (), _candidates(A.prime, 1, False),
+        *_reduced(A.prime, 1), (), _candidates(A.prime, 1, False),
         prime=A.prime, lam=None, degree=1, restricted=False,
     )
 
@@ -159,12 +176,14 @@ def _d1_star_matrix(R: restricted.RestrictedAlgebra):
 
 
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
-    """Restricted degree-1 cohomology: d1 plus the induced omega values."""
+    """Restricted degree-1 cohomology: the reduced d1 extended by a basis of
+    the induced omega rows."""
     if not R.is_m0_family:
         raise ValueError("h1_star is computed on the family m_0^lambda(p) only")
+    p = R.prime
     return _cohomology(
-        _d1_star_matrix(R), (), _candidates(R.prime, 1, True),
-        prime=R.prime, lam=R.lam, degree=1, restricted=True,
+        *gf.extend_rref(*_reduced(p, 1), _power_rows(R), p), (), _candidates(p, 1, True),
+        prime=p, lam=R.lam, degree=1, restricted=True,
     )
 
 
@@ -172,23 +191,29 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
     """Ordinary degree-2 cohomology of make_m0(p): ker d2 modulo im d1."""
     if A != liealg.make_m0(A.prime):
         raise ValueError("h2 is computed on make_m0(p) only")
+    p = A.prime
+    rows, pivots = _reduced(p, 2)
+    # no pivot lies in the zero Frobenius columns, so dropping them leaves rref(d2)
     return _cohomology(
-        _d2_rows(A.prime), cochains.d1_matrix(A).T, _candidates(A.prime, 2, False),
-        prime=A.prime, lam=None, degree=2, restricted=False,
+        rows[:, :-p], pivots, cochains.d1_matrix(A).T, _candidates(p, 2, False),
+        prime=p, lam=None, degree=2, restricted=False,
     )
 
 
 def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-2 cohomology: ker d2* modulo im d1*.
 
-    d2* is the reduced d2 rows over the induced-beta block, with zero
-    columns for the Frobenius duals since d2* ignores the omega part."""
+    The reduced d2 rows, with zero Frobenius columns since d2* ignores the
+    omega part, are extended by the induced-beta rows of a basis of the
+    p-power vectors: n rows per basis vector instead of n^2, with the same
+    row space and so the same rref."""
     if not R.is_m0_family:
         raise ValueError("h2_star is computed on the family m_0^lambda(p) only")
     p = R.prime
-    left = np.vstack([_d2_rows(p), _ind2_block(R)])
+    beta = _ind2_block(_power_rows(R), p)
+    beta = np.hstack([beta, gf.zeros((len(beta), p))])
     return _cohomology(
-        np.hstack([left, gf.zeros((left.shape[0], p))]),
+        *gf.extend_rref(*_reduced(p, 2), beta, p),
         _d1_star_matrix(R).T,
         _candidates(p, 2, True),
         prime=p, lam=R.lam, degree=2, restricted=True,

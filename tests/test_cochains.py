@@ -179,6 +179,26 @@ def test_d2_after_d1_is_zero(p):
     assert not m.any()
 
 
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_d2_of_zero_form_evaluates_nothing(p, monkeypatch):
+    calls = []
+    evaluate = Cochain.evaluate
+
+    def counted(self, *vectors):
+        calls.append(vectors)
+        return evaluate(self, *vectors)
+
+    monkeypatch.setattr(Cochain, "evaluate", counted)
+    A = liealg.make_m0(p)
+    out = cochains.d2(A, Cochain(p, p, 2))
+    assert (out.degree, out.dim, out.prime) == (3, p, p)
+    assert out.is_zero()
+    assert not calls
+    # a nonzero form still goes through evaluate
+    cochains.d2(A, dual_cochain(p, p, (1, 2)))
+    assert calls
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_differentials_preserve_weight(p):
     A = liealg.make_m0(p)

@@ -343,16 +343,20 @@ def test_summary_consistency_guard():
 
 
 def test_d2_rows_is_read_only():
-    m = coh._d2_rows(5)
-    with pytest.raises(ValueError):
-        m[0, 0] = 1
-    assert coh._d2_rows(5) is m
+    # both per-prime reductions are shared: read-only, built once
+    for degree in (1, 2):
+        rows, pivots = coh._reduced(5, degree)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        assert coh._reduced(5, degree)[0] is rows
+        assert isinstance(pivots, tuple) and len(pivots) == len(rows)
 
 
 # ---------------------------------------------------------------------------
 # the per-prime reduced route against the dense stacks
 
 GRID_PRIMES = [2, 3, 5, 7, 11, 13]
+DENSE_PRIMES = GRID_PRIMES + [17, 19]
 
 
 def assert_same_array(got, want):
@@ -367,14 +371,22 @@ def test_h2_kernel_matches_dense_d2(p):
     assert_same_array(coh.h2(A).kernel, gf.kernel_basis(cochains.d2_matrix(A), p))
 
 
-@pytest.mark.parametrize("p", GRID_PRIMES)
+@pytest.mark.parametrize("p", DENSE_PRIMES)
 def test_h2_star_kernel_matches_dense_stack(p):
     for lam in criterion_lambdas(p):
         R = restricted.make_m0_lambda(p, lam)
         dense = dense_d2_star(R)
         n = p * (p - 1) // 2
-        assert_same_array(coh._ind2_block(R), dense[-p * p :, :n])
+        assert_same_array(coh._ind2_block(np.stack(R.basis_p_powers), p), dense[-p * p :, :n])
         assert_same_array(coh.h2_star(R).kernel, gf.kernel_basis(dense, p))
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES)
+def test_h1_star_kernel_matches_dense_stack(p):
+    for lam in criterion_lambdas(p):
+        R = restricted.make_m0_lambda(p, lam)
+        want = gf.kernel_basis(coh._d1_star_matrix(R), p)
+        assert_same_array(coh.h1_star(R).kernel, want)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -384,7 +396,47 @@ def test_ind2_block_matches_ind2_matrix_for_any_powers(p):
     powers = rng.integers(0, p, size=(p, p))
     R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
     n = p * (p - 1) // 2
-    assert_same_array(coh._ind2_block(R), dense_d2_star(R)[-p * p :, :n])
+    assert_same_array(coh._ind2_block(powers, p), dense_d2_star(R)[-p * p :, :n])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_power_row_basis_keeps_beta_row_space(p):
+    # n rows per basis vector of the powers span the same rows as all n^2,
+    # for powers of every rank, so the per-lambda rref is that of the dense block
+    rng = np.random.default_rng(17 * p)
+    for rank in range(p + 1):
+        powers = gf.mat_mul(rng.integers(0, p, size=(p, rank)), rng.integers(0, p, size=(rank, p)), p)
+        R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
+        basis = coh._power_rows(R)
+        assert len(basis) == gf.rank(powers, p)
+        got = gf.rref(coh._ind2_block(basis, p), p)
+        want = gf.rref(coh._ind2_block(powers, p), p)
+        assert got[1] == want[1]
+        assert_same_array(got[0][: len(got[1])], want[0][: len(want[1])])
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
+    # once a prime is warm, a new lambda builds no d2 and hands rref at most
+    # p rows: the induced rows of one power vector, never the d2 stack
+    coh.h1_star(restricted.make_m0_lambda(p, (0,) * p))
+    coh.h2_star(restricted.make_m0_lambda(p, (0,) * p))
+    seen, rref = [], gf.rref
+
+    def recording_rref(m, q):
+        seen.append(np.shape(m)[0])
+        return rref(m, q)
+
+    def no_d2_matrix(algebra):
+        raise AssertionError("d2_matrix called per lambda")
+
+    monkeypatch.setattr(gf, "rref", recording_rref)
+    monkeypatch.setattr(cochains, "d2_matrix", no_d2_matrix)
+    for lam in criterion_lambdas(p)[1:]:
+        R = restricted.make_m0_lambda(p, lam)
+        coh.h1_star(R)
+        coh.h2_star(R)
+    assert seen and max(seen) <= p
 
 
 @pytest.mark.parametrize("p", GRID_PRIMES)

@@ -47,3 +47,15 @@ def test_rref_matches_sympy(case):
     want_r, want_pivots = sympy_rref(m, p)
     assert pivots == want_pivots
     assert (r == want_r).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_mod_p(), st.data())
+def test_extend_rref_matches_sympy(case, data):
+    # split a random matrix into a reduced prefix and the rows it is extended by
+    m, p = case
+    cut = data.draw(st.integers(0, len(m)))
+    r, pivots = gf.extend_rref(*gf.rref(m[:cut], p), m[cut:], p)
+    want_r, want_pivots = sympy_rref(m, p)
+    assert pivots == want_pivots
+    assert (r == want_r).all()
