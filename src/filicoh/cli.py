@@ -359,11 +359,11 @@ def run_iso(cfg: RunConfig) -> int:
     lam2 = _single_lambda(p, cfg.lambda_prime_spec, notes)
     try:
         report = isoclass.proposition_formula_check(p, lam, lam2)
-        witness = isoclass.iso_bruteforce(p, lam, lam2)
     except ValueError as exc:
         raise UsageError(str(exc))
+    witness = report["bruteforce_witness"]
     lines = [f"# {n}" for n in notes]
-    lines.append(f"isomorphic, {witness}" if witness else "not isomorphic")
+    lines.append("isomorphic, mu1={}, mu2={}".format(*witness) if witness else "not isomorphic")
     payload = {**report, "command": "iso", "notes": notes}
     _emit_report(cfg, payload, "\n".join(lines) + "\n")
     return 0 if witness else 1

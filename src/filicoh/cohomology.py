@@ -1,13 +1,15 @@
 """Degree 1 and 2 cohomology of the family m_0^lambda(p), with labeled bases.
 
 Only make_m0(p) and its restricted family members are accepted; anything
-else raises ValueError.  d1 and d2 are reduced once per prime to their
-nonzero rref rows.  A family member changes only the induced rows (omega
-for d1*, beta for d2*), and those depend on lambda only through a basis of
-the p-power vectors, one vector on the family; per lambda only these few
-rows are eliminated against the per-prime reduction (gf.extend_rref).  An
-rref is unique, so the kernel is that of the dense d1* or d2*, and so is
-its canonical basis.  Representatives are always distinguished
+else raises ValueError.  d1* and d2* are reduced to their nonzero rref
+rows once per row space of the p-power vectors and memoised: a family
+member changes only the induced rows (omega for d1*, beta for d2*), and
+those depend on lambda only through that row space, the line of e_p or 0.
+So each prime needs at most two reductions per degree, and lambda = 0
+shares its reduction with the ordinary H1 and H2.  A reduction with power
+rows stacks the reduced d1 or d2 over those rows and runs gf.rref once.
+An rref is unique, so the kernel is that of the dense d1* or d2*, and so
+is its canonical basis.  Representatives are always distinguished
 cocycles, picked by a deterministic greedy pass that keeps a candidate
 exactly when it grows the span past the image, so golden tests can
 compare labels rather than raw coordinates.  The closed-form dimension
@@ -108,14 +110,26 @@ def _cohomology(rows, pivots, image_rows, candidates, *, prime, lam, degree, res
 
 
 @functools.lru_cache(maxsize=None)
-def _reduced(p: int, degree: int):
-    """Nonzero rref rows and pivots of d1 (degree 1), or of d2 with the p
-    zero Frobenius columns of d2* appended (degree 2), for make_m0(p):
-    eliminated once per prime.  Read-only because every caller shares it."""
-    A = liealg.make_m0(p)
-    r, pivots = gf.rref(cochains.d1_matrix(A) if degree == 1 else cochains.d2_matrix(A), p)
-    frobenius = gf.zeros((len(pivots), p if degree == 2 else 0))
-    rows = np.hstack([r[: len(pivots)], frobenius])
+def _reduced(p: int, degree: int, powers: tuple):
+    """Nonzero rref rows and pivots of d1* (degree 1) or d2* (degree 2) for
+    make_m0(p) whose p-power vectors span the rows of powers (the rows of
+    _power_rows, as tuples): d1 over those rows, or d2 over their
+    induced-beta rows, with the p zero Frobenius columns of d2* appended.
+    powers == () reduces d1 or d2 alone and pads only its nonzero rref
+    rows (padding the dense d2 would raise peak memory); any other row
+    space stacks that base over the new rows for one rref.  On the family
+    the powers span 0 or the line of e_p: two entries per (p, degree).
+    Read-only because every caller shares it."""
+    if powers:
+        new = np.array(powers, dtype=np.int64)
+        if degree == 2:
+            new = np.hstack([_ind2_block(new, p), gf.zeros((p * len(new), p))])
+        r, pivots = gf.rref(np.vstack([_reduced(p, degree, ())[0], new]), p)
+        rows = r[: len(pivots)]
+    else:
+        A = liealg.make_m0(p)
+        r, pivots = gf.rref(cochains.d1_matrix(A) if degree == 1 else cochains.d2_matrix(A), p)
+        rows = np.hstack([r[: len(pivots)], gf.zeros((len(pivots), p if degree == 2 else 0))])
     rows.setflags(write=False)
     return rows, tuple(pivots)
 
@@ -163,7 +177,7 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     if A != liealg.make_m0(A.prime):
         raise ValueError("h1 is computed on make_m0(p) only")
     return _cohomology(
-        *_reduced(A.prime, 1), (), _candidates(A.prime, 1, False),
+        *_reduced(A.prime, 1, ()), (), _candidates(A.prime, 1, False),
         prime=A.prime, lam=None, degree=1, restricted=False,
     )
 
@@ -176,13 +190,14 @@ def _d1_star_matrix(R: restricted.RestrictedAlgebra):
 
 
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
-    """Restricted degree-1 cohomology: the reduced d1 extended by a basis of
-    the induced omega rows."""
+    """Restricted degree-1 cohomology: the kernel of d1 over the induced
+    omega rows, looked up by the row space of the p-powers."""
     if not R.is_m0_family:
         raise ValueError("h1_star is computed on the family m_0^lambda(p) only")
     p = R.prime
+    powers = tuple(map(tuple, _power_rows(R).tolist()))
     return _cohomology(
-        *gf.extend_rref(*_reduced(p, 1), _power_rows(R), p), (), _candidates(p, 1, True),
+        *_reduced(p, 1, powers), (), _candidates(p, 1, True),
         prime=p, lam=R.lam, degree=1, restricted=True,
     )
 
@@ -192,7 +207,7 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
     if A != liealg.make_m0(A.prime):
         raise ValueError("h2 is computed on make_m0(p) only")
     p = A.prime
-    rows, pivots = _reduced(p, 2)
+    rows, pivots = _reduced(p, 2, ())
     # no pivot lies in the zero Frobenius columns, so dropping them leaves rref(d2)
     return _cohomology(
         rows[:, :-p], pivots, cochains.d1_matrix(A).T, _candidates(p, 2, False),
@@ -203,17 +218,15 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
 def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-2 cohomology: ker d2* modulo im d1*.
 
-    The reduced d2 rows, with zero Frobenius columns since d2* ignores the
-    omega part, are extended by the induced-beta rows of a basis of the
+    d2* is reduced from d2 over the induced-beta rows of a basis of the
     p-power vectors: n rows per basis vector instead of n^2, with the same
-    row space and so the same rref."""
+    row space and so the same rref.  It is looked up by that basis."""
     if not R.is_m0_family:
         raise ValueError("h2_star is computed on the family m_0^lambda(p) only")
     p = R.prime
-    beta = _ind2_block(_power_rows(R), p)
-    beta = np.hstack([beta, gf.zeros((len(beta), p))])
+    powers = tuple(map(tuple, _power_rows(R).tolist()))
     return _cohomology(
-        *gf.extend_rref(*_reduced(p, 2), beta, p),
+        *_reduced(p, 2, powers),
         _d1_star_matrix(R).T,
         _candidates(p, 2, True),
         prime=p, lam=R.lam, degree=2, restricted=True,

@@ -84,10 +84,11 @@ def extend_restricted(
         raise ValueError(f"not a restricted cocycle: {witness}")
     base = extend_ordinary(R.algebra, c2.phi)
     E = base.algebra
-    powers = []
-    for k in range(1, R.dim + 1):
-        omega_value = rcoch.star_eval(R.algebra, c2, R.algebra.basis_vector(k))
-        powers.append(_extended_vector(R.basis_p_powers[k - 1], omega_value, p))
+    # omega on a basis vector is its stored value: no split, no correction
+    powers = [
+        _extended_vector(power, omega, p)
+        for power, omega in zip(R.basis_p_powers, c2.omega_basis)
+    ]
     powers.append(E.zero())  # c^[p] = 0
     RE = restricted.RestrictedAlgebra(E, powers)
     ok, k = restricted.verify_restricted_map(RE)

@@ -7,7 +7,7 @@ their inputs.
 
 Every matrix product sums at most n terms, each below p^2, where n is the
 inner dimension; int64 holds that sum exactly while n (p-1)^2 < 2^63, and
-mat_mul and extend_rref raise ValueError otherwise.
+mat_mul raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -59,15 +59,11 @@ def zeros(shape) -> Mat:
     return np.zeros(shape, dtype=np.int64)
 
 
-def _check_int64(n: int, p: int) -> None:
-    """Raise unless a sum of n products of entries in [0, p) fits in int64."""
-    if n * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"a sum of {n} products mod {p} overflows int64")
-
-
 def mat_mul(a, b, p: int) -> Mat:
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    _check_int64(a.shape[-1], p)
+    n = a.shape[-1]
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"a sum of {n} products mod {p} overflows int64")
     return (a @ b) % p
 
 
@@ -134,31 +130,6 @@ def rank(m, p: int) -> int:
     if arr.size == 0:
         return 0
     return len(rref(arr, p)[1])
-
-
-def extend_rref(r, pivots, rows, p: int) -> tuple[Mat, list[int]]:
-    """rref of vstack([r, rows]), given r already in rref with these pivots.
-
-    rows are reduced by r's pivot columns with one product, the nonzero
-    residue is eliminated by rref, and its pivots are substituted back
-    into r with a second product.  An rref is unique, so the result equals
-    rref(vstack([r, rows]), p) array for array, zero rows at the bottom.
-    """
-    pivots = list(pivots)
-    top = np.asarray(r, dtype=np.int64)[: len(pivots)]
-    ncols = top.shape[1]
-    _check_int64(ncols, p)
-    rows = normalize(rows, p)
-    residue = (rows - rows[:, pivots] @ top) % p
-    new, new_pivots = rref(residue[residue.any(axis=1)], p)
-    new = new[: len(new_pivots)]
-    top = (top - top[:, new_pivots] @ new) % p
-    merged = pivots + new_pivots
-    # a Python sort: np.argsort pages in numpy's SIMD sort code, 0.5 MB of RSS
-    order = sorted(range(len(merged)), key=merged.__getitem__)
-    out = zeros((len(r) + len(rows), ncols))
-    out[: len(merged)] = np.vstack([top, new])[order]
-    return out, [merged[i] for i in order]
 
 
 def kernel_from_rref(r, pivots, p: int) -> Mat:

@@ -21,13 +21,12 @@ loop the Jacobson p-power shares: split the argument into basis terms
 lowest index first and add the correction sum at each split.  The
 correction sum has 2^(p-2) terms; a dynamic program over (prefix length,
 number of slots assigned the first argument) evaluates it in O(p^2)
-bracket operations and is the production route.  The literal enumeration
-is kept as an oracle for p <= 13.
+bracket operations.  The literal enumeration is a test oracle
+(`tests/helpers.py`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,31 +141,10 @@ class RestrictedThreeCochain:
         return self.alpha == other.alpha and (self.beta_pairs == other.beta_pairs).all()
 
 
-def _correction_sum_naive(algebra, form_eval, h1, h2):
-    """Literal 2^(p-2)-term correction sum; oracle route for p <= 13.
+def _correction_sum(algebra, form_eval, h1, h2):
+    """The 2^(p-2)-term correction sum, grouped by how many slots carry h1.
 
     form_eval(bracket_vector, last_vector) supplies the phi or alpha part.
-    Slot counts are counts of assigned labels, so the divisor stays in
-    1..p-1 even when h1 == h2 as vectors.
-    """
-    p = algebra.prime
-    total = 0
-    for bits in itertools.product((0, 1), repeat=p - 2):
-        labels = (0, 1) + bits
-        vecs = [h1 if b == 0 else h2 for b in labels]
-        bracket = vecs[0]
-        for x in vecs[1 : p - 1]:
-            bracket = algebra.bracket(bracket, x)
-        value = form_eval(bracket, vecs[p - 1])
-        if value:
-            count = labels.count(0)
-            total = (total + gf.inv_mod(count, p) * value) % p
-    return total
-
-
-def _correction_sum_dp(algebra, form_eval, h1, h2):
-    """The same sum grouped by how many slots carry h1.
-
     Left-normed brackets are linear in every slot, so prefixes with equal
     h1-multiplicity can be summed before bracketing continues.  state[m]
     is the sum of [g_1, ..., g_j] over all prefixes of length j with m
@@ -195,21 +173,19 @@ def _correction_sum_dp(algebra, form_eval, h1, h2):
     return total
 
 
-def star_correction(algebra, phi: cochains.Cochain, h1, h2, naive=False):
+def star_correction(algebra, phi: cochains.Cochain, h1, h2):
     """The omega correction sum attached to phi at the split g = h1 + h2."""
     form = lambda bracket, last: phi.evaluate(bracket, last)
-    route = _correction_sum_naive if naive else _correction_sum_dp
-    return route(algebra, form, h1, h2)
+    return _correction_sum(algebra, form, h1, h2)
 
 
-def doublestar_correction(algebra, alpha: cochains.Cochain, g, h1, h2, naive=False):
+def doublestar_correction(algebra, alpha: cochains.Cochain, g, h1, h2):
     """The beta correction sum attached to alpha at the split h = h1 + h2."""
     form = lambda bracket, last: alpha.evaluate(g, bracket, last)
-    route = _correction_sum_naive if naive else _correction_sum_dp
-    return route(algebra, form, h1, h2)
+    return _correction_sum(algebra, form, h1, h2)
 
 
-def star_eval(algebra, c: RestrictedTwoCochain, g, naive=False):
+def star_eval(algebra, c: RestrictedTwoCochain, g):
     """Evaluate omega at g: omega(a e_k) = a^p omega_k on scaled basis
     vectors, and the correction sum at each split of `restricted.split_sum`.
     The result does not depend on the split order.
@@ -217,11 +193,11 @@ def star_eval(algebra, c: RestrictedTwoCochain, g, naive=False):
     return restricted.split_sum(
         algebra.prime, g,
         lambda k, scale: scale * c.omega_basis[k],
-        lambda x, y: star_correction(algebra, c.phi, x, y, naive=naive),
+        lambda x, y: star_correction(algebra, c.phi, x, y),
     )
 
 
-def doublestar_eval(algebra, rc3: RestrictedThreeCochain, g, h, naive=False):
+def doublestar_eval(algebra, rc3: RestrictedThreeCochain, g, h):
     """Evaluate beta at (g, h): linear in g, and split in h like omega,
     with the correction subtracted."""
     p = algebra.prime
@@ -229,7 +205,7 @@ def doublestar_eval(algebra, rc3: RestrictedThreeCochain, g, h, naive=False):
     return restricted.split_sum(
         p, h,
         lambda k, scale: scale * int((g @ rc3.beta_pairs[:, k]) % p),
-        lambda x, y: -doublestar_correction(algebra, rc3.alpha, g, x, y, naive=naive),
+        lambda x, y: -doublestar_correction(algebra, rc3.alpha, g, x, y),
     )
 
 

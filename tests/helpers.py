@@ -1,11 +1,12 @@
 """Test-only helpers: a seeded element generator and oracles that nothing
 in the package calls."""
 
+import itertools
 import random
 
 import numpy as np
 
-from filicoh import cochains, extensions, gf, liealg
+from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 
 
@@ -104,3 +105,58 @@ def jacobson_corrections_matrix_poly(R, g, h):
     for i in range(1, p):
         total = (total + gf.inv_mod(i, p) * (power[i - 1] @ g)) % p
     return total
+
+
+def correction_sum_naive(algebra, form_eval, h1, h2):
+    """The literal 2^(p-2)-term correction sum, oracle for the dynamic
+    program behind rcoch.star_correction and rcoch.doublestar_correction;
+    affordable for p <= 13.
+
+    form_eval(bracket_vector, last_vector) supplies the phi or alpha part.
+    Slot counts are counts of assigned labels, so the divisor stays in
+    1..p-1 even when h1 == h2 as vectors.
+    """
+    p = algebra.prime
+    total = 0
+    for bits in itertools.product((0, 1), repeat=p - 2):
+        labels = (0, 1) + bits
+        vecs = [h1 if b == 0 else h2 for b in labels]
+        bracket = vecs[0]
+        for x in vecs[1 : p - 1]:
+            bracket = algebra.bracket(bracket, x)
+        value = form_eval(bracket, vecs[p - 1])
+        if value:
+            count = labels.count(0)
+            total = (total + gf.inv_mod(count, p) * value) % p
+    return total
+
+
+def star_correction_naive(algebra, phi, h1, h2):
+    form = lambda bracket, last: phi.evaluate(bracket, last)
+    return correction_sum_naive(algebra, form, h1, h2)
+
+
+def doublestar_correction_naive(algebra, alpha, g, h1, h2):
+    form = lambda bracket, last: alpha.evaluate(g, bracket, last)
+    return correction_sum_naive(algebra, form, h1, h2)
+
+
+def star_eval_naive(algebra, c, g):
+    """omega at g as rcoch.star_eval splits it, with the naive correction sum."""
+    return restricted.split_sum(
+        algebra.prime, g,
+        lambda k, scale: scale * c.omega_basis[k],
+        lambda x, y: star_correction_naive(algebra, c.phi, x, y),
+    )
+
+
+def doublestar_eval_naive(algebra, rc3, g, h):
+    """beta at (g, h) as rcoch.doublestar_eval splits it, with the naive
+    correction sum."""
+    p = algebra.prime
+    g = gf.normalize(g, p)
+    return restricted.split_sum(
+        p, h,
+        lambda k, scale: scale * int((g @ rc3.beta_pairs[:, k]) % p),
+        lambda x, y: -doublestar_correction_naive(algebra, rc3.alpha, g, x, y),
+    )

@@ -248,6 +248,22 @@ def test_iso_negative_verdict(capsys):
     assert "not isomorphic" in out
 
 
+def test_pairwise_iso_runs_one_diagonal_search(capsys, monkeypatch):
+    calls, search = [], cli.isoclass.iso_bruteforce
+
+    def counting_search(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cli.isoclass, "iso_bruteforce", counting_search)
+    for lam2, want_code in (("2,0,0,0,0", 0), ("0,0,0,0,1", 1)):
+        calls.clear()
+        code, _, _ = run(capsys, "iso", "--prime", "5", "--lambda", "1,0,0,0,0",
+                         "--lambda-prime", lam2)
+        assert code == want_code
+        assert len(calls) == 1
+
+
 def test_iso_json_carries_comparison_report(capsys):
     code, out, _ = run(capsys, "iso", "--prime", "5", "--lambda", "1,2,1,0,0",
                        "--lambda-prime", "1,1,1,0,0", "--format", "json")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from filicoh import cochains, cohomology as coh, extensions, gf, liealg, restricted
+from filicoh import cli, cochains, cohomology as coh, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import dual_cochain
 from helpers import dense_d2_star
@@ -343,13 +343,14 @@ def test_summary_consistency_guard():
 
 
 def test_d2_rows_is_read_only():
-    # both per-prime reductions are shared: read-only, built once
+    # every memoised reduction is shared: read-only, built once
     for degree in (1, 2):
-        rows, pivots = coh._reduced(5, degree)
-        with pytest.raises(ValueError):
-            rows[0, 0] = 1
-        assert coh._reduced(5, degree)[0] is rows
-        assert isinstance(pivots, tuple) and len(pivots) == len(rows)
+        for powers in ((), ((0, 0, 0, 0, 1),)):
+            rows, pivots = coh._reduced(5, degree, powers)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+            assert coh._reduced(5, degree, powers)[0] is rows
+            assert isinstance(pivots, tuple) and len(pivots) == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +418,16 @@ def test_power_row_basis_keeps_beta_row_space(p):
 
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
-    # once a prime is warm, a new lambda builds no d2 and hands rref at most
-    # p rows: the induced rows of one power vector, never the d2 stack
-    coh.h1_star(restricted.make_m0_lambda(p, (0,) * p))
-    coh.h2_star(restricted.make_m0_lambda(p, (0,) * p))
+    # once lambda = 0 and one nonzero lambda have filled the memo, a new
+    # lambda builds no d2, reduces nothing new and hands rref at most p rows:
+    # the power matrix, never the d2 stack
+    coh._reduced.cache_clear()
+    lams = criterion_lambdas(p)
+    for lam in lams[:2]:
+        R = restricted.make_m0_lambda(p, lam)
+        coh.h1_star(R)
+        coh.h2_star(R)
+    misses = coh._reduced.cache_info().misses
     seen, rref = [], gf.rref
 
     def recording_rref(m, q):
@@ -432,11 +439,24 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
 
     monkeypatch.setattr(gf, "rref", recording_rref)
     monkeypatch.setattr(cochains, "d2_matrix", no_d2_matrix)
-    for lam in criterion_lambdas(p)[1:]:
+    for lam in lams[2:]:
         R = restricted.make_m0_lambda(p, lam)
         coh.h1_star(R)
         coh.h2_star(R)
     assert seen and max(seen) <= p
+    assert coh._reduced.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_reduction_memo_holds_two_row_spaces_per_degree(p):
+    # on the family the p-powers span 0 or the line of e_p, so the whole
+    # lambda grid adds two reductions per degree
+    coh._reduced.cache_clear()
+    lams, _ = cli.resolve_lambdas(p, "all")
+    for degree, group in ((1, coh.h1_star), (2, coh.h2_star)):
+        for lam in lams:
+            group(restricted.make_m0_lambda(p, lam))
+        assert coh._reduced.cache_info().currsize == 2 * degree
 
 
 @pytest.mark.parametrize("p", GRID_PRIMES)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from filicoh import gf
 
@@ -129,51 +129,11 @@ def test_kernel_basis_depends_only_on_row_space(data, p):
     assert got.tobytes() == want.tobytes()
 
 
-@st.composite
-def stacked_pair(draw):
-    """(A, B, p) with the same column count: either may be empty, zero
-    columns are forced in both, and B is free, all zero, or combinations
-    of A's rows (so the stack is rank-deficient)."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    cols = draw(st.integers(0, 6))
-
-    def block(rows, width):
-        entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * width, max_size=rows * width))
-        return np.array(entries, dtype=np.int64).reshape(rows, width)
-
-    zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
-    a = block(draw(st.integers(0, 5)), cols)
-    a[:, zero_cols] = 0
-    kind = draw(st.sampled_from(["free", "zero", "in_span"]))
-    b_rows = draw(st.integers(0, 5))
-    if kind == "in_span":
-        b = gf.mat_mul(block(b_rows, len(a)), a, p)
-    else:
-        b = block(b_rows, cols) if kind == "free" else gf.zeros((b_rows, cols))
-        b[:, zero_cols] = 0
-    return a, b, p
-
-
-@settings(max_examples=300, derandomize=True)
-@given(stacked_pair())
-@example((gf.identity(3), np.array([[1, 2, 3]]), 5))  # full-rank prefix
-@example((gf.zeros((0, 3)), np.array([[0, 2, 4], [0, 1, 2]]), 5))  # empty prefix
-def test_extend_rref_matches_rref_of_stack(case):
-    a, b, p = case
-    got, got_pivots = gf.extend_rref(*gf.rref(a, p), b, p)
-    want, want_pivots = gf.rref(np.vstack([a, b]), p)
-    assert got_pivots == want_pivots
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert (got == want).all()
-
-
 def test_int64_bound_is_enforced():
     # (p-1)^2 is just below 2^62 here, so four terms overflow and one does not
     big = 2**31 - 1
     with pytest.raises(ValueError, match="overflows int64"):
         gf.mat_mul(np.ones((1, 4), dtype=np.int64), np.ones((4, 1), dtype=np.int64), big)
-    with pytest.raises(ValueError, match="overflows int64"):
-        gf.extend_rref(gf.zeros((0, 4)), [], gf.zeros((1, 4)), big)
     assert gf.mat_mul([[1]], [[big - 1]], big).tolist() == [[big - 1]]
 
 

@@ -1,4 +1,5 @@
-"""gf.rref against sympy's DomainMatrix over GF(p), an independent route.
+"""gf.rref, and the memoised reductions of d1* and d2* built on it,
+against sympy's DomainMatrix over GF(p), an independent route.
 
 An RREF over a field is unique, so entries and pivot columns must agree
 exactly.  sympy is an optional test dependency (the ``oracle`` extra).
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from filicoh import gf
+from filicoh import cohomology as coh, gf, restricted
+from helpers import dense_d2_star
 
 GF = pytest.importorskip("sympy").GF
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -49,13 +51,15 @@ def test_rref_matches_sympy(case):
     assert (r == want_r).all()
 
 
-@settings(max_examples=100, deadline=None)
-@given(matrices_mod_p(), st.data())
-def test_extend_rref_matches_sympy(case, data):
-    # split a random matrix into a reduced prefix and the rows it is extended by
-    m, p = case
-    cut = data.draw(st.integers(0, len(m)))
-    r, pivots = gf.extend_rref(*gf.rref(m[:cut], p), m[cut:], p)
-    want_r, want_pivots = sympy_rref(m, p)
-    assert pivots == want_pivots
-    assert (r == want_r).all()
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduced_matches_sympy_rref_of_dense_stacks(p):
+    # lambda = 0 reduces d1 and d2 alone; a one-hot lambda adds the induced rows
+    for lam in ((0,) * p, (1,) + (0,) * (p - 1)):
+        R = restricted.make_m0_lambda(p, lam)
+        powers = tuple(map(tuple, coh._power_rows(R).tolist()))
+        for degree, dense in ((1, coh._d1_star_matrix(R)), (2, dense_d2_star(R))):
+            rows, pivots = coh._reduced(p, degree, powers)
+            want, want_pivots = sympy_rref(dense, p)
+            assert pivots == tuple(want_pivots)
+            assert rows.shape == (len(want_pivots), dense.shape[1])
+            assert (rows == want[: len(want_pivots)]).all()

@@ -9,6 +9,12 @@ from hypothesis import given, settings, strategies as st
 from filicoh import cochains, gf, liealg, restricted
 from filicoh import restricted_cochains as rc
 from filicoh.cochains import Cochain, dual_cochain
+from helpers import (
+    doublestar_correction_naive,
+    doublestar_eval_naive,
+    star_correction_naive,
+    star_eval_naive,
+)
 
 SMALL_PRIMES = [3, 5, 7]
 
@@ -189,7 +195,7 @@ def test_star_eval_naive_route_matches(p):
     for _ in range(3):
         c = rc.RestrictedTwoCochain(rand_cochain(rng, p, p, 2), rand_lambda(rng, p))
         g = rand_vec(rng, p, p)
-        assert rc.star_eval(A, c, g, naive=True) == rc.star_eval(A, c, g)
+        assert star_eval_naive(A, c, g) == rc.star_eval(A, c, g)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def test_star_correction_naive_matches_dp(p):
     for _ in range(trials):
         phi = rand_cochain(rng, p, p, 2)
         h1, h2 = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_correction(A, phi, h1, h2, naive=True) == rc.star_correction(
+        assert star_correction_naive(A, phi, h1, h2) == rc.star_correction(
             A, phi, h1, h2
         )
 
@@ -215,7 +221,7 @@ def test_star_correction_naive_matches_dp_p13():
     for _ in range(2):
         phi = rand_cochain(rng, 13, 13, 2)
         h1, h2 = rand_vec(rng, 13, 13), rand_vec(rng, 13, 13)
-        assert rc.star_correction(A, phi, h1, h2, naive=True) == rc.star_correction(
+        assert star_correction_naive(A, phi, h1, h2) == rc.star_correction(
             A, phi, h1, h2
         )
 
@@ -226,7 +232,7 @@ def test_star_correction_p2_is_plain_pairing():
     h1, h2 = [1, 0], [1, 1]
     want = phi.evaluate(h1, h2)
     assert rc.star_correction(A, phi, h1, h2) == want
-    assert rc.star_correction(A, phi, h1, h2, naive=True) == want
+    assert star_correction_naive(A, phi, h1, h2) == want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -250,8 +256,8 @@ def test_doublestar_correction_naive_matches_dp(p):
         alpha = rand_cochain(rng, p, p, 3)
         g = rand_vec(rng, p, p)
         h1, h2 = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.doublestar_correction(
-            A, alpha, g, h1, h2, naive=True
+        assert doublestar_correction_naive(
+            A, alpha, g, h1, h2
         ) == rc.doublestar_correction(A, alpha, g, h1, h2)
 
 
@@ -601,7 +607,7 @@ def test_doublestar_eval_naive_route_matches(p):
         beta = gf.normalize(rng.integers(0, p, size=(p, p)), p)
         c3 = rc.RestrictedThreeCochain(alpha, beta)
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.doublestar_eval(A, c3, g, h, naive=True) == rc.doublestar_eval(
+        assert doublestar_eval_naive(A, c3, g, h) == rc.doublestar_eval(
             A, c3, g, h
         )
 
