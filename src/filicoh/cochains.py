@@ -1,12 +1,13 @@
 """Alternating cochains in degrees 1..3 and the differentials d1, d2.
 
 Cochains are stored sparsely on strictly increasing 1-based index tuples.
-d1_matrix and d2_matrix, the production route, are assembled directly from
-an algebra's nonzero structure constants.  d1 and d2 compute the same
-differentials one cochain at a time by evaluation; they and the closed-form
-expressions for the maximal-class family are kept as oracles (compared
-against the matrices in tests and in the verification report, never used
-as the source of truth).
+d1_matrix, d2_matrix and d2_blocks (d2 split by weight, the production
+route) are assembled directly from an algebra's nonzero structure
+constants.  d1 and d2 compute the same differentials one cochain at a
+time by evaluation; they and the closed-form expressions for the
+maximal-class family are kept as oracles (compared against the matrices
+in tests and in the verification report, never used as the source of
+truth).
 """
 
 from __future__ import annotations
@@ -256,31 +257,70 @@ def d1_matrix(algebra: liealg.LieAlgebra):
     return out
 
 
-def d2_matrix(algebra: liealg.LieAlgebra):
-    """Matrix of d2 with columns over the degree-2 duals, rows over triples.
-
-    Assembled from the structure constants in O(nnz * dim) steps: each
-    nonzero c_k of [e_i, e_j] contributes c_k * e^{k,z}([e_i, e_j], e_z)
-    to the triple {i, j, z} for every z outside {i, j, k}.  The sign is
-    -1 when i < z < j (the middle term of d2), times -1 when k > z (the
-    order of the pair dual).  Column (a, b) equals d2 of the dual e^{a,b}.
-    """
-    n = algebra.dim
-    pair_col = {pair: col for col, pair in enumerate(index_tuples(n, 2))}
-    triple_row = {triple: row for row, triple in enumerate(index_tuples(n, 3))}
-    out = gf.zeros((len(triple_row), len(pair_col)))
+def _d2_entries(algebra: liealg.LieAlgebra):
+    """The entries of d2 read off the structure constants, as (triple,
+    pair, value) in O(nnz * dim) steps, repeats to be summed: each nonzero
+    c_k of [e_i, e_j] contributes c_k * e^{k,z}([e_i, e_j], e_z) to the
+    triple {i, j, z} for every z outside {i, j, k}.  The sign is -1 when
+    i < z < j (the middle term of d2), times -1 when k > z (the order of
+    the pair dual)."""
     for (i, j), vec in algebra.brackets.items():
         for k in np.flatnonzero(vec) + 1:
             c = int(vec[k - 1])
-            for z in range(1, n + 1):
+            for z in range(1, algebra.dim + 1):
                 if z in (i, j, k):
                     continue
                 sign = -1 if i < z < j else 1
                 if k > z:
                     sign = -sign
-                row = triple_row[tuple(sorted((i, j, z)))]
-                out[row, pair_col[(min(k, z), max(k, z))]] += sign * c
+                yield tuple(sorted((i, j, z))), (min(k, z), max(k, z)), sign * c
+
+
+def d2_matrix(algebra: liealg.LieAlgebra):
+    """Matrix of d2 with columns over the degree-2 duals, rows over triples,
+    assembled from the structure constants (see _d2_entries).  Column
+    (a, b) equals d2 of the dual e^{a,b}."""
+    n = algebra.dim
+    pair_col = {pair: col for col, pair in enumerate(index_tuples(n, 2))}
+    triple_row = {triple: row for row, triple in enumerate(index_tuples(n, 3))}
+    out = gf.zeros((len(triple_row), len(pair_col)))
+    for triple, pair, value in _d2_entries(algebra):
+        out[triple_row[triple], pair_col[pair]] += value
     return out % algebra.prime
+
+
+def d2_blocks(algebra: liealg.LieAlgebra):
+    """d2 of a graded algebra, one block per weight, never built densely.
+
+    d2 preserves weight, so the pairs (a, b) with w_a + w_b = w reach only
+    triples of weight w.  Returns {w: (cols, block)} in increasing w:
+    cols holds the columns of d2_matrix that are pairs of weight w, in
+    increasing order, and block is d2 on them over the triples of weight
+    w that it reaches, in increasing order; every other row of d2 is zero.
+    Raises ValueError when the algebra is not graded.
+    """
+    graded, witness = liealg.is_graded(algebra)
+    if not graded:
+        i, j, k = witness
+        raise ValueError(f"d2 splits by weight only on a graded algebra: [e_{i}, e_{j}] has an e_{k} term")
+    weight = lambda t: sum(algebra.weights[x - 1] for x in t)
+    cols, place = {}, {}
+    for col, pair in enumerate(index_tuples(algebra.dim, 2)):
+        w = weight(pair)
+        place[pair] = (w, len(cols.setdefault(w, [])))
+        cols[w].append(col)
+    entries = {w: {} for w in cols}
+    for triple, pair, value in _d2_entries(algebra):
+        w, pos = place[pair]
+        entries[w][triple, pos] = entries[w].get((triple, pos), 0) + value
+    blocks = {}
+    for w in sorted(cols):
+        row_of = {t: r for r, t in enumerate(sorted({t for t, _ in entries[w]}))}
+        block = gf.zeros((len(row_of), len(cols[w])))
+        for (triple, pos), value in entries[w].items():
+            block[row_of[triple], pos] = value
+        blocks[w] = (np.array(cols[w]), block % algebra.prime)
+    return blocks
 
 
 def phi_k(p: int, k: int) -> Cochain:

@@ -1,20 +1,21 @@
 """Degree 1 and 2 cohomology of the family m_0^lambda(p), with labeled bases.
 
 Only make_m0(p) and its restricted family members are accepted; anything
-else raises ValueError.  d1* and d2* are reduced to their nonzero rref
-rows once per row space of the p-power vectors and memoised: a family
-member changes only the induced rows (omega for d1*, beta for d2*), and
-those depend on lambda only through that row space, the line of e_p or 0.
-So each prime needs at most two reductions per degree, and lambda = 0
-shares its reduction with the ordinary H1 and H2.  A reduction with power
-rows stacks the reduced d1 or d2 over those rows and runs gf.rref once.
-An rref is unique, so the kernel is that of the dense d1* or d2*, and so
-is its canonical basis.  Representatives are always distinguished
-cocycles, picked by a deterministic greedy pass that keeps a candidate
-exactly when it grows the span past the image, so golden tests can
-compare labels rather than raw coordinates.  The closed-form dimension
-counts live in expected_summary; compare never raises on a mismatch, it
-reports one.
+else raises ValueError.  d1* and d2* are reduced once per row space of the
+p-power vectors and memoised: a family member changes only the induced
+rows (omega for d1*, beta for d2*), and those depend on lambda only
+through that row space, the line of e_p or 0.  So each prime needs at most
+two reductions per degree, and lambda = 0 shares its reduction with the
+ordinary H1 and H2.  d1* is reduced by one rref; d2 preserves weight, so
+d2* is reduced one weight block at a time and the dense d2 is never
+built.  An entry keeps only the pivots, the canonical kernel basis (an
+rref is unique, so it is that of the dense d1* or d2*) and which
+distinguished cocycles it kills; per lambda the groups look it up and
+pick representatives by a deterministic greedy pass that keeps a
+candidate exactly when it grows the span past the image, so golden tests
+can compare labels rather than raw coordinates.  The closed-form
+dimension counts live in expected_summary; compare never raises on a
+mismatch, it reports one.
 """
 
 from __future__ import annotations
@@ -80,65 +81,98 @@ class ExpectedSummary:
         return table[(degree, restricted_flag)]
 
 
-def _cohomology(rows, pivots, image_rows, candidates, *, prime, lam, degree, restricted):
-    """Kernel of the matrix whose rref is (rows, pivots), modulo the span of
-    image_rows, with labeled representatives.
+def _cohomology(entry, image_rows, candidates, *, prime, lam, degree, restricted):
+    """The kernel of a memoised reduction modulo the span of image_rows,
+    with labeled representatives.
 
     candidates: (cochains, read-only stack of their coordinate vectors),
-    tried in order; only those that the matrix kills compete, and one is
+    tried in order; only those the entry marks killed compete, and one is
     kept exactly when it grows the span past the image.  On the family the
     distinguished cocycles always complete the quotient (CohomologySummary
     raises if they do not).
     """
-    kernel = gf.kernel_from_rref(rows, pivots, prime)
     span = gf.SpanTracker(prime, image_rows)
     image_dim = span.rank
     forms, vectors = candidates
-    killed = ~gf.mat_mul(rows, vectors.T, prime).any(axis=0)
-    reps = [c for c, v, k in zip(forms, vectors, killed) if k and span.add(v)]
+    reps = [c for c, v, k in zip(forms, vectors, entry.killed) if k and span.add(v)]
     return CohomologySummary(
         prime=prime,
         lam=lam,
         degree=degree,
         restricted=restricted,
-        dimension=len(kernel) - image_dim,
-        kernel_dim=len(kernel),
+        dimension=len(entry.kernel) - image_dim,
+        kernel_dim=len(entry.kernel),
         image_dim=image_dim,
         representatives=reps,
-        kernel=kernel,
+        kernel=entry.kernel,
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _reduced(p: int, degree: int, powers: tuple):
-    """Nonzero rref rows and pivots of d1* (degree 1) or d2* (degree 2) for
-    make_m0(p) whose p-power vectors span the rows of powers (the rows of
-    _power_rows, as tuples): d1 over those rows, or d2 over their
-    induced-beta rows, with the p zero Frobenius columns of d2* appended.
-    powers == () reduces d1 or d2 alone and pads only its nonzero rref
-    rows (padding the dense d2 would raise peak memory); any other row
-    space stacks that base over the new rows for one rref.  On the family
-    the powers span 0 or the line of e_p: two entries per (p, degree).
-    Read-only because every caller shares it."""
-    if powers:
-        new = np.array(powers, dtype=np.int64)
-        if degree == 2:
-            new = np.hstack([_ind2_block(new, p), gf.zeros((p * len(new), p))])
-        r, pivots = gf.rref(np.vstack([_reduced(p, degree, ())[0], new]), p)
-        rows = r[: len(pivots)]
+@dataclass(frozen=True)
+class _Reduction:
+    """What the groups read of one reduction of d1* or d2*: the pivot
+    columns of its rref, the canonical kernel basis (gf.kernel_from_rref
+    order) and which of the restricted candidates it kills."""
+
+    pivots: tuple[int, ...]
+    kernel: np.ndarray
+    killed: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _reduced(p: int, degree: int, powers: tuple) -> _Reduction:
+    """Reduction of d1* (degree 1) or d2* (degree 2) for make_m0(p) whose
+    p-power vectors span the rows of powers (RestrictedAlgebra.power_rows):
+    d1 over those rows, or d2 over their induced-beta rows, with the p zero
+    Frobenius columns of d2* last.  powers == () is d1 or d2 alone.
+
+    d1* is one dense rref.  d2* is reduced one weight block at a time
+    (cochains.d2_blocks); each induced-beta row joins the block of its
+    weight, and a row that spans two weights raises ValueError (on the
+    family the rows of the line of e_p are the units at (a, p), one per
+    block a + p).  The blocks have disjoint columns and an rref is unique,
+    so the block pivots and kernels, placed in global column order, are
+    those of the dense d2*.  On the family the powers span 0 or the line
+    of e_p: two entries per (p, degree), and the memo keeps the four of
+    one prime, since grids and sweeps visit primes in turn.  Read-only
+    because every caller shares it."""
+    A = liealg.make_m0(p)
+    new = np.array(powers, dtype=np.int64).reshape(-1, p)
+    if degree == 1:
+        ncols = p
+        blocks = [(np.arange(p), np.vstack([cochains.d1_matrix(A), new]))]
     else:
-        A = liealg.make_m0(p)
-        r, pivots = gf.rref(cochains.d1_matrix(A) if degree == 1 else cochains.d2_matrix(A), p)
-        rows = np.hstack([r[: len(pivots)], gf.zeros((len(pivots), p if degree == 2 else 0))])
-    rows.setflags(write=False)
-    return rows, tuple(pivots)
-
-
-def _power_rows(R: restricted.RestrictedAlgebra):
-    """A basis of the span of the e_k^[p]: the nonzero rref rows of the
-    power matrix, at most one row on the family."""
-    r, pivots = gf.rref(np.stack(R.basis_p_powers), R.prime)
-    return r[: len(pivots)]
+        npairs = p * (p - 1) // 2
+        ncols = npairs + p
+        by_weight = cochains.d2_blocks(A)
+        col_weight = gf.zeros(npairs)
+        for w, (cols, _) in by_weight.items():
+            col_weight[cols] = w
+        for row in _ind2_block(new, p):
+            weights = set(col_weight[row != 0].tolist())
+            if len(weights) > 1:
+                raise ValueError("an induced-beta row spans several weights")
+            for w in weights:
+                cols, block = by_weight[w]
+                by_weight[w] = cols, np.vstack([block, row[cols]])
+        blocks = [*by_weight.values(), (np.arange(npairs, ncols), gf.zeros((0, p)))]
+    vectors = _candidates(p, degree, True)[1]
+    pivots, kernels = [], []
+    killed = np.ones(len(vectors), dtype=bool)
+    for cols, block in blocks:
+        r, piv = gf.rref(block, p)
+        pivots += cols[piv].tolist()
+        kernels.append((cols, gf.kernel_from_rref(r, piv, p)))
+        killed &= ~gf.mat_mul(r[: len(piv)], vectors[:, cols].T, p).any(axis=0)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    row_of = np.cumsum(is_free) - 1  # kernel row of each free column
+    kernel = gf.zeros((int(is_free.sum()), ncols))
+    for cols, k in kernels:
+        kernel[np.ix_(row_of[cols[is_free[cols]]], cols)] = k
+    kernel.setflags(write=False)
+    killed.setflags(write=False)
+    return _Reduction(tuple(sorted(pivots)), kernel, killed)
 
 
 def _ind2_block(powers, p: int):
@@ -152,7 +186,7 @@ def _ind2_block(powers, p: int):
     return block.reshape(-1, len(a)) % p
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _candidates(p: int, degree: int, restricted: bool):
     """Distinguished cocycles with the read-only stack of their coordinate
     vectors, built once per prime.  Degree 1: the duals e^k.  Degree 2: the
@@ -177,7 +211,7 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     if A != liealg.make_m0(A.prime):
         raise ValueError("h1 is computed on make_m0(p) only")
     return _cohomology(
-        *_reduced(A.prime, 1, ()), (), _candidates(A.prime, 1, False),
+        _reduced(A.prime, 1, ()), (), _candidates(A.prime, 1, False),
         prime=A.prime, lam=None, degree=1, restricted=False,
     )
 
@@ -195,9 +229,8 @@ def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     if not R.is_m0_family:
         raise ValueError("h1_star is computed on the family m_0^lambda(p) only")
     p = R.prime
-    powers = tuple(map(tuple, _power_rows(R).tolist()))
     return _cohomology(
-        *_reduced(p, 1, powers), (), _candidates(p, 1, True),
+        _reduced(p, 1, R.power_rows), (), _candidates(p, 1, True),
         prime=p, lam=R.lam, degree=1, restricted=True,
     )
 
@@ -207,10 +240,13 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
     if A != liealg.make_m0(A.prime):
         raise ValueError("h2 is computed on make_m0(p) only")
     p = A.prime
-    rows, pivots = _reduced(p, 2, ())
-    # no pivot lies in the zero Frobenius columns, so dropping them leaves rref(d2)
+    star = _reduced(p, 2, ())
+    # the p zero Frobenius columns are free and last, so their kernel rows
+    # are the last p, and the Frobenius duals lead the restricted
+    # candidates: dropping both leaves ker d2 and its kill mask
+    entry = _Reduction(star.pivots, star.kernel[:-p, :-p], star.killed[p:])
     return _cohomology(
-        rows[:, :-p], pivots, cochains.d1_matrix(A).T, _candidates(p, 2, False),
+        entry, cochains.d1_matrix(A).T, _candidates(p, 2, False),
         prime=p, lam=None, degree=2, restricted=False,
     )
 
@@ -224,9 +260,8 @@ def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     if not R.is_m0_family:
         raise ValueError("h2_star is computed on the family m_0^lambda(p) only")
     p = R.prime
-    powers = tuple(map(tuple, _power_rows(R).tolist()))
     return _cohomology(
-        *_reduced(p, 2, powers),
+        _reduced(p, 2, R.power_rows),
         _d1_star_matrix(R).T,
         _candidates(p, 2, True),
         prime=p, lam=R.lam, degree=2, restricted=True,

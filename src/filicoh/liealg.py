@@ -8,6 +8,9 @@ e_1, ..., e_p with the only nonzero brackets [e_1, e_i] = e_{i+1} for
 
 from __future__ import annotations
 
+import functools
+import types
+
 import numpy as np
 
 from . import gf
@@ -17,8 +20,8 @@ class LieAlgebra:
     """A Lie algebra over GF(p) with structure constants stored on pairs i < j.
 
     brackets maps a 1-based pair (i, j), i < j, to the coefficient vector of
-    [e_i, e_j].  Antisymmetry is applied on access, never stored.  Instances
-    are treated as immutable once built.
+    [e_i, e_j].  Antisymmetry is applied on access, never stored.  The
+    mapping and its vectors are read-only, so instances can be shared.
     """
 
     def __init__(self, prime, dim, brackets, weights, labels=None):
@@ -26,7 +29,7 @@ class LieAlgebra:
             raise ValueError(f"{prime} is not prime")
         self.prime = int(prime)
         self.dim = int(dim)
-        self.brackets = {}
+        stored = {}
         for (i, j), coeffs in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bad bracket pair ({i}, {j}) for dim {dim}")
@@ -34,7 +37,9 @@ class LieAlgebra:
             if vec.shape != (dim,):
                 raise ValueError(f"bracket ({i}, {j}) has wrong length")
             if vec.any():
-                self.brackets[(i, j)] = vec
+                vec.setflags(write=False)
+                stored[(i, j)] = vec
+        self.brackets = types.MappingProxyType(stored)
         self.weights = tuple(int(w) for w in weights)
         if len(self.weights) != dim:
             raise ValueError("weights length must equal dim")
@@ -45,6 +50,8 @@ class LieAlgebra:
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
+        if self is other:
+            return True
         if (self.prime, self.dim, self.weights, self.labels) != (
             other.prime,
             other.dim,
@@ -91,11 +98,13 @@ class LieAlgebra:
         return out
 
 
+@functools.lru_cache(maxsize=None)
 def make_m0(p: int) -> LieAlgebra:
     """The maximal-class filiform algebra on p basis vectors over GF(p).
 
     [e_1, e_i] = e_{i+1} for 1 < i < p and all other basis brackets vanish;
-    for p = 2 there are no such pairs and the algebra is abelian.
+    for p = 2 there are no such pairs and the algebra is abelian.  Built
+    once per prime and shared.
     """
     if not gf.is_prime(p):
         raise ValueError(f"{p} is not prime")

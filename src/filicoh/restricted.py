@@ -20,6 +20,8 @@ separate so they can serve as mutual oracles:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import gf, liealg
@@ -63,6 +65,14 @@ class RestrictedAlgebra:
     @property
     def is_m0_family(self):
         return self.lam is not None
+
+    @functools.cached_property
+    def power_rows(self) -> tuple[tuple[int, ...], ...]:
+        """A basis of the span of the e_k^[p]: the nonzero rref rows of the
+        power matrix as int tuples, at most one row on the family.  It keys
+        the memoised reductions of d1* and d2*, so it is computed once."""
+        r, pivots = gf.rref(np.stack(self.basis_p_powers), self.prime)
+        return tuple(map(tuple, r[: len(pivots)].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, RestrictedAlgebra):

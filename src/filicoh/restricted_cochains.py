@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cochains, gf, liealg, restricted
+from . import cochains, gf, restricted
 
 
 @dataclass(frozen=True)
@@ -236,11 +236,6 @@ def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain) -> tuple
     return tuple(psi.evaluate(v) for v in R.basis_p_powers)
 
 
-def ind1_at(R: restricted.RestrictedAlgebra, psi: cochains.Cochain, g) -> int:
-    """The induced omega as a function: psi(g^[p])."""
-    return psi.evaluate(restricted.p_power(R, g))
-
-
 def ind2_matrix(R: restricted.RestrictedAlgebra, phi: cochains.Cochain):
     """beta values on basis pairs induced by a 2-cochain: phi(e_i ^ e_j^[p]).
 
@@ -257,30 +252,6 @@ def ind2_matrix(R: restricted.RestrictedAlgebra, phi: cochains.Cochain):
         out[a - 1, :] = (out[a - 1, :] + c * powers[:, b - 1]) % p
         out[b - 1, :] = (out[b - 1, :] - c * powers[:, a - 1]) % p
     return out
-
-
-def ind2_at(R: restricted.RestrictedAlgebra, phi: cochains.Cochain, g, h) -> int:
-    """The induced beta as a function: phi(g ^ h^[p])."""
-    return phi.evaluate(gf.normalize(g, R.prime), restricted.p_power(R, h))
-
-
-def ind2_family_closed(R: restricted.RestrictedAlgebra, phi: cochains.Cochain, g, h) -> int:
-    """Oracle on the maximal-class family:
-
-    phi(g ^ h^[p]) = (sum_i h_i^p lam_i) * (sum_{j<p} g_j sigma_{j,p}).
-    """
-    if not R.is_m0_family:
-        raise ValueError("closed induced-beta formula requires a family member")
-    p = R.prime
-    g = gf.normalize(g, p)
-    h = gf.normalize(h, p)
-    power_part = 0
-    for i in range(p):
-        power_part = (power_part + pow(int(h[i]), p, p) * R.lam[i]) % p
-    pairing_part = 0
-    for j in range(1, p):
-        pairing_part = (pairing_part + int(g[j - 1]) * phi.coefficient((j, p))) % p
-    return (power_part * pairing_part) % p
 
 
 def d1_star(R: restricted.RestrictedAlgebra, psi: cochains.Cochain) -> RestrictedTwoCochain:

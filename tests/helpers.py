@@ -52,6 +52,35 @@ def bracket_ad_matrix(algebra, g):
     return np.stack(cols, axis=1) % algebra.prime
 
 
+def ind1_at(R, psi, g) -> int:
+    """The induced omega as a function: psi(g^[p])."""
+    return psi.evaluate(restricted.p_power(R, g))
+
+
+def ind2_at(R, phi, g, h) -> int:
+    """The induced beta as a function: phi(g ^ h^[p])."""
+    return phi.evaluate(gf.normalize(g, R.prime), restricted.p_power(R, h))
+
+
+def ind2_family_closed(R, phi, g, h) -> int:
+    """The induced beta on the maximal-class family in closed form:
+
+    phi(g ^ h^[p]) = (sum_i h_i^p lam_i) * (sum_{j<p} g_j sigma_{j,p}).
+    """
+    if not R.is_m0_family:
+        raise ValueError("closed induced-beta formula requires a family member")
+    p = R.prime
+    g = gf.normalize(g, p)
+    h = gf.normalize(h, p)
+    power_part = 0
+    for i in range(p):
+        power_part = (power_part + pow(int(h[i]), p, p) * R.lam[i]) % p
+    pairing_part = 0
+    for j in range(1, p):
+        pairing_part = (pairing_part + int(g[j - 1]) * phi.coefficient((j, p))) % p
+    return (power_part * pairing_part) % p
+
+
 def dense_d2_star(R):
     """Matrix of d2* over the (pair duals, Frobenius duals) coordinates,
     stacked densely: all d2 rows over the induced-beta rows, each column

@@ -346,11 +346,14 @@ def test_d2_rows_is_read_only():
     # every memoised reduction is shared: read-only, built once
     for degree in (1, 2):
         for powers in ((), ((0, 0, 0, 0, 1),)):
-            rows, pivots = coh._reduced(5, degree, powers)
-            with pytest.raises(ValueError):
-                rows[0, 0] = 1
-            assert coh._reduced(5, degree, powers)[0] is rows
-            assert isinstance(pivots, tuple) and len(pivots) == len(rows)
+            entry = coh._reduced(5, degree, powers)
+            for array in (entry.kernel, entry.killed):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+            assert coh._reduced(5, degree, powers) is entry
+            assert isinstance(entry.pivots, tuple)
+            assert len(entry.pivots) + len(entry.kernel) == entry.kernel.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +411,7 @@ def test_power_row_basis_keeps_beta_row_space(p):
     for rank in range(p + 1):
         powers = gf.mat_mul(rng.integers(0, p, size=(p, rank)), rng.integers(0, p, size=(rank, p)), p)
         R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
-        basis = coh._power_rows(R)
+        basis = np.array(R.power_rows, dtype=np.int64).reshape(-1, p)
         assert len(basis) == gf.rank(powers, p)
         got = gf.rref(coh._ind2_block(basis, p), p)
         want = gf.rref(coh._ind2_block(powers, p), p)
@@ -416,11 +419,67 @@ def test_power_row_basis_keeps_beta_row_space(p):
         assert_same_array(got[0][: len(got[1])], want[0][: len(want[1])])
 
 
+ORACLE_PRIMES = [p for p in range(2, 32) if gf.is_prime(p)]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_reduction_matches_dense_rref(p):
+    # the block route against one rref of the dense stack, for lambda = 0
+    # (d1 and d2 alone) and a one-hot lambda (the line of e_p): an rref is
+    # fixed by its pivots and kernel basis, so this is rref equality
+    for lam in ((0,) * p, one_hot(p, 1)):
+        R = restricted.make_m0_lambda(p, lam)
+        for degree, dense in ((1, coh._d1_star_matrix(R)), (2, dense_d2_star(R))):
+            entry = coh._reduced(p, degree, R.power_rows)
+            assert entry.pivots == tuple(gf.rref(dense, p)[1])
+            assert_same_array(entry.kernel, gf.kernel_basis(dense, p))
+            vectors = coh._candidates(p, degree, True)[1]
+            killed = ~gf.mat_mul(dense, vectors.T, p).any(axis=0)
+            assert (entry.killed == killed).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduction_splits_any_graded_beta_rows(p):
+    # a power line e_k gives induced-beta rows that each lie in one weight,
+    # so the blocks still reduce d2*; a mixed line spans two weights and raises
+    for k in range(1, p + 1):
+        R = restricted.RestrictedAlgebra(liealg.make_m0(p), [one_hot(p, k)] * p)
+        dense = dense_d2_star(R)
+        entry = coh._reduced(p, 2, R.power_rows)
+        assert entry.pivots == tuple(gf.rref(dense, p)[1])
+        assert_same_array(entry.kernel, gf.kernel_basis(dense, p))
+    mixed = ((1,) + (0,) * (p - 2) + (1,),)
+    with pytest.raises(ValueError, match="weights"):
+        coh._reduced(p, 2, mixed)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_d2_blocks_are_the_rows_of_d2(p):
+    # scattered into the columns of d2, the nonzero block rows are exactly
+    # the nonzero rows of the dense d2
+    dense = cochains.d2_matrix(liealg.make_m0(p))
+    got = []
+    for cols, block in cochains.d2_blocks(liealg.make_m0(p)).values():
+        rows = gf.zeros((len(block), dense.shape[1]))
+        rows[:, cols] = block
+        got += [r.tobytes() for r in rows if r.any()]
+    assert sorted(got) == sorted(r.tobytes() for r in dense if r.any())
+
+
+def test_d2_blocks_need_a_graded_algebra():
+    p = 5
+    bad = dict(liealg.make_m0(p).brackets)
+    bad[(1, 2)] = one_hot(p, 5)
+    B = liealg.LieAlgebra(p, p, bad, weights=range(1, p + 1))
+    with pytest.raises(ValueError, match="graded"):
+        cochains.d2_blocks(B)
+
+
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     # once lambda = 0 and one nonzero lambda have filled the memo, a new
-    # lambda builds no d2, reduces nothing new and hands rref at most p rows:
-    # the power matrix, never the d2 stack
+    # lambda builds no d2 nor its blocks, reduces nothing new and hands
+    # rref at most p rows: the power matrix, never a d2 block
     coh._reduced.cache_clear()
     lams = criterion_lambdas(p)
     for lam in lams[:2]:
@@ -437,14 +496,38 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     def no_d2_matrix(algebra):
         raise AssertionError("d2_matrix called per lambda")
 
+    def no_d2_blocks(algebra):
+        raise AssertionError("d2_blocks called per lambda")
+
     monkeypatch.setattr(gf, "rref", recording_rref)
     monkeypatch.setattr(cochains, "d2_matrix", no_d2_matrix)
+    monkeypatch.setattr(cochains, "d2_blocks", no_d2_blocks)
     for lam in lams[2:]:
         R = restricted.make_m0_lambda(p, lam)
         coh.h1_star(R)
         coh.h2_star(R)
     assert seen and max(seen) <= p
     assert coh._reduced.cache_info().misses == misses
+
+
+FRONTIER_PRIMES = [p for p in range(2, 102) if gf.is_prime(p)]
+
+
+@pytest.mark.parametrize("p", FRONTIER_PRIMES)
+def test_dims_row_matches_closed_forms_to_the_frontier(p):
+    # the block route keeps every prime up to 101 in reach: lambda = 0 and
+    # one seeded nonzero lambda against the closed-form table
+    for lam in ((0,) * p, rand_lams(p, 1, seed=p)[0]):
+        row = cli.dims_row(p, lam)
+        want = coh.expected_summary(p, lam)
+        got = {name: g["computed"] for name, g in row["groups"].items()}
+        assert got == {
+            "H1": want.h1.dimension,
+            "H1+": want.h1_star.dimension,
+            "H2": want.h2.dimension,
+            "H2+": want.h2_star.dimension,
+        }
+        assert row["ok"], row
 
 
 @pytest.mark.parametrize("p", [5, 13])

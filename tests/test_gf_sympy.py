@@ -2,7 +2,7 @@
 against sympy's DomainMatrix over GF(p), an independent route.
 
 An RREF over a field is unique, so entries and pivot columns must agree
-exactly.  sympy is an optional test dependency (the ``oracle`` extra).
+exactly; a reduction keeps the pivots and the kernel basis, which fix it.  sympy is an optional test dependency (the ``oracle`` extra).
 """
 
 import numpy as np
@@ -53,13 +53,13 @@ def test_rref_matches_sympy(case):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduced_matches_sympy_rref_of_dense_stacks(p):
-    # lambda = 0 reduces d1 and d2 alone; a one-hot lambda adds the induced rows
+    # lambda = 0 reduces d1 and d2 alone; a one-hot lambda adds the induced
+    # rows.  An entry keeps the pivots and the kernel basis, which fix the rref.
     for lam in ((0,) * p, (1,) + (0,) * (p - 1)):
         R = restricted.make_m0_lambda(p, lam)
-        powers = tuple(map(tuple, coh._power_rows(R).tolist()))
         for degree, dense in ((1, coh._d1_star_matrix(R)), (2, dense_d2_star(R))):
-            rows, pivots = coh._reduced(p, degree, powers)
+            entry = coh._reduced(p, degree, R.power_rows)
             want, want_pivots = sympy_rref(dense, p)
-            assert pivots == tuple(want_pivots)
-            assert rows.shape == (len(want_pivots), dense.shape[1])
-            assert (rows == want[: len(want_pivots)]).all()
+            assert entry.pivots == tuple(want_pivots)
+            assert entry.kernel.shape == (dense.shape[1] - len(want_pivots), dense.shape[1])
+            assert (entry.kernel == gf.kernel_from_rref(want, want_pivots, p)).all()

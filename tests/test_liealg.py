@@ -7,10 +7,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filicoh import cochains, extensions, gf, liealg
+from filicoh import cochains, extensions, gf, liealg, restricted
 from helpers import bracket_ad_matrix, jacobi_check_triples, left_normed_bracket, random_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_make_m0_is_shared_and_read_only(p):
+    A = liealg.make_m0(p)
+    assert liealg.make_m0(p) is A
+    assert all(not vec.flags.writeable for vec in A.brackets.values())
+    with pytest.raises(TypeError):
+        A.brackets[(1, 2)] = A.zero()
+    # a separately built copy still compares equal and may carry lambda
+    copy = liealg.LieAlgebra(p, p, {k: v.copy() for k, v in A.brackets.items()}, weights=A.weights)
+    assert copy is not A and copy == A and A == copy
+    powers = [A.basis_vector(p)] * p
+    assert restricted.RestrictedAlgebra(copy, powers, lam=(1,) * p).lam == (1,) * p
+    # an algebra that is not m_0 still refuses lambda
+    off = liealg.LieAlgebra(p, p, {}, weights=[1] * p)
+    assert off != A
+    with pytest.raises(ValueError, match="family"):
+        restricted.RestrictedAlgebra(off, powers, lam=(1,) * p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
