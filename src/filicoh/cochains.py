@@ -1,17 +1,18 @@
 """Alternating cochains in degrees 1..3 and the differentials d1, d2.
 
 Cochains are stored sparsely on strictly increasing 1-based index tuples.
-d1_matrix, d2_matrix and d2_blocks (d2 split by weight, the production
-route) are assembled directly from an algebra's nonzero structure
-constants.  d1 and d2 compute the same differentials one cochain at a
-time by evaluation; they and the closed-form expressions for the
-maximal-class family are kept as oracles (compared against the matrices
-in tests and in the verification report, never used as the source of
-truth).
+d1_matrix, d2_matrix and weight_blocks (d1 or d2 split by weight, the
+production route) are assembled directly from an algebra's nonzero
+structure constants.  d1 and d2 compute the same differentials one
+cochain at a time by evaluation; they and the closed-form expressions for
+the maximal-class family are kept as oracles (compared against the
+matrices in tests and in the verification report, never used as the
+source of truth).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -36,6 +37,28 @@ def _normalize_key(indices):
 def index_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
     """All strictly increasing 1-based tuples, lexicographically ordered."""
     return list(itertools.combinations(range(1, dim + 1), degree))
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(dim: int, degree: int) -> dict[tuple[int, ...], int]:
+    """Position of each index tuple in index_tuples(dim, degree)."""
+    return {key: pos for pos, key in enumerate(index_tuples(dim, degree))}
+
+
+def signed_sum(terms, prime: int) -> str:
+    """Render (coefficient, label) pairs as "a - 2 b + c": each nonzero
+    coefficient is taken in (-p/2, p/2], magnitude 1 is left out, and no
+    term at all renders as "0"."""
+    half = prime // 2
+    parts = []
+    for c, label in terms:
+        if not c:
+            continue
+        signed = c if c <= half else c - prime
+        mag = abs(signed)
+        term = label if mag == 1 else f"{mag} {label}"
+        parts.append(("- " if signed < 0 else "+ " if parts else "") + term)
+    return " ".join(parts) or "0"
 
 
 class Cochain:
@@ -138,10 +161,10 @@ class Cochain:
 
     def to_vector(self):
         """Coordinates over index_tuples(dim, degree), lexicographic."""
-        order = index_tuples(self.dim, self.degree)
-        out = gf.zeros(len(order))
-        for pos, key in enumerate(order):
-            out[pos] = self.coeffs.get(key, 0)
+        positions = _positions(self.dim, self.degree)
+        out = gf.zeros(len(positions))
+        for key, c in self.coeffs.items():
+            out[positions[key]] = c
         return out
 
     @classmethod
@@ -177,24 +200,10 @@ class Cochain:
         return None
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        half = self.prime // 2
-        parts = []
-        for key in sorted(self.coeffs):
-            c = self.coeffs[key]
-            signed = c if c <= half else c - self.prime
-            if len(key) == 1:
-                label = f"e^{key[0]}"
-            else:
-                label = "e^{" + ",".join(str(i) for i in key) + "}"
-            mag = abs(signed)
-            term = label if mag == 1 else f"{mag} {label}"
-            if not parts:
-                parts.append(term if signed > 0 else f"- {term}")
-            else:
-                parts.append(("+ " if signed > 0 else "- ") + term)
-        return " ".join(parts)
+        def label(key):
+            return f"e^{key[0]}" if len(key) == 1 else "e^{" + ",".join(map(str, key)) + "}"
+
+        return signed_sum(((self.coeffs[key], label(key)) for key in sorted(self.coeffs)), self.prime)
 
     def __repr__(self):
         return f"Cochain(p={self.prime}, dim={self.dim}, deg={self.degree}, {self.coeffs})"
@@ -223,6 +232,7 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
     """Degree-2 differential from structure constants.
 
     (d2 f)(x, y, z) = f([x, y], z) - f([x, z], y) + f([y, z], x).
+    A triple whose three brackets vanish is skipped: each term is f(0, .).
     """
     if c2.degree != 2:
         raise ValueError("d2 needs a degree-2 cochain")
@@ -231,6 +241,8 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
         return Cochain(p, algebra.dim, 3)
     coeffs = {}
     for l, m, n in index_tuples(algebra.dim, 3):
+        if not any(pair in algebra.brackets for pair in ((l, m), (l, n), (m, n))):
+            continue
         el, em, en = (algebra.basis_vector(k) for k in (l, m, n))
         value = (
             c2.evaluate(algebra.bracket_basis(l, m), en)
@@ -255,6 +267,15 @@ def d1_matrix(algebra: liealg.LieAlgebra):
         if vec is not None:
             out[row] = vec
     return out
+
+
+def _d1_entries(algebra: liealg.LieAlgebra):
+    """The entries of d1 read off the structure constants, as (pair,
+    (k,), value): each nonzero c_k of [e_i, e_j] is c_k at row (i, j),
+    column e^k."""
+    for pair, vec in algebra.brackets.items():
+        for k in np.flatnonzero(vec):
+            yield pair, (int(k) + 1,), int(vec[k])
 
 
 def _d2_entries(algebra: liealg.LieAlgebra):
@@ -289,36 +310,37 @@ def d2_matrix(algebra: liealg.LieAlgebra):
     return out % algebra.prime
 
 
-def d2_blocks(algebra: liealg.LieAlgebra):
-    """d2 of a graded algebra, one block per weight, never built densely.
+def weight_blocks(algebra: liealg.LieAlgebra, degree: int):
+    """d1 (degree 1) or d2 (degree 2) of a graded algebra, one block per
+    weight, never built densely.
 
-    d2 preserves weight, so the pairs (a, b) with w_a + w_b = w reach only
-    triples of weight w.  Returns {w: (cols, block)} in increasing w:
-    cols holds the columns of d2_matrix that are pairs of weight w, in
-    increasing order, and block is d2 on them over the triples of weight
-    w that it reaches, in increasing order; every other row of d2 is zero.
-    Raises ValueError when the algebra is not graded.
+    Both preserve weight, so the duals of weight w reach only rows of
+    weight w.  Returns {w: (cols, block)} in increasing w: cols holds the
+    columns of d1_matrix or d2_matrix whose duals have weight w, in
+    increasing order, and block is the differential on them over the rows
+    of weight w that it reaches, in increasing order; every other row is
+    zero.  Raises ValueError when the algebra is not graded.
     """
     graded, witness = liealg.is_graded(algebra)
     if not graded:
         i, j, k = witness
-        raise ValueError(f"d2 splits by weight only on a graded algebra: [e_{i}, e_{j}] has an e_{k} term")
+        raise ValueError(f"d{degree} splits by weight only on a graded algebra: [e_{i}, e_{j}] has an e_{k} term")
     weight = lambda t: sum(algebra.weights[x - 1] for x in t)
     cols, place = {}, {}
-    for col, pair in enumerate(index_tuples(algebra.dim, 2)):
-        w = weight(pair)
-        place[pair] = (w, len(cols.setdefault(w, [])))
+    for col, dual in enumerate(index_tuples(algebra.dim, degree)):
+        w = weight(dual)
+        place[dual] = (w, len(cols.setdefault(w, [])))
         cols[w].append(col)
     entries = {w: {} for w in cols}
-    for triple, pair, value in _d2_entries(algebra):
-        w, pos = place[pair]
-        entries[w][triple, pos] = entries[w].get((triple, pos), 0) + value
+    for row, dual, value in (_d1_entries if degree == 1 else _d2_entries)(algebra):
+        w, pos = place[dual]
+        entries[w][row, pos] = entries[w].get((row, pos), 0) + value
     blocks = {}
     for w in sorted(cols):
         row_of = {t: r for r, t in enumerate(sorted({t for t, _ in entries[w]}))}
         block = gf.zeros((len(row_of), len(cols[w])))
-        for (triple, pos), value in entries[w].items():
-            block[row_of[triple], pos] = value
+        for (row, pos), value in entries[w].items():
+            block[row_of[row], pos] = value
         blocks[w] = (np.array(cols[w]), block % algebra.prime)
     return blocks
 

@@ -6,22 +6,22 @@ p-power vectors and memoised: a family member changes only the induced
 rows (omega for d1*, beta for d2*), and those depend on lambda only
 through that row space, the line of e_p or 0.  So each prime needs at most
 two reductions per degree, and lambda = 0 shares its reduction with the
-ordinary H1 and H2.  d1* is reduced by one rref; d2 preserves weight, so
-d2* is reduced one weight block at a time and the dense d2 is never
-built.  An entry keeps only the pivots, the canonical kernel basis (an
-rref is unique, so it is that of the dense d1* or d2*) and which
-distinguished cocycles it kills; per lambda the groups look it up and
-pick representatives by a deterministic greedy pass that keeps a
-candidate exactly when it grows the span past the image, so golden tests
-can compare labels rather than raw coordinates.  The closed-form
-dimension counts live in expected_summary; compare never raises on a
-mismatch, it reports one.
+ordinary H1 and H2.  d1 and d2 preserve weight, so both are reduced one
+weight block at a time on one path, and neither is built densely.  An
+entry keeps only what the groups read: the pivots, which give the kernel
+dimension, and which distinguished cocycles the differential kills.  Per
+lambda the groups look it up and pick those killed candidates by a
+deterministic greedy pass that keeps one exactly when it grows the span
+past the image, so golden tests can compare labels rather than raw
+coordinates.  The closed-form dimension counts live in expected_summary;
+compare never raises on a mismatch, it reports one.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from . import restricted_cochains as rcoch
 
 @dataclass
 class CohomologySummary:
-    """One cohomology group: dimensions, labeled representatives and the
-    kernel rows they were picked from."""
+    """One cohomology group: dimensions and labeled representatives, the
+    distinguished cocycles that complete the image to the kernel."""
 
     prime: int
     lam: tuple[int, ...] | None
@@ -42,15 +42,12 @@ class CohomologySummary:
     kernel_dim: int
     image_dim: int
     representatives: list
-    kernel: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         if self.dimension != self.kernel_dim - self.image_dim:
             raise ValueError("dimension must equal kernel_dim - image_dim")
         if len(self.representatives) != self.dimension:
             raise ValueError("representative count must equal dimension")
-        if len(self.kernel) != self.kernel_dim:
-            raise ValueError("kernel size must equal kernel_dim")
 
 
 @dataclass(frozen=True)
@@ -81,98 +78,87 @@ class ExpectedSummary:
         return table[(degree, restricted_flag)]
 
 
-def _cohomology(entry, image_rows, candidates, *, prime, lam, degree, restricted):
-    """The kernel of a memoised reduction modulo the span of image_rows,
-    with labeled representatives.
+def _cohomology(kernel_dim, killed, image_rows, candidates, *, prime, lam, degree, restricted):
+    """A kernel of dimension kernel_dim modulo the span of image_rows, with
+    labeled representatives.
 
     candidates: (cochains, read-only stack of their coordinate vectors),
-    tried in order; only those the entry marks killed compete, and one is
-    kept exactly when it grows the span past the image.  On the family the
+    tried in order; only those marked in killed compete, and one is kept
+    exactly when it grows the span past the image.  On the family the
     distinguished cocycles always complete the quotient (CohomologySummary
     raises if they do not).
     """
     span = gf.SpanTracker(prime, image_rows)
     image_dim = span.rank
     forms, vectors = candidates
-    reps = [c for c, v, k in zip(forms, vectors, entry.killed) if k and span.add(v)]
+    reps = [c for c, v, k in zip(forms, vectors, killed) if k and span.add(v)]
     return CohomologySummary(
         prime=prime,
         lam=lam,
         degree=degree,
         restricted=restricted,
-        dimension=len(entry.kernel) - image_dim,
-        kernel_dim=len(entry.kernel),
+        dimension=kernel_dim - image_dim,
+        kernel_dim=kernel_dim,
         image_dim=image_dim,
         representatives=reps,
-        kernel=entry.kernel,
     )
 
 
 @dataclass(frozen=True)
 class _Reduction:
     """What the groups read of one reduction of d1* or d2*: the pivot
-    columns of its rref, the canonical kernel basis (gf.kernel_from_rref
-    order) and which of the restricted candidates it kills."""
+    columns of its rref and which of the ordinary candidates it kills."""
 
     pivots: tuple[int, ...]
-    kernel: np.ndarray
     killed: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
 def _reduced(p: int, degree: int, powers: tuple) -> _Reduction:
-    """Reduction of d1* (degree 1) or d2* (degree 2) for make_m0(p) whose
-    p-power vectors span the rows of powers (RestrictedAlgebra.power_rows):
-    d1 over those rows, or d2 over their induced-beta rows, with the p zero
-    Frobenius columns of d2* last.  powers == () is d1 or d2 alone.
+    """Reduction of d1* (degree 1) or d2* without its zero Frobenius
+    columns (degree 2) for make_m0(p) whose p-power vectors span the rows
+    of powers (RestrictedAlgebra.power_rows): d1 over those rows, or d2
+    over their induced-beta rows.  powers == () is d1 or d2 alone.
 
-    d1* is one dense rref.  d2* is reduced one weight block at a time
-    (cochains.d2_blocks); each induced-beta row joins the block of its
-    weight, and a row that spans two weights raises ValueError (on the
-    family the rows of the line of e_p are the units at (a, p), one per
-    block a + p).  The blocks have disjoint columns and an rref is unique,
-    so the block pivots and kernels, placed in global column order, are
-    those of the dense d2*.  On the family the powers span 0 or the line
-    of e_p: two entries per (p, degree), and the memo keeps the four of
-    one prime, since grids and sweeps visit primes in turn.  Read-only
-    because every caller shares it."""
+    Both are reduced one weight block at a time (cochains.weight_blocks);
+    each induced row joins the block of its weight, and a row that spans
+    two weights raises ValueError (on the family the rows of the line of
+    e_p are the unit at p for d1*, one block, and the units at (a, p) for
+    d2*, one per block a + p).  The blocks have disjoint columns and an
+    rref is unique, so the block pivots, placed in global column order,
+    are those of the dense matrix.  On the family the powers span 0 or the
+    line of e_p: two entries per (p, degree), and the memo keeps the four
+    of one prime, since grids and sweeps visit primes in turn.  The kill
+    mask is read-only because every caller shares it."""
     A = liealg.make_m0(p)
     new = np.array(powers, dtype=np.int64).reshape(-1, p)
-    if degree == 1:
-        ncols = p
-        blocks = [(np.arange(p), np.vstack([cochains.d1_matrix(A), new]))]
-    else:
-        npairs = p * (p - 1) // 2
-        ncols = npairs + p
-        by_weight = cochains.d2_blocks(A)
-        col_weight = gf.zeros(npairs)
-        for w, (cols, _) in by_weight.items():
-            col_weight[cols] = w
-        for row in _ind2_block(new, p):
-            weights = set(col_weight[row != 0].tolist())
-            if len(weights) > 1:
-                raise ValueError("an induced-beta row spans several weights")
-            for w in weights:
-                cols, block = by_weight[w]
-                by_weight[w] = cols, np.vstack([block, row[cols]])
-        blocks = [*by_weight.values(), (np.arange(npairs, ncols), gf.zeros((0, p)))]
-    vectors = _candidates(p, degree, True)[1]
-    pivots, kernels = [], []
+    blocks = cochains.weight_blocks(A, degree)
+    col_weight = gf.zeros(math.comb(p, degree))
+    for w, (cols, _) in blocks.items():
+        col_weight[cols] = w
+    for row in new if degree == 1 else _ind2_block(new, p):
+        weights = set(col_weight[row != 0].tolist())
+        if len(weights) > 1:
+            raise ValueError(f"an induced row spans several weights: {sorted(weights)}")
+        for w in weights:
+            cols, block = blocks[w]
+            blocks[w] = cols, np.vstack([block, row[cols]])
+    vectors = _candidates(p, degree, False)[1]
+    pivots = []
     killed = np.ones(len(vectors), dtype=bool)
-    for cols, block in blocks:
+    for cols, block in blocks.values():
         r, piv = gf.rref(block, p)
         pivots += cols[piv].tolist()
-        kernels.append((cols, gf.kernel_from_rref(r, piv, p)))
         killed &= ~gf.mat_mul(r[: len(piv)], vectors[:, cols].T, p).any(axis=0)
-    is_free = np.ones(ncols, dtype=bool)
-    is_free[pivots] = False
-    row_of = np.cumsum(is_free) - 1  # kernel row of each free column
-    kernel = gf.zeros((int(is_free.sum()), ncols))
-    for cols, k in kernels:
-        kernel[np.ix_(row_of[cols[is_free[cols]]], cols)] = k
-    kernel.setflags(write=False)
     killed.setflags(write=False)
-    return _Reduction(tuple(sorted(pivots)), kernel, killed)
+    return _Reduction(tuple(sorted(pivots)), killed)
+
+
+def _kernel(p: int, degree: int, powers: tuple):
+    """(kernel dimension, kill mask) of the reduction _reduced(p, degree,
+    powers): the columns of d1 or d2 less its rank."""
+    entry = _reduced(p, degree, powers)
+    return math.comb(p, degree) - len(entry.pivots), entry.killed
 
 
 def _ind2_block(powers, p: int):
@@ -211,7 +197,7 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     if A != liealg.make_m0(A.prime):
         raise ValueError("h1 is computed on make_m0(p) only")
     return _cohomology(
-        _reduced(A.prime, 1, ()), (), _candidates(A.prime, 1, False),
+        *_kernel(A.prime, 1, ()), (), _candidates(A.prime, 1, False),
         prime=A.prime, lam=None, degree=1, restricted=False,
     )
 
@@ -230,7 +216,7 @@ def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
         raise ValueError("h1_star is computed on the family m_0^lambda(p) only")
     p = R.prime
     return _cohomology(
-        _reduced(p, 1, R.power_rows), (), _candidates(p, 1, True),
+        *_kernel(p, 1, R.power_rows), (), _candidates(p, 1, False),
         prime=p, lam=R.lam, degree=1, restricted=True,
     )
 
@@ -240,13 +226,8 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
     if A != liealg.make_m0(A.prime):
         raise ValueError("h2 is computed on make_m0(p) only")
     p = A.prime
-    star = _reduced(p, 2, ())
-    # the p zero Frobenius columns are free and last, so their kernel rows
-    # are the last p, and the Frobenius duals lead the restricted
-    # candidates: dropping both leaves ker d2 and its kill mask
-    entry = _Reduction(star.pivots, star.kernel[:-p, :-p], star.killed[p:])
     return _cohomology(
-        entry, cochains.d1_matrix(A).T, _candidates(p, 2, False),
+        *_kernel(p, 2, ()), cochains.d1_matrix(A).T, _candidates(p, 2, False),
         prime=p, lam=None, degree=2, restricted=False,
     )
 
@@ -256,12 +237,16 @@ def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
 
     d2* is reduced from d2 over the induced-beta rows of a basis of the
     p-power vectors: n rows per basis vector instead of n^2, with the same
-    row space and so the same rref.  It is looked up by that basis."""
+    row space and so the same rref.  It is looked up by that basis.  The
+    p Frobenius columns of d2* are zero, so the Frobenius duals, which
+    lead the restricted candidates, are p more cocycles."""
     if not R.is_m0_family:
         raise ValueError("h2_star is computed on the family m_0^lambda(p) only")
     p = R.prime
+    kernel_dim, killed = _kernel(p, 2, R.power_rows)
     return _cohomology(
-        _reduced(p, 2, R.power_rows),
+        kernel_dim + p,
+        np.concatenate([np.ones(p, dtype=bool), killed]),
         _d1_star_matrix(R).T,
         _candidates(p, 2, True),
         prime=p, lam=R.lam, degree=2, restricted=True,

@@ -132,8 +132,8 @@ def rank(m, p: int) -> int:
     return len(rref(arr, p)[1])
 
 
-def kernel_from_rref(r, pivots, p: int) -> Mat:
-    """Basis of the right null space of a matrix whose rref is (r, pivots).
+def kernel_basis(m, p: int) -> Mat:
+    """Basis of the right null space of m over GF(p), read off its rref.
 
     One basis vector per free column, ordered by free column index: the
     vector has 1 in its free column, 0 in the other free columns, and the
@@ -142,7 +142,7 @@ def kernel_from_rref(r, pivots, p: int) -> Mat:
     Returns:
         Array of shape (nullity, ncols); zero rows when the kernel is 0.
     """
-    pivots = list(pivots)
+    r, pivots = rref(m, p)
     ncols = r.shape[1]
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
@@ -151,11 +151,6 @@ def kernel_from_rref(r, pivots, p: int) -> Mat:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
-
-
-def kernel_basis(m, p: int) -> Mat:
-    """Basis of the right null space of m over GF(p); see kernel_from_rref."""
-    return kernel_from_rref(*rref(m, p), p)
 
 
 class SpanTracker:

@@ -93,20 +93,9 @@ class RestrictedTwoCochain:
 
 def omega_basis_str(c: RestrictedTwoCochain) -> str:
     """Render omega by its basis expansion over the Frobenius duals ebar^k."""
-    parts = []
-    p = c.prime
-    half = p // 2
-    for k, value in enumerate(c.omega_basis, start=1):
-        if not value:
-            continue
-        signed = value if value <= half else value - p
-        label = f"ebar^{k}"
-        term = label if abs(signed) == 1 else f"{abs(signed)} {label}"
-        if not parts:
-            parts.append(term if signed > 0 else f"- {term}")
-        else:
-            parts.append(("+ " if signed > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+    return cochains.signed_sum(
+        ((value, f"ebar^{k}") for k, value in enumerate(c.omega_basis, start=1)), c.prime
+    )
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,19 @@ def test_vector_round_trip():
     assert len(c.to_vector()) == 21
 
 
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data(), degree=st.integers(1, 3), dim=st.integers(1, 9), p=st.sampled_from([2, 3, 7]))
+def test_to_vector_matches_enumeration(data, degree, dim, p):
+    # the cached position map places each coefficient where a walk over
+    # index_tuples(dim, degree) puts it
+    order = cochains.index_tuples(dim, degree)
+    keys = data.draw(st.lists(st.sampled_from(order), max_size=8)) if order else []
+    c = Cochain(p, dim, degree, {key: data.draw(st.integers(1, p - 1)) for key in keys})
+    got = c.to_vector()
+    assert got.dtype == np.int64
+    assert got.tolist() == [c.coeffs.get(key, 0) for key in order]
+
+
 def test_str_paper_notation():
     assert str(cochains.phi_k(7, 7)) == "e^{2,5} - e^{3,4}"
     assert str(cochains.phi_k(7, 9)) == "e^{2,7} - e^{3,6} + e^{4,5}"
@@ -159,7 +172,7 @@ def _assert_matrices_match_oracle(A):
             assert (built[:, col] == oracle[:, col]).all(), f"column {col}"
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_matrices_match_evaluate_oracle(p):
     _assert_matrices_match_oracle(liealg.make_m0(p))
 

@@ -1,5 +1,7 @@
 """Cohomology dimensions and labeled bases against the closed-form tables."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,14 +48,17 @@ def test_h1_p2():
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_h1_star_matches_h1_odd_primes(p):
-    # identical kernels, asserted on reduced bases, for every lambda shape
+    # identical groups for every lambda shape, and identical kernels of the
+    # dense d1 and d1*, asserted on reduced bases
     A = liealg.make_m0(p)
-    plain = gf.rref(coh.h1(A).kernel, p)[0]
+    h1 = coh.h1(A)
+    plain = gf.rref(gf.kernel_basis(cochains.d1_matrix(A), p), p)[0]
     for lam in [(0,) * p, one_hot(p, 1), one_hot(p, p)] + rand_lams(p, 2, 5 * p):
         R = restricted.make_m0_lambda(p, lam)
         s = coh.h1_star(R)
         assert s.dimension == 2
-        assert (plain == gf.rref(s.kernel, p)[0]).all()
+        assert (s.kernel_dim, s.representatives) == (h1.kernel_dim, h1.representatives)
+        assert (plain == gf.rref(gf.kernel_basis(coh._d1_star_matrix(R), p), p)[0]).all()
 
 
 def test_h1_star_p2_depends_on_lambda():
@@ -104,12 +109,12 @@ def test_h2_p7_golden_reps():
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_h2_kernel_is_paper_cocycles(p):
     # ker d2 is spanned by the e^{1,j} and the phi_k, as reduced bases
-    s = coh.h2(liealg.make_m0(p))
+    A = liealg.make_m0(p)
     cocycles = [dual_cochain(p, p, (1, j)) for j in range(2, p + 1)]
     cocycles += [cochains.phi_k(p, k) for k in cochains.phi_weights(p)]
-    assert s.kernel_dim == len(cocycles)
+    assert coh.h2(A).kernel_dim == len(cocycles)
     paper = gf.rref(np.stack([c.to_vector() for c in cocycles]), p)[0]
-    assert (gf.rref(s.kernel, p)[0] == paper).all()
+    assert (gf.rref(gf.kernel_basis(cochains.d2_matrix(A), p), p)[0] == paper).all()
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
@@ -288,7 +293,6 @@ def test_compare_flags_single_field():
         kernel_dim=s.kernel_dim + 1,
         image_dim=s.image_dim + 1,
         representatives=s.representatives,
-        kernel=np.vstack([s.kernel, s.representatives[0].to_vector()]),
     )
     report = coh.compare(s, coh.expected_summary(p, (0,) * p))
     assert not report["ok"]
@@ -339,7 +343,7 @@ def test_summary_json_shape():
 
 def test_summary_consistency_guard():
     with pytest.raises(ValueError):
-        coh.CohomologySummary(3, None, 2, False, 2, 4, 1, [], [])
+        coh.CohomologySummary(3, None, 2, False, 2, 4, 1, [])
 
 
 def test_d2_rows_is_read_only():
@@ -347,13 +351,25 @@ def test_d2_rows_is_read_only():
     for degree in (1, 2):
         for powers in ((), ((0, 0, 0, 0, 1),)):
             entry = coh._reduced(5, degree, powers)
-            for array in (entry.kernel, entry.killed):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
+            assert not entry.killed.flags.writeable
+            with pytest.raises(ValueError):
+                entry.killed[0] = 0
             assert coh._reduced(5, degree, powers) is entry
             assert isinstance(entry.pivots, tuple)
-            assert len(entry.pivots) + len(entry.kernel) == entry.kernel.shape[1]
+            assert coh._kernel(5, degree, powers) == (math.comb(5, degree) - len(entry.pivots), entry.killed)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_reduction_holds_only_pivots_and_kill_mask(degree):
+    # at p = 31 an entry keeps no kernel nor any block: the only array is
+    # the read-only kill mask, one flag per ordinary candidate
+    p = 31
+    entry = coh._reduced(p, degree, ((0,) * (p - 1) + (1,),))
+    arrays = [name for name, value in vars(entry).items() if isinstance(value, np.ndarray)]
+    assert arrays == ["killed"]
+    assert entry.killed.dtype == bool and not entry.killed.flags.writeable
+    assert entry.killed.shape == (len(coh._candidates(p, degree, False)[0]),)
+    assert all(isinstance(c, int) for c in entry.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +377,7 @@ def test_d2_rows_is_read_only():
 
 GRID_PRIMES = [2, 3, 5, 7, 11, 13]
 DENSE_PRIMES = GRID_PRIMES + [17, 19]
+ORACLE_PRIMES = [p for p in range(2, 32) if gf.is_prime(p)]
 
 
 def assert_same_array(got, want):
@@ -369,10 +386,27 @@ def assert_same_array(got, want):
     assert (got == want).all()
 
 
-@pytest.mark.parametrize("p", GRID_PRIMES)
+def assert_matches_dense(p, degree, powers, dense):
+    """The memo entry for (p, degree, powers) against one rref of the dense
+    matrix, whose columns start with those of d1 or d2: the same pivots,
+    the same kernel dimension on those columns, and the same candidates
+    killed.  An rref is fixed by its pivots and its kernel."""
+    r, pivots = gf.rref(dense, p)
+    entry = coh._reduced(p, degree, powers)
+    n = math.comb(p, degree)
+    assert entry.pivots == tuple(pivots)
+    assert coh._kernel(p, degree, powers)[0] == n - len(pivots)
+    vectors = coh._candidates(p, degree, False)[1]
+    killed = ~gf.mat_mul(r[: len(pivots), :n], vectors.T, p).any(axis=0)
+    assert_same_array(entry.killed, killed)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_h2_kernel_matches_dense_d2(p):
     A = liealg.make_m0(p)
-    assert_same_array(coh.h2(A).kernel, gf.kernel_basis(cochains.d2_matrix(A), p))
+    dense = cochains.d2_matrix(A)
+    assert coh.h2(A).kernel_dim == len(gf.kernel_basis(dense, p))
+    assert_matches_dense(p, 2, (), dense)
 
 
 @pytest.mark.parametrize("p", DENSE_PRIMES)
@@ -382,15 +416,17 @@ def test_h2_star_kernel_matches_dense_stack(p):
         dense = dense_d2_star(R)
         n = p * (p - 1) // 2
         assert_same_array(coh._ind2_block(np.stack(R.basis_p_powers), p), dense[-p * p :, :n])
-        assert_same_array(coh.h2_star(R).kernel, gf.kernel_basis(dense, p))
+        assert coh.h2_star(R).kernel_dim == len(gf.kernel_basis(dense, p))
+        assert_matches_dense(p, 2, R.power_rows, dense)
 
 
 @pytest.mark.parametrize("p", DENSE_PRIMES)
 def test_h1_star_kernel_matches_dense_stack(p):
     for lam in criterion_lambdas(p):
         R = restricted.make_m0_lambda(p, lam)
-        want = gf.kernel_basis(coh._d1_star_matrix(R), p)
-        assert_same_array(coh.h1_star(R).kernel, want)
+        dense = coh._d1_star_matrix(R)
+        assert coh.h1_star(R).kernel_dim == len(gf.kernel_basis(dense, p))
+        assert_matches_dense(p, 1, R.power_rows, dense)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -419,23 +455,21 @@ def test_power_row_basis_keeps_beta_row_space(p):
         assert_same_array(got[0][: len(got[1])], want[0][: len(want[1])])
 
 
-ORACLE_PRIMES = [p for p in range(2, 32) if gf.is_prime(p)]
-
-
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_reduction_matches_dense_rref(p):
     # the block route against one rref of the dense stack, for lambda = 0
-    # (d1 and d2 alone) and a one-hot lambda (the line of e_p): an rref is
-    # fixed by its pivots and kernel basis, so this is rref equality
+    # (d1 and d2 alone) and a one-hot lambda (the line of e_p)
     for lam in ((0,) * p, one_hot(p, 1)):
         R = restricted.make_m0_lambda(p, lam)
-        for degree, dense in ((1, coh._d1_star_matrix(R)), (2, dense_d2_star(R))):
-            entry = coh._reduced(p, degree, R.power_rows)
-            assert entry.pivots == tuple(gf.rref(dense, p)[1])
-            assert_same_array(entry.kernel, gf.kernel_basis(dense, p))
-            vectors = coh._candidates(p, degree, True)[1]
-            killed = ~gf.mat_mul(dense, vectors.T, p).any(axis=0)
-            assert (entry.killed == killed).all()
+        d2_star = dense_d2_star(R)
+        assert_matches_dense(p, 1, R.power_rows, coh._d1_star_matrix(R))
+        assert_matches_dense(p, 2, R.power_rows, d2_star)
+        # h2_star counts the zero Frobenius columns of d2* in its kernel,
+        # and the Frobenius duals that lead its candidates are cocycles
+        rank = len(coh._reduced(p, 2, R.power_rows).pivots)
+        assert coh.h2_star(R).kernel_dim == d2_star.shape[1] - rank
+        frobenius = coh._candidates(p, 2, True)[1][:p]
+        assert not gf.mat_mul(d2_star, frobenius.T, p).any()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -444,26 +478,44 @@ def test_reduction_splits_any_graded_beta_rows(p):
     # so the blocks still reduce d2*; a mixed line spans two weights and raises
     for k in range(1, p + 1):
         R = restricted.RestrictedAlgebra(liealg.make_m0(p), [one_hot(p, k)] * p)
-        dense = dense_d2_star(R)
-        entry = coh._reduced(p, 2, R.power_rows)
-        assert entry.pivots == tuple(gf.rref(dense, p)[1])
-        assert_same_array(entry.kernel, gf.kernel_basis(dense, p))
+        assert_matches_dense(p, 2, R.power_rows, dense_d2_star(R))
     mixed = ((1,) + (0,) * (p - 2) + (1,),)
     with pytest.raises(ValueError, match="weights"):
         coh._reduced(p, 2, mixed)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_d2_blocks_are_the_rows_of_d2(p):
-    # scattered into the columns of d2, the nonzero block rows are exactly
-    # the nonzero rows of the dense d2
-    dense = cochains.d2_matrix(liealg.make_m0(p))
+def assert_blocks_are_the_rows(A, degree, dense):
+    """Scattered into the columns of the dense differential, the nonzero
+    block rows are exactly its nonzero rows."""
     got = []
-    for cols, block in cochains.d2_blocks(liealg.make_m0(p)).values():
+    for cols, block in cochains.weight_blocks(A, degree).values():
         rows = gf.zeros((len(block), dense.shape[1]))
         rows[:, cols] = block
         got += [r.tobytes() for r in rows if r.any()]
     assert sorted(got) == sorted(r.tobytes() for r in dense if r.any())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_d2_blocks_are_the_rows_of_d2(p):
+    A = liealg.make_m0(p)
+    assert_blocks_are_the_rows(A, 2, cochains.d2_matrix(A))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_d1_blocks_are_the_rows_of_d1(p):
+    A = liealg.make_m0(p)
+    assert_blocks_are_the_rows(A, 1, cochains.d1_matrix(A))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduction_splits_graded_omega_rows(p):
+    # a power line e_k is one omega row of weight k, so the blocks still
+    # reduce d1*; a mixed line spans two weights and raises
+    for k in range(1, p + 1):
+        R = restricted.RestrictedAlgebra(liealg.make_m0(p), [one_hot(p, k)] * p)
+        assert_matches_dense(p, 1, R.power_rows, coh._d1_star_matrix(R))
+    with pytest.raises(ValueError, match="spans several weights"):
+        coh._reduced(p, 1, ((1,) + (0,) * (p - 2) + (1,),))
 
 
 def test_d2_blocks_need_a_graded_algebra():
@@ -472,7 +524,7 @@ def test_d2_blocks_need_a_graded_algebra():
     bad[(1, 2)] = one_hot(p, 5)
     B = liealg.LieAlgebra(p, p, bad, weights=range(1, p + 1))
     with pytest.raises(ValueError, match="graded"):
-        cochains.d2_blocks(B)
+        cochains.weight_blocks(B, 2)
 
 
 @pytest.mark.parametrize("p", [2, 5, 13])
@@ -496,12 +548,12 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     def no_d2_matrix(algebra):
         raise AssertionError("d2_matrix called per lambda")
 
-    def no_d2_blocks(algebra):
-        raise AssertionError("d2_blocks called per lambda")
+    def no_weight_blocks(algebra, degree):
+        raise AssertionError("weight_blocks called per lambda")
 
     monkeypatch.setattr(gf, "rref", recording_rref)
     monkeypatch.setattr(cochains, "d2_matrix", no_d2_matrix)
-    monkeypatch.setattr(cochains, "d2_blocks", no_d2_blocks)
+    monkeypatch.setattr(cochains, "weight_blocks", no_weight_blocks)
     for lam in lams[2:]:
         R = restricted.make_m0_lambda(p, lam)
         coh.h1_star(R)

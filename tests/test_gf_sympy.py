@@ -2,8 +2,12 @@
 against sympy's DomainMatrix over GF(p), an independent route.
 
 An RREF over a field is unique, so entries and pivot columns must agree
-exactly; a reduction keeps the pivots and the kernel basis, which fix it.  sympy is an optional test dependency (the ``oracle`` extra).
+exactly; a reduction keeps the pivots and the candidates the matrix kills,
+both compared with sympy's rref alone.  sympy is an optional test
+dependency (the ``oracle`` extra).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -54,12 +58,16 @@ def test_rref_matches_sympy(case):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduced_matches_sympy_rref_of_dense_stacks(p):
     # lambda = 0 reduces d1 and d2 alone; a one-hot lambda adds the induced
-    # rows.  An entry keeps the pivots and the kernel basis, which fix the rref.
+    # rows.  An entry keeps the pivots, so the kernel dimension, and the
+    # candidates that sympy's rref kills (on the columns of d1 or d2)
     for lam in ((0,) * p, (1,) + (0,) * (p - 1)):
         R = restricted.make_m0_lambda(p, lam)
         for degree, dense in ((1, coh._d1_star_matrix(R)), (2, dense_d2_star(R))):
             entry = coh._reduced(p, degree, R.power_rows)
             want, want_pivots = sympy_rref(dense, p)
+            n = math.comb(p, degree)
             assert entry.pivots == tuple(want_pivots)
-            assert entry.kernel.shape == (dense.shape[1] - len(want_pivots), dense.shape[1])
-            assert (entry.kernel == gf.kernel_from_rref(want, want_pivots, p)).all()
+            assert coh._kernel(p, degree, R.power_rows)[0] == n - len(want_pivots)
+            vectors = coh._candidates(p, degree, False)[1]
+            killed = ~((want[:, :n] @ vectors.T) % p).any(axis=0)
+            assert (entry.killed == killed).all()
