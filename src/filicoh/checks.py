@@ -4,12 +4,16 @@ Each check appends a record {name, ok, detail, info}; an info record never
 fails the run.  The checks draw from one numpy generator in a fixed order,
 so a seeded run replays byte for byte.  What does not depend on lambda is
 evaluated once per prime: d2 of each dual pair, the d1 images of the
-degree-1 duals, and d2 of each of those images.
+degree-1 duals, and d2 of each of those images.  The sampled oracles get
+each lambda's samples, drawn in that order, as one stack of rows, and a
+failure is still counted per sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import cochains, extensions, gf, isoclass, liealg, restricted
 from . import restricted_cochains as rcoch
@@ -24,15 +28,17 @@ def record(records, name, ok, detail="", info=False):
 
 @dataclass(frozen=True)
 class ComplexIdentity:
-    """d1 e^k for k = 1..p, and whether d2 kills every one of them."""
+    """d1 e^k for k = 1..p, their form matrices, and whether d2 kills every
+    one of them."""
 
     images: tuple[cochains.Cochain, ...]
+    forms: np.ndarray
     ok: bool
 
     def restricted_holds(self, R) -> bool:
         """d2+(d1+ e^k) = (d2(d1 e^k), induced beta of d1 e^k) = (0, 0) for
         every k.  self.ok decided the lambda-independent form part."""
-        return self.ok and not any(rcoch.ind2_matrix(R, image).any() for image in self.images)
+        return self.ok and not rcoch.ind2_matrix(R, self.forms).any()
 
 
 def complex_identity(A: liealg.LieAlgebra) -> ComplexIdentity:
@@ -41,13 +47,20 @@ def complex_identity(A: liealg.LieAlgebra) -> ComplexIdentity:
     images = tuple(
         cochains.d1(A, cochains.dual_cochain(p, A.dim, (k,))) for k in range(1, A.dim + 1)
     )
-    return ComplexIdentity(images, all(cochains.d2(A, image).is_zero() for image in images))
+    ok = all(cochains.d2(A, image).is_zero() for image in images)
+    return ComplexIdentity(images, rcoch.form_matrices(images), ok)
 
 
 def transform_confirmed(p: int, lam, mu1: int, mu2: int) -> bool:
     """The diagonal search finds lam isomorphic to its (mu1, mu2) transform."""
     other = isoclass.proof_transform(p, lam, mu1, mu2)
     return isoclass.iso_bruteforce(p, other, lam) is not None
+
+
+def draw(rng, p, count):
+    """count random vectors, one rng call each as the checks have always
+    drawn them, stacked as rows."""
+    return np.stack([gf.normalize(rng.integers(0, p, size=p), p) for _ in range(count)])
 
 
 def prime_checks(p, records, rng) -> ComplexIdentity:
@@ -57,12 +70,9 @@ def prime_checks(p, records, rng) -> ComplexIdentity:
     record(records, "jacobi identity", ok)
 
     n = 20
-    ok = True
-    for _ in range(n):
-        g = gf.normalize(rng.integers(0, p, size=p), p)
-        h = gf.normalize(rng.integers(0, p, size=p), p)
-        if (A.bracket(g, h) != liealg.bracket_closed_m0(p, g, h)).any():
-            ok = False
+    gh = draw(rng, p, 2 * n)
+    closed = [liealg.bracket_closed_m0(p, g, h) for g, h in zip(gh[0::2], gh[1::2])]
+    ok = not (A.bracket(gh[0::2], gh[1::2]) != closed).any()
     record(records, "bracket closed form", ok, f"{n} random pairs")
 
     identity = complex_identity(A)
@@ -102,10 +112,9 @@ def lambda_checks(p, lams, identity: ComplexIdentity, records, rng):
     bad_power = bad_complex = 0
     for lam in lams:
         R = restricted.make_m0_lambda(p, lam)
-        for _ in range(3):
-            g = gf.normalize(rng.integers(0, p, size=p), p)
-            if (restricted.p_power_jacobson(R, g) != restricted.p_power_closed(R, g)).any():
-                bad_power += 1
+        g = draw(rng, p, 3)
+        jacobson = restricted.p_power_jacobson(R, g)
+        bad_power += int((jacobson != restricted.p_power_closed(R, g)).any(axis=1).sum())
         if not identity.restricted_holds(R):
             bad_complex += 1
     cover = f"{len(lams)} lambda vector(s)"
@@ -113,36 +122,38 @@ def lambda_checks(p, lams, identity: ComplexIdentity, records, rng):
     record(records, "restricted complex identity", bad_complex == 0, f"{cover}, all duals")
 
 
-def sampled_checks(p, lams, records, rng):
+def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
     """Sum rules, extensions and the diagonal search on a capped sample."""
     sample = lams[:VERIFY_SAMPLE_CAP]
     cover = f"{len(sample)} of {len(lams)} lambda vector(s)"
     bad_star = bad_dstar = bad_ind1 = bad_ext = bad_prop = 0
+    psis = [cochains.dual_cochain(p, p, (k,)) for k in range(1, p + 1)]
     for lam in sample:
         R = restricted.make_m0_lambda(p, lam)
-        for k in range(1, p + 1):
-            psi = cochains.dual_cochain(p, p, (k,))
-            c2 = rcoch.d1_star(R, psi)
-            g = gf.normalize(rng.integers(0, p, size=p), p)
-            h = gf.normalize(rng.integers(0, p, size=p), p)
-            if not rcoch.star_property_holds(R.algebra, c2, g, h):
-                bad_star += 1
-            if rcoch.star_eval(R.algebra, c2, g) != psi.evaluate(restricted.p_power(R, g)):
-                bad_ind1 += 1
+        # d1+(e^k) = (d1 e^k, omega induced by the p-powers), d1 e^k once per prime
+        pairs = [
+            rcoch.RestrictedTwoCochain(image, rcoch.ind1_values(R, psi))
+            for image, psi in zip(identity.images, psis)
+        ]
+        gh = draw(rng, p, 2 * p)  # g then h for each induced pair d1+(e^k)
         phi = cochains.random_cocycle(rng, p)
         omega = tuple(int(x) for x in rng.integers(0, p, size=p))
         c2 = rcoch.RestrictedTwoCochain(phi, omega)
-        g = gf.normalize(rng.integers(0, p, size=p), p)
-        h = gf.normalize(rng.integers(0, p, size=p), p)
-        if not rcoch.star_property_holds(R.algebra, c2, g, h):
-            bad_star += 1
+        gh = np.vstack([gh, draw(rng, p, 2)])  # and for the cocycle pair
+        g, h = gh[0::2], gh[1::2]
+        holds = rcoch.star_property_holds(R.algebra, pairs + [c2], g, h)
+        bad_star += int((~holds).sum())
+        induced = rcoch.star_eval(R.algebra, pairs, g[:p])
+        powers = restricted.p_power(R, g[:p])
+        bad_ind1 += sum(
+            value != psi.evaluate(power) for value, psi, power in zip(induced, psis, powers)
+        )
         rc3 = rcoch.d2_star(R, c2)
-        for _ in range(3):
-            g = gf.normalize(rng.integers(0, p, size=p), p)
-            h1 = gf.normalize(rng.integers(0, p, size=p), p)
-            h2 = gf.normalize(rng.integers(0, p, size=p), p)
-            if not rcoch.doublestar_property_holds(R.algebra, rc3, g, h1, h2):
-                bad_dstar += 1
+        triples = draw(rng, p, 9)
+        holds = rcoch.doublestar_property_holds(
+            R.algebra, rc3, triples[0::3], triples[1::3], triples[2::3]
+        )
+        bad_dstar += int((~holds).sum())
         for k in (1, 2, p):
             dual = rcoch.frobenius_dual_cochain(p, p, k)
             try:

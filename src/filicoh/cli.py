@@ -281,7 +281,7 @@ def run_verify(cfg: RunConfig) -> int:
     checks.lambda_checks(p, lams, identity, records, rng)
     bad_dims = sum(1 for lam in lams if not dims_row(p, lam)["ok"])
     checks.record(records, "dimension table", bad_dims == 0, f"{len(lams)} lambda vector(s)")
-    checks.sampled_checks(p, lams, records, rng)
+    checks.sampled_checks(p, lams, identity, records, rng)
     checks.proposition_report(p, lams, records, rng)
 
     hard = [c for c in records if not c["info"]]

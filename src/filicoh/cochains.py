@@ -98,30 +98,33 @@ class Cochain:
         return not self.coeffs
 
     def evaluate(self, *vectors) -> int:
-        """Value on a tuple of coefficient vectors (alternating multilinear)."""
+        """Value on a tuple of coefficient vectors (alternating multilinear).
+
+        Each argument is read once as Python ints; the sum is reduced mod p
+        once, at the end.
+        """
         if len(vectors) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
-        p = self.prime
-        vs = [gf.normalize(v, p) for v in vectors]
+        vs = [np.asarray(v, dtype=np.int64).tolist() for v in vectors]
         total = 0
-        for key, c in self.coeffs.items():
-            if self.degree == 1:
-                minor = int(vs[0][key[0] - 1])
-            elif self.degree == 2:
-                i, j = key
-                minor = int(vs[0][i - 1]) * int(vs[1][j - 1]) - int(vs[0][j - 1]) * int(vs[1][i - 1])
-            else:
-                minor = 0
-                for perm, sign in (
-                    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                    ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-                ):
-                    prod = 1
-                    for row, col in enumerate(perm):
-                        prod *= int(vs[row][key[col] - 1])
-                    minor += sign * prod
-            total = (total + c * minor) % p
-        return total
+        if self.degree == 1:
+            (x,) = vs
+            for (i,), c in self.coeffs.items():
+                total += c * x[i - 1]
+        elif self.degree == 2:
+            x, y = vs
+            for (i, j), c in self.coeffs.items():
+                total += c * (x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1])
+        else:
+            x, y, z = vs
+            for (i, j, k), c in self.coeffs.items():
+                i, j, k = i - 1, j - 1, k - 1
+                total += c * (
+                    x[i] * (y[j] * z[k] - y[k] * z[j])
+                    - x[j] * (y[i] * z[k] - y[k] * z[i])
+                    + x[k] * (y[i] * z[j] - y[j] * z[i])
+                )
+        return total % self.prime
 
     def _binop(self, other, op):
         if not isinstance(other, Cochain) or (self.prime, self.dim, self.degree) != (

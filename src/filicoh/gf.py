@@ -68,12 +68,12 @@ def mat_mul(a, b, p: int) -> Mat:
 
 
 def mat_pow(m, k: int, p: int) -> Mat:
-    """m**k mod p by repeated squaring.  k >= 0."""
+    """m**k mod p by repeated squaring, for a square matrix or a stack of
+    them in the last two axes.  k >= 0."""
     if k < 0:
         raise ValueError("negative matrix power")
-    n = np.asarray(m).shape[0]
-    result = identity(n)
     base = normalize(m, p)
+    result = np.broadcast_to(identity(base.shape[-1]), base.shape).copy()
     while k:
         if k & 1:
             result = mat_mul(result, base, p)

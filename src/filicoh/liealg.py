@@ -3,12 +3,15 @@
 The central construction is the filiform algebra of maximal class on basis
 e_1, ..., e_p with the only nonzero brackets [e_1, e_i] = e_{i+1} for
 1 < i < p, graded by weight(e_k) = k.  Elements are coefficient vectors
-(numpy int64, length dim, entries mod p) over the ordered basis.
+(numpy int64, length dim, entries mod p) over the ordered basis; `bracket`
+and `ad_matrix` also take stacks of them, rows in the last axis, and
+contract them against one cached array of the structure constants.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import types
 
 import numpy as np
@@ -85,17 +88,25 @@ class LieAlgebra:
         got = self.brackets.get((j, i))
         return (-got) % self.prime if got is not None else self.zero()
 
-    def bracket(self, g, h):
-        """[g, h] by bilinear expansion over the stored structure constants."""
-        p = self.prime
-        g = gf.normalize(g, p)
-        h = gf.normalize(h, p)
-        out = self.zero()
+    @functools.cached_property
+    def structure(self):
+        """The structure constants as one read-only dim x dim x dim array:
+        structure[i - 1] is the matrix of ad(e_i), so its column j - 1 is
+        [e_i, e_j] for every order of i and j."""
+        n = self.dim
+        out = gf.zeros((n, n, n))
         for (i, j), coeffs in self.brackets.items():
-            c = (int(g[i - 1]) * int(h[j - 1]) - int(g[j - 1]) * int(h[i - 1])) % p
-            if c:
-                out = (out + c * coeffs) % p
+            out[i - 1, :, j - 1] = coeffs
+            out[j - 1, :, i - 1] = (-coeffs) % self.prime
+        out.setflags(write=False)
         return out
+
+    def bracket(self, g, h):
+        """[g, h] by bilinear expansion over the structure constants; g and
+        h are vectors or stacks of them, paired row by row."""
+        g = gf.normalize(g, self.prime)
+        h = gf.normalize(h, self.prime)
+        return np.einsum("...i,ikj,...j->...k", g, self.structure, h) % self.prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,40 +140,70 @@ def bracket_closed_m0(p, g, h):
     return out
 
 
-def ad_matrix(algebra, g):
-    """Matrix of ad(g) = [g, -] acting on column coefficient vectors.
+# Row-stack work that holds a few dim x dim matrices per row (ad matrices,
+# recursion rows, forms, Jacobiators) takes its rows in batches of at most
+# this many cells per such matrix, so a batch stays under a MB at any
+# prime.
+BATCH_CELLS = 1 << 13
 
-    Column j is [g, e_j] = sum_i g_i [e_i, e_j], read off the stored
-    structure constants: a pair (i, j) with [e_i, e_j] = v adds g_i v to
-    column j and -g_j v to column i.
+
+def by_row_batches(dim, fn, *stacks):
+    """fn(*batch) over consecutive batches of rows of equally long stacks,
+    at most BATCH_CELLS // dim^2 rows each, the results concatenated.  A
+    vector or a short stack goes whole."""
+    step = max(1, BATCH_CELLS // (dim * dim))
+    count = len(stacks[0])
+    if stacks[0].ndim == 1 or count <= step:
+        return fn(*stacks)
+    return np.concatenate(
+        [fn(*(s[start : start + step] for s in stacks)) for start in range(0, count, step)]
+    )
+
+
+def ad_matrix(algebra, g):
+    """Matrix of ad(g) = [g, -] acting on column coefficient vectors, for a
+    vector g or, stacked the same way, for each row of a stack.
+
+    ad is linear in g, so it is g contracted with the structure constants:
+    sum_i g_i ad(e_i).
     """
     g = gf.normalize(g, algebra.prime)
-    out = gf.zeros((algebra.dim, algebra.dim))
-    for (i, j), v in algebra.brackets.items():
-        out[:, j - 1] += g[i - 1] * v
-        out[:, i - 1] -= g[j - 1] * v
-    return out % algebra.prime
+    n = algebra.dim
+    out = (g @ algebra.structure.reshape(n, n * n)).reshape(g.shape[:-1] + (n, n))
+    out %= algebra.prime
+    return out
 
 
 def jacobi_check(algebra):
     """Check the Jacobi identity on all basis triples.
 
     Column k of ad([e_i, e_j]) - [ad e_i, ad e_j] is the Jacobiator of
-    (e_i, e_j, e_k), so each pair i < j is checked on all k > j at once.
+    (e_i, e_j, e_k).  These matrices come from contractions with the
+    structure constants, for a batch of pairs i < j at a time (all pairs
+    at small dim), and the triples with k > j are read off them.
 
     Returns:
         (True, None) on success, else (False, (i, j, k)) with the first
         failing 1-based triple in lexicographic order.
     """
     n = algebra.dim
-    ads = np.stack([ad_matrix(algebra, algebra.basis_vector(k)) for k in range(1, n + 1)])
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = ads[i - 1], ads[j - 1]
-            jacobiator = np.tensordot(algebra.bracket_basis(i, j), ads, 1) - a @ b + b @ a
-            failing = np.flatnonzero((jacobiator[:, j:] % algebra.prime).any(axis=0))
-            if failing.size:
-                return False, (i, j, j + 1 + int(failing[0]))
+    ads = algebra.structure
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+
+    def failing(batch):
+        i, j = batch[:, 0], batch[:, 1]
+        brackets = ads[i, :, j]  # column j of ad(e_i) is [e_i, e_j]
+        jacobiators = (brackets @ ads.reshape(n, n * n)).reshape(-1, n, n)
+        jacobiators -= ads[i] @ ads[j]
+        jacobiators += ads[j] @ ads[i]
+        jacobiators %= algebra.prime
+        return jacobiators.any(axis=1) & (np.arange(n) > j[:, None])
+
+    hits = np.argwhere(by_row_batches(n, failing, pairs))
+    if hits.size:
+        pair, k = hits[0]
+        i, j = pairs[pair]
+        return False, (int(i) + 1, int(j) + 1, int(k) + 1)
     return True, None
 
 

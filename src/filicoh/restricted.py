@@ -4,9 +4,10 @@ A restricted structure assigns to each basis vector e_k a p-th power
 e_k^[p], here stored as a coefficient vector.  The p-power, the omega of
 a restricted 2-cochain and the beta of a restricted 3-cochain are all
 p-semilinear on scaled basis vectors and additive up to a correction sum;
-`split_sum` is the one loop that evaluates such a map at a general
-element.  Two evaluators for the p-th power are kept deliberately
-separate so they can serve as mutual oracles:
+`split_sum` is the one routine that evaluates such a map, on a vector or
+on a stack of rows, every split of every row in bounded batches.  Two
+evaluators for the p-th power are kept deliberately separate so they can
+serve as mutual oracles:
 
 * p_power_closed: the one-line formula valid on the maximal-class family,
   where every iterated bracket of length p vanishes and the p-power of
@@ -14,8 +15,8 @@ separate so they can serve as mutual oracles:
 * p_power_jacobson: `split_sum` with Jacobson's correction terms
   s_i(g, h), where i * s_i is the coefficient of t^(i-1) in
   ad(t g + h)^(p-1) applied to g.  That polynomial is built as a vector
-  recursion: one vector per power of t, with p-1 applications of
-  w -> ad(h) w + t ad(g) w starting from w = g.
+  recursion on row stacks: one row per power of t, with p-1 applications
+  of w -> w ad(h)^T + t w ad(g)^T starting from w = g.
 """
 
 from __future__ import annotations
@@ -67,11 +68,18 @@ class RestrictedAlgebra:
         return self.lam is not None
 
     @functools.cached_property
+    def power_matrix(self):
+        """The e_k^[p] stacked as rows, read-only."""
+        out = np.stack(self.basis_p_powers)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
     def power_rows(self) -> tuple[tuple[int, ...], ...]:
         """A basis of the span of the e_k^[p]: the nonzero rref rows of the
         power matrix as int tuples, at most one row on the family.  It keys
         the memoised reductions of d1* and d2*, so it is computed once."""
-        r, pivots = gf.rref(np.stack(self.basis_p_powers), self.prime)
+        r, pivots = gf.rref(self.power_matrix, self.prime)
         return tuple(map(tuple, r[: len(pivots)].tolist()))
 
     def __eq__(self, other):
@@ -110,8 +118,15 @@ def lam_str(lam) -> str:
     return ",".join(str(int(x)) for x in lam)
 
 
+def frobenius(v, p: int):
+    """a^p mod p for every entry a of v, read from a table of the p
+    residues (by Fermat the table is the identity)."""
+    return np.array([pow(a, p, p) for a in range(p)], dtype=np.int64)[gf.normalize(v, p)]
+
+
 def p_power_closed(R: RestrictedAlgebra, g):
-    """p-th power via the maximal-class closed form.
+    """p-th power via the maximal-class closed form, of a vector or of each
+    row of a stack.
 
     Only valid on the maximal-class family; raises otherwise.  With
     g = sum(a_k e_k), returns sum(a_k^p lam_k) e_p.
@@ -120,74 +135,98 @@ def p_power_closed(R: RestrictedAlgebra, g):
         raise ValueError("closed p-power formula requires a maximal-class family member")
     p = R.prime
     g = gf.normalize(g, p)
-    total = 0
-    for k in range(p):
-        total = (total + pow(int(g[k]), p, p) * R.lam[k]) % p
-    out = gf.zeros(p)
-    out[p - 1] = total
+    out = gf.zeros(g.shape)
+    out[..., p - 1] = (frobenius(g, p) @ np.array(R.lam, dtype=np.int64)) % p
     return out
 
 
 def split_sum(p: int, v, on_basis, correction):
     """Value at v of a map known on scaled basis vectors and additive up
-    to a correction: f(a e_k) = on_basis(k, a^p), with k 0-based, and
+    to a correction: f(a e_k) = a^p f(e_k), with k 0-based, and
     f(x + y) = f(x) + f(y) + correction(x, y).
 
-    v is split into its basis terms lowest index first, in one pass: each
-    term adds its basis value, and the correction is taken between the
-    term and the sum of the terms after it.  Values are ints or vectors;
-    the sum is returned mod p, and 0 when v is zero.
+    v is a vector or a stack of rows, in any number of stack axes.  Each
+    row is split into its basis terms lowest index first: each term adds
+    its basis value, and the correction is taken between the term (the
+    head) and the sum of the terms after it (the tail).
+
+    on_basis(scales) gets the entries a_k^p, shaped as v, and returns
+    sum_k scales_k f(e_k) for every row.  correction(rows, heads, tails)
+    gets a batch of splits, heads and tails stacked, `rows` naming the row
+    of v.reshape(-1, dim) each split came from, and returns one value per
+    split.  Every split of every row is evaluated, without branching on
+    its entries: a zero head or tail must give a zero correction.  Values
+    are scalars or vectors; the sums are returned mod p, one per row of v.
     """
     v = gf.normalize(v, p)
-    tail = v
-    total = 0
-    for k in np.flatnonzero(v):
-        total = total + on_basis(k, pow(int(v[k]), p, p))
-        tail = tail.copy()
-        tail[k] = 0
-        if tail.any():
-            head = gf.zeros(len(v))
-            head[k] = v[k]
-            total = total + correction(head, tail)
-    return total % p
+    stack = v.reshape(-1, v.shape[-1])
+    m, n = stack.shape
+    total = np.array(on_basis(frobenius(v, p)), dtype=np.int64)
+    by_row = total.reshape((m,) + total.shape[v.ndim - 1 :])  # a view of total
+    # split k of a row is v_k e_k + sum_{j > k} v_j e_j; the last term has no tail
+    splits = np.stack(np.divmod(np.arange(m * (n - 1)), max(n - 1, 1)), axis=1)
+    cols = np.arange(n)
+
+    def corrections(batch):
+        rows, k = batch[:, 0], batch[:, 1:]
+        picked = stack[rows]
+        return correction(rows, np.where(cols == k, picked, 0), np.where(cols > k, picked, 0))
+
+    np.add.at(by_row, splits[:, 0], liealg.by_row_batches(n, corrections, splits))
+    total %= p
+    return total[()]  # a scalar, not a 0-d array, for a vector of scalar values
+
+
+def ad_recursion(A: liealg.LieAlgebra, g, h, w, steps: int):
+    """The polynomial w(t) times `steps` factors ad(t g + h)^T, for one pair
+    (g, h) or for each pair of rows of two stacks.
+
+    Row d of w holds the coefficient of t^d (w carries the stack axis of g
+    and h ahead of its rows).  Each factor maps w to w ad(h)^T +
+    t w ad(g)^T, that is, every row to [h, row] plus, one power of t up,
+    [g, row].  Returns the len(w) + steps rows.
+    """
+    p, n = A.prime, A.dim
+    ad_h = liealg.ad_matrix(A, h).swapaxes(-1, -2)
+    ad_g = liealg.ad_matrix(A, g).swapaxes(-1, -2)
+    for _ in range(steps):
+        nxt = gf.zeros(w.shape[:-2] + (w.shape[-2] + 1, n))
+        np.matmul(w, ad_h, out=nxt[..., :-1, :])
+        nxt[..., 1:, :] += w @ ad_g
+        nxt %= p
+        w = nxt
+    return w
 
 
 def jacobson_corrections(R: RestrictedAlgebra, g, h):
-    """Sum of the correction terms s_i(g, h), i = 1..p-1.
+    """Sum of the correction terms s_i(g, h), i = 1..p-1, for one pair of
+    vectors or for each pair of rows of two stacks.
 
     i * s_i(g, h) is the coefficient of t^(i-1) in ad(t g + h)^(p-1)
-    applied to g.  Row d of w holds the coefficient of t^d; each of the
-    p-1 factors maps w to ad(h) w + t ad(g) w.  Once w is zero it stays
-    zero, so the sum is zero.
+    applied to g: `ad_recursion` of w = g over p-1 factors.
     """
     p = R.prime
-    A = R.algebra
     g = gf.normalize(g, p)
     h = gf.normalize(h, p)
-    ad_h = liealg.ad_matrix(A, h).T
-    ad_g = liealg.ad_matrix(A, g).T
-    w = g[None, :]
-    for _ in range(p - 1):
-        if not w.any():
-            return gf.zeros(A.dim)
-        nxt = gf.zeros((len(w) + 1, A.dim))
-        nxt[:-1] = w @ ad_h
-        nxt[1:] += w @ ad_g
-        w = nxt % p
     inverses = np.array([gf.inv_mod(i, p) for i in range(1, p)], dtype=np.int64)
-    return (inverses @ w[: p - 1]) % p
+
+    def corrections(g, h):
+        w = ad_recursion(R.algebra, g, h, g[..., None, :], p - 1)
+        return (inverses @ w[..., : p - 1, :]) % p
+
+    return liealg.by_row_batches(R.dim, corrections, g, h)
 
 
 def p_power_jacobson(R: RestrictedAlgebra, g):
-    """p-th power of a general element by basis splitting plus corrections:
-    (a e_k)^[p] = a^p e_k^[p] and (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).
+    """p-th power of a vector, or of each row of a stack, by basis splitting
+    plus corrections: (a e_k)^[p] = a^p e_k^[p] and
+    (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).
     """
-    value = split_sum(
+    return split_sum(
         R.prime, g,
-        lambda k, scale: scale * R.basis_p_powers[k],
-        lambda x, y: jacobson_corrections(R, x, y),
+        lambda scales: scales @ R.power_matrix,
+        lambda rows, x, y: jacobson_corrections(R, x, y),
     )
-    return gf.zeros(R.dim) + value
 
 
 def p_power(R: RestrictedAlgebra, g):
@@ -198,17 +237,24 @@ def p_power(R: RestrictedAlgebra, g):
 
 
 def verify_restricted_map(R: RestrictedAlgebra):
-    """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector.
+    """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector: the p-th
+    powers of all the ad(e_k) are one batched power (`gf.mat_pow` on their
+    stack, in row batches at large dim).
 
     Returns (True, None) or (False, k) for the first failing 1-based k.
     """
     A = R.algebra
     p = R.prime
-    for k in range(1, A.dim + 1):
-        lhs = liealg.ad_matrix(A, R.basis_p_powers[k - 1])
-        rhs = gf.mat_pow(liealg.ad_matrix(A, A.basis_vector(k)), p, p)
-        if (lhs != rhs).any():
-            return False, k
+
+    def differs(ads, powers):
+        return (liealg.ad_matrix(A, powers) != gf.mat_pow(ads, p, p)).any(axis=(1, 2))
+
+    # structure[k - 1] is ad(e_k)
+    failing = np.flatnonzero(
+        liealg.by_row_batches(A.dim, differs, A.structure, R.power_matrix)
+    )
+    if failing.size:
+        return False, int(failing[0]) + 1
     return True, None
 
 

@@ -17,12 +17,14 @@ on basis pairs, with the analogous correction rule in its second argument
 (subtracted, and weighted by alpha(g ^ [..] ^ last)).
 
 Both omega and beta (in h) are evaluated by `restricted.split_sum`, the
-loop the Jacobson p-power shares: split the argument into basis terms
-lowest index first and add the correction sum at each split.  The
-correction sum has 2^(p-2) terms; a dynamic program over (prefix length,
-number of slots assigned the first argument) evaluates it in O(p^2)
-bracket operations.  The literal enumeration is a test oracle
-(`tests/helpers.py`).
+routine the Jacobson p-power shares: split each argument row into basis
+terms lowest index first and add the correction sum at each split, every
+split of every row at once.  The correction sum has 2^(p-2) terms; grouped
+by the number of slots that carry h1, it is the recursion of the Jacobson
+corrections, w -> w ad(h2)^T + t w ad(h1)^T from w = [h1, h2], one row of
+w per power of t.  The rows are weighted by inverses and summed first, and
+the form, a dim x dim matrix (`form_matrix`), is applied twice per split.
+The literal enumeration is a test oracle (`tests/helpers.py`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cochains, gf, restricted
+from . import cochains, gf, liealg, restricted
 
 
 @dataclass(frozen=True)
@@ -130,92 +132,147 @@ class RestrictedThreeCochain:
         return self.alpha == other.alpha and (self.beta_pairs == other.beta_pairs).all()
 
 
-def _correction_sum(algebra, form_eval, h1, h2):
-    """The 2^(p-2)-term correction sum, grouped by how many slots carry h1.
+# the orderings of a 3-form's slots, with their signs
+_SIGNED_PERMUTATIONS = (
+    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+    ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
+)
 
-    form_eval(bracket_vector, last_vector) supplies the phi or alpha part.
+
+def form_matrix(form: cochains.Cochain, g=None):
+    """The matrix F of a 2-form, value(x, y) = x F y^T, built from its
+    stored coefficients; for a 3-form, the matrix of alpha(g, x, y) with g
+    fixed, one matrix per row when g is a stack."""
+    p, n, degree = form.prime, form.dim, form.degree
+    if degree != (2 if g is None else 3):
+        raise ValueError("form_matrix takes a 2-form, or a 3-form with g")
+    tensor = gf.zeros((n,) * degree)
+    if g is None:
+        for (i, j), c in form.coeffs.items():
+            tensor[i - 1, j - 1] = c
+            tensor[j - 1, i - 1] = -c % p
+        return tensor
+    keys = np.array(list(form.coeffs), dtype=np.int64).reshape(-1, 3) - 1
+    values = np.fromiter(form.coeffs.values(), dtype=np.int64, count=len(form.coeffs))
+    for perm, sign in _SIGNED_PERMUTATIONS:
+        tensor[tuple(keys[:, perm].T)] = sign * values % p
+    g = gf.normalize(g, p)
+    return (g @ tensor.reshape(n, n * n)).reshape(g.shape[:-1] + (n, n)) % p
+
+
+def form_matrices(forms):
+    """The form matrices of a sequence of 2-forms, stacked."""
+    out = gf.zeros((len(forms), forms[0].dim, forms[0].dim))
+    for matrix, form in zip(out, forms):
+        matrix[:] = form_matrix(form)
+    return out
+
+
+def _pair(forms, x, y, p):
+    """x F y^T mod p, row by row."""
+    return np.einsum("...i,...ij,...j->...", x, forms, y) % p
+
+
+def _correction_sum(algebra, forms, h1, h2):
+    """The 2^(p-2)-term correction sum, for a pair of vectors or each pair
+    of rows, with the phi or alpha part given by form matrices F.
+
     Left-normed brackets are linear in every slot, so prefixes with equal
-    h1-multiplicity can be summed before bracketing continues.  state[m]
-    is the sum of [g_1, ..., g_j] over all prefixes of length j with m
-    slots assigned h1.
+    h1-multiplicity are summed before bracketing continues: row d of w is
+    the sum of [g_1, ..., g_j] over the prefixes with d + 1 slots of h1.
+    That is `restricted.ad_recursion` with g = h1 and h = h2, started at
+    [h1, h2]; it brackets from the left, and its p-3 sign flips cancel for
+    odd p.  Weighted by 1/#h1, the rows are summed before F is applied.
     """
     p = algebra.prime
-    if p == 2:
-        return form_eval(h1, h2)
-    base = algebra.bracket(h1, h2)
-    if not base.any():
-        return 0
-    state = {1: base}
-    for _ in range(p - 3):
-        nxt: dict[int, np.ndarray] = {}
-        for m, vec in state.items():
-            for dm, x in ((1, h1), (0, h2)):
-                b = algebra.bracket(vec, x)
-                if b.any():
-                    prev = nxt.get(m + dm)
-                    nxt[m + dm] = b if prev is None else (prev + b) % p
-        state = nxt
-    total = 0
-    for m, vec in state.items():
-        total = (total + gf.inv_mod(m + 1, p) * form_eval(vec, h1)) % p
-        total = (total + gf.inv_mod(m, p) * form_eval(vec, h2)) % p
-    return total
+    h1 = gf.normalize(h1, p)
+    h2 = gf.normalize(h2, p)
+    # #h1 is d + 1 in the prefix, d + 2 when h1 also fills the last slot
+    last_h1 = np.array([gf.inv_mod(d + 2, p) for d in range(p - 2)], dtype=np.int64)
+    last_h2 = np.array([gf.inv_mod(d + 1, p) for d in range(p - 2)], dtype=np.int64)
+
+    def corrections(h1, h2, forms):
+        if p == 2:
+            return _pair(forms, h1, h2, p)
+        w = restricted.ad_recursion(algebra, h1, h2, algebra.bracket(h1, h2)[..., None, :], p - 3)
+        return (_pair(forms, last_h1 @ w % p, h1, p) + _pair(forms, last_h2 @ w % p, h2, p)) % p
+
+    forms = np.broadcast_to(forms, h1.shape[:-1] + forms.shape[-2:])
+    return liealg.by_row_batches(algebra.dim, corrections, h1, h2, forms)
 
 
-def star_correction(algebra, phi: cochains.Cochain, h1, h2):
-    """The omega correction sum attached to phi at the split g = h1 + h2."""
-    form = lambda bracket, last: phi.evaluate(bracket, last)
-    return _correction_sum(algebra, form, h1, h2)
+def star_correction(algebra, phi, h1, h2):
+    """The omega correction sum attached to phi at the split g = h1 + h2,
+    for a pair of vectors or each pair of rows.  phi is a degree-2 Cochain,
+    or form matrices (`form_matrix`): one for all rows, or one per row."""
+    forms = phi if isinstance(phi, np.ndarray) else form_matrix(phi)
+    return _correction_sum(algebra, forms, h1, h2)
 
 
 def doublestar_correction(algebra, alpha: cochains.Cochain, g, h1, h2):
-    """The beta correction sum attached to alpha at the split h = h1 + h2."""
-    form = lambda bracket, last: alpha.evaluate(g, bracket, last)
-    return _correction_sum(algebra, form, h1, h2)
+    """The beta correction sum attached to alpha at the split h = h1 + h2,
+    for one g or one g per row."""
+    return _correction_sum(algebra, form_matrix(alpha, g), h1, h2)
 
 
-def star_eval(algebra, c: RestrictedTwoCochain, g):
-    """Evaluate omega at g: omega(a e_k) = a^p omega_k on scaled basis
-    vectors, and the correction sum at each split of `restricted.split_sum`.
-    The result does not depend on the split order.
+def _omega_and_forms(c):
+    """omega basis values and form matrix of one RestrictedTwoCochain, or
+    both stacked over a sequence of them."""
+    if isinstance(c, RestrictedTwoCochain):
+        return np.array(c.omega_basis, dtype=np.int64), form_matrix(c.phi)
+    return np.array([x.omega_basis for x in c], dtype=np.int64), form_matrices([x.phi for x in c])
+
+
+def star_eval(algebra, c, g):
+    """Evaluate omega at g, a vector or a stack of rows: omega(a e_k) =
+    a^p omega_k on scaled basis vectors, and the correction sum at each
+    split of `restricted.split_sum`.  c is one RestrictedTwoCochain, or a
+    sequence of them, one per row of g along its last stack axis.  The
+    result does not depend on the split order.
     """
+    omega, forms = _omega_and_forms(c)
     return restricted.split_sum(
         algebra.prime, g,
-        lambda k, scale: scale * c.omega_basis[k],
-        lambda x, y: star_correction(algebra, c.phi, x, y),
+        lambda scales: (scales * omega).sum(axis=-1),
+        lambda rows, x, y: star_correction(
+            algebra, forms if forms.ndim == 2 else forms[rows % len(forms)], x, y
+        ),
     )
 
 
 def doublestar_eval(algebra, rc3: RestrictedThreeCochain, g, h):
-    """Evaluate beta at (g, h): linear in g, and split in h like omega,
-    with the correction subtracted."""
+    """Evaluate beta at (g, h), or at each pair of rows, g broadcast against
+    h: linear in g, and split in h like omega, with the correction
+    subtracted."""
     p = algebra.prime
     g = gf.normalize(g, p)
+    on_basis = (g @ rc3.beta_pairs) % p  # beta(g, e_k) for every k
+    g_rows = g.reshape(-1, g.shape[-1])
     return restricted.split_sum(
         p, h,
-        lambda k, scale: scale * int((g @ rc3.beta_pairs[:, k]) % p),
-        lambda x, y: -doublestar_correction(algebra, rc3.alpha, g, x, y),
+        lambda scales: (scales * on_basis).sum(axis=-1),
+        lambda rows, x, y: -doublestar_correction(
+            algebra, rc3.alpha, g_rows[rows % len(g_rows)], x, y
+        ),
     )
 
 
-def star_property_holds(algebra, c: RestrictedTwoCochain, g, h) -> bool:
-    """Check the omega sum rule at one pair (g, h)."""
-    rhs = (
-        star_eval(algebra, c, g)
-        + star_eval(algebra, c, h)
-        + star_correction(algebra, c.phi, g, h)
-    )
-    return star_eval(algebra, c, np.add(g, h)) == rhs % algebra.prime
+def star_property_holds(algebra, c, g, h):
+    """Check the omega sum rule at one pair (g, h), or at each pair of rows;
+    c is one RestrictedTwoCochain, or one per row.  One star_eval call
+    evaluates omega at g, h and g + h."""
+    at_g, at_h, at_sum = star_eval(algebra, c, np.stack([g, h, np.add(g, h)]))
+    rhs = at_g + at_h + star_correction(algebra, _omega_and_forms(c)[1], g, h)
+    return at_sum == rhs % algebra.prime
 
 
-def doublestar_property_holds(algebra, rc3: RestrictedThreeCochain, g, h1, h2) -> bool:
-    """Check the beta sum rule at one triple (g, h1, h2)."""
-    rhs = (
-        doublestar_eval(algebra, rc3, g, h1)
-        + doublestar_eval(algebra, rc3, g, h2)
-        - doublestar_correction(algebra, rc3.alpha, g, h1, h2)
-    )
-    return doublestar_eval(algebra, rc3, g, np.add(h1, h2)) == rhs % algebra.prime
+def doublestar_property_holds(algebra, rc3: RestrictedThreeCochain, g, h1, h2):
+    """Check the beta sum rule at one triple (g, h1, h2), or at each triple
+    of rows.  One doublestar_eval call evaluates beta at h1, h2 and
+    h1 + h2."""
+    at_h1, at_h2, at_sum = doublestar_eval(algebra, rc3, g, np.stack([h1, h2, np.add(h1, h2)]))
+    rhs = at_h1 + at_h2 - doublestar_correction(algebra, rc3.alpha, g, h1, h2)
+    return at_sum == rhs % algebra.prime
 
 
 def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain) -> tuple[int, ...]:
@@ -225,21 +282,19 @@ def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain) -> tuple
     return tuple(psi.evaluate(v) for v in R.basis_p_powers)
 
 
-def ind2_matrix(R: restricted.RestrictedAlgebra, phi: cochains.Cochain):
+def ind2_matrix(R: restricted.RestrictedAlgebra, phi):
     """beta values on basis pairs induced by a 2-cochain: phi(e_i ^ e_j^[p]).
 
-    Entry (i, j) is linear in the stored coefficients, so the matrix is
-    assembled per coefficient instead of evaluating n^2 pairings.
+    Entry (i, j) is row i of phi's form matrix applied to e_j^[p], so the
+    matrix is one product instead of n^2 pairings.  phi is a degree-2
+    Cochain, or a stack of form matrices (`form_matrix`), giving a stack.
     """
-    if phi.degree != 2:
-        raise ValueError("ind2 needs a degree-2 cochain")
-    n = R.dim
-    p = R.prime
-    powers = np.stack(R.basis_p_powers)  # row j-1 holds e_j^[p]
-    out = gf.zeros((n, n))
-    for (a, b), c in phi.coeffs.items():
-        out[a - 1, :] = (out[a - 1, :] + c * powers[:, b - 1]) % p
-        out[b - 1, :] = (out[b - 1, :] - c * powers[:, a - 1]) % p
+    if isinstance(phi, cochains.Cochain):
+        if phi.degree != 2:
+            raise ValueError("ind2 needs a degree-2 cochain")
+        phi = form_matrix(phi)
+    out = phi @ R.power_matrix.T
+    out %= R.prime
     return out
 
 

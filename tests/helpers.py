@@ -171,21 +171,29 @@ def doublestar_correction_naive(algebra, alpha, g, h1, h2):
 
 
 def star_eval_naive(algebra, c, g):
-    """omega at g as rcoch.star_eval splits it, with the naive correction sum."""
+    """omega at g as rcoch.star_eval splits it, with the naive correction
+    sum taken split by split."""
+    omega = np.array(c.omega_basis, dtype=np.int64)
     return restricted.split_sum(
         algebra.prime, g,
-        lambda k, scale: scale * c.omega_basis[k],
-        lambda x, y: star_correction_naive(algebra, c.phi, x, y),
+        lambda scales: scales @ omega,
+        lambda rows, heads, tails: np.array(
+            [star_correction_naive(algebra, c.phi, x, y) for x, y in zip(heads, tails)],
+            dtype=np.int64,
+        ),
     )
 
 
 def doublestar_eval_naive(algebra, rc3, g, h):
     """beta at (g, h) as rcoch.doublestar_eval splits it, with the naive
-    correction sum."""
+    correction sum taken split by split."""
     p = algebra.prime
     g = gf.normalize(g, p)
     return restricted.split_sum(
         p, h,
-        lambda k, scale: scale * int((g @ rc3.beta_pairs[:, k]) % p),
-        lambda x, y: -doublestar_correction_naive(algebra, rc3.alpha, g, x, y),
+        lambda scales: scales @ ((g @ rc3.beta_pairs) % p),
+        lambda rows, heads, tails: np.array(
+            [-doublestar_correction_naive(algebra, rc3.alpha, g, x, y) for x, y in zip(heads, tails)],
+            dtype=np.int64,
+        ),
     )

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: flags, reports, exit codes, determinism."""
 
 import json
+import types
 
+import numpy as np
 import pytest
 
 from filicoh import cli
@@ -215,6 +217,121 @@ def test_verify_fails_on_corrupted_d2(monkeypatch, capsys):
     assert code == 1
     assert tags["complex identity d2(d1(psi)) = 0"] == "FAIL"
     assert tags["restricted complex identity"] == "FAIL"
+
+
+# Each fault below sits in one sample of one lambda, so a check that
+# batches its samples must still count it and print FAIL.
+TARGET_LAMBDA = (1, 2, 0)
+
+
+def test_verify_fails_on_one_wrong_closed_p_power(monkeypatch, capsys):
+    real = cli.restricted.p_power_closed
+    planted = []
+
+    def wrong(R, g):
+        out = real(R, g)
+        if R.lam == TARGET_LAMBDA and not planted:
+            planted.append(True)
+            first = out.reshape(-1, R.dim)[0]  # the first sample only
+            first[-1] = (first[-1] + 1) % R.prime
+        return out
+
+    monkeypatch.setattr(cli.restricted, "p_power_closed", wrong)
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
+    assert planted
+    assert code == 1
+    assert tags["p-power recursion vs closed form"] == "FAIL"
+    assert tags["induced omega matches psi of the p-power"] == "ok"
+
+
+def test_verify_fails_on_one_wrong_induced_omega(monkeypatch, capsys):
+    real = cli.rcoch.ind1_values
+    planted = []
+
+    def off(R, psi):
+        values = real(R, psi)
+        if R.lam == TARGET_LAMBDA and psi.coeffs == {(3,): 1}:
+            planted.append(True)
+            return tuple((v + 1) % R.prime for v in values)
+        return values
+
+    monkeypatch.setattr(cli.rcoch, "ind1_values", off)
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
+    assert planted
+    assert code == 1
+    assert tags["induced omega matches psi of the p-power"] == "FAIL"
+    # omega's basis values never decide the sum rule
+    assert tags["omega sum rule on induced and cocycle pairs"] == "ok"
+    assert tags["p-power recursion vs closed form"] == "ok"
+
+
+def test_verify_fails_on_one_corrupted_correction_row(monkeypatch, capsys):
+    real = cli.rcoch.star_correction
+    planted = []
+
+    def shifted(algebra, phi, h1, h2):
+        out = np.array(real(algebra, phi, h1, h2))
+        if not planted:
+            # a constant added to one split: not bilinear, so no rule absorbs it
+            planted.append(True)
+            out.reshape(-1)[0] = (out.reshape(-1)[0] + 1) % algebra.prime
+        return out[()]
+
+    monkeypatch.setattr(cli.rcoch, "star_correction", shifted)
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
+    assert planted
+    assert code == 1
+    assert tags["omega sum rule on induced and cocycle pairs"] == "FAIL"
+    assert tags["beta sum rule on induced triples"] == "ok"
+
+
+def module_with(module, **replaced):
+    """A stand-in for `module` with some attributes replaced, to hand to
+    one importing module only."""
+    return types.SimpleNamespace(**{**vars(module), **replaced})
+
+
+def test_verify_fails_on_one_extension_breaking_jacobi(monkeypatch, capsys):
+    liealg = cli.extensions.liealg
+    planted = []
+
+    def faulty(prime, dim, brackets, weights, labels=None):
+        if not planted:
+            # [e_2, e_3] gains e_2: the Jacobiator of (e_1, e_2, e_3) is -e_3
+            planted.append(True)
+            brackets = dict(brackets)
+            vec = brackets.get((2, 3), [0] * dim)
+            brackets[(2, 3)] = [c + (k == 1) for k, c in enumerate(vec)]
+        return liealg.LieAlgebra(prime, dim, brackets, weights, labels)
+
+    monkeypatch.setattr(cli.extensions, "liealg", module_with(liealg, LieAlgebra=faulty))
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
+    assert planted
+    assert code == 1
+    assert tags["central extensions verify and stay trivial"] == "FAIL"
+    assert tags["jacobi identity"] == "ok"
+
+
+def test_verify_fails_on_one_extension_breaking_the_p_map(monkeypatch, capsys):
+    restricted = cli.extensions.restricted
+    planted = []
+
+    def faulty(algebra, powers, lam=None):
+        if not planted:
+            # e_2^[p] gains e_1, whose ad is not the p-th power of ad(e_2)
+            planted.append(True)
+            powers = [list(v) for v in powers]
+            powers[1][0] += 1
+        return restricted.RestrictedAlgebra(algebra, powers, lam)
+
+    monkeypatch.setattr(
+        cli.extensions, "restricted", module_with(restricted, RestrictedAlgebra=faulty)
+    )
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
+    assert planted
+    assert code == 1
+    assert tags["central extensions verify and stay trivial"] == "FAIL"
+    assert tags["p-power recursion vs closed form"] == "ok"
 
 
 def test_verify_fails_on_wrong_corrected_closed_form(monkeypatch, capsys):

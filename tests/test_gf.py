@@ -200,3 +200,13 @@ def test_span_tracker_greedy_matches_rank_filter():
             assert len(picked) == before + 1
         else:
             assert len(picked) == before
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_mat_pow_of_a_stack_is_the_stack_of_powers(p):
+    rng = np.random.default_rng(90 + p)
+    stack = rng.integers(0, p, size=(4, 3, 3))
+    for k in (0, 1, 2, 5, p):
+        got = gf.mat_pow(stack, k, p)
+        assert got.shape == stack.shape
+        assert all((got[i] == gf.mat_pow(stack[i], k, p)).all() for i in range(4))

@@ -246,3 +246,49 @@ def test_json_round_trip(p):
     assert data["prime"] == p
     assert data["dim"] == p
     assert all(set(entry) == {"i", "j", "coeffs"} for entry in data["brackets"])
+
+
+# ---------------------------------------------------------------------------
+# row stacks and batches
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_bracket_and_ad_matrix_take_stacks(p):
+    rng = random.Random(300 + p)
+    A = extensions.extend_ordinary(liealg.make_m0(p), cochains.Cochain(p, p, 2)).algebra
+    g = np.stack([random_element(A, rng) for _ in range(5)])
+    h = np.stack([random_element(A, rng) for _ in range(5)])
+    g[0] = 0
+    assert (A.bracket(g, h) == np.stack([A.bracket(x, y) for x, y in zip(g, h)])).all()
+    assert (liealg.ad_matrix(A, g) == np.stack([bracket_ad_matrix(A, x) for x in g])).all()
+
+
+def test_structure_is_read_only_and_antisymmetric():
+    A = liealg.make_m0(7)
+    assert A.structure is A.structure
+    with pytest.raises(ValueError):
+        A.structure[0, 0, 0] = 1
+    for i, j in itertools.product(range(1, 8), repeat=2):
+        assert (A.structure[i - 1, :, j - 1] == A.bracket_basis(i, j)).all()
+
+
+@pytest.mark.parametrize("cells", [1, 64, 1 << 12])
+def test_jacobi_check_batches_find_the_first_failing_triple(cells, monkeypatch):
+    # one planted violation in a late pair, and the same answer whatever
+    # the batch size
+    monkeypatch.setattr(liealg, "BATCH_CELLS", cells)
+    p = 7
+    A = liealg.make_m0(p)
+    for pair, coeff in (((2, 3), 4), ((4, 6), 2), ((5, 6), 1)):
+        bad = dict(A.brackets)
+        v = gf.zeros(p)
+        v[coeff] = 1
+        bad[pair] = v
+        B = liealg.LieAlgebra(p, p, bad, weights=A.weights)
+        want = jacobi_check_triples(B)
+        assert not want[0]
+        assert liealg.jacobi_check(B) == want
+    rng = random.Random(cells)
+    for _ in range(100):
+        C = random_structure_constants(rng, rng.choice([2, 3, 5]), rng.randint(1, 6))
+        assert liealg.jacobi_check(C) == jacobi_check_triples(C)

@@ -228,3 +228,97 @@ def test_from_json_rejects_family_power_off_the_top_line():
     data["p_powers"][0][3] = 2  # e_1^[p] = 2 e_4 + e_5
     with pytest.raises(ValueError, match="family"):
         restricted.from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# row stacks: one call on a stack equals one call per row
+
+
+def stack_with_edge_rows(rng, p, dim, count=6):
+    """Random rows plus the edge cases of the split loop: a zero row, a
+    row whose leading head is zero, and a single-term row (every tail
+    zero)."""
+    rows = rng.integers(0, p, size=(count, dim))
+    rows[0] = 0
+    rows[1, 0] = 0
+    rows[2, :-1] = 0
+    return rows
+
+
+def few_rows_per_batch(monkeypatch):
+    """Shrink the row batches to one row, so every batched path splits."""
+    monkeypatch.setattr(liealg, "BATCH_CELLS", 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_p_power_jacobson_stack_equals_rows(p, monkeypatch):
+    rng = np.random.default_rng(70 + p)
+    R = restricted.make_m0_lambda(p, rng.integers(0, p, size=p))
+    rows = stack_with_edge_rows(rng, p, p)
+    got = restricted.p_power_jacobson(R, rows)
+    want = np.stack([restricted.p_power_jacobson(R, row) for row in rows])
+    assert (got == want).all()
+    assert (got == restricted.p_power_closed(R, rows)).all()
+    few_rows_per_batch(monkeypatch)
+    assert (restricted.p_power_jacobson(R, rows) == want).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_p_power_jacobson_stack_equals_rows_with_corrections(p, monkeypatch):
+    R = affine_line_algebra(p)
+    rows = np.array(list(itertools.product(range(p), repeat=2)))
+    want = np.stack([restricted.p_power_jacobson(R, row) for row in rows])
+    assert (restricted.p_power_jacobson(R, rows) == want).all()
+    few_rows_per_batch(monkeypatch)
+    assert (restricted.p_power_jacobson(R, rows) == want).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_corrections_match_matrix_polynomial_at_every_prime(p):
+    rng = np.random.default_rng(90 + p)
+    R = restricted.make_m0_lambda(p, rng.integers(0, p, size=p))
+    g = stack_with_edge_rows(rng, p, p, count=4)
+    h = rng.integers(0, p, size=(4, p))
+    h[3] = 0
+    got = restricted.jacobson_corrections(R, g, h)
+    for row, x, y in zip(got, g, h):
+        assert (row == jacobson_corrections_matrix_poly(R, x, y)).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_corrections_stack_matches_matrix_polynomial_on_affine_line(p, monkeypatch):
+    R = affine_line_algebra(p)
+    elements = np.array(list(itertools.product(range(p), repeat=2)))
+    g = np.repeat(elements, len(elements), axis=0)
+    h = np.tile(elements, (len(elements), 1))
+    want = np.stack([jacobson_corrections_matrix_poly(R, x, y) for x, y in zip(g, h)])
+    assert (restricted.jacobson_corrections(R, g, h) == want).all()
+    few_rows_per_batch(monkeypatch)
+    assert (restricted.jacobson_corrections(R, g, h) == want).all()
+
+
+def first_failing_power(R):
+    """ad(e_k^[p]) against ad(e_k)^p one k at a time."""
+    A, p = R.algebra, R.prime
+    for k in range(1, A.dim + 1):
+        lhs = liealg.ad_matrix(A, R.basis_p_powers[k - 1])
+        rhs = gf.mat_pow(liealg.ad_matrix(A, A.basis_vector(k)), p, p)
+        if (lhs != rhs).any():
+            return k
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_verify_restricted_map_matches_per_k_powers(p, monkeypatch):
+    R = restricted.make_m0_lambda(p, [1] * p)
+    for k in range(1, p + 1):
+        powers = [v.copy() for v in R.basis_p_powers]
+        powers[k - 1][0] = (powers[k - 1][0] + 1) % p  # e_k^[p] gains e_1
+        bad = restricted.RestrictedAlgebra(R.algebra, powers)
+        want = first_failing_power(bad)
+        assert want == (k if p > 2 else None)  # m_0(2) is abelian: ad(e_1) = 0
+        assert restricted.verify_restricted_map(bad) == (want is None, want)
+    few_rows_per_batch(monkeypatch)
+    assert restricted.verify_restricted_map(bad) == (want is None, want)
+    assert first_failing_power(R) is None
+    assert restricted.verify_restricted_map(R) == (True, None)

@@ -651,3 +651,125 @@ def test_restricted_two_cochain_json_round_trip():
     back = rc.RestrictedTwoCochain.from_json(data)
     assert back.phi.coeffs == c.phi.coeffs
     assert back.omega_basis == c.omega_basis
+
+
+# ---------------------------------------------------------------------------
+# row stacks: one call on a stack equals one call per row
+
+
+STACK_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def stack_with_edge_rows(rng, p, count=5):
+    """Random rows plus a zero row, a row with a zero leading head and a
+    single-term row."""
+    rows = rng.integers(0, p, size=(count, p))
+    rows[0] = 0
+    rows[1, 0] = 0
+    rows[2, :-1] = 0
+    return rows
+
+
+def few_rows_per_batch(monkeypatch):
+    monkeypatch.setattr(liealg, "BATCH_CELLS", 1)
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_star_eval_stack_equals_rows(p, monkeypatch):
+    rng = np.random.default_rng(2200 + p)
+    A = liealg.make_m0(p)
+    g = stack_with_edge_rows(rng, p)
+    one = rc.RestrictedTwoCochain(rand_cochain(rng, p, p, 2), rand_lambda(rng, p))
+    per_row = [
+        rc.RestrictedTwoCochain(rand_cochain(rng, p, p, 2), rand_lambda(rng, p)) for _ in g
+    ]
+    want_one = [rc.star_eval(A, one, row) for row in g]
+    want_rows = [rc.star_eval(A, c, row) for c, row in zip(per_row, g)]
+    assert rc.star_eval(A, one, g).tolist() == want_one
+    assert rc.star_eval(A, per_row, g).tolist() == want_rows
+    # a cochain per row also serves every block of rows before it
+    assert rc.star_eval(A, per_row, np.stack([g, g])).tolist() == [want_rows] * 2
+    few_rows_per_batch(monkeypatch)
+    assert rc.star_eval(A, per_row, g).tolist() == want_rows
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_doublestar_eval_stack_equals_rows(p, monkeypatch):
+    rng = np.random.default_rng(2300 + p)
+    A = liealg.make_m0(p)
+    c3 = rc.RestrictedThreeCochain(
+        rand_cochain(rng, p, p, 3), gf.normalize(rng.integers(0, p, size=(p, p)), p)
+    )
+    g = rng.integers(0, p, size=(5, p))
+    h = stack_with_edge_rows(rng, p)
+    want = [rc.doublestar_eval(A, c3, x, y) for x, y in zip(g, h)]
+    assert rc.doublestar_eval(A, c3, g, h).tolist() == want
+    assert rc.doublestar_eval(A, c3, g[0], h).tolist() == [
+        rc.doublestar_eval(A, c3, g[0], y) for y in h
+    ]
+    few_rows_per_batch(monkeypatch)
+    assert rc.doublestar_eval(A, c3, g, h).tolist() == want
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_sum_rules_stack_equal_rows(p):
+    rng = np.random.default_rng(2400 + p)
+    R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+    pairs = [rc.d1_star(R, rand_cochain(rng, p, p, 1)) for _ in range(3)]
+    pairs.append(rc.basis_pair_cochain(p, p, p - 1, p))  # not a cocycle for p >= 5
+    g, h = stack_with_edge_rows(rng, p, 4), rng.integers(0, p, size=(4, p))
+    got = rc.star_property_holds(R.algebra, pairs, g, h)
+    assert got.tolist() == [rc.star_property_holds(R.algebra, *row) for row in zip(pairs, g, h)]
+    c3 = rc.d2_star(R, rc.basis_pair_cochain(p, p, p - 1, p))
+    g, h1, h2 = (stack_with_edge_rows(rng, p, 4) for _ in range(3))
+    got = rc.doublestar_property_holds(R.algebra, c3, g, h1, h2)
+    assert got.tolist() == [
+        rc.doublestar_property_holds(R.algebra, c3, *row) for row in zip(g, h1, h2)
+    ]
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_correction_stacks_match_naive_sum(p, monkeypatch):
+    # the literal 2^(p-2)-term sum, row by row, including zero heads
+    rng = np.random.default_rng(2500 + p)
+    A = liealg.make_m0(p)
+    count = 4 if p <= 11 else 3
+    phi = rand_cochain(rng, p, p, 2)
+    alpha = rand_cochain(rng, p, p, 3)
+    g = rng.integers(0, p, size=(count, p))
+    h1, h2 = stack_with_edge_rows(rng, p, count), rng.integers(0, p, size=(count, p))
+    h1[-1, :] = 0
+    h1[-1, p // 2] = 1  # a scaled basis vector, as split_sum's heads are
+    star = [star_correction_naive(A, phi, x, y) for x, y in zip(h1, h2)]
+    dstar = [doublestar_correction_naive(A, alpha, *row) for row in zip(g, h1, h2)]
+    assert rc.star_correction(A, phi, h1, h2).tolist() == star
+    assert rc.doublestar_correction(A, alpha, g, h1, h2).tolist() == dstar
+    few_rows_per_batch(monkeypatch)
+    assert rc.star_correction(A, phi, h1, h2).tolist() == star
+    assert rc.doublestar_correction(A, alpha, g, h1, h2).tolist() == dstar
+
+
+@settings(max_examples=40, derandomize=True)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(2, 6))
+def test_form_matrices_match_evaluate(data, p, dim):
+    entries = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    x, y, g = (np.array(data.draw(entries)) for _ in range(3))
+    phi = Cochain.from_vector(p, dim, 2, data.draw(
+        st.lists(st.integers(0, p - 1), min_size=dim * (dim - 1) // 2, max_size=dim * (dim - 1) // 2)
+    ))
+    ntriples = len(cochains.index_tuples(dim, 3))
+    alpha = Cochain.from_vector(p, dim, 3, data.draw(
+        st.lists(st.integers(0, p - 1), min_size=ntriples, max_size=ntriples)
+    ))
+    assert (x @ rc.form_matrix(phi) @ y) % p == phi.evaluate(x, y)
+    assert (x @ rc.form_matrix(alpha, g) @ y) % p == alpha.evaluate(g, x, y)
+    stacked = rc.form_matrix(alpha, np.stack([g, x]))
+    assert (y @ stacked[1] @ g) % p == alpha.evaluate(x, y, g)
+    assert (rc.form_matrices([phi, phi])[1] == rc.form_matrix(phi)).all()
+
+
+def test_form_matrix_checks_the_degree():
+    with pytest.raises(ValueError, match="form_matrix"):
+        rc.form_matrix(Cochain(5, 5, 3))
+    with pytest.raises(ValueError, match="form_matrix"):
+        rc.form_matrix(Cochain(5, 5, 2), np.zeros(5, dtype=np.int64))
