@@ -235,7 +235,8 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
     """Degree-2 differential from structure constants.
 
     (d2 f)(x, y, z) = f([x, y], z) - f([x, z], y) + f([y, z], x).
-    A triple whose three brackets vanish is skipped: each term is f(0, .).
+    Only the algebra's bracket_triples are evaluated: on any other triple
+    the three brackets vanish and each term is f(0, .).
     """
     if c2.degree != 2:
         raise ValueError("d2 needs a degree-2 cochain")
@@ -243,9 +244,7 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
     if c2.is_zero():  # d2 is linear
         return Cochain(p, algebra.dim, 3)
     coeffs = {}
-    for l, m, n in index_tuples(algebra.dim, 3):
-        if not any(pair in algebra.brackets for pair in ((l, m), (l, n), (m, n))):
-            continue
+    for l, m, n in algebra.bracket_triples:
         el, em, en = (algebra.basis_vector(k) for k in (l, m, n))
         value = (
             c2.evaluate(algebra.bracket_basis(l, m), en)

@@ -9,16 +9,29 @@ two reductions per degree, and lambda = 0 shares its reduction with the
 ordinary H1 and H2.  d1 and d2 preserve weight, so both are reduced one
 weight block at a time on one path, and neither is built densely.  An
 entry keeps only what the groups read: the pivots, which give the kernel
-dimension, and which distinguished cocycles the differential kills.  Per
-lambda the groups look it up and pick those killed candidates by a
-deterministic greedy pass that keeps one exactly when it grows the span
-past the image, so golden tests can compare labels rather than raw
-coordinates.  The closed-form dimension counts live in expected_summary;
-compare never raises on a mismatch, it reports one.
+dimension, and which distinguished cocycles the differential kills.
+
+The groups pick those killed candidates by a deterministic greedy pass
+that keeps one exactly when it grows the span past the image, so golden
+tests can compare labels rather than raw coordinates.  H1+ and H2+ run
+that pass once per key (p, degree, power rows, W) and memoise what it
+selects; per lambda they only build the key and copy the entry with their
+own lambda.  W is the row space of omega on ker d1.  The image of d1* is
+the rows (d1 f, omega_f); its span projects onto im d1 and meets the
+Frobenius coordinates in W, and the pass reads nothing else, because the
+Frobenius duals are tried first.  So the pass runs over a canonical image
+instead: the d1 rows with zero Frobenius columns, over the W rows in the
+Frobenius columns.  The power rows alone do not fix W.  For p >= 3, ker
+d1 = span(e^1, e^2) and f(e_j^[p]) = lambda_j f(e_p) = 0 there, so W = 0
+(the paper's H1 = H1+); at p = 2 the algebra is abelian, ker d1 is
+everything and W is the line of lambda.  The closed-form dimension counts
+live in expected_summary; compare never raises on a mismatch, it reports
+one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -202,23 +215,60 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     )
 
 
-def _d1_star_matrix(R: restricted.RestrictedAlgebra):
-    """Matrix of d1* over the degree-1 duals: d1 rows over the induced
-    omega rows, whose row k is e_k^[p].  Column k is the coordinate vector
-    of d1*(e^k)."""
-    return np.vstack([cochains.d1_matrix(R.algebra), np.stack(R.basis_p_powers)])
+@functools.lru_cache(maxsize=8)
+def _restricted_group(p: int, degree: int, powers: tuple, omega: tuple) -> CohomologySummary:
+    """H1+ (degree 1) or H2+ of every family member whose p-power vectors
+    span the rows of powers and whose omega on ker d1 spans the rows of
+    omega (_omega_rows), with lam None.
+
+    H1+ has no image.  H2+ counts the p zero Frobenius columns of d2* in
+    its kernel, and the Frobenius duals, which lead its candidates, are p
+    more cocycles; its image is the canonical one of the module docstring.
+    One prime has at most eight keys (four per degree, at p = 2, where W
+    runs over 0 and the three lines; two per degree from p = 3 on), and
+    the memo keeps them all, since grids and sweeps visit primes in turn."""
+    kernel_dim, killed = _kernel(p, degree, powers)
+    if degree == 1:
+        return _cohomology(
+            kernel_dim, killed, (), _candidates(p, 1, False),
+            prime=p, lam=None, degree=1, restricted=True,
+        )
+    d1 = cochains.d1_matrix(liealg.make_m0(p))
+    w = np.array(omega, dtype=np.int64).reshape(-1, p)
+    image = gf.zeros((p + len(w), d1.shape[0] + p))
+    image[:p, : d1.shape[0]] = d1.T
+    image[p:, d1.shape[0] :] = w
+    return _cohomology(
+        kernel_dim + p,
+        np.concatenate([np.ones(p, dtype=bool), killed]),
+        image,
+        _candidates(p, 2, True),
+        prime=p, lam=None, degree=2, restricted=True,
+    )
+
+
+def _omega_rows(R: restricted.RestrictedAlgebra) -> tuple:
+    """W: a basis of omega on ker d1, the nonzero rref rows of
+    K @ power_matrix^T as int tuples, with K the killed degree-1 duals (on
+    the family they span ker d1, since H1 has no image).  Row e^k of that
+    product is omega of e^k, j -> e^k(e_j^[p]), column k of power_matrix."""
+    p = R.prime
+    r, pivots = gf.rref(R.power_matrix[:, _kernel(p, 1, ())[1]].T, p)
+    return tuple(map(tuple, r[: len(pivots)].tolist()))
+
+
+def _restricted_summary(R: restricted.RestrictedAlgebra, degree: int, name: str):
+    if not R.is_m0_family:
+        raise ValueError(f"{name} is computed on the family m_0^lambda(p) only")
+    s = _restricted_group(R.prime, degree, R.power_rows, _omega_rows(R))
+    return dataclasses.replace(s, lam=R.lam, representatives=list(s.representatives))
 
 
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-1 cohomology: the kernel of d1 over the induced
-    omega rows, looked up by the row space of the p-powers."""
-    if not R.is_m0_family:
-        raise ValueError("h1_star is computed on the family m_0^lambda(p) only")
-    p = R.prime
-    return _cohomology(
-        *_kernel(p, 1, R.power_rows), (), _candidates(p, 1, False),
-        prime=p, lam=R.lam, degree=1, restricted=True,
-    )
+    omega rows, looked up by the row space of the p-powers and W
+    (_restricted_group)."""
+    return _restricted_summary(R, 1, "h1_star")
 
 
 def h2(A: liealg.LieAlgebra) -> CohomologySummary:
@@ -237,20 +287,9 @@ def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
 
     d2* is reduced from d2 over the induced-beta rows of a basis of the
     p-power vectors: n rows per basis vector instead of n^2, with the same
-    row space and so the same rref.  It is looked up by that basis.  The
-    p Frobenius columns of d2* are zero, so the Frobenius duals, which
-    lead the restricted candidates, are p more cocycles."""
-    if not R.is_m0_family:
-        raise ValueError("h2_star is computed on the family m_0^lambda(p) only")
-    p = R.prime
-    kernel_dim, killed = _kernel(p, 2, R.power_rows)
-    return _cohomology(
-        kernel_dim + p,
-        np.concatenate([np.ones(p, dtype=bool), killed]),
-        _d1_star_matrix(R).T,
-        _candidates(p, 2, True),
-        prime=p, lam=R.lam, degree=2, restricted=True,
-    )
+    row space and so the same rref.  It is looked up by that basis, and
+    the selection by that basis and W (_restricted_group)."""
+    return _restricted_summary(R, 2, "h2_star")
 
 
 def expected_summary(p: int, lam) -> ExpectedSummary:

@@ -88,7 +88,8 @@ def rref(m, p: int) -> tuple[Mat, list[int]]:
     Pivoting is deterministic: columns are scanned left to right and the
     first row at or below the current one with a nonzero entry becomes the
     pivot row.  Pivots are normalized to 1, and one outer-product update
-    clears the whole pivot column above and below.
+    clears the whole pivot column above and below.  Only columns nonzero
+    in m are scanned: a row operation keeps a zero column zero.
 
     Args:
         m: matrix (2-D array-like), possibly with zero rows or columns.
@@ -101,10 +102,10 @@ def rref(m, p: int) -> tuple[Mat, list[int]]:
     r = normalize(m, p)
     if r.ndim != 2:
         raise ValueError("rref expects a 2-D matrix")
-    nrows, ncols = r.shape
+    nrows = r.shape[0]
     pivots: list[int] = []
     row = 0
-    for col in range(ncols):
+    for col in np.flatnonzero(r.any(axis=0)).tolist():
         if row >= nrows:
             break
         below = np.flatnonzero(r[row:, col])

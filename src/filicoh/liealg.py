@@ -101,6 +101,18 @@ class LieAlgebra:
         out.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def bracket_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The 1-based triples l < m < n, in lexicographic order, with a
+        nonzero bracket among [e_l, e_m], [e_l, e_n] and [e_m, e_n]: a
+        stored pair and any third index."""
+        return tuple(sorted({
+            tuple(sorted((i, j, z)))
+            for i, j in self.brackets
+            for z in range(1, self.dim + 1)
+            if z not in (i, j)
+        }))
+
     def bracket(self, g, h):
         """[g, h] by bilinear expansion over the structure constants; g and
         h are vectors or stacks of them, paired row by row."""

@@ -81,6 +81,13 @@ def ind2_family_closed(R, phi, g, h) -> int:
     return (power_part * pairing_part) % p
 
 
+def d1_star_matrix(R):
+    """Matrix of d1* over the degree-1 duals: d1 rows over the induced
+    omega rows, whose row k is e_k^[p].  Column k is the coordinate vector
+    of d1*(e^k)."""
+    return np.vstack([cochains.d1_matrix(R.algebra), np.stack(R.basis_p_powers)])
+
+
 def dense_d2_star(R):
     """Matrix of d2* over the (pair duals, Frobenius duals) coordinates,
     stacked densely: all d2 rows over the induced-beta rows, each column

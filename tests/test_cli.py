@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: flags, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -593,3 +597,29 @@ def test_iso_without_lambda_prime_classifies_single_vector(capsys):
     assert code == 0
     assert "1 class(es) over 1 lambda vector(s)" in out
     assert "[[1,0,2,0,0]]" in out
+
+
+STARTUP_PROBE = (
+    "import os, filicoh.cli\n"
+    "threads = [l for l in open('/proc/self/status') if l.startswith('Threads:')]\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'], threads[0], sep='\\n', end='')\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_cli_starts_numpy_with_one_blas_thread():
+    # filicoh makes no BLAS call, so a fresh process runs one thread; a
+    # user's own OPENBLAS_NUM_THREADS is left as it is
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def probe():
+        return subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout.splitlines()
+
+    assert probe() == ["1", "Threads:\t1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert probe()[0] == "2"

@@ -1,5 +1,6 @@
 """Cohomology dimensions and labeled bases against the closed-form tables."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from filicoh import cli, cochains, cohomology as coh, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import dual_cochain
-from helpers import dense_d2_star
+from helpers import d1_star_matrix, dense_d2_star
 from test_acceptance import criterion_lambdas
 
 ODD_PRIMES = [3, 5, 7, 11]
@@ -58,7 +59,7 @@ def test_h1_star_matches_h1_odd_primes(p):
         s = coh.h1_star(R)
         assert s.dimension == 2
         assert (s.kernel_dim, s.representatives) == (h1.kernel_dim, h1.representatives)
-        assert (plain == gf.rref(gf.kernel_basis(coh._d1_star_matrix(R), p), p)[0]).all()
+        assert (plain == gf.rref(gf.kernel_basis(d1_star_matrix(R), p), p)[0]).all()
 
 
 def test_h1_star_p2_depends_on_lambda():
@@ -424,7 +425,7 @@ def test_h2_star_kernel_matches_dense_stack(p):
 def test_h1_star_kernel_matches_dense_stack(p):
     for lam in criterion_lambdas(p):
         R = restricted.make_m0_lambda(p, lam)
-        dense = coh._d1_star_matrix(R)
+        dense = d1_star_matrix(R)
         assert coh.h1_star(R).kernel_dim == len(gf.kernel_basis(dense, p))
         assert_matches_dense(p, 1, R.power_rows, dense)
 
@@ -462,7 +463,7 @@ def test_reduction_matches_dense_rref(p):
     for lam in ((0,) * p, one_hot(p, 1)):
         R = restricted.make_m0_lambda(p, lam)
         d2_star = dense_d2_star(R)
-        assert_matches_dense(p, 1, R.power_rows, coh._d1_star_matrix(R))
+        assert_matches_dense(p, 1, R.power_rows, d1_star_matrix(R))
         assert_matches_dense(p, 2, R.power_rows, d2_star)
         # h2_star counts the zero Frobenius columns of d2* in its kernel,
         # and the Frobenius duals that lead its candidates are cocycles
@@ -513,7 +514,7 @@ def test_reduction_splits_graded_omega_rows(p):
     # reduce d1*; a mixed line spans two weights and raises
     for k in range(1, p + 1):
         R = restricted.RestrictedAlgebra(liealg.make_m0(p), [one_hot(p, k)] * p)
-        assert_matches_dense(p, 1, R.power_rows, coh._d1_star_matrix(R))
+        assert_matches_dense(p, 1, R.power_rows, d1_star_matrix(R))
     with pytest.raises(ValueError, match="spans several weights"):
         coh._reduced(p, 1, ((1,) + (0,) * (p - 2) + (1,),))
 
@@ -584,21 +585,85 @@ def test_dims_row_matches_closed_forms_to_the_frontier(p):
 
 @pytest.mark.parametrize("p", [5, 13])
 def test_reduction_memo_holds_two_row_spaces_per_degree(p):
-    # on the family the p-powers span 0 or the line of e_p, so the whole
-    # lambda grid adds two reductions per degree
+    # on the family the p-powers span 0 or the line of e_p, and from p = 3
+    # on W = 0, so the whole lambda grid adds two reductions and two
+    # selections per degree
     coh._reduced.cache_clear()
+    coh._restricted_group.cache_clear()
     lams, _ = cli.resolve_lambdas(p, "all")
     for degree, group in ((1, coh.h1_star), (2, coh.h2_star)):
         for lam in lams:
             group(restricted.make_m0_lambda(p, lam))
         assert coh._reduced.cache_info().currsize == 2 * degree
+        assert coh._restricted_group.cache_info().currsize == 2 * degree
+
+
+def per_lambda_greedy_pass(R, degree):
+    """H1+ or H2+ as (representatives as strings, kernel_dim, image_dim)
+    by a greedy pass over the image of this lambda's own d1*, the rows
+    d1*(e^k): oracle for the memoised selection over the canonical image."""
+    p = R.prime
+    kernel_dim, killed = coh._kernel(p, degree, R.power_rows)
+    if degree == 1:
+        image, (forms, vectors) = (), coh._candidates(p, 1, False)
+    else:
+        kernel_dim += p
+        killed = np.concatenate([np.ones(p, dtype=bool), killed])
+        image, (forms, vectors) = d1_star_matrix(R).T, coh._candidates(p, 2, True)
+    span = gf.SpanTracker(p, image)
+    image_dim = span.rank
+    reps = [str(c) for c, v, k in zip(forms, vectors, killed) if k and span.add(v)]
+    return reps, kernel_dim, image_dim
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_restricted_selection_matches_per_lambda_greedy_pass(p):
+    # every lambda at p = 2 and 3, where W, the row space of omega on ker d1,
+    # is the line of lambda at p = 2; the CLI's "all" grid above
+    if p <= 3:
+        lams = list(itertools.product(range(p), repeat=p))
+    else:
+        lams, _ = cli.resolve_lambdas(p, "all")
+    for lam in lams:
+        R = restricted.make_m0_lambda(p, lam)
+        for degree, group in ((1, coh.h1_star), (2, coh.h2_star)):
+            s = group(R)
+            got = ([str(r) for r in s.representatives], s.kernel_dim, s.image_dim)
+            assert got == per_lambda_greedy_pass(R, degree), (lam, degree)
+            assert s.lam == tuple(lam)
+
+
+def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
+    p = 13
+    coh._restricted_group.cache_clear()
+    passes = []
+
+    class CountingSpanTracker(gf.SpanTracker):
+        def __init__(self, *args):
+            passes.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gf, "SpanTracker", CountingSpanTracker)
+    lams, _ = cli.resolve_lambdas(p, "all")
+    for group in (coh.h1_star, coh.h2_star):
+        passes.clear()
+        for lam in lams:
+            group(restricted.make_m0_lambda(p, lam))
+        assert 1 <= len(passes) <= 2, group
+
+
+def test_restricted_summaries_do_not_share_representatives():
+    R = restricted.make_m0_lambda(3, (0, 1, 2))
+    first = coh.h2_star(R)
+    first.representatives.clear()
+    assert len(coh.h2_star(R).representatives) == first.dimension
 
 
 @pytest.mark.parametrize("p", GRID_PRIMES)
 def test_d1_star_matrix_columns_are_d1_star(p):
     for lam in criterion_lambdas(p):
         R = restricted.make_m0_lambda(p, lam)
-        m = coh._d1_star_matrix(R)
+        m = d1_star_matrix(R)
         for k in range(1, p + 1):
             want = rcoch.d1_star(R, dual_cochain(p, p, (k,))).to_vector()
             assert (m[:, k - 1] == want).all(), (lam, k)

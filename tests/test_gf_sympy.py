@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from filicoh import cohomology as coh, gf, restricted
-from helpers import dense_d2_star
+from helpers import d1_star_matrix, dense_d2_star
 
 GF = pytest.importorskip("sympy").GF
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -47,6 +47,7 @@ def sympy_rref(m, p):
 @settings(max_examples=200, deadline=None)
 @given(matrices_mod_p())
 @example((np.array([[0, 0, 0, 0], [0, 2, 0, 4], [0, 0, 0, 0], [0, 1, 0, 3]]), 5))
+@example((np.array([[0, 0, 3, 1], [0, 0, 0, 2], [0, 0, 6, 5]]), 7))
 def test_rref_matches_sympy(case):
     m, p = case
     r, pivots = gf.rref(m, p)
@@ -62,7 +63,7 @@ def test_reduced_matches_sympy_rref_of_dense_stacks(p):
     # candidates that sympy's rref kills (on the columns of d1 or d2)
     for lam in ((0,) * p, (1,) + (0,) * (p - 1)):
         R = restricted.make_m0_lambda(p, lam)
-        for degree, dense in ((1, coh._d1_star_matrix(R)), (2, dense_d2_star(R))):
+        for degree, dense in ((1, d1_star_matrix(R)), (2, dense_d2_star(R))):
             entry = coh._reduced(p, degree, R.power_rows)
             want, want_pivots = sympy_rref(dense, p)
             n = math.comb(p, degree)

@@ -43,6 +43,20 @@ def test_make_m0_shape(p):
         assert v[i] == 1 and int(v.sum()) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_bracket_triples_are_the_triples_with_a_bracket(p):
+    extended = extensions.extend_ordinary(
+        liealg.make_m0(p), cochains.dual_cochain(p, p, (1, p))
+    ).algebra
+    for A in (liealg.make_m0(p), extended):
+        want = tuple(
+            (l, m, n)
+            for l, m, n in cochains.index_tuples(A.dim, 3)
+            if any(A.bracket_basis(i, j).any() for i, j in ((l, m), (l, n), (m, n)))
+        )
+        assert A.bracket_triples == want
+
+
 def test_make_m0_rejects_composite():
     with pytest.raises(ValueError):
         liealg.make_m0(4)
