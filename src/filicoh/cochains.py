@@ -1,13 +1,14 @@
 """Alternating cochains in degrees 1..3 and the differentials d1, d2.
 
 Cochains are stored sparsely on strictly increasing 1-based index tuples.
-d1_matrix, d2_matrix and weight_blocks (d1 or d2 split by weight, the
-production route) are assembled directly from an algebra's nonzero
-structure constants.  d1 and d2 compute the same differentials one
-cochain at a time by evaluation; they and the closed-form expressions for
-the maximal-class family are kept as oracles (compared against the
-matrices in tests and in the verification report, never used as the
-source of truth).
+The differentials d1 and d2 are assembled once, as sparse rows read off
+an algebra's nonzero structure constants (differential_rows, the
+production route); d1_matrix and d2_matrix are dense views of those rows.
+d1 and d2 compute the same differentials one cochain at a time by
+evaluation; they, the dense views and the closed-form expressions for the
+maximal-class family are kept as oracles (compared against the sparse
+rows in tests and in the verification report, never used as the source
+of truth).
 """
 
 from __future__ import annotations
@@ -162,12 +163,17 @@ class Cochain:
             other.degree,
         ) and self.coeffs == other.coeffs
 
-    def to_vector(self):
-        """Coordinates over index_tuples(dim, degree), lexicographic."""
+    def coordinates(self) -> dict[int, int]:
+        """Sparse coordinates {position: coefficient} over
+        index_tuples(dim, degree), lexicographic."""
         positions = _positions(self.dim, self.degree)
-        out = gf.zeros(len(positions))
-        for key, c in self.coeffs.items():
-            out[positions[key]] = c
+        return {positions[key]: c for key, c in self.coeffs.items()}
+
+    def to_vector(self):
+        """Dense coordinates over index_tuples(dim, degree), lexicographic."""
+        coords = self.coordinates()
+        out = gf.zeros(len(_positions(self.dim, self.degree)))
+        out[list(coords)] = list(coords.values())
         return out
 
     @classmethod
@@ -256,21 +262,6 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
     return Cochain(p, algebra.dim, 3, coeffs)
 
 
-def d1_matrix(algebra: liealg.LieAlgebra):
-    """Matrix of d1 with columns over the degree-1 duals, rows over pairs.
-
-    Assembled from the structure constants: row (i, j), column k holds the
-    coefficient of e_k in [e_i, e_j].  Column k equals d1 of the dual e^k.
-    """
-    pairs = index_tuples(algebra.dim, 2)
-    out = gf.zeros((len(pairs), algebra.dim))
-    for row, pair in enumerate(pairs):
-        vec = algebra.brackets.get(pair)
-        if vec is not None:
-            out[row] = vec
-    return out
-
-
 def _d1_entries(algebra: liealg.LieAlgebra):
     """The entries of d1 read off the structure constants, as (pair,
     (k,), value): each nonzero c_k of [e_i, e_j] is c_k at row (i, j),
@@ -299,52 +290,58 @@ def _d2_entries(algebra: liealg.LieAlgebra):
                 yield tuple(sorted((i, j, z))), (min(k, z), max(k, z)), sign * c
 
 
-def d2_matrix(algebra: liealg.LieAlgebra):
-    """Matrix of d2 with columns over the degree-2 duals, rows over triples,
-    assembled from the structure constants (see _d2_entries).  Column
-    (a, b) equals d2 of the dual e^{a,b}."""
-    n = algebra.dim
-    pair_col = {pair: col for col, pair in enumerate(index_tuples(n, 2))}
-    triple_row = {triple: row for row, triple in enumerate(index_tuples(n, 3))}
-    out = gf.zeros((len(triple_row), len(pair_col)))
-    for triple, pair, value in _d2_entries(algebra):
-        out[triple_row[triple], pair_col[pair]] += value
-    return out % algebra.prime
-
-
-def weight_blocks(algebra: liealg.LieAlgebra, degree: int):
-    """d1 (degree 1) or d2 (degree 2) of a graded algebra, one block per
-    weight, never built densely.
-
-    Both preserve weight, so the duals of weight w reach only rows of
-    weight w.  Returns {w: (cols, block)} in increasing w: cols holds the
-    columns of d1_matrix or d2_matrix whose duals have weight w, in
-    increasing order, and block is the differential on them over the rows
-    of weight w that it reaches, in increasing order; every other row is
-    zero.  Raises ValueError when the algebra is not graded.
-    """
-    graded, witness = liealg.is_graded(algebra)
-    if not graded:
-        i, j, k = witness
-        raise ValueError(f"d{degree} splits by weight only on a graded algebra: [e_{i}, e_{j}] has an e_{k} term")
-    weight = lambda t: sum(algebra.weights[x - 1] for x in t)
-    cols, place = {}, {}
-    for col, dual in enumerate(index_tuples(algebra.dim, degree)):
-        w = weight(dual)
-        place[dual] = (w, len(cols.setdefault(w, [])))
-        cols[w].append(col)
-    entries = {w: {} for w in cols}
+def differential_rows(algebra: liealg.LieAlgebra, degree: int) -> dict:
+    """The nonzero rows of d1 (degree 1) or d2 (degree 2), assembled
+    sparsely from the structure constants: {row index tuple: {column:
+    value}}, with rows over the pairs or triples, columns the positions in
+    index_tuples(dim, degree) and values in [1, p).  Column c is the
+    differential of the dual on index_tuples(dim, degree)[c]."""
+    p = algebra.prime
+    col = _positions(algebra.dim, degree)
+    rows: dict[tuple, dict[int, int]] = {}
     for row, dual, value in (_d1_entries if degree == 1 else _d2_entries)(algebra):
-        w, pos = place[dual]
-        entries[w][row, pos] = entries[w].get((row, pos), 0) + value
-    blocks = {}
-    for w in sorted(cols):
-        row_of = {t: r for r, t in enumerate(sorted({t for t, _ in entries[w]}))}
-        block = gf.zeros((len(row_of), len(cols[w])))
-        for (row, pos), value in entries[w].items():
-            block[row_of[row], pos] = value
-        blocks[w] = (np.array(cols[w]), block % algebra.prime)
-    return blocks
+        entries = rows.setdefault(row, {})
+        c = col[dual]
+        total = (entries.get(c, 0) + value) % p
+        if total:
+            entries[c] = total
+        else:
+            entries.pop(c, None)
+    return {row: entries for row, entries in rows.items() if entries}
+
+
+def _dense_differential(algebra: liealg.LieAlgebra, degree: int):
+    rows = _positions(algebra.dim, degree + 1)
+    out = gf.zeros((len(rows), len(_positions(algebra.dim, degree))))
+    for row, entries in differential_rows(algebra, degree).items():
+        out[rows[row], list(entries)] = list(entries.values())
+    return out
+
+
+def d1_matrix(algebra: liealg.LieAlgebra):
+    """Dense matrix of d1 with columns over the degree-1 duals, rows over
+    pairs: row (i, j), column k holds the coefficient of e_k in [e_i, e_j],
+    and column k equals d1 of the dual e^k.  A view of differential_rows,
+    kept as an oracle."""
+    return _dense_differential(algebra, 1)
+
+
+def d2_matrix(algebra: liealg.LieAlgebra):
+    """Dense matrix of d2 with columns over the degree-2 duals, rows over
+    triples: column (a, b) equals d2 of the dual e^{a,b}.  A view of
+    differential_rows, kept as an oracle."""
+    return _dense_differential(algebra, 2)
+
+
+def d1_images(algebra: liealg.LieAlgebra) -> list[dict[int, int]]:
+    """d1 of each dual e^k, k = 1..dim, as sparse coordinates over the pairs
+    (Cochain.coordinates): the columns of differential_rows(algebra, 1)."""
+    pairs = _positions(algebra.dim, 2)
+    images = [{} for _ in range(algebra.dim)]
+    for pair, entries in differential_rows(algebra, 1).items():
+        for k, value in entries.items():
+            images[k][pairs[pair]] = value
+    return images
 
 
 def phi_k(p: int, k: int) -> Cochain:

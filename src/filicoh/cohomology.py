@@ -6,9 +6,10 @@ p-power vectors and memoised: a family member changes only the induced
 rows (omega for d1*, beta for d2*), and those depend on lambda only
 through that row space, the line of e_p or 0.  So each prime needs at most
 two reductions per degree, and lambda = 0 shares its reduction with the
-ordinary H1 and H2.  d1 and d2 preserve weight, so both are reduced one
-weight block at a time on one path, and neither is built densely.  An
-entry keeps only what the groups read: the pivots, which give the kernel
+ordinary H1 and H2.  Both degrees are reduced on one path: the sparse
+rows of d1 or d2 and the sparse induced rows go into one sparse
+gf.SpanTracker, and nothing of the size of d2 is built densely.  An entry
+keeps only what the groups read: the pivots, which give the kernel
 dimension, and which distinguished cocycles the differential kills.
 
 The groups pick those killed candidates by a deterministic greedy pass
@@ -95,16 +96,16 @@ def _cohomology(kernel_dim, killed, image_rows, candidates, *, prime, lam, degre
     """A kernel of dimension kernel_dim modulo the span of image_rows, with
     labeled representatives.
 
-    candidates: (cochains, read-only stack of their coordinate vectors),
-    tried in order; only those marked in killed compete, and one is kept
-    exactly when it grows the span past the image.  On the family the
-    distinguished cocycles always complete the quotient (CohomologySummary
-    raises if they do not).
+    image_rows are sparse coordinate rows; candidates are (cochains, their
+    sparse coordinates), tried in order.  Only those marked in killed
+    compete, and one is kept exactly when it grows the span past the
+    image.  On the family the distinguished cocycles always complete the
+    quotient (CohomologySummary raises if they do not).
     """
     span = gf.SpanTracker(prime, image_rows)
     image_dim = span.rank
-    forms, vectors = candidates
-    reps = [c for c, v, k in zip(forms, vectors, killed) if k and span.add(v)]
+    forms, coords = candidates
+    reps = [c for c, v, k in zip(forms, coords, killed) if k and span.add(v)]
     return CohomologySummary(
         prime=prime,
         lam=lam,
@@ -130,41 +131,34 @@ class _Reduction:
 def _reduced(p: int, degree: int, powers: tuple) -> _Reduction:
     """Reduction of d1* (degree 1) or d2* without its zero Frobenius
     columns (degree 2) for make_m0(p) whose p-power vectors span the rows
-    of powers (RestrictedAlgebra.power_rows): d1 over those rows, or d2
-    over their induced-beta rows.  powers == () is d1 or d2 alone.
+    of powers (RestrictedAlgebra.power_rows): the sparse rows of d1 over
+    those rows, or of d2 over their induced-beta rows, fed to one
+    gf.SpanTracker.  powers == () is d1 or d2 alone.
 
-    Both are reduced one weight block at a time (cochains.weight_blocks);
-    each induced row joins the block of its weight, and a row that spans
-    two weights raises ValueError (on the family the rows of the line of
-    e_p are the unit at p for d1*, one block, and the units at (a, p) for
-    d2*, one per block a + p).  The blocks have disjoint columns and an
-    rref is unique, so the block pivots, placed in global column order,
-    are those of the dense matrix.  On the family the powers span 0 or the
-    line of e_p: two entries per (p, degree), and the memo keeps the four
-    of one prime, since grids and sweeps visit primes in turn.  The kill
-    mask is read-only because every caller shares it."""
-    A = liealg.make_m0(p)
-    new = np.array(powers, dtype=np.int64).reshape(-1, p)
-    blocks = cochains.weight_blocks(A, degree)
-    col_weight = gf.zeros(math.comb(p, degree))
-    for w, (cols, _) in blocks.items():
-        col_weight[cols] = w
-    for row in new if degree == 1 else _ind2_block(new, p):
-        weights = set(col_weight[row != 0].tolist())
-        if len(weights) > 1:
-            raise ValueError(f"an induced row spans several weights: {sorted(weights)}")
-        for w in weights:
-            cols, block = blocks[w]
-            blocks[w] = cols, np.vstack([block, row[cols]])
-    vectors = _candidates(p, degree, False)[1]
-    pivots = []
-    killed = np.ones(len(vectors), dtype=bool)
-    for cols, block in blocks.values():
-        r, piv = gf.rref(block, p)
-        pivots += cols[piv].tolist()
-        killed &= ~gf.mat_mul(r[: len(piv)], vectors[:, cols].T, p).any(axis=0)
+    The tracker's pivots are those of the rref of the stacked rows.  A
+    candidate is killed when the stacked matrix sends it to zero, summed
+    over the rows that meet the columns its coordinates touch.  On the
+    family the powers span 0 or the line of e_p: two entries per (p,
+    degree), and the memo keeps the four of one prime, since grids and
+    sweeps visit primes in turn.  The kill mask is read-only because
+    every caller shares it."""
+    rows = list(cochains.differential_rows(liealg.make_m0(p), degree).values())
+    rows += _induced_rows(p, degree, powers)
+    columns: dict[int, list] = {}
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            columns.setdefault(c, []).append((r, x))
+
+    def kills(coords):
+        sums: dict[int, int] = {}
+        for c, x in coords.items():
+            for r, m in columns.get(c, ()):
+                sums[r] = sums.get(r, 0) + m * x
+        return not any(s % p for s in sums.values())
+
+    killed = np.array([kills(v) for v in _candidates(p, degree, False)[1]], dtype=bool)
     killed.setflags(write=False)
-    return _Reduction(tuple(sorted(pivots)), killed)
+    return _Reduction(gf.SpanTracker(p, rows).pivots, killed)
 
 
 def _kernel(p: int, degree: int, powers: tuple):
@@ -174,23 +168,27 @@ def _kernel(p: int, degree: int, powers: tuple):
     return math.comb(p, degree) - len(entry.pivots), entry.killed
 
 
-def _ind2_block(powers, p: int):
-    """Induced-beta rows of d2* over the pair duals for the p-power vectors
-    in the rows of powers: row (i, j), column (a, b) is e^{a,b}(e_i ^ w_j)
-    with w_j row j of powers."""
-    n = powers.shape[1]
-    a, b = (np.array(t) - 1 for t in zip(*cochains.index_tuples(n, 2)))
-    eye = gf.identity(n)
-    block = eye[:, None, a] * powers[None, :, b] - eye[:, None, b] * powers[None, :, a]
-    return block.reshape(-1, len(a)) % p
+def _induced_rows(p: int, degree: int, powers) -> list[dict[int, int]]:
+    """The induced rows of d1* (degree 1) or d2* for the p-power vectors
+    w_j in powers, as sparse rows over the columns of d1 or d2.  Degree 1:
+    row j is omega of each dual e^k, the value w_j[k].  Degree 2: row
+    (i, j), in the order of ind2_matrix's entries, is e^{a,b}(e_i ^ w_j),
+    nonzero only at the pairs (i, b) with b in the support of w_j."""
+    if degree == 1:
+        return [{k: int(x) % p for k, x in enumerate(w) if x % p} for w in powers]
+    return [
+        cochains.Cochain(p, p, 2, {(i, b): x for b, x in enumerate(w, start=1) if x}).coordinates()
+        for i in range(1, p + 1)
+        for w in powers
+    ]
 
 
 @functools.lru_cache(maxsize=4)
 def _candidates(p: int, degree: int, restricted: bool):
-    """Distinguished cocycles with the read-only stack of their coordinate
-    vectors, built once per prime.  Degree 1: the duals e^k.  Degree 2: the
-    top corner pair, then the alternating weight forms in increasing
-    weight; for H2+ these follow the Frobenius duals, with zero omega."""
+    """Distinguished cocycles with their sparse coordinates, built once per
+    prime.  Degree 1: the duals e^k.  Degree 2: the top corner pair, then
+    the alternating weight forms in increasing weight; for H2+ these
+    follow the Frobenius duals, with zero omega."""
     if degree == 1:
         forms = [cochains.dual_cochain(p, p, (k,)) for k in range(1, p + 1)]
     else:
@@ -200,9 +198,7 @@ def _candidates(p: int, degree: int, restricted: bool):
             forms = [rcoch.frobenius_dual_cochain(p, p, k) for k in range(1, p + 1)] + [
                 rcoch.RestrictedTwoCochain(phi, (0,) * p) for phi in forms
             ]
-    vectors = np.stack([c.to_vector() for c in forms])
-    vectors.setflags(write=False)
-    return tuple(forms), vectors
+    return tuple(forms), tuple(c.coordinates() for c in forms)
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:
@@ -233,11 +229,9 @@ def _restricted_group(p: int, degree: int, powers: tuple, omega: tuple) -> Cohom
             kernel_dim, killed, (), _candidates(p, 1, False),
             prime=p, lam=None, degree=1, restricted=True,
         )
-    d1 = cochains.d1_matrix(liealg.make_m0(p))
-    w = np.array(omega, dtype=np.int64).reshape(-1, p)
-    image = gf.zeros((p + len(w), d1.shape[0] + p))
-    image[:p, : d1.shape[0]] = d1.T
-    image[p:, d1.shape[0] :] = w
+    npairs = math.comb(p, 2)
+    image = cochains.d1_images(liealg.make_m0(p))
+    image += [{npairs + k: x for k, x in enumerate(w) if x} for w in omega]
     return _cohomology(
         kernel_dim + p,
         np.concatenate([np.ones(p, dtype=bool), killed]),
@@ -277,7 +271,7 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
         raise ValueError("h2 is computed on make_m0(p) only")
     p = A.prime
     return _cohomology(
-        *_kernel(p, 2, ()), cochains.d1_matrix(A).T, _candidates(p, 2, False),
+        *_kernel(p, 2, ()), cochains.d1_images(A), _candidates(p, 2, False),
         prime=p, lam=None, degree=2, restricted=False,
     )
 

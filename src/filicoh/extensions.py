@@ -101,8 +101,7 @@ def is_trivial_ordinary_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -
     """Whether the extension by phi splits: phi lies in the image of d1."""
     if not cochains.d2(A, phi).is_zero():
         raise ValueError("triviality is decided for cocycles only")
-    image_rows = cochains.d1_matrix(A).T
-    return gf.SpanTracker(A.prime, image_rows).contains(phi.to_vector())
+    return gf.SpanTracker(A.prime, cochains.d1_images(A)).contains(phi.coordinates())
 
 
 def extension_to_json(result: ExtensionResult) -> dict:

@@ -155,40 +155,51 @@ def kernel_basis(m, p: int) -> Mat:
 
 
 class SpanTracker:
-    """Incrementally maintained row span with cheap membership tests.
+    """Incrementally maintained span of sparse rows {column: value}, with
+    cheap membership tests.
 
-    Rows are kept in echelon form keyed by pivot column; adding or testing
-    a vector costs one forward elimination pass instead of a fresh rref of
-    the whole stack.
+    Rows are kept in echelon form, each under its smallest column with the
+    value 1 there.  A vector is reduced smallest pivot first until its
+    smallest column is no pivot, so the cost follows its fill-in, not the
+    width.  The pivots of any echelon form are those of the rref.
     """
 
     def __init__(self, p: int, rows=()):
         self.p = int(p)
-        self._rows: dict[int, np.ndarray] = {}
+        self._rows: dict[int, dict[int, int]] = {}
         for row in rows:
             self.add(row)
 
-    def reduce(self, v) -> Mat:
-        """Residue of v after eliminating every tracked pivot column."""
-        v = normalize(v, self.p).copy()
-        for col in sorted(self._rows):
-            if v[col]:
-                v = (v - v[col] * self._rows[col]) % self.p
-        return v
+    def _residue(self, v) -> dict[int, int]:
+        """v reduced until its smallest column is no pivot; empty exactly
+        when v lies in the span."""
+        p = self.p
+        residue = {i: x % p for i, x in v.items() if x % p}
+        while residue and (lead := min(residue)) in self._rows:
+            c = residue[lead]
+            for i, x in self._rows[lead].items():
+                residue[i] = (residue.get(i, 0) - c * x) % p
+                if not residue[i]:
+                    del residue[i]
+        return residue
 
     def add(self, v) -> bool:
         """Insert v; True exactly when it enlarged the span."""
-        residue = self.reduce(v)
-        support = np.flatnonzero(residue)
-        if support.size == 0:
-            return False
-        col = int(support[0])
-        self._rows[col] = (residue * inv_mod(int(residue[col]), self.p)) % self.p
-        return True
+        residue = self._residue(v)
+        if residue:
+            lead = min(residue)
+            scale = inv_mod(residue[lead], self.p)
+            self._rows[lead] = {i: x * scale % self.p for i, x in residue.items()}
+        return bool(residue)
 
     def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+        return not self._residue(v)
 
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot columns, increasing: those of the rref of the rows."""
+        return tuple(sorted(self._rows))

@@ -231,20 +231,6 @@ def center(algebra):
     return gf.kernel_basis(stacked, algebra.prime)
 
 
-def is_graded(algebra):
-    """Whether every nonzero structure constant respects the weights.
-
-    Returns (True, None) or (False, (i, j, k)) for the first violation:
-    coefficient of e_k in [e_i, e_j] nonzero but w_k != w_i + w_j.
-    """
-    w = algebra.weights
-    for (i, j), coeffs in sorted(algebra.brackets.items()):
-        for k in range(1, algebra.dim + 1):
-            if coeffs[k - 1] != 0 and w[k - 1] != w[i - 1] + w[j - 1]:
-                return False, (i, j, k)
-    return True, None
-
-
 def to_json(algebra) -> dict:
     """Plain-dict form: {prime, dim, weights, labels, brackets:[{i, j, coeffs}]}."""
     return {

@@ -62,11 +62,17 @@ class RestrictedTwoCochain:
     def dim(self):
         return self.phi.dim
 
+    def coordinates(self) -> dict[int, int]:
+        """Sparse coordinates: phi over pairs, then the omega basis values."""
+        npairs = self.dim * (self.dim - 1) // 2
+        return self.phi.coordinates() | {npairs + k: x for k, x in enumerate(self.omega_basis) if x}
+
     def to_vector(self):
-        """Coordinates: phi over pairs, then the omega basis values."""
-        return np.concatenate(
-            [self.phi.to_vector(), np.array(self.omega_basis, dtype=np.int64)]
-        )
+        """Dense coordinates: phi over pairs, then the omega basis values."""
+        coords = self.coordinates()
+        out = gf.zeros(self.dim * (self.dim + 1) // 2)
+        out[list(coords)] = list(coords.values())
+        return out
 
     @classmethod
     def from_vector(cls, prime, dim, vec):

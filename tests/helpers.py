@@ -5,6 +5,7 @@ import itertools
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
@@ -79,6 +80,35 @@ def ind2_family_closed(R, phi, g, h) -> int:
     for j in range(1, p):
         pairing_part = (pairing_part + int(g[j - 1]) * phi.coefficient((j, p))) % p
     return (power_part * pairing_part) % p
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """A random matrix over GF(p), possibly empty, with some rows and
+    columns forced to zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    m = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    zeroed = st.sampled_from([False, False, False, True])
+    m[draw(st.lists(zeroed, min_size=rows, max_size=rows))] = 0
+    m[:, draw(st.lists(zeroed, min_size=cols, max_size=cols))] = 0
+    return m, p
+
+
+def sparse(v) -> dict[int, int]:
+    """A dense row as the sparse {index: value} row gf.SpanTracker takes."""
+    return {i: int(x) for i, x in enumerate(np.asarray(v).tolist()) if x}
+
+
+def dense_rows(rows, ncols):
+    """Sparse {index: value} rows stacked as a dense matrix with ncols
+    columns."""
+    out = gf.zeros((len(rows), ncols))
+    for out_row, row in zip(out, rows):
+        out_row[list(row)] = list(row.values())
+    return out
 
 
 def d1_star_matrix(R):

@@ -9,7 +9,7 @@ import pytest
 from filicoh import cli, cochains, cohomology as coh, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import dual_cochain
-from helpers import d1_star_matrix, dense_d2_star
+from helpers import d1_star_matrix, dense_d2_star, dense_rows, sparse
 from test_acceptance import criterion_lambdas
 
 ODD_PRIMES = [3, 5, 7, 11]
@@ -387,6 +387,12 @@ def assert_same_array(got, want):
     assert (got == want).all()
 
 
+def induced_beta(powers, p):
+    """The sparse induced-beta rows of d2* for the rows of powers,
+    densified over the pair duals."""
+    return dense_rows(coh._induced_rows(p, 2, powers), math.comb(p, 2))
+
+
 def assert_matches_dense(p, degree, powers, dense):
     """The memo entry for (p, degree, powers) against one rref of the dense
     matrix, whose columns start with those of d1 or d2: the same pivots,
@@ -397,7 +403,7 @@ def assert_matches_dense(p, degree, powers, dense):
     n = math.comb(p, degree)
     assert entry.pivots == tuple(pivots)
     assert coh._kernel(p, degree, powers)[0] == n - len(pivots)
-    vectors = coh._candidates(p, degree, False)[1]
+    vectors = np.stack([c.to_vector() for c in coh._candidates(p, degree, False)[0]])
     killed = ~gf.mat_mul(r[: len(pivots), :n], vectors.T, p).any(axis=0)
     assert_same_array(entry.killed, killed)
 
@@ -416,7 +422,7 @@ def test_h2_star_kernel_matches_dense_stack(p):
         R = restricted.make_m0_lambda(p, lam)
         dense = dense_d2_star(R)
         n = p * (p - 1) // 2
-        assert_same_array(coh._ind2_block(np.stack(R.basis_p_powers), p), dense[-p * p :, :n])
+        assert_same_array(induced_beta(R.basis_p_powers, p), dense[-p * p :, :n])
         assert coh.h2_star(R).kernel_dim == len(gf.kernel_basis(dense, p))
         assert_matches_dense(p, 2, R.power_rows, dense)
 
@@ -437,7 +443,7 @@ def test_ind2_block_matches_ind2_matrix_for_any_powers(p):
     powers = rng.integers(0, p, size=(p, p))
     R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
     n = p * (p - 1) // 2
-    assert_same_array(coh._ind2_block(powers, p), dense_d2_star(R)[-p * p :, :n])
+    assert_same_array(induced_beta(powers, p), dense_d2_star(R)[-p * p :, :n])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -450,8 +456,8 @@ def test_power_row_basis_keeps_beta_row_space(p):
         R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
         basis = np.array(R.power_rows, dtype=np.int64).reshape(-1, p)
         assert len(basis) == gf.rank(powers, p)
-        got = gf.rref(coh._ind2_block(basis, p), p)
-        want = gf.rref(coh._ind2_block(powers, p), p)
+        got = gf.rref(induced_beta(basis, p), p)
+        want = gf.rref(induced_beta(powers, p), p)
         assert got[1] == want[1]
         assert_same_array(got[0][: len(got[1])], want[0][: len(want[1])])
 
@@ -469,70 +475,44 @@ def test_reduction_matches_dense_rref(p):
         # and the Frobenius duals that lead its candidates are cocycles
         rank = len(coh._reduced(p, 2, R.power_rows).pivots)
         assert coh.h2_star(R).kernel_dim == d2_star.shape[1] - rank
-        frobenius = coh._candidates(p, 2, True)[1][:p]
+        frobenius = np.stack([c.to_vector() for c in coh._candidates(p, 2, True)[0][:p]])
         assert not gf.mat_mul(d2_star, frobenius.T, p).any()
+
+
+def power_matrices(p, seed):
+    """The one-hot power lines e_k, the mixed line e_1 + e_p and seeded
+    random power matrices of every rank up to p."""
+    rng = np.random.default_rng(seed)
+    mixed = np.array(one_hot(p, 1)) + np.array(one_hot(p, p))
+    yield from ([one_hot(p, k)] * p for k in range(1, p + 1))
+    yield [mixed] * p
+    for rank in range(p + 1):
+        yield gf.mat_mul(rng.integers(0, p, size=(p, rank)), rng.integers(0, p, size=(rank, p)), p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_reduction_splits_any_graded_beta_rows(p):
-    # a power line e_k gives induced-beta rows that each lie in one weight,
-    # so the blocks still reduce d2*; a mixed line spans two weights and raises
-    for k in range(1, p + 1):
-        R = restricted.RestrictedAlgebra(liealg.make_m0(p), [one_hot(p, k)] * p)
+    # induced-beta rows of any power matrix, within one weight or across
+    # several, reduce d2* to the pivots and kill mask of the dense rref
+    for powers in power_matrices(p, 23 * p):
+        R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
         assert_matches_dense(p, 2, R.power_rows, dense_d2_star(R))
-    mixed = ((1,) + (0,) * (p - 2) + (1,),)
-    with pytest.raises(ValueError, match="weights"):
-        coh._reduced(p, 2, mixed)
-
-
-def assert_blocks_are_the_rows(A, degree, dense):
-    """Scattered into the columns of the dense differential, the nonzero
-    block rows are exactly its nonzero rows."""
-    got = []
-    for cols, block in cochains.weight_blocks(A, degree).values():
-        rows = gf.zeros((len(block), dense.shape[1]))
-        rows[:, cols] = block
-        got += [r.tobytes() for r in rows if r.any()]
-    assert sorted(got) == sorted(r.tobytes() for r in dense if r.any())
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_d2_blocks_are_the_rows_of_d2(p):
-    A = liealg.make_m0(p)
-    assert_blocks_are_the_rows(A, 2, cochains.d2_matrix(A))
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_d1_blocks_are_the_rows_of_d1(p):
-    A = liealg.make_m0(p)
-    assert_blocks_are_the_rows(A, 1, cochains.d1_matrix(A))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_reduction_splits_graded_omega_rows(p):
-    # a power line e_k is one omega row of weight k, so the blocks still
-    # reduce d1*; a mixed line spans two weights and raises
-    for k in range(1, p + 1):
-        R = restricted.RestrictedAlgebra(liealg.make_m0(p), [one_hot(p, k)] * p)
+    # omega rows of any power matrix, within one weight or across several,
+    # reduce d1* to the pivots and kill mask of the dense rref
+    for powers in power_matrices(p, 29 * p):
+        R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
         assert_matches_dense(p, 1, R.power_rows, d1_star_matrix(R))
-    with pytest.raises(ValueError, match="spans several weights"):
-        coh._reduced(p, 1, ((1,) + (0,) * (p - 2) + (1,),))
-
-
-def test_d2_blocks_need_a_graded_algebra():
-    p = 5
-    bad = dict(liealg.make_m0(p).brackets)
-    bad[(1, 2)] = one_hot(p, 5)
-    B = liealg.LieAlgebra(p, p, bad, weights=range(1, p + 1))
-    with pytest.raises(ValueError, match="graded"):
-        cochains.weight_blocks(B, 2)
 
 
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     # once lambda = 0 and one nonzero lambda have filled the memo, a new
-    # lambda builds no d2 nor its blocks, reduces nothing new and hands
-    # rref at most p rows: the power matrix, never a d2 block
+    # lambda assembles no d2, reduces nothing new and hands rref at most p
+    # rows: the power matrix
     coh._reduced.cache_clear()
     lams = criterion_lambdas(p)
     for lam in lams[:2]:
@@ -549,12 +529,16 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     def no_d2_matrix(algebra):
         raise AssertionError("d2_matrix called per lambda")
 
-    def no_weight_blocks(algebra, degree):
-        raise AssertionError("weight_blocks called per lambda")
+    differential_rows = cochains.differential_rows
+
+    def no_d2_rows(algebra, degree):
+        if degree == 2:
+            raise AssertionError("d2 assembled per lambda")
+        return differential_rows(algebra, degree)
 
     monkeypatch.setattr(gf, "rref", recording_rref)
     monkeypatch.setattr(cochains, "d2_matrix", no_d2_matrix)
-    monkeypatch.setattr(cochains, "weight_blocks", no_weight_blocks)
+    monkeypatch.setattr(cochains, "differential_rows", no_d2_rows)
     for lam in lams[2:]:
         R = restricted.make_m0_lambda(p, lam)
         coh.h1_star(R)
@@ -563,12 +547,12 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     assert coh._reduced.cache_info().misses == misses
 
 
-FRONTIER_PRIMES = [p for p in range(2, 102) if gf.is_prime(p)]
+FRONTIER_PRIMES = [p for p in range(2, 152) if gf.is_prime(p)]
 
 
 @pytest.mark.parametrize("p", FRONTIER_PRIMES)
 def test_dims_row_matches_closed_forms_to_the_frontier(p):
-    # the block route keeps every prime up to 101 in reach: lambda = 0 and
+    # the sparse route keeps every prime up to 151 in reach: lambda = 0 and
     # one seeded nonzero lambda against the closed-form table
     for lam in ((0,) * p, rand_lams(p, 1, seed=p)[0]):
         row = cli.dims_row(p, lam)
@@ -605,14 +589,14 @@ def per_lambda_greedy_pass(R, degree):
     p = R.prime
     kernel_dim, killed = coh._kernel(p, degree, R.power_rows)
     if degree == 1:
-        image, (forms, vectors) = (), coh._candidates(p, 1, False)
+        image, forms = (), coh._candidates(p, 1, False)[0]
     else:
         kernel_dim += p
         killed = np.concatenate([np.ones(p, dtype=bool), killed])
-        image, (forms, vectors) = d1_star_matrix(R).T, coh._candidates(p, 2, True)
-    span = gf.SpanTracker(p, image)
+        image, forms = d1_star_matrix(R).T, coh._candidates(p, 2, True)[0]
+    span = gf.SpanTracker(p, map(sparse, image))
     image_dim = span.rank
-    reps = [str(c) for c, v, k in zip(forms, vectors, killed) if k and span.add(v)]
+    reps = [str(c) for c, k in zip(forms, killed) if k and span.add(sparse(c.to_vector()))]
     return reps, kernel_dim, image_dim
 
 
@@ -634,8 +618,13 @@ def test_restricted_selection_matches_per_lambda_greedy_pass(p):
 
 
 def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
+    # with the reductions memoised, every span tracker left is a greedy pass
     p = 13
     coh._restricted_group.cache_clear()
+    lams, _ = cli.resolve_lambdas(p, "all")
+    for powers in {restricted.make_m0_lambda(p, lam).power_rows for lam in lams}:
+        for degree in (1, 2):
+            coh._kernel(p, degree, powers)
     passes = []
 
     class CountingSpanTracker(gf.SpanTracker):
@@ -644,7 +633,6 @@ def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(gf, "SpanTracker", CountingSpanTracker)
-    lams, _ = cli.resolve_lambdas(p, "all")
     for group in (coh.h1_star, coh.h2_star):
         passes.clear()
         for lam in lams:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filicoh import gf
+from helpers import matrices_mod_p, sparse
 
 PRIMES = [2, 3, 5, 7]
 
@@ -64,11 +65,11 @@ def test_kernel_basis_known():
 
 
 def test_in_span():
-    tracker = gf.SpanTracker(5, [[1, 0, 2], [0, 1, 1]])
-    assert tracker.contains([1, 1, 3])
-    assert not tracker.contains([0, 0, 1])
-    assert gf.SpanTracker(5).contains([0, 0])
-    assert not gf.SpanTracker(5).contains([1, 0])
+    tracker = gf.SpanTracker(5, map(sparse, [[1, 0, 2], [0, 1, 1]]))
+    assert tracker.contains(sparse([1, 1, 3]))
+    assert not tracker.contains(sparse([0, 0, 1]))
+    assert gf.SpanTracker(5).contains(sparse([0, 0]))
+    assert not gf.SpanTracker(5).contains(sparse([1, 0]))
 
 
 def matrices(p, max_dim=4):
@@ -162,24 +163,24 @@ def test_span_tracker_matches_rank_and_in_span():
     rng = np.random.default_rng(71)
     for p in (2, 5, 13):
         rows = rng.integers(0, p, size=(6, 9))
-        tracker = gf.SpanTracker(p, rows)
+        tracker = gf.SpanTracker(p, map(sparse, rows))
         assert tracker.rank == gf.rank(rows, p)
         for _ in range(20):
             v = rng.integers(0, p, size=9)
-            assert tracker.contains(v) == (gf.rank(np.vstack([rows, v]), p) == tracker.rank)
+            assert tracker.contains(sparse(v)) == (gf.rank(np.vstack([rows, v]), p) == tracker.rank)
 
 
 def test_span_tracker_add_reports_growth():
     p = 7
     tracker = gf.SpanTracker(p)
     assert tracker.rank == 0
-    assert tracker.contains(np.zeros(4, dtype=np.int64))
-    assert tracker.add([1, 2, 0, 0])
-    assert not tracker.add([2, 4, 0, 0])
-    assert tracker.add([0, 0, 3, 1])
+    assert tracker.contains(sparse(np.zeros(4, dtype=np.int64)))
+    assert tracker.add(sparse([1, 2, 0, 0]))
+    assert not tracker.add(sparse([2, 4, 0, 0]))
+    assert tracker.add(sparse([0, 0, 3, 1]))
     assert tracker.rank == 2
-    assert tracker.contains([3, 6, 3, 1])
-    assert not tracker.contains([0, 1, 0, 0])
+    assert tracker.contains(sparse([3, 6, 3, 1]))
+    assert not tracker.contains(sparse([0, 1, 0, 0]))
 
 
 def test_span_tracker_greedy_matches_rank_filter():
@@ -192,7 +193,7 @@ def test_span_tracker_greedy_matches_rank_filter():
     kept = []
     for row in rows:
         before = len(picked)
-        if tracker.add(row):
+        if tracker.add(sparse(row)):
             picked.append(row)
         stack = np.vstack(kept + [row]) if kept else row.reshape(1, -1)
         if gf.rank(stack, p) > (gf.rank(np.vstack(kept), p) if kept else 0):
@@ -200,6 +201,24 @@ def test_span_tracker_greedy_matches_rank_filter():
             assert len(picked) == before + 1
         else:
             assert len(picked) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_mod_p())
+# row 3 fills in index 1, already the pivot of row 2, as it is reduced
+@example((np.array([[1, 1, 0], [0, 1, 0], [1, 0, 1]]), 5))
+def test_span_tracker_matches_rref(case):
+    # row by row, add grows the rank exactly when contains says no and the
+    # rank of the dense stack grows; the pivots are those of gf.rref
+    m, p = case
+    tracker = gf.SpanTracker(p)
+    for n, row in enumerate(m, start=1):
+        before = tracker.rank
+        inside = tracker.contains(sparse(row))
+        assert tracker.add(sparse(row)) == (not inside) == (tracker.rank == before + 1)
+        assert tracker.rank == gf.rank(m[:n], p)
+    assert tracker.pivots == tuple(gf.rref(m, p)[1])
+    assert tracker.rank == len(tracker.pivots)
 
 
 @pytest.mark.parametrize("p", [2, 5, 13])

@@ -11,28 +11,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from filicoh import cohomology as coh, gf, restricted
-from helpers import d1_star_matrix, dense_d2_star
+from helpers import d1_star_matrix, dense_d2_star, matrices_mod_p
 
 GF = pytest.importorskip("sympy").GF
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
-
-
-@st.composite
-def matrices_mod_p(draw):
-    """A random matrix over GF(p), possibly empty, with some rows and
-    columns forced to zero."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    rows = draw(st.integers(0, 8))
-    cols = draw(st.integers(0, 8))
-    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
-    m = np.array(entries, dtype=np.int64).reshape(rows, cols)
-    zeroed = st.sampled_from([False, False, False, True])
-    m[draw(st.lists(zeroed, min_size=rows, max_size=rows))] = 0
-    m[:, draw(st.lists(zeroed, min_size=cols, max_size=cols))] = 0
-    return m, p
 
 
 def sympy_rref(m, p):
@@ -69,6 +54,6 @@ def test_reduced_matches_sympy_rref_of_dense_stacks(p):
             n = math.comb(p, degree)
             assert entry.pivots == tuple(want_pivots)
             assert coh._kernel(p, degree, R.power_rows)[0] == n - len(want_pivots)
-            vectors = coh._candidates(p, degree, False)[1]
+            vectors = np.stack([c.to_vector() for c in coh._candidates(p, degree, False)[0]])
             killed = ~((want[:, :n] @ vectors.T) % p).any(axis=0)
             assert (entry.killed == killed).all()

@@ -232,26 +232,6 @@ def test_center_is_top_weight_line(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_m0_is_graded(p):
-    ok, witness = liealg.is_graded(liealg.make_m0(p))
-    assert ok and witness is None
-
-
-def test_is_graded_detects_violation():
-    p = 5
-    A = liealg.make_m0(p)
-    bad = dict(A.brackets)
-    v = gf.zeros(p)
-    v[4] = 1
-    bad[(2, 3)] = v  # weight 5 target for weight 2 + 3 sources is fine; use a wrong one
-    bad[(1, 2)] = v  # coefficient on e_5 for sources of weight 1 + 2
-    B = liealg.LieAlgebra(p, p, bad, weights=A.weights)
-    ok, witness = liealg.is_graded(B)
-    assert not ok
-    assert witness == (1, 2, 5)
-
-
-@pytest.mark.parametrize("p", PRIMES)
 def test_json_round_trip(p):
     A = liealg.make_m0(p)
     data = liealg.to_json(A)
