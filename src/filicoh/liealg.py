@@ -5,13 +5,12 @@ e_1, ..., e_p with the only nonzero brackets [e_1, e_i] = e_{i+1} for
 1 < i < p, graded by weight(e_k) = k.  Elements are coefficient vectors
 (numpy int64, length dim, entries mod p) over the ordered basis; `bracket`
 and `ad_matrix` also take stacks of them, rows in the last axis, and
-contract them against one cached array of the structure constants.
+accumulate their terms over `constants`, the cached nonzero constants.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import types
 
 import numpy as np
@@ -89,15 +88,15 @@ class LieAlgebra:
         return (-got) % self.prime if got is not None else self.zero()
 
     @functools.cached_property
-    def structure(self):
-        """The structure constants as one read-only dim x dim x dim array:
-        structure[i - 1] is the matrix of ad(e_i), so its column j - 1 is
-        [e_i, e_j] for every order of i and j."""
-        n = self.dim
-        out = gf.zeros((n, n, n))
+    def constants(self):
+        """The nonzero structure constants as one read-only (entries, 4)
+        array of 0-based rows (i, j, k, c), each the coefficient c of e_k
+        in [e_i, e_j], listed for both orders of every stored pair."""
+        rows = []
         for (i, j), coeffs in self.brackets.items():
-            out[i - 1, :, j - 1] = coeffs
-            out[j - 1, :, i - 1] = (-coeffs) % self.prime
+            for k in np.flatnonzero(coeffs).tolist():
+                rows += [(i - 1, j - 1, k, coeffs[k]), (j - 1, i - 1, k, -coeffs[k] % self.prime)]
+        out = np.array(rows, dtype=np.int64).reshape(-1, 4)
         out.setflags(write=False)
         return out
 
@@ -114,11 +113,16 @@ class LieAlgebra:
         }))
 
     def bracket(self, g, h):
-        """[g, h] by bilinear expansion over the structure constants; g and
-        h are vectors or stacks of them, paired row by row."""
-        g = gf.normalize(g, self.prime)
-        h = gf.normalize(h, self.prime)
-        return np.einsum("...i,ikj,...j->...k", g, self.structure, h) % self.prime
+        """[g, h] for vectors or row stacks g and h, paired row by row: each
+        nonzero constant adds g_i h_j c at e_k, several of them at one k."""
+        p = self.prime
+        g = gf.normalize(g, p)
+        h = gf.normalize(h, p)
+        i, j, k, c = self.constants.T
+        terms = g[..., i] * h[..., j] % p * c
+        out = gf.zeros(terms.shape[:-1] + (self.dim,))
+        np.add.at(out, (..., k), terms)
+        return out % p
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,18 +156,18 @@ def bracket_closed_m0(p, g, h):
     return out
 
 
-# Row-stack work that holds a few dim x dim matrices per row (ad matrices,
-# recursion rows, forms, Jacobiators) takes its rows in batches of at most
-# this many cells per such matrix, so a batch stays under a MB at any
-# prime.
+# Row-stack work holds a few arrays of a fixed number of cells per row (ad
+# matrices, recursion rows, forms, Jacobiator terms) and takes its rows in
+# batches of at most this many cells per such array, so a batch stays under
+# a MB at any prime.
 BATCH_CELLS = 1 << 13
 
 
-def by_row_batches(dim, fn, *stacks):
+def by_row_batches(cells, fn, *stacks):
     """fn(*batch) over consecutive batches of rows of equally long stacks,
-    at most BATCH_CELLS // dim^2 rows each, the results concatenated.  A
-    vector or a short stack goes whole."""
-    step = max(1, BATCH_CELLS // (dim * dim))
+    at most BATCH_CELLS // cells rows each for an fn holding `cells` cells
+    per row, the results concatenated.  A vector or short stack goes whole."""
+    step = max(1, BATCH_CELLS // cells)
     count = len(stacks[0])
     if stacks[0].ndim == 1 or count <= step:
         return fn(*stacks)
@@ -176,59 +180,53 @@ def ad_matrix(algebra, g):
     """Matrix of ad(g) = [g, -] acting on column coefficient vectors, for a
     vector g or, stacked the same way, for each row of a stack.
 
-    ad is linear in g, so it is g contracted with the structure constants:
-    sum_i g_i ad(e_i).
+    Entry (k, j) of ad(g) is the e_k coefficient of [g, e_j], so each
+    nonzero constant adds g_i c at flat position k n + j.
     """
     g = gf.normalize(g, algebra.prime)
     n = algebra.dim
-    out = (g @ algebra.structure.reshape(n, n * n)).reshape(g.shape[:-1] + (n, n))
-    out %= algebra.prime
-    return out
+    i, j, k, c = algebra.constants.T
+    out = gf.zeros(g.shape[:-1] + (n * n,))
+    np.add.at(out, (..., k * n + j), g[..., i] * c)
+    return (out % algebra.prime).reshape(g.shape[:-1] + (n, n))
 
 
 def jacobi_check(algebra):
     """Check the Jacobi identity on all basis triples.
 
-    Column k of ad([e_i, e_j]) - [ad e_i, ad e_j] is the Jacobiator of
-    (e_i, e_j, e_k).  These matrices come from contractions with the
-    structure constants, for a batch of pairs i < j at a time (all pairs
-    at small dim), and the triples with k > j are read off them.
+    The Jacobiator [[x, y], z] + [[y, z], x] + [[z, x], y] of three basis
+    vectors vanishes unless one of [x, y], [y, z], [z, x] is nonzero, so
+    it is evaluated only on `bracket_triples`, a batch of them at a time.
 
     Returns:
         (True, None) on success, else (False, (i, j, k)) with the first
         failing 1-based triple in lexicographic order.
     """
-    n = algebra.dim
-    ads = algebra.structure
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+    triples = np.array(algebra.bracket_triples, dtype=np.int64).reshape(-1, 3) - 1
+    basis = gf.identity(algebra.dim)
+    bracket = algebra.bracket
 
     def failing(batch):
-        i, j = batch[:, 0], batch[:, 1]
-        brackets = ads[i, :, j]  # column j of ad(e_i) is [e_i, e_j]
-        jacobiators = (brackets @ ads.reshape(n, n * n)).reshape(-1, n, n)
-        jacobiators -= ads[i] @ ads[j]
-        jacobiators += ads[j] @ ads[i]
+        x, y, z = basis[batch.T]
+        jacobiators = bracket(bracket(x, y), z) + bracket(bracket(y, z), x)
+        jacobiators += bracket(bracket(z, x), y)
         jacobiators %= algebra.prime
-        return jacobiators.any(axis=1) & (np.arange(n) > j[:, None])
+        return jacobiators.any(axis=1)
 
-    hits = np.argwhere(by_row_batches(n, failing, pairs))
+    hits = np.flatnonzero(by_row_batches(len(algebra.constants) + algebra.dim, failing, triples))
     if hits.size:
-        pair, k = hits[0]
-        i, j = pairs[pair]
-        return False, (int(i) + 1, int(j) + 1, int(k) + 1)
+        return False, algebra.bracket_triples[hits[0]]
     return True, None
 
 
 def center(algebra):
-    """Basis (rows) of the center {g : [g, x] = 0 for all x}."""
-    # [g, e_j] is linear in g; column i of block j is [e_i, e_j].
-    stacked = np.vstack(
-        [
-            np.stack([algebra.bracket_basis(i, j) for i in range(1, algebra.dim + 1)], axis=1)
-            for j in range(1, algebra.dim + 1)
-        ]
-    ) % algebra.prime
-    return gf.kernel_basis(stacked, algebra.prime)
+    """Basis (rows) of the center {g : [g, x] = 0 for all x}: the kernel of
+    the equations [g, e_j]_k = 0, one per (j, k) that a constant reaches."""
+    i, j, k, c = algebra.constants.T
+    _, equation = np.unique(j * algebra.dim + k, return_inverse=True)
+    stacked = gf.zeros((equation.max(initial=-1) + 1, algebra.dim))
+    np.add.at(stacked, (equation, i), c)
+    return gf.kernel_basis(stacked % algebra.prime, algebra.prime)
 
 
 def to_json(algebra) -> dict:

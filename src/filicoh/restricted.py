@@ -172,7 +172,7 @@ def split_sum(p: int, v, on_basis, correction):
         picked = stack[rows]
         return correction(rows, np.where(cols == k, picked, 0), np.where(cols > k, picked, 0))
 
-    np.add.at(by_row, splits[:, 0], liealg.by_row_batches(n, corrections, splits))
+    np.add.at(by_row, splits[:, 0], liealg.by_row_batches(n * n, corrections, splits))
     total %= p
     return total[()]  # a scalar, not a 0-d array, for a vector of scalar values
 
@@ -214,7 +214,7 @@ def jacobson_corrections(R: RestrictedAlgebra, g, h):
         w = ad_recursion(R.algebra, g, h, g[..., None, :], p - 1)
         return (inverses @ w[..., : p - 1, :]) % p
 
-    return liealg.by_row_batches(R.dim, corrections, g, h)
+    return liealg.by_row_batches(R.dim**2, corrections, g, h)
 
 
 def p_power_jacobson(R: RestrictedAlgebra, g):
@@ -237,22 +237,21 @@ def p_power(R: RestrictedAlgebra, g):
 
 
 def verify_restricted_map(R: RestrictedAlgebra):
-    """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector: the p-th
-    powers of all the ad(e_k) are one batched power (`gf.mat_pow` on their
-    stack, in row batches at large dim).
+    """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector: the ad(e_k)
+    of a row batch are built from the identity rows, and their p-th powers
+    are one batched power (`gf.mat_pow` on their stack).
 
     Returns (True, None) or (False, k) for the first failing 1-based k.
     """
     A = R.algebra
     p = R.prime
 
-    def differs(ads, powers):
+    def differs(basis, powers):
+        ads = liealg.ad_matrix(A, basis)
         return (liealg.ad_matrix(A, powers) != gf.mat_pow(ads, p, p)).any(axis=(1, 2))
 
-    # structure[k - 1] is ad(e_k)
-    failing = np.flatnonzero(
-        liealg.by_row_batches(A.dim, differs, A.structure, R.power_matrix)
-    )
+    differing = liealg.by_row_batches(A.dim**2, differs, gf.identity(A.dim), R.power_matrix)
+    failing = np.flatnonzero(differing)
     if failing.size:
         return False, int(failing[0]) + 1
     return True, None

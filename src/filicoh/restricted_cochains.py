@@ -204,7 +204,7 @@ def _correction_sum(algebra, forms, h1, h2):
         return (_pair(forms, last_h1 @ w % p, h1, p) + _pair(forms, last_h2 @ w % p, h2, p)) % p
 
     forms = np.broadcast_to(forms, h1.shape[:-1] + forms.shape[-2:])
-    return liealg.by_row_batches(algebra.dim, corrections, h1, h2, forms)
+    return liealg.by_row_batches(algebra.dim**2, corrections, h1, h2, forms)
 
 
 def star_correction(algebra, phi, h1, h2):

@@ -47,10 +47,32 @@ def coboundary_shift_is_isomorphism(A, phi, psi) -> bool:
     return True
 
 
-def bracket_ad_matrix(algebra, g):
-    """ad(g) column by column: column j is the bracket [g, e_j]."""
-    cols = [algebra.bracket(g, algebra.basis_vector(j)) for j in range(1, algebra.dim + 1)]
-    return np.stack(cols, axis=1) % algebra.prime
+def dense_structure(algebra):
+    """The structure constants as one dim x dim x dim array, pair by pair
+    from `bracket_basis`: slice i - 1 is the matrix of ad(e_i), so its
+    column j - 1 is [e_i, e_j], for every order of i and j."""
+    n = algebra.dim
+    out = gf.zeros((n, n, n))
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        out[i - 1, :, j - 1] = algebra.bracket_basis(i, j)
+    return out
+
+
+def dense_bracket(algebra, g, h):
+    """[g, h] as g and h contracted with the dense structure constants; g
+    and h are vectors or stacks of them, paired row by row."""
+    g = gf.normalize(g, algebra.prime)
+    h = gf.normalize(h, algebra.prime)
+    return np.einsum("...i,ikj,...j->...k", g, dense_structure(algebra), h) % algebra.prime
+
+
+def dense_ad_matrix(algebra, g):
+    """ad(g) = sum_i g_i ad(e_i), for a vector g or each row of a stack, as
+    one product with the dense structure constants."""
+    g = gf.normalize(g, algebra.prime)
+    n = algebra.dim
+    flat = g @ dense_structure(algebra).reshape(n, n * n)
+    return flat.reshape(g.shape[:-1] + (n, n)) % algebra.prime
 
 
 def ind1_at(R, psi, g) -> int:
@@ -134,18 +156,24 @@ def dense_d2_star(R):
 
 
 def jacobi_check_triples(algebra):
-    """Jacobi identity basis triple by basis triple, three brackets of
-    brackets each: (True, None) or (False, first failing (i, j, k))."""
+    """Jacobi identity on every basis triple i < j < k, three brackets of
+    brackets each through the dense structure constants: (True, None) or
+    (False, first failing (i, j, k))."""
     n = algebra.dim
-    basis = [algebra.basis_vector(k) for k in range(1, n + 1)]
+    structure = dense_structure(algebra)
+
+    def bracket(g, h):
+        return np.einsum("i,ikj,j->k", g, structure, h) % algebra.prime
+
+    basis = gf.identity(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 x, y, z = basis[i - 1], basis[j - 1], basis[k - 1]
                 s = (
-                    algebra.bracket(algebra.bracket(x, y), z)
-                    + algebra.bracket(algebra.bracket(y, z), x)
-                    + algebra.bracket(algebra.bracket(z, x), y)
+                    bracket(bracket(x, y), z)
+                    + bracket(bracket(y, z), x)
+                    + bracket(bracket(z, x), y)
                 ) % algebra.prime
                 if s.any():
                     return False, (i, j, k)

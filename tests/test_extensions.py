@@ -1,5 +1,7 @@
 """Central extension construction, verification, and triviality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,24 @@ def test_frobenius_dual_extension_matches_power_table(p):
                     expected[p] = 1
                 assert (RE.basis_p_powers[i - 1] == expected).all(), (lam, k, i)
             assert not RE.basis_p_powers[p].any()
+
+
+def test_extension_checks_stay_below_a_dense_structure_array():
+    # jacobi_check and verify_restricted_map on the restricted phi_7
+    # extension at p = 61, a fresh copy whose cached forms are built under
+    # tracing, peak below half of one dim^3 int64 array
+    p = 61
+    R = restricted.make_m0_lambda(p, (0,) * p)
+    c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(p, 7), (0,) * p)
+    RE = restricted.from_json(restricted.to_json(extensions.extend_restricted(R, c2).pmap))
+    tracemalloc.start()
+    try:
+        assert liealg.jacobi_check(RE.algebra) == (True, None)
+        assert restricted.verify_restricted_map(RE) == (True, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < RE.dim**3 * 8 / 2, peak
 
 
 def test_restricted_extension_verified():

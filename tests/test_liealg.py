@@ -5,10 +5,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filicoh import cochains, extensions, gf, liealg, restricted
-from helpers import bracket_ad_matrix, jacobi_check_triples, left_normed_bracket, random_element
+from helpers import (
+    dense_ad_matrix,
+    dense_bracket,
+    dense_structure,
+    jacobi_check_triples,
+    left_normed_bracket,
+    random_element,
+)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -162,7 +169,7 @@ def test_ad_matrix_matches_bracket_columns(p):
         elements = [B.basis_vector(k) for k in range(1, B.dim + 1)]
         elements += [random_element(B, rng) for _ in range(5)]
         for g in elements:
-            assert (liealg.ad_matrix(B, g) == bracket_ad_matrix(B, g)).all()
+            assert (liealg.ad_matrix(B, g) == dense_ad_matrix(B, g)).all()
 
 
 def test_ad_matrix_of_e1():
@@ -254,16 +261,65 @@ def test_bracket_and_ad_matrix_take_stacks(p):
     h = np.stack([random_element(A, rng) for _ in range(5)])
     g[0] = 0
     assert (A.bracket(g, h) == np.stack([A.bracket(x, y) for x, y in zip(g, h)])).all()
-    assert (liealg.ad_matrix(A, g) == np.stack([bracket_ad_matrix(A, x) for x in g])).all()
+    assert (liealg.ad_matrix(A, g) == np.stack([dense_ad_matrix(A, x) for x in g])).all()
 
 
 def test_structure_is_read_only_and_antisymmetric():
-    A = liealg.make_m0(7)
-    assert A.structure is A.structure
-    with pytest.raises(ValueError):
-        A.structure[0, 0, 0] = 1
-    for i, j in itertools.product(range(1, 8), repeat=2):
-        assert (A.structure[i - 1, :, j - 1] == A.bracket_basis(i, j)).all()
+    # the sparse constants are cached, read-only, and rebuild [e_i, e_j] for
+    # every ordered pair, on m_0 and on an extension with several entries
+    # per bracket
+    p = 7
+    A = liealg.make_m0(p)
+    E = extensions.extend_ordinary(A, cochains.phi_k(p, 5)).algebra
+    for B in (A, E):
+        constants = B.constants
+        assert B.constants is constants
+        assert constants.dtype == np.int64 and constants.shape[1] == 4
+        with pytest.raises(ValueError):
+            constants[0, 3] = 1
+        assert len(constants) == 2 * sum(int(v.astype(bool).sum()) for v in B.brackets.values())
+        rebuilt = gf.zeros((B.dim, B.dim, B.dim))
+        for i, j, k, c in constants.tolist():
+            assert i != j and 0 < c < p
+            rebuilt[i, j, k] += c
+        for i, j in itertools.product(range(1, B.dim + 1), repeat=2):
+            assert (rebuilt[i - 1, j - 1] == B.bracket_basis(i, j)).all()
+
+
+@st.composite
+def algebras_and_elements(draw):
+    """Random brackets over GF(p), dim 1-8, not necessarily Lie: Jacobi may
+    fail, several constants may land on one e_k, and some draws have no
+    brackets at all; with a stack of rows and one vector."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    dim = draw(st.integers(1, 8))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    pairs = list(itertools.combinations(range(1, dim + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    A = liealg.LieAlgebra(p, dim, {pair: draw(coeffs) for pair in chosen}, weights=[1] * dim)
+    rows = draw(st.integers(0, 4))
+    stack = np.array(draw(st.lists(coeffs, min_size=rows, max_size=rows)), dtype=np.int64)
+    return A, stack.reshape(rows, dim), np.array(draw(coeffs), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebras_and_elements())
+@example((liealg.LieAlgebra(5, 4, {}, weights=[1] * 4), np.arange(12).reshape(3, 4), np.arange(4)))
+@example((liealg.make_m0(13), np.arange(26).reshape(2, 13), np.arange(13)[::-1].copy()))
+def test_bracket_ad_matrix_and_center_match_the_dense_oracle(drawn):
+    A, stack, vector = drawn
+    assert (A.bracket(vector, vector[::-1]) == dense_bracket(A, vector, vector[::-1])).all()
+    assert (A.bracket(stack, vector) == dense_bracket(A, stack, vector)).all()
+    assert (A.bracket(vector, stack) == dense_bracket(A, vector, stack)).all()
+    assert (A.bracket(stack, stack[::-1]) == dense_bracket(A, stack, stack[::-1])).all()
+    assert A.bracket(stack, vector).shape == stack.shape
+    assert (liealg.ad_matrix(A, vector) == dense_ad_matrix(A, vector)).all()
+    assert (liealg.ad_matrix(A, stack) == dense_ad_matrix(A, stack)).all()
+    assert liealg.ad_matrix(A, stack).shape == (len(stack), A.dim, A.dim)
+    # row (j, k) of the center's equations is the e_k entry of [-, e_j]
+    equations = dense_structure(A).transpose(2, 1, 0).reshape(-1, A.dim)
+    want = gf.kernel_basis(equations, A.prime)
+    assert liealg.center(A).shape == want.shape and (liealg.center(A) == want).all()
 
 
 @pytest.mark.parametrize("cells", [1, 64, 1 << 12])
@@ -286,3 +342,13 @@ def test_jacobi_check_batches_find_the_first_failing_triple(cells, monkeypatch):
     for _ in range(100):
         C = random_structure_constants(rng, rng.choice([2, 3, 5]), rng.randint(1, 6))
         assert liealg.jacobi_check(C) == jacobi_check_triples(C)
+    p = 13
+    for k in cochains.phi_weights(p):
+        E = extensions.extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
+        assert liealg.jacobi_check(E) == jacobi_check_triples(E) == (True, None)
+        bad = dict(E.brackets)
+        bad[(5, 9)] = E.basis_vector(14)
+        B = liealg.LieAlgebra(p, p + 1, bad, weights=E.weights)
+        want = jacobi_check_triples(B)
+        assert not want[0]
+        assert liealg.jacobi_check(B) == want
