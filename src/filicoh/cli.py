@@ -248,10 +248,10 @@ def run_basis(cfg: RunConfig) -> int:
             s = ordinary_summary(p, cfg.degree)
         report = cohomology.compare(s, cohomology.expected_summary(p, lam))
         ok = ok and report["ok"]
-        rows.append({**cohomology.summary_to_json(s), "ok": report["ok"]})
+        row = cohomology.summary_to_json(s)
+        rows.append({**row, "ok": report["ok"]})
         lines.append(f"{name} basis, p={p}, lambda={restricted.lam_str(lam)} (dim {s.dimension})")
-        for rep in s.representatives:
-            lines.append(f"  {rep}")
+        lines += [f"  {rep}" for rep in row["representatives"]]
     payload = {"command": "basis", "group": name, "notes": notes, "rows": rows, "ok": ok}
     _emit_report(cfg, payload, "\n".join(lines) + "\n")
     return 0 if ok else 1

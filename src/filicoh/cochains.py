@@ -201,13 +201,6 @@ class Cochain:
         coeffs = {tuple(t["indices"]): int(t["coefficient"]) for t in data["terms"]}
         return cls(data["prime"], data["dim"], data["degree"], coeffs)
 
-    def homogeneous_weight(self):
-        """The common index weight, None for 0 or mixed cochains."""
-        weights = {sum(key) for key in self.coeffs}
-        if len(weights) == 1:
-            return weights.pop()
-        return None
-
     def __str__(self):
         def label(key):
             return f"e^{key[0]}" if len(key) == 1 else "e^{" + ",".join(map(str, key)) + "}"

@@ -5,9 +5,14 @@ arithmetic is integer arithmetic followed by reduction mod p; no floating
 point is used anywhere.  Functions return fresh arrays and never mutate
 their inputs.
 
-Every matrix product sums at most n terms, each below p^2, where n is the
-inner dimension; int64 holds that sum exactly while n (p-1)^2 < 2^63, and
-mat_mul raises ValueError otherwise.
+This module holds elimination and its helpers: `rref`, the rank and the
+kernel read off it, and the sparse `SpanTracker`.  The other modules form
+their products with numpy's `@` on int64 and reduce after each one.
+Invariant: a product sums at most n terms, each below p^2, n being the
+inner dimension, so int64 holds it exactly while n (p-1)^2 < 2^63.  The
+algebras built here have dim at least p, so that holds for every dim
+below 2^21, far beyond any array that fits in memory; nothing guards it
+at run time.
 """
 
 from __future__ import annotations
@@ -57,29 +62,6 @@ def identity(n: int) -> Mat:
 
 def zeros(shape) -> Mat:
     return np.zeros(shape, dtype=np.int64)
-
-
-def mat_mul(a, b, p: int) -> Mat:
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    n = a.shape[-1]
-    if n * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"a sum of {n} products mod {p} overflows int64")
-    return (a @ b) % p
-
-
-def mat_pow(m, k: int, p: int) -> Mat:
-    """m**k mod p by repeated squaring, for a square matrix or a stack of
-    them in the last two axes.  k >= 0."""
-    if k < 0:
-        raise ValueError("negative matrix power")
-    base = normalize(m, p)
-    result = np.broadcast_to(identity(base.shape[-1]), base.shape).copy()
-    while k:
-        if k & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        k >>= 1
-    return result
 
 
 def rref(m, p: int) -> tuple[Mat, list[int]]:

@@ -157,9 +157,9 @@ def bracket_closed_m0(p, g, h):
 
 
 # Row-stack work holds a few arrays of a fixed number of cells per row (ad
-# matrices, recursion rows, forms, Jacobiator terms) and takes its rows in
-# batches of at most this many cells per such array, so a batch stays under
-# a MB at any prime.
+# matrices, recursion rows, forms, Jacobiator terms, bracket iterates) and
+# takes its rows in batches of at most this many cells per such array, so a
+# batch stays under a MB at any prime.
 BATCH_CELLS = 1 << 13
 
 
@@ -217,16 +217,6 @@ def jacobi_check(algebra):
     if hits.size:
         return False, algebra.bracket_triples[hits[0]]
     return True, None
-
-
-def center(algebra):
-    """Basis (rows) of the center {g : [g, x] = 0 for all x}: the kernel of
-    the equations [g, e_j]_k = 0, one per (j, k) that a constant reaches."""
-    i, j, k, c = algebra.constants.T
-    _, equation = np.unique(j * algebra.dim + k, return_inverse=True)
-    stacked = gf.zeros((equation.max(initial=-1) + 1, algebra.dim))
-    np.add.at(stacked, (equation, i), c)
-    return gf.kernel_basis(stacked % algebra.prime, algebra.prime)
 
 
 def to_json(algebra) -> dict:

@@ -102,7 +102,7 @@ class RestrictedTwoCochain:
 def omega_basis_str(c: RestrictedTwoCochain) -> str:
     """Render omega by its basis expansion over the Frobenius duals ebar^k."""
     return cochains.signed_sum(
-        ((value, f"ebar^{k}") for k, value in enumerate(c.omega_basis, start=1)), c.prime
+        ((value, f"ebar^{k}") for k, value in enumerate(c.omega_basis, start=1) if value), c.prime
     )
 
 
@@ -148,22 +148,26 @@ _SIGNED_PERMUTATIONS = (
 def form_matrix(form: cochains.Cochain, g=None):
     """The matrix F of a 2-form, value(x, y) = x F y^T, built from its
     stored coefficients; for a 3-form, the matrix of alpha(g, x, y) with g
-    fixed, one matrix per row when g is a stack."""
+    fixed, one matrix per row when g is a stack: each signed ordering
+    (a, b, d) of a stored triple adds g_a sign c at flat position b n + d,
+    so no n x n x n array is built."""
     p, n, degree = form.prime, form.dim, form.degree
     if degree != (2 if g is None else 3):
         raise ValueError("form_matrix takes a 2-form, or a 3-form with g")
-    tensor = gf.zeros((n,) * degree)
     if g is None:
+        out = gf.zeros((n, n))
         for (i, j), c in form.coeffs.items():
-            tensor[i - 1, j - 1] = c
-            tensor[j - 1, i - 1] = -c % p
-        return tensor
+            out[i - 1, j - 1] = c
+            out[j - 1, i - 1] = -c % p
+        return out
     keys = np.array(list(form.coeffs), dtype=np.int64).reshape(-1, 3) - 1
     values = np.fromiter(form.coeffs.values(), dtype=np.int64, count=len(form.coeffs))
-    for perm, sign in _SIGNED_PERMUTATIONS:
-        tensor[tuple(keys[:, perm].T)] = sign * values % p
     g = gf.normalize(g, p)
-    return (g @ tensor.reshape(n, n * n)).reshape(g.shape[:-1] + (n, n)) % p
+    out = gf.zeros(g.shape[:-1] + (n * n,))
+    for perm, sign in _SIGNED_PERMUTATIONS:
+        a, b, d = keys[:, perm].T
+        np.add.at(out, (..., b * n + d), g[..., a] * (sign * values % p))
+    return (out % p).reshape(g.shape[:-1] + (n, n))
 
 
 def form_matrices(forms):
@@ -302,11 +306,6 @@ def ind2_matrix(R: restricted.RestrictedAlgebra, phi):
     out = phi @ R.power_matrix.T
     out %= R.prime
     return out
-
-
-def d1_star(R: restricted.RestrictedAlgebra, psi: cochains.Cochain) -> RestrictedTwoCochain:
-    """Restricted degree-1 differential: (d1 psi, omega induced by p-powers)."""
-    return RestrictedTwoCochain(cochains.d1(R.algebra, psi), ind1_values(R, psi))
 
 
 def d2_star(R: restricted.RestrictedAlgebra, c: RestrictedTwoCochain) -> RestrictedThreeCochain:

@@ -11,6 +11,54 @@ from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 
 
+def mat_mul(a, b, p: int):
+    """a @ b mod p, the dense product of the oracles; ValueError when a sum
+    of n products mod p could overflow int64."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    n = a.shape[-1]
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"a sum of {n} products mod {p} overflows int64")
+    return (a @ b) % p
+
+
+def mat_pow(m, k: int, p: int):
+    """m**k mod p by repeated squaring, for a square matrix or a stack of
+    them in the last two axes.  k >= 0."""
+    if k < 0:
+        raise ValueError("negative matrix power")
+    base = gf.normalize(m, p)
+    result = np.broadcast_to(gf.identity(base.shape[-1]), base.shape).copy()
+    while k:
+        if k & 1:
+            result = mat_mul(result, base, p)
+        base = mat_mul(base, base, p)
+        k >>= 1
+    return result
+
+
+def center(algebra):
+    """Basis (rows) of the center {g : [g, x] = 0 for all x}: the kernel of
+    the equations [g, e_j]_k = 0, one per (j, k) that a constant reaches."""
+    i, j, k, c = algebra.constants.T
+    _, equation = np.unique(j * algebra.dim + k, return_inverse=True)
+    stacked = gf.zeros((equation.max(initial=-1) + 1, algebra.dim))
+    np.add.at(stacked, (equation, i), c)
+    return gf.kernel_basis(stacked % algebra.prime, algebra.prime)
+
+
+def homogeneous_weight(cochain):
+    """The common index weight of a cochain, None for 0 or mixed ones."""
+    weights = {sum(key) for key in cochain.coeffs}
+    if len(weights) == 1:
+        return weights.pop()
+    return None
+
+
+def d1_star(R, psi):
+    """Restricted degree-1 differential: (d1 psi, omega induced by p-powers)."""
+    return rcoch.RestrictedTwoCochain(cochains.d1(R.algebra, psi), rcoch.ind1_values(R, psi))
+
+
 def random_element(algebra, rng: random.Random):
     """Uniformly random coefficient vector drawn from a seeded generator."""
     return np.array([rng.randrange(algebra.prime) for _ in range(algebra.dim)], dtype=np.int64)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filicoh import cochains, extensions, gf, liealg
+from filicoh import cochains, extensions, liealg
 from filicoh.cochains import Cochain, dual_cochain
-from helpers import random_element
+from helpers import homogeneous_weight, mat_mul, random_element
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -124,7 +124,7 @@ def test_d1_kernel_weights(p):
         if k <= 2 or p == 2:
             assert image.is_zero()
         else:
-            assert image.homogeneous_weight() == k
+            assert homogeneous_weight(image) == k
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -188,7 +188,7 @@ def test_matrices_match_evaluate_oracle_on_extensions(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_d2_after_d1_is_zero(p):
     A = liealg.make_m0(p)
-    m = gf.mat_mul(cochains.d2_matrix(A), cochains.d1_matrix(A), p)
+    m = mat_mul(cochains.d2_matrix(A), cochains.d1_matrix(A), p)
     assert not m.any()
 
 
@@ -218,15 +218,15 @@ def test_differentials_preserve_weight(p):
     for i, j in cochains.index_tuples(p, 2):
         image = cochains.d2(A, dual_cochain(p, p, (i, j)))
         if not image.is_zero():
-            assert image.homogeneous_weight() == i + j
+            assert homogeneous_weight(image) == i + j
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_phi_k_structure(p):
     for k in cochains.phi_weights(p):
         phi = cochains.phi_k(p, k)
-        assert phi.homogeneous_weight() == k
-        assert (phi + dual_cochain(p, p, (1, 2))).homogeneous_weight() is None
+        assert homogeneous_weight(phi) == k
+        assert homogeneous_weight(phi + dual_cochain(p, p, (1, 2))) is None
         expected_terms = {(i, k - i) for i in range(2, (k - 1) // 2 + 1)}
         assert set(phi.coeffs) == expected_terms
         for i in range(2, (k - 1) // 2 + 1):

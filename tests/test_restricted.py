@@ -5,10 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
-from helpers import jacobson_corrections_matrix_poly, random_element
+from helpers import jacobson_corrections_matrix_poly, mat_pow, random_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -133,7 +134,7 @@ def test_jacobson_on_algebra_with_nonzero_corrections(p):
     for g in seen:
         pp = restricted.p_power_jacobson(R, g)
         lhs = liealg.ad_matrix(A, pp)
-        rhs = gf.mat_pow(liealg.ad_matrix(A, g), p, p)
+        rhs = mat_pow(liealg.ad_matrix(A, g), p, p)
         assert (lhs == rhs).all(), g
     for _ in range(10):
         g = random_element(A, rng)
@@ -302,7 +303,7 @@ def first_failing_power(R):
     A, p = R.algebra, R.prime
     for k in range(1, A.dim + 1):
         lhs = liealg.ad_matrix(A, R.basis_p_powers[k - 1])
-        rhs = gf.mat_pow(liealg.ad_matrix(A, A.basis_vector(k)), p, p)
+        rhs = mat_pow(liealg.ad_matrix(A, A.basis_vector(k)), p, p)
         if (lhs != rhs).any():
             return k
     return None
@@ -322,3 +323,37 @@ def test_verify_restricted_map_matches_per_k_powers(p, monkeypatch):
     assert restricted.verify_restricted_map(bad) == (want is None, want)
     assert first_failing_power(R) is None
     assert restricted.verify_restricted_map(R) == (True, None)
+
+
+@st.composite
+def restricted_algebras(draw):
+    """Random structure constants, Jacobi not required, and random
+    p-powers: each pair gets a bracket or none."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, 6))
+    vectors = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    brackets = {
+        pair: draw(vectors)
+        for pair in itertools.combinations(range(1, dim + 1), 2)
+        if draw(st.booleans())
+    }
+    A = liealg.LieAlgebra(p, dim, brackets, weights=range(1, dim + 1))
+    return restricted.RestrictedAlgebra(A, [draw(vectors) for _ in range(dim)])
+
+
+def early_nilpotent_algebra(p):
+    """[e_1, e_2] = e_3 and e_1^[p] = e_2: ad(e_1)^2 = 0 already, but
+    ad(e_2) is not zero, so k = 1 fails."""
+    A = liealg.LieAlgebra(p, 3, {(1, 2): [0, 0, 1]}, weights=[1, 1, 2])
+    return restricted.RestrictedAlgebra(A, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+
+
+@settings(max_examples=150, derandomize=True)
+@given(R=restricted_algebras())
+@example(R=early_nilpotent_algebra(5))
+def test_verify_restricted_map_matches_per_k_powers_on_random_algebras(R):
+    want = first_failing_power(R)
+    assert restricted.verify_restricted_map(R) == (want is None, want)
+    with pytest.MonkeyPatch.context() as patch:
+        few_rows_per_batch(patch)
+        assert restricted.verify_restricted_map(R) == (want is None, want)

@@ -1,6 +1,7 @@
 """Restricted cochains: the omega/beta sum rules, induced maps, and d1*/d2*."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from filicoh import cochains, gf, liealg, restricted
 from filicoh import restricted_cochains as rc
 from filicoh.cochains import Cochain, dual_cochain
 from helpers import (
+    d1_star,
     doublestar_correction_naive,
     doublestar_eval_naive,
     ind1_at,
@@ -276,7 +278,7 @@ def test_star_rule_holds_for_induced_pairs(p):
         R = restricted.make_m0_lambda(p, lam)
         for _ in range(4):
             psi = rand_cochain(rng, p, p, 1)
-            c = rc.d1_star(R, psi)
+            c = d1_star(R, psi)
             g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
             assert rc.star_property_holds(R.algebra, c, g, h)
 
@@ -340,7 +342,7 @@ def test_corrupted_omega_caught_by_function_comparison():
     p = 5
     R = restricted.make_m0_lambda(p, (1, 2, 0, 3, 4))
     psi = dual_cochain(p, p, (p,))
-    good = rc.d1_star(R, psi)
+    good = d1_star(R, psi)
     corrupt = rc.RestrictedTwoCochain(
         good.phi, ((good.omega_basis[0] + 1) % p,) + good.omega_basis[1:]
     )
@@ -400,7 +402,7 @@ def test_induced_omega_equals_inducing_function(p):
     for _ in range(4):
         R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
         psi = rand_cochain(rng, p, p, 1)
-        c = rc.d1_star(R, psi)
+        c = d1_star(R, psi)
         for _ in range(4):
             g = rand_vec(rng, p, p)
             assert rc.star_eval(R.algebra, c, g) == ind1_at(R, psi, g)
@@ -470,7 +472,7 @@ def test_ind2_rejects_wrong_degree():
 def test_d1_star_closed_form_trivial_powers():
     R = restricted.make_m0_lambda(7, (0,) * 7)
     for k in range(3, 8):
-        out = rc.d1_star(R, dual_cochain(7, 7, (k,)))
+        out = d1_star(R, dual_cochain(7, 7, (k,)))
         assert out.phi == cochains.d1_closed_m0(7, k)
         assert out.omega_basis == (0,) * 7
 
@@ -479,14 +481,14 @@ def test_d1_star_kills_first_dual():
     rng = np.random.default_rng(29)
     for p in SMALL_PRIMES:
         R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
-        out = rc.d1_star(R, dual_cochain(p, p, (1,)))
+        out = d1_star(R, dual_cochain(p, p, (1,)))
         assert out.phi.is_zero()
         assert out.omega_basis == (0,) * p
 
 
 def test_d1_star_p2_sees_lambda():
     R = restricted.make_m0_lambda(2, (1, 1))
-    out = rc.d1_star(R, dual_cochain(2, 2, (2,)))
+    out = d1_star(R, dual_cochain(2, 2, (2,)))
     assert out.phi.is_zero()
     assert out.omega_basis == (1, 1)
 
@@ -524,9 +526,9 @@ def test_d2_star_after_d1_star_is_zero(p):
     for lam in lams:
         R = restricted.make_m0_lambda(p, lam)
         for k in range(1, p + 1):
-            out = rc.d2_star(R, rc.d1_star(R, dual_cochain(p, p, (k,))))
+            out = rc.d2_star(R, d1_star(R, dual_cochain(p, p, (k,))))
             assert out.is_zero()
-        out = rc.d2_star(R, rc.d1_star(R, rand_cochain(rng, p, p, 1)))
+        out = rc.d2_star(R, d1_star(R, rand_cochain(rng, p, p, 1)))
         assert out.is_zero()
 
 
@@ -715,7 +717,7 @@ def test_doublestar_eval_stack_equals_rows(p, monkeypatch):
 def test_sum_rules_stack_equal_rows(p):
     rng = np.random.default_rng(2400 + p)
     R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
-    pairs = [rc.d1_star(R, rand_cochain(rng, p, p, 1)) for _ in range(3)]
+    pairs = [d1_star(R, rand_cochain(rng, p, p, 1)) for _ in range(3)]
     pairs.append(rc.basis_pair_cochain(p, p, p - 1, p))  # not a cocycle for p >= 5
     g, h = stack_with_edge_rows(rng, p, 4), rng.integers(0, p, size=(4, p))
     got = rc.star_property_holds(R.algebra, pairs, g, h)
@@ -766,6 +768,23 @@ def test_form_matrices_match_evaluate(data, p, dim):
     stacked = rc.form_matrix(alpha, np.stack([g, x]))
     assert (y @ stacked[1] @ g) % p == alpha.evaluate(x, y, g)
     assert (rc.form_matrices([phi, phi])[1] == rc.form_matrix(phi)).all()
+
+
+def test_three_form_matrix_stays_below_a_dense_tensor():
+    # three rows of g against a 3-form at p = 61 peak below half of one
+    # dim^3 int64 array
+    p = 61
+    alpha = Cochain(p, p, 3, {(1, 2, 3): 1, (2, 5, 61): 4, (7, 30, 60): p - 1})
+    g = np.random.default_rng(61).integers(0, p, size=(3, p))
+    tracemalloc.start()
+    try:
+        got = rc.form_matrix(alpha, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p**3 * 8 / 2, peak
+    x, y = g[1], g[2]
+    assert (x @ got[0] @ y) % p == alpha.evaluate(g[0], x, y) != 0
 
 
 def test_form_matrix_checks_the_degree():
