@@ -384,6 +384,8 @@ def parse_cocycle_spec(p: int, spec: str) -> rcoch.RestrictedTwoCochain:
             return rcoch.frobenius_dual_cochain(p, p, k)
         if kind == "e":
             i, j = (int(x) for x in rest.split(","))
+            if i == j:
+                raise UsageError(f"e:I,J needs two different indices, got {spec!r}")
             return rcoch.basis_pair_cochain(p, p, i, j)
         if kind == "phi":
             return rcoch.RestrictedTwoCochain(cochains.phi_k(p, int(rest)), (0,) * p)

@@ -1,13 +1,15 @@
 """Alternating cochains in degrees 1..3 and the differentials d1, d2.
 
 Cochains are stored sparsely on strictly increasing 1-based index tuples.
-The differentials d1 and d2 are assembled once, as sparse rows read off
-an algebra's nonzero structure constants (differential_rows, the
-production route); d1_matrix and d2_matrix are dense views of those rows.
-d1 and d2 compute the same differentials one cochain at a time by
+The differentials are read off an algebra's nonzero structure constants
+on one route: `differential` maps one cochain, summing only the constants
+that land on an index of one of its terms, and `differential_rows` gives
+the whole of d1 or d2 as sparse rows for elimination; both take d2's
+entries from `_entries`.  d1_matrix and d2_matrix are dense views of the
+rows.  d1 and d2 compute the same differentials one cochain at a time by
 evaluation; they, the dense views and the closed-form expressions for the
 maximal-class family are kept as oracles (compared against the sparse
-rows in tests and in the verification report, never used as the source
+route in tests and in the verification report, never used as the source
 of truth).
 """
 
@@ -169,21 +171,6 @@ class Cochain:
         positions = _positions(self.dim, self.degree)
         return {positions[key]: c for key, c in self.coeffs.items()}
 
-    def to_vector(self):
-        """Dense coordinates over index_tuples(dim, degree), lexicographic."""
-        coords = self.coordinates()
-        out = gf.zeros(len(_positions(self.dim, self.degree)))
-        out[list(coords)] = list(coords.values())
-        return out
-
-    @classmethod
-    def from_vector(cls, prime, dim, degree, vec):
-        order = index_tuples(dim, degree)
-        vec = gf.normalize(vec, prime)
-        if len(vec) != len(order):
-            raise ValueError("coordinate vector has wrong length")
-        return cls(prime, dim, degree, {key: int(v) for key, v in zip(order, vec) if v})
-
     def to_json(self) -> dict:
         """Term list form; indices are sorted so output is deterministic."""
         return {
@@ -255,51 +242,65 @@ def d2(algebra: liealg.LieAlgebra, c2: Cochain) -> Cochain:
     return Cochain(p, algebra.dim, 3, coeffs)
 
 
-def _d1_entries(algebra: liealg.LieAlgebra):
-    """The entries of d1 read off the structure constants, as (pair,
-    (k,), value): each nonzero c_k of [e_i, e_j] is c_k at row (i, j),
-    column e^k."""
-    for pair, vec in algebra.brackets.items():
-        for k in np.flatnonzero(vec):
-            yield pair, (int(k) + 1,), int(vec[k])
+def _entries(degree, i, j, k, c, zs):
+    """The entries of d1 (degree 1) or d2 that the constant c of e_k in
+    [e_i, e_j], i < j, gives, as (row, dual, value), repeats to be summed.
+    d1: c at row (i, j), dual e^k.  d2: c * e^{k,z}([e_i, e_j], e_z) at the
+    triple {i, j, z} for each z in zs outside {i, j, k}, with the sign -1
+    when i < z < j (the middle term of d2), times -1 when k > z (the order
+    of the pair dual)."""
+    if degree == 1:
+        yield (i, j), (k,), c
+        return
+    for z in zs:
+        if z in (i, j, k):
+            continue
+        sign = -1 if i < z < j else 1
+        if k > z:
+            sign = -sign
+        yield tuple(sorted((i, j, z))), (min(k, z), max(k, z)), sign * c
 
 
-def _d2_entries(algebra: liealg.LieAlgebra):
-    """The entries of d2 read off the structure constants, as (triple,
-    pair, value) in O(nnz * dim) steps, repeats to be summed: each nonzero
-    c_k of [e_i, e_j] contributes c_k * e^{k,z}([e_i, e_j], e_z) to the
-    triple {i, j, z} for every z outside {i, j, k}.  The sign is -1 when
-    i < z < j (the middle term of d2), times -1 when k > z (the order of
-    the pair dual)."""
-    for (i, j), vec in algebra.brackets.items():
-        for k in np.flatnonzero(vec) + 1:
-            c = int(vec[k - 1])
-            for z in range(1, algebra.dim + 1):
-                if z in (i, j, k):
-                    continue
-                sign = -1 if i < z < j else 1
-                if k > z:
-                    sign = -sign
-                yield tuple(sorted((i, j, z))), (min(k, z), max(k, z)), sign * c
+def differential(algebra: liealg.LieAlgebra, cochain: Cochain) -> Cochain:
+    """d1 of a 1-cochain or d2 of a 2-cochain, from the constants that land
+    on an index of one of its terms (LieAlgebra.constants_by_target), so
+    the cost follows the number of terms, not the width of d.  A term
+    x e^{a,b} meets d2 through the constants landing on a, with z = b, and
+    those landing on b, with z = a."""
+    if (cochain.prime, cochain.dim) != (algebra.prime, algebra.dim) or cochain.degree == 3:
+        raise ValueError("differential needs a 1- or 2-cochain over the algebra")
+    by_target = algebra.constants_by_target
+    out: dict[tuple, int] = {}
+    for key, x in cochain.coeffs.items():
+        sides = [(key[0], ())] if cochain.degree == 1 else [(key[0], key[1:]), (key[1], key[:1])]
+        for k, zs in sides:
+            for i, j, c in by_target.get(k, ()):
+                for row, _, value in _entries(cochain.degree, i, j, k, c, zs):
+                    out[row] = out.get(row, 0) + value * x
+    return Cochain(algebra.prime, algebra.dim, cochain.degree + 1, out)
 
 
 def differential_rows(algebra: liealg.LieAlgebra, degree: int) -> dict:
     """The nonzero rows of d1 (degree 1) or d2 (degree 2), assembled
-    sparsely from the structure constants: {row index tuple: {column:
-    value}}, with rows over the pairs or triples, columns the positions in
-    index_tuples(dim, degree) and values in [1, p).  Column c is the
-    differential of the dual on index_tuples(dim, degree)[c]."""
+    sparsely from the structure constants in O(nnz * dim) steps (_entries):
+    {row index tuple: {column: value}}, with rows over the pairs or
+    triples, columns the positions in index_tuples(dim, degree) and values
+    in [1, p).  Column c is the differential of the dual on
+    index_tuples(dim, degree)[c]."""
     p = algebra.prime
     col = _positions(algebra.dim, degree)
+    zs = range(1, algebra.dim + 1)
     rows: dict[tuple, dict[int, int]] = {}
-    for row, dual, value in (_d1_entries if degree == 1 else _d2_entries)(algebra):
-        entries = rows.setdefault(row, {})
-        c = col[dual]
-        total = (entries.get(c, 0) + value) % p
-        if total:
-            entries[c] = total
-        else:
-            entries.pop(c, None)
+    for k, terms in algebra.constants_by_target.items():
+        for i, j, c in terms:
+            for row, dual, value in _entries(degree, i, j, k, c, zs):
+                entries = rows.setdefault(row, {})
+                pos = col[dual]
+                total = (entries.get(pos, 0) + value) % p
+                if total:
+                    entries[pos] = total
+                else:
+                    entries.pop(pos, None)
     return {row: entries for row, entries in rows.items() if entries}
 
 
@@ -324,17 +325,6 @@ def d2_matrix(algebra: liealg.LieAlgebra):
     triples: column (a, b) equals d2 of the dual e^{a,b}.  A view of
     differential_rows, kept as an oracle."""
     return _dense_differential(algebra, 2)
-
-
-def d1_images(algebra: liealg.LieAlgebra) -> list[dict[int, int]]:
-    """d1 of each dual e^k, k = 1..dim, as sparse coordinates over the pairs
-    (Cochain.coordinates): the columns of differential_rows(algebra, 1)."""
-    pairs = _positions(algebra.dim, 2)
-    images = [{} for _ in range(algebra.dim)]
-    for pair, entries in differential_rows(algebra, 1).items():
-        for k, value in entries.items():
-            images[k][pairs[pair]] = value
-    return images
 
 
 def phi_k(p: int, k: int) -> Cochain:
@@ -370,7 +360,7 @@ def random_cocycle(rng, p: int) -> Cochain:
     for k in phi_weights(p):
         phi = phi + int(rng.integers(0, p)) * phi_k(p, k)
     psi = Cochain(p, p, 1, {(k,): int(rng.integers(0, p)) for k in range(1, p + 1)})
-    return phi + d1(A, psi)
+    return phi + differential(A, psi)
 
 
 def d1_closed_m0(p: int, k: int) -> Cochain:

@@ -136,28 +136,29 @@ def _reduced(p: int, degree: int, powers: tuple) -> _Reduction:
     gf.SpanTracker.  powers == () is d1 or d2 alone.
 
     The tracker's pivots are those of the rref of the stacked rows.  A
-    candidate is killed when the stacked matrix sends it to zero, summed
-    over the rows that meet the columns its coordinates touch.  On the
-    family the powers span 0 or the line of e_p: two entries per (p,
-    degree), and the memo keeps the four of one prime, since grids and
-    sweeps visit primes in turn.  The kill mask is read-only because
-    every caller shares it."""
-    rows = list(cochains.differential_rows(liealg.make_m0(p), degree).values())
-    rows += _induced_rows(p, degree, powers)
+    candidate is killed when its differential is zero and so is its
+    product with the induced rows, read only through the columns its
+    coordinates touch.  On the family the powers span 0 or the line of
+    e_p: two entries per (p, degree), and the memo keeps the four of one
+    prime, since grids and sweeps visit primes in turn.  The kill mask is
+    read-only because every caller shares it."""
+    A = liealg.make_m0(p)
+    induced = _induced_rows(p, degree, powers)
     columns: dict[int, list] = {}
-    for r, row in enumerate(rows):
+    for r, row in enumerate(induced):
         for c, x in row.items():
             columns.setdefault(c, []).append((r, x))
 
-    def kills(coords):
+    def kills(form, coords):
         sums: dict[int, int] = {}
         for c, x in coords.items():
             for r, m in columns.get(c, ()):
                 sums[r] = sums.get(r, 0) + m * x
-        return not any(s % p for s in sums.values())
+        return not any(s % p for s in sums.values()) and cochains.differential(A, form).is_zero()
 
-    killed = np.array([kills(v) for v in _candidates(p, degree, False)[1]], dtype=bool)
+    killed = np.array([kills(*c) for c in zip(*_candidates(p, degree, False))], dtype=bool)
     killed.setflags(write=False)
+    rows = list(cochains.differential_rows(A, degree).values()) + induced
     return _Reduction(gf.SpanTracker(p, rows).pivots, killed)
 
 
@@ -230,7 +231,7 @@ def _restricted_group(p: int, degree: int, powers: tuple, omega: tuple) -> Cohom
             prime=p, lam=None, degree=1, restricted=True,
         )
     npairs = math.comb(p, 2)
-    image = cochains.d1_images(liealg.make_m0(p))
+    image = _d1_images(p)
     image += [{npairs + k: x for k, x in enumerate(w) if x} for w in omega]
     return _cohomology(
         kernel_dim + p,
@@ -239,6 +240,12 @@ def _restricted_group(p: int, degree: int, powers: tuple, omega: tuple) -> Cohom
         _candidates(p, 2, True),
         prime=p, lam=None, degree=2, restricted=True,
     )
+
+
+def _d1_images(p: int) -> list[dict[int, int]]:
+    """d1 of each dual e^k of make_m0(p), as sparse coordinates over the pairs."""
+    A = liealg.make_m0(p)
+    return [cochains.differential(A, e).coordinates() for e in _candidates(p, 1, False)[0]]
 
 
 def _omega_rows(R: restricted.RestrictedAlgebra) -> tuple:
@@ -271,7 +278,7 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
         raise ValueError("h2 is computed on make_m0(p) only")
     p = A.prime
     return _cohomology(
-        *_kernel(p, 2, ()), cochains.d1_images(A), _candidates(p, 2, False),
+        *_kernel(p, 2, ()), _d1_images(p), _candidates(p, 2, False),
         prime=p, lam=None, degree=2, restricted=False,
     )
 

@@ -45,7 +45,7 @@ def extend_ordinary(A: liealg.LieAlgebra, phi: cochains.Cochain) -> ExtensionRes
     if phi.degree != 2 or (phi.prime, phi.dim) != (A.prime, A.dim):
         raise ValueError("cocycle must be a degree-2 cochain over the algebra")
     p = A.prime
-    obstruction = cochains.d2(A, phi)
+    obstruction = cochains.differential(A, phi)
     if not obstruction.is_zero():
         witness = min(obstruction.coeffs)
         raise ValueError(f"not a cocycle: d2 is nonzero on {witness}")
@@ -99,9 +99,11 @@ def extend_restricted(
 
 def is_trivial_ordinary_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -> bool:
     """Whether the extension by phi splits: phi lies in the image of d1."""
-    if not cochains.d2(A, phi).is_zero():
+    if not cochains.differential(A, phi).is_zero():
         raise ValueError("triviality is decided for cocycles only")
-    return gf.SpanTracker(A.prime, cochains.d1_images(A)).contains(phi.coordinates())
+    duals = (cochains.dual_cochain(A.prime, A.dim, (k,)) for k in range(1, A.dim + 1))
+    image = (cochains.differential(A, psi).coordinates() for psi in duals)
+    return gf.SpanTracker(A.prime, image).contains(phi.coordinates())
 
 
 def extension_to_json(result: ExtensionResult) -> dict:

@@ -101,6 +101,17 @@ class LieAlgebra:
         return out
 
     @functools.cached_property
+    def constants_by_target(self):
+        """`constants` grouped by the basis index they land on, one entry
+        per stored pair: a read-only {k: ((i, j, c), ...)}, 1-based, where c
+        is the coefficient of e_k in [e_i, e_j] and i < j."""
+        out: dict[int, list] = {}
+        for i, j, k, c in self.constants.tolist():
+            if i < j:
+                out.setdefault(k + 1, []).append((i + 1, j + 1, c))
+        return types.MappingProxyType({k: tuple(terms) for k, terms in out.items()})
+
+    @functools.cached_property
     def bracket_triples(self) -> tuple[tuple[int, int, int], ...]:
         """The 1-based triples l < m < n, in lexicographic order, with a
         nonzero bracket among [e_l, e_m], [e_l, e_n] and [e_m, e_n]: a

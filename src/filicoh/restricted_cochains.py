@@ -67,22 +67,6 @@ class RestrictedTwoCochain:
         npairs = self.dim * (self.dim - 1) // 2
         return self.phi.coordinates() | {npairs + k: x for k, x in enumerate(self.omega_basis) if x}
 
-    def to_vector(self):
-        """Dense coordinates: phi over pairs, then the omega basis values."""
-        coords = self.coordinates()
-        out = gf.zeros(self.dim * (self.dim + 1) // 2)
-        out[list(coords)] = list(coords.values())
-        return out
-
-    @classmethod
-    def from_vector(cls, prime, dim, vec):
-        vec = gf.normalize(vec, prime)
-        npairs = dim * (dim - 1) // 2
-        if len(vec) != npairs + dim:
-            raise ValueError("coordinate vector has wrong length")
-        phi = cochains.Cochain.from_vector(prime, dim, 2, vec[:npairs])
-        return cls(phi, tuple(int(x) for x in vec[npairs:]))
-
     def to_json(self) -> dict:
         return {
             "phi": self.phi.to_json(),
@@ -309,11 +293,12 @@ def ind2_matrix(R: restricted.RestrictedAlgebra, phi):
 
 
 def d2_star(R: restricted.RestrictedAlgebra, c: RestrictedTwoCochain) -> RestrictedThreeCochain:
-    """Restricted degree-2 differential: (d2 phi, beta induced by p-powers).
+    """Restricted degree-2 differential: (d2 phi, beta induced by p-powers),
+    with d2 phi from the structure constants (cochains.differential).
 
     The beta part depends only on phi, not on the omega companion.
     """
-    return RestrictedThreeCochain(cochains.d2(R.algebra, c.phi), ind2_matrix(R, c.phi))
+    return RestrictedThreeCochain(cochains.differential(R.algebra, c.phi), ind2_matrix(R, c.phi))
 
 
 def basis_pair_cochain(prime, dim, i, j) -> RestrictedTwoCochain:

@@ -2,6 +2,7 @@
 in the package calls."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -44,6 +45,36 @@ def center(algebra):
     stacked = gf.zeros((equation.max(initial=-1) + 1, algebra.dim))
     np.add.at(stacked, (equation, i), c)
     return gf.kernel_basis(stacked % algebra.prime, algebra.prime)
+
+
+def to_vector(c):
+    """Dense coordinates of a Cochain over index_tuples(dim, degree),
+    lexicographic, or of a RestrictedTwoCochain: phi over the pairs, then
+    the omega basis values."""
+    restricted_pair = isinstance(c, rcoch.RestrictedTwoCochain)
+    coords = c.coordinates()
+    out = gf.zeros(math.comb(c.dim + 1, 2) if restricted_pair else math.comb(c.dim, c.degree))
+    out[list(coords)] = list(coords.values())
+    return out
+
+
+def cochain_from_vector(prime, dim, degree, vec):
+    """The Cochain whose dense coordinates (to_vector) are vec."""
+    order = cochains.index_tuples(dim, degree)
+    vec = gf.normalize(vec, prime)
+    if len(vec) != len(order):
+        raise ValueError("coordinate vector has wrong length")
+    return cochains.Cochain(prime, dim, degree, {key: int(v) for key, v in zip(order, vec) if v})
+
+
+def restricted_from_vector(prime, dim, vec):
+    """The RestrictedTwoCochain whose dense coordinates (to_vector) are vec."""
+    vec = gf.normalize(vec, prime)
+    npairs = math.comb(dim, 2)
+    if len(vec) != npairs + dim:
+        raise ValueError("coordinate vector has wrong length")
+    phi = cochain_from_vector(prime, dim, 2, vec[:npairs])
+    return rcoch.RestrictedTwoCochain(phi, tuple(int(x) for x in vec[npairs:]))
 
 
 def homogeneous_weight(cochain):

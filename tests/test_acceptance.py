@@ -14,7 +14,14 @@ import numpy as np
 from filicoh import checks, cochains, cohomology, extensions, gf, isoclass, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import Cochain, dual_cochain, phi_k
-from helpers import d1_star, d1_star_matrix, ind2_at, ind2_family_closed, star_correction_naive
+from helpers import (
+    d1_star,
+    d1_star_matrix,
+    ind2_at,
+    ind2_family_closed,
+    star_correction_naive,
+    to_vector,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -39,7 +46,7 @@ def criterion_lambdas(p, seed=1000):
 
 
 def rref_of(cochain_list, p):
-    mat = np.stack([c.to_vector() for c in cochain_list])
+    mat = np.stack([to_vector(c) for c in cochain_list])
     return gf.rref(mat, p)[0]
 
 
@@ -76,7 +83,7 @@ def test_criterion_2_p7_golden_bases():
     s = cohomology.h2(liealg.make_m0(p))
     golden_reps = [dual_cochain(p, p, (1, 7)), phi_k(p, 5), phi_k(p, 7), phi_k(p, 9)]
     reps_ok = len(s.representatives) == 4 and all(
-        (a.to_vector() == b.to_vector()).all()
+        (to_vector(a) == to_vector(b)).all()
         for a, b in zip(s.representatives, golden_reps)
     )
     golden_kernel = [dual_cochain(p, p, (1, j)) for j in range(2, 8)] + [
@@ -129,12 +136,12 @@ def test_criterion_5_oracle_equivalences():
     for p in PRIMES:
         A = liealg.make_m0(p)
         closed_d1 = np.stack(
-            [cochains.d1_closed_m0(p, k).to_vector() for k in range(1, p + 1)], axis=1
+            [to_vector(cochains.d1_closed_m0(p, k)) for k in range(1, p + 1)], axis=1
         )
         if (cochains.d1_matrix(A) != closed_d1).any():
             matrices_ok = False
         closed_d2 = np.stack(
-            [cochains.d2_closed_m0_corrected(p, i, j).to_vector()
+            [to_vector(cochains.d2_closed_m0_corrected(p, i, j))
              for i, j in cochains.index_tuples(p, 2)],
             axis=1,
         )

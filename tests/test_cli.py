@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: flags, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filicoh import cli
 from filicoh.cli import main
@@ -474,6 +477,64 @@ def test_extend_rejects_bad_specs(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize("spec", ["e:2,2", "e:5,5", "e:1,1"])
+def test_extend_rejects_a_repeated_pair_index(spec, capsys):
+    # e^{I,I} is the zero form: extending by it would silently build the
+    # split extension of a cochain nobody asked for
+    code, out, err = run(capsys, "extend", "--prime", "5", "--cocycle", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: e:I,J needs two different indices, got {spec!r}\n"
+
+
+def clear_memos():
+    for memo in (cli.ordinary_summary, cli.cohomology._reduced,
+                 cli.cohomology._restricted_group, cli.cohomology._candidates):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--prime", "7", "--lambda", "all"],
+    ["dims", "--prime", "2", "--lambda", "all", "--format", "json"],
+    ["basis", "--restricted", "--prime", "5", "--lambda", "all"],
+    ["basis", "--restricted", "--prime", "3", "--lambda", "all", "--degree", "1"],
+    ["basis", "--prime", "7", "--lambda", "zero"],
+    ["extend", "--prime", "7", "--cocycle", "phi:7"],
+    ["extend", "--prime", "7", "--lambda", "random:2", "--cocycle", "ebar:3"],
+    ["extend", "--prime", "5", "--cocycle", "e:4,5"],
+], ids=" ".join)
+def test_reports_run_no_evaluate_based_differential(argv, monkeypatch, capsys):
+    # the evaluate-based d1/d2 are oracles only: with Cochain.evaluate
+    # broken and every memo cold, the reports come out unchanged
+    clear_memos()
+    want = run(capsys, *argv)
+
+    def refuse(self, *vectors):
+        raise AssertionError("Cochain.evaluate called")
+
+    monkeypatch.setattr(cli.cochains.Cochain, "evaluate", refuse)
+    clear_memos()
+    try:
+        assert run(capsys, *argv) == want
+    finally:
+        clear_memos()
+    assert want[0] in (0, 1)
+
+
+def test_extend_refuses_a_cocycle_with_a_spurious_differential_term(monkeypatch, capsys):
+    real = cli.cochains.differential
+
+    def one_term_too_many(algebra, cochain):
+        out = real(algebra, cochain)
+        if cochain.degree == 2:
+            out = out + cli.cochains.dual_cochain(algebra.prime, algebra.dim, (1, 2, 4))
+        return out
+
+    monkeypatch.setattr(cli.cochains, "differential", one_term_too_many)
+    code, out, err = run(capsys, "extend", "--prime", "5", "--cocycle", "phi:5")
+    assert (code, out) == (1, "")
+    assert err == "error: not a restricted cocycle: d2 is nonzero on (1, 2, 4)\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -557,6 +618,51 @@ def test_ordinary_groups_computed_once_per_prime(monkeypatch):
     assert rows[0] == rows[2]
     a, b = cli.group_summaries(5, (0,) * 5), cli.group_summaries(5, (1,) * 5)
     assert a["H1"] is b["H1"] and a["H2"] is b["H2"]
+
+
+# ---------------------------------------------------------------------------
+# spec fuzzing: primes stay at most 13, so no large case is allocated
+
+JUNK = st.text(alphabet="0123456789,:- abelmoprxz", max_size=10)
+PRIME = st.sampled_from(["2", "3", "5", "7", "11", "13", "0", "1", "4", "9", "-3", "2.0", ""]) | JUNK
+INDEX = st.integers(-1, 15).map(str)
+LAMBDA = st.one_of(
+    st.sampled_from(["zero", "all", "random:0", "random:7", "random:-1", "random:", "random:x"]),
+    st.lists(st.integers(-20, 20).map(str), max_size=14).map(",".join),
+    JUNK,
+)
+COCYCLE = st.one_of(
+    st.tuples(st.sampled_from(["ebar", "phi"]), INDEX).map(":".join),
+    st.tuples(INDEX, INDEX).map(lambda ij: "e:" + ",".join(ij)),
+    JUNK,
+)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["dims", "basis", "extend", "sweep"]))
+    if command == "sweep":
+        argv = ["sweep", "--primes", ",".join(draw(st.lists(PRIME, min_size=1, max_size=3)))]
+    else:
+        argv = [command, "--prime", draw(PRIME)]
+    argv += ["--lambda", draw(LAMBDA)]
+    if command == "extend":
+        argv += ["--cocycle", draw(COCYCLE)]
+    if command == "basis" and draw(st.booleans()):
+        argv += ["--restricted"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_fuzzed_specs_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

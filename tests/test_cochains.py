@@ -5,11 +5,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filicoh import cochains, extensions, liealg
 from filicoh.cochains import Cochain, dual_cochain
-from helpers import homogeneous_weight, mat_mul, random_element
+from helpers import cochain_from_vector, homogeneous_weight, mat_mul, random_element, to_vector
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -63,9 +63,9 @@ def test_evaluate_degree_three_determinant():
 
 def test_vector_round_trip():
     c = Cochain(7, 7, 2, {(2, 5): 1, (3, 4): 6})
-    back = Cochain.from_vector(7, 7, 2, c.to_vector())
+    back = cochain_from_vector(7, 7, 2, to_vector(c))
     assert back == c
-    assert len(c.to_vector()) == 21
+    assert len(to_vector(c)) == 21
 
 
 @settings(max_examples=100, derandomize=True)
@@ -76,7 +76,7 @@ def test_to_vector_matches_enumeration(data, degree, dim, p):
     order = cochains.index_tuples(dim, degree)
     keys = data.draw(st.lists(st.sampled_from(order), max_size=8)) if order else []
     c = Cochain(p, dim, degree, {key: data.draw(st.integers(1, p - 1)) for key in keys})
-    got = c.to_vector()
+    got = to_vector(c)
     assert got.dtype == np.int64
     assert got.tolist() == [c.coeffs.get(key, 0) for key in order]
 
@@ -156,7 +156,7 @@ def test_d2_printed_variant_agrees_at_three():
 def _oracle_matrix(A, differential, degree):
     """Matrix of an evaluate-based differential, one dual cochain per column."""
     cols = [
-        differential(A, dual_cochain(A.prime, A.dim, key)).to_vector()
+        to_vector(differential(A, dual_cochain(A.prime, A.dim, key)))
         for key in cochains.index_tuples(A.dim, degree)
     ]
     return np.stack(cols, axis=1)
@@ -183,6 +183,72 @@ def test_matrices_match_evaluate_oracle_on_extensions(p):
     for k in cochains.phi_weights(p):
         E = extensions.extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
         _assert_matrices_match_oracle(E)
+
+
+def _cochain_of(draw, A, degree):
+    keys = cochains.index_tuples(A.dim, degree)
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    return Cochain(A.prime, A.dim, degree, {key: draw(st.integers(1, A.prime - 1)) for key in chosen})
+
+
+@st.composite
+def algebras_and_cochains(draw):
+    """Random brackets over GF(p), dim 1-8, not necessarily Lie: several
+    constants may land on one e_k, and some draws have no brackets at all;
+    with a random 1-cochain and 2-cochain over the algebra."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    dim = draw(st.integers(1, 8))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    pairs = cochains.index_tuples(dim, 2)
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    A = liealg.LieAlgebra(p, dim, {pair: draw(coeffs) for pair in chosen}, weights=[1] * dim)
+    return A, _cochain_of(draw, A, 1), _cochain_of(draw, A, 2)
+
+
+def _dense_cochain(A, degree):
+    """A cochain with a nonzero coefficient on every index tuple."""
+    keys = cochains.index_tuples(A.dim, degree)
+    return Cochain(A.prime, A.dim, degree, {key: 1 + sum(key) % (A.prime - 1) for key in keys})
+
+
+NO_BRACKETS = liealg.LieAlgebra(5, 4, {}, weights=[1] * 4)
+
+
+def _on_phi_extensions_at_13(test):
+    # make_m0(13) with [e_i, e_j] += phi_k(e_i, e_j) e_14, built without
+    # extensions.extend_ordinary (which runs the route under test): every
+    # term of phi_k lands on the one central k = 14
+    A = liealg.make_m0(13)
+    for k in cochains.phi_weights(13):
+        phi = cochains.phi_k(13, k)
+        brackets = {
+            (i, j): np.append(A.bracket_basis(i, j), phi.coefficient((i, j)))
+            for i, j in cochains.index_tuples(13, 2)
+        }
+        E = liealg.LieAlgebra(13, 14, brackets, weights=range(1, 15))
+        test = example((E, _dense_cochain(E, 1), _dense_cochain(E, 2)))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebras_and_cochains())
+@example((NO_BRACKETS, _dense_cochain(NO_BRACKETS, 1), _dense_cochain(NO_BRACKETS, 2)))
+@_on_phi_extensions_at_13
+def test_differential_matches_the_evaluate_oracles(drawn):
+    A, c1, c2 = drawn
+    assert cochains.differential(A, c1) == cochains.d1(A, c1)
+    assert cochains.differential(A, c2) == cochains.d2(A, c2)
+
+
+def test_differential_takes_one_or_two_cochains_over_the_algebra():
+    A = liealg.make_m0(7)
+    with pytest.raises(ValueError):
+        cochains.differential(A, dual_cochain(7, 7, (1, 2, 3)))
+    with pytest.raises(ValueError):
+        cochains.differential(A, dual_cochain(7, 6, (1, 2)))
+    with pytest.raises(ValueError):
+        cochains.differential(A, dual_cochain(5, 7, (1, 2)))
+    assert cochains.differential(A, Cochain(7, 7, 2)) == Cochain(7, 7, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])

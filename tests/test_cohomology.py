@@ -17,6 +17,7 @@ from helpers import (
     homogeneous_weight,
     mat_mul,
     sparse,
+    to_vector,
 )
 from test_acceptance import criterion_lambdas
 
@@ -122,7 +123,7 @@ def test_h2_kernel_is_paper_cocycles(p):
     cocycles = [dual_cochain(p, p, (1, j)) for j in range(2, p + 1)]
     cocycles += [cochains.phi_k(p, k) for k in cochains.phi_weights(p)]
     assert coh.h2(A).kernel_dim == len(cocycles)
-    paper = gf.rref(np.stack([c.to_vector() for c in cocycles]), p)[0]
+    paper = gf.rref(np.stack([to_vector(c) for c in cocycles]), p)[0]
     assert (gf.rref(gf.kernel_basis(cochains.d2_matrix(A), p), p)[0] == paper).all()
 
 
@@ -143,7 +144,7 @@ def test_h2_reps_are_cocycles_independent_mod_image(p):
     base = gf.rank(image, p)
     for r in s.representatives:
         assert cochains.d2(A, r).is_zero()
-        rows.append(r.to_vector())
+        rows.append(to_vector(r))
     assert gf.rank(np.stack(rows), p) == base + s.dimension
 
 
@@ -236,12 +237,12 @@ def test_image_dim_is_rank_of_image(p):
     duals = [dual_cochain(p, p, (k,)) for k in range(1, p + 1)]
     assert coh.h1(A).image_dim == 0
     assert coh.h2(A).image_dim == gf.rank(
-        np.stack([cochains.d1(A, psi).to_vector() for psi in duals]), p
+        np.stack([to_vector(cochains.d1(A, psi)) for psi in duals]), p
     )
     for lam in criterion_lambdas(p):
         R = restricted.make_m0_lambda(p, lam)
         assert coh.h1_star(R).image_dim == 0
-        rows = np.stack([d1_star(R, psi).to_vector() for psi in duals])
+        rows = np.stack([to_vector(d1_star(R, psi)) for psi in duals])
         assert coh.h2_star(R).image_dim == gf.rank(rows, p), lam
 
 
@@ -411,7 +412,7 @@ def assert_matches_dense(p, degree, powers, dense):
     n = math.comb(p, degree)
     assert entry.pivots == tuple(pivots)
     assert coh._kernel(p, degree, powers)[0] == n - len(pivots)
-    vectors = np.stack([c.to_vector() for c in coh._candidates(p, degree, False)[0]])
+    vectors = np.stack([to_vector(c) for c in coh._candidates(p, degree, False)[0]])
     killed = ~mat_mul(r[: len(pivots), :n], vectors.T, p).any(axis=0)
     assert_same_array(entry.killed, killed)
 
@@ -483,7 +484,7 @@ def test_reduction_matches_dense_rref(p):
         # and the Frobenius duals that lead its candidates are cocycles
         rank = len(coh._reduced(p, 2, R.power_rows).pivots)
         assert coh.h2_star(R).kernel_dim == d2_star.shape[1] - rank
-        frobenius = np.stack([c.to_vector() for c in coh._candidates(p, 2, True)[0][:p]])
+        frobenius = np.stack([to_vector(c) for c in coh._candidates(p, 2, True)[0][:p]])
         assert not mat_mul(d2_star, frobenius.T, p).any()
 
 
@@ -604,7 +605,7 @@ def per_lambda_greedy_pass(R, degree):
         image, forms = d1_star_matrix(R).T, coh._candidates(p, 2, True)[0]
     span = gf.SpanTracker(p, map(sparse, image))
     image_dim = span.rank
-    reps = [str(c) for c, k in zip(forms, killed) if k and span.add(sparse(c.to_vector()))]
+    reps = [str(c) for c, k in zip(forms, killed) if k and span.add(sparse(to_vector(c)))]
     return reps, kernel_dim, image_dim
 
 
@@ -661,7 +662,7 @@ def test_d1_star_matrix_columns_are_d1_star(p):
         R = restricted.make_m0_lambda(p, lam)
         m = d1_star_matrix(R)
         for k in range(1, p + 1):
-            want = d1_star(R, dual_cochain(p, p, (k,))).to_vector()
+            want = to_vector(d1_star(R, dual_cochain(p, p, (k,))))
             assert (m[:, k - 1] == want).all(), (lam, k)
 
 

@@ -8,7 +8,7 @@ import pytest
 from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import Cochain, dual_cochain
-from helpers import center, coboundary_shift_is_isomorphism, sparse
+from helpers import center, coboundary_shift_is_isomorphism, cochain_from_vector, sparse
 
 
 def rand_lambda(rng, p):
@@ -200,8 +200,8 @@ def test_coboundary_shift_isomorphism(p):
     ker = gf.kernel_basis(cochains.d2_matrix(A), p)
     for _ in range(4):
         combo = gf.normalize(rng.integers(0, p, size=ker.shape[0]) @ ker, p)
-        phi = Cochain.from_vector(p, p, 2, combo)
-        psi = Cochain.from_vector(p, p, 1, rng.integers(0, p, size=p))
+        phi = cochain_from_vector(p, p, 2, combo)
+        psi = cochain_from_vector(p, p, 1, rng.integers(0, p, size=p))
         assert coboundary_shift_is_isomorphism(A, phi, psi)
 
 

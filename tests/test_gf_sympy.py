@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from filicoh import cohomology as coh, gf, restricted
-from helpers import d1_star_matrix, dense_d2_star, matrices_mod_p
+from helpers import d1_star_matrix, dense_d2_star, matrices_mod_p, to_vector
 
 GF = pytest.importorskip("sympy").GF
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -54,6 +54,6 @@ def test_reduced_matches_sympy_rref_of_dense_stacks(p):
             n = math.comb(p, degree)
             assert entry.pivots == tuple(want_pivots)
             assert coh._kernel(p, degree, R.power_rows)[0] == n - len(want_pivots)
-            vectors = np.stack([c.to_vector() for c in coh._candidates(p, degree, False)[0]])
+            vectors = np.stack([to_vector(c) for c in coh._candidates(p, degree, False)[0]])
             killed = ~((want[:, :n] @ vectors.T) % p).any(axis=0)
             assert (entry.killed == killed).all()

@@ -11,14 +11,17 @@ from filicoh import cochains, gf, liealg, restricted
 from filicoh import restricted_cochains as rc
 from filicoh.cochains import Cochain, dual_cochain
 from helpers import (
+    cochain_from_vector,
     d1_star,
     doublestar_correction_naive,
     doublestar_eval_naive,
     ind1_at,
     ind2_at,
     ind2_family_closed,
+    restricted_from_vector,
     star_correction_naive,
     star_eval_naive,
+    to_vector,
 )
 
 SMALL_PRIMES = [3, 5, 7]
@@ -30,7 +33,7 @@ def rand_vec(rng, dim, p):
 
 def rand_cochain(rng, p, dim, degree):
     order = cochains.index_tuples(dim, degree)
-    return Cochain.from_vector(p, dim, degree, rng.integers(0, p, size=len(order)))
+    return cochain_from_vector(p, dim, degree, rng.integers(0, p, size=len(order)))
 
 
 def rand_cocycle(rng, algebra):
@@ -38,7 +41,7 @@ def rand_cocycle(rng, algebra):
     p = algebra.prime
     ker = gf.kernel_basis(cochains.d2_matrix(algebra), p)
     combo = gf.normalize(rng.integers(0, p, size=ker.shape[0]) @ ker, p)
-    return Cochain.from_vector(p, algebra.dim, 2, combo)
+    return cochain_from_vector(p, algebra.dim, 2, combo)
 
 
 def rand_lambda(rng, p):
@@ -74,7 +77,7 @@ def test_two_cochain_vector_round_trip():
     p = 5
     phi = rand_cochain(rng, p, p, 2)
     c = rc.RestrictedTwoCochain(phi, tuple(rng.integers(0, p, size=p)))
-    back = rc.RestrictedTwoCochain.from_vector(p, p, c.to_vector())
+    back = restricted_from_vector(p, p, to_vector(c))
     assert back == c
 
 
@@ -756,11 +759,11 @@ def test_correction_stacks_match_naive_sum(p, monkeypatch):
 def test_form_matrices_match_evaluate(data, p, dim):
     entries = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
     x, y, g = (np.array(data.draw(entries)) for _ in range(3))
-    phi = Cochain.from_vector(p, dim, 2, data.draw(
+    phi = cochain_from_vector(p, dim, 2, data.draw(
         st.lists(st.integers(0, p - 1), min_size=dim * (dim - 1) // 2, max_size=dim * (dim - 1) // 2)
     ))
     ntriples = len(cochains.index_tuples(dim, 3))
-    alpha = Cochain.from_vector(p, dim, 3, data.draw(
+    alpha = cochain_from_vector(p, dim, 3, data.draw(
         st.lists(st.integers(0, p - 1), min_size=ntriples, max_size=ntriples)
     ))
     assert (x @ rc.form_matrix(phi) @ y) % p == phi.evaluate(x, y)
