@@ -10,7 +10,6 @@ verification mismatch, and 2 for a usage or input error.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import sys
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checks, cochains, cohomology, extensions, gf, isoclass, liealg, restricted
+from . import checks, cochains, cohomology, extensions, gf, isoclass, restricted
 from . import restricted_cochains as rcoch
 
 # master seed for the capped "all" enumeration; echoed in every report
@@ -128,22 +127,13 @@ def resolve_lambdas(p: int, spec: str) -> tuple[list[tuple[int, ...]], str | Non
 GROUP_NAMES = ("H1", "H1+", "H2", "H2+")
 
 
-@functools.lru_cache(maxsize=None)
-def ordinary_summary(p: int, degree: int) -> cohomology.CohomologySummary:
-    """H1 or H2 of the maximal-class algebra.  Neither depends on lambda,
-    so each is computed once per prime and shared: callers must not
-    mutate it."""
-    A = liealg.make_m0(p)
-    return cohomology.h1(A) if degree == 1 else cohomology.h2(A)
-
-
 def group_summaries(p, lam):
     """All four cohomology summaries for one family member."""
     R = restricted.make_m0_lambda(p, lam)
     return {
-        "H1": ordinary_summary(p, 1),
+        "H1": cohomology.h1(R.algebra),
         "H1+": cohomology.h1_star(R),
-        "H2": ordinary_summary(p, 2),
+        "H2": cohomology.h2(R.algebra),
         "H2+": cohomology.h2_star(R),
     }
 
@@ -241,11 +231,11 @@ def run_basis(cfg: RunConfig) -> int:
     lines = [f"# {n}" for n in notes]
     rows = []
     for lam in lams:
+        R = restricted.make_m0_lambda(p, lam)
         if cfg.restricted:
-            R = restricted.make_m0_lambda(p, lam)
             s = cohomology.h1_star(R) if cfg.degree == 1 else cohomology.h2_star(R)
         else:
-            s = ordinary_summary(p, cfg.degree)
+            s = cohomology.h1(R.algebra) if cfg.degree == 1 else cohomology.h2(R.algebra)
         report = cohomology.compare(s, cohomology.expected_summary(p, lam))
         ok = ok and report["ok"]
         row = cohomology.summary_to_json(s)

@@ -171,23 +171,6 @@ class Cochain:
         positions = _positions(self.dim, self.degree)
         return {positions[key]: c for key, c in self.coeffs.items()}
 
-    def to_json(self) -> dict:
-        """Term list form; indices are sorted so output is deterministic."""
-        return {
-            "prime": self.prime,
-            "dim": self.dim,
-            "degree": self.degree,
-            "terms": [
-                {"indices": list(key), "coefficient": int(self.coeffs[key])}
-                for key in sorted(self.coeffs)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Cochain":
-        coeffs = {tuple(t["indices"]): int(t["coefficient"]) for t in data["terms"]}
-        return cls(data["prime"], data["dim"], data["degree"], coeffs)
-
     def __str__(self):
         def label(key):
             return f"e^{key[0]}" if len(key) == 1 else "e^{" + ",".join(map(str, key)) + "}"

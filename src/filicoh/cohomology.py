@@ -1,24 +1,26 @@
 """Degree 1 and 2 cohomology of the family m_0^lambda(p), with labeled bases.
 
 Only make_m0(p) and its restricted family members are accepted; anything
-else raises ValueError.  d1* and d2* are reduced once per row space of the
-p-power vectors and memoised: a family member changes only the induced
-rows (omega for d1*, beta for d2*), and those depend on lambda only
-through that row space, the line of e_p or 0.  So each prime needs at most
-two reductions per degree, and lambda = 0 shares its reduction with the
-ordinary H1 and H2.  Both degrees are reduced on one path: the sparse
-rows of d1 or d2 and the sparse induced rows go into one sparse
-gf.SpanTracker, and nothing of the size of d2 is built densely.  An entry
-keeps only what the groups read: the pivots, which give the kernel
-dimension, and which distinguished cocycles the differential kills.
+else raises ValueError.  The restricted groups sit inside the ordinary
+ones: ker d1* and ker d2* are the parts of ker d1 and ker d2 that the
+maps induced by the p-powers (omega for d1*, beta for d2*) send to zero.
+So d1 and d2 are eliminated once per prime: their sparse rows go into one
+sparse gf.SpanTracker, and nothing of the size of d2 is built densely.
+The memo keeps the pivots, which give dim ker d, and which distinguished
+cocycles d kills.  The induced rows depend on lambda only through the row
+space of the p-power vectors, on the family 0 or the line of e_p, and
+each such key applies them to a basis of ker d (the ordinary
+representatives, with the d1 images in degree 2): the kernel loses their
+rank there, and a candidate stays killed when they send it to zero.  That
+is p-sized work per key; no row of d is reduced twice.
 
 The groups pick those killed candidates by a deterministic greedy pass
 that keeps one exactly when it grows the span past the image, so golden
-tests can compare labels rather than raw coordinates.  H1+ and H2+ run
-that pass once per key (p, degree, power rows, W) and memoise what it
-selects; per lambda they only build the key and copy the entry with their
-own lambda.  W is the row space of omega on ker d1.  The image of d1* is
-the rows (d1 f, omega_f); its span projects onto im d1 and meets the
+tests can compare labels rather than raw coordinates.  All four groups
+come from one memo, keyed (p, degree, restricted, power rows, W); a call
+copies its entry, and per lambda H1+ and H2+ only build the key and copy
+the entry with their own lambda.  W is the row space of omega on ker d1.  The image of d1* is the
+rows (d1 f, omega_f); its span projects onto im d1 and meets the
 Frobenius coordinates in W, and the pass reads nothing else, because the
 Frobenius duals are tried first.  So the pass runs over a canonical image
 instead: the d1 rows with zero Frobenius columns, over the W rows in the
@@ -92,81 +94,66 @@ class ExpectedSummary:
         return table[(degree, restricted_flag)]
 
 
-def _cohomology(kernel_dim, killed, image_rows, candidates, *, prime, lam, degree, restricted):
-    """A kernel of dimension kernel_dim modulo the span of image_rows, with
-    labeled representatives.
-
-    image_rows are sparse coordinate rows; candidates are (cochains, their
-    sparse coordinates), tried in order.  Only those marked in killed
-    compete, and one is kept exactly when it grows the span past the
-    image.  On the family the distinguished cocycles always complete the
-    quotient (CohomologySummary raises if they do not).
-    """
-    span = gf.SpanTracker(prime, image_rows)
-    image_dim = span.rank
-    forms, coords = candidates
-    reps = [c for c, v, k in zip(forms, coords, killed) if k and span.add(v)]
-    return CohomologySummary(
-        prime=prime,
-        lam=lam,
-        degree=degree,
-        restricted=restricted,
-        dimension=kernel_dim - image_dim,
-        kernel_dim=kernel_dim,
-        image_dim=image_dim,
-        representatives=reps,
-    )
-
-
 @dataclass(frozen=True)
 class _Reduction:
-    """What the groups read of one reduction of d1* or d2*: the pivot
-    columns of its rref and which of the ordinary candidates it kills."""
+    """What the groups read of one reduction of d1 or d2: its pivot columns
+    and which of the ordinary candidates it kills."""
 
     pivots: tuple[int, ...]
     killed: np.ndarray
 
 
-@functools.lru_cache(maxsize=4)
-def _reduced(p: int, degree: int, powers: tuple) -> _Reduction:
-    """Reduction of d1* (degree 1) or d2* without its zero Frobenius
-    columns (degree 2) for make_m0(p) whose p-power vectors span the rows
-    of powers (RestrictedAlgebra.power_rows): the sparse rows of d1 over
-    those rows, or of d2 over their induced-beta rows, fed to one
-    gf.SpanTracker.  powers == () is d1 or d2 alone.
-
-    The tracker's pivots are those of the rref of the stacked rows.  A
-    candidate is killed when its differential is zero and so is its
-    product with the induced rows, read only through the columns its
-    coordinates touch.  On the family the powers span 0 or the line of
-    e_p: two entries per (p, degree), and the memo keeps the four of one
-    prime, since grids and sweeps visit primes in turn.  The kill mask is
-    read-only because every caller shares it."""
+@functools.lru_cache(maxsize=2)
+def _reduced(p: int, degree: int) -> _Reduction:
+    """Reduction of d1 (degree 1) or d2 of make_m0(p): its sparse rows fed
+    to one gf.SpanTracker, whose pivots are those of the rref, and the
+    candidates whose cochains.differential is zero.  The memo keeps both
+    degrees of one prime, since grids and sweeps visit primes in turn.
+    The kill mask is read-only because every caller shares it."""
     A = liealg.make_m0(p)
-    induced = _induced_rows(p, degree, powers)
-    columns: dict[int, list] = {}
-    for r, row in enumerate(induced):
-        for c, x in row.items():
-            columns.setdefault(c, []).append((r, x))
-
-    def kills(form, coords):
-        sums: dict[int, int] = {}
-        for c, x in coords.items():
-            for r, m in columns.get(c, ()):
-                sums[r] = sums.get(r, 0) + m * x
-        return not any(s % p for s in sums.values()) and cochains.differential(A, form).is_zero()
-
-    killed = np.array([kills(*c) for c in zip(*_candidates(p, degree, False))], dtype=bool)
+    forms = _candidates(p, degree, False)[0]
+    killed = np.array([cochains.differential(A, c).is_zero() for c in forms], dtype=bool)
     killed.setflags(write=False)
-    rows = list(cochains.differential_rows(A, degree).values()) + induced
+    # a list, so the dict's row keys are freed before the elimination
+    rows = list(cochains.differential_rows(A, degree).values())
     return _Reduction(gf.SpanTracker(p, rows).pivots, killed)
 
 
 def _kernel(p: int, degree: int, powers: tuple):
-    """(kernel dimension, kill mask) of the reduction _reduced(p, degree,
-    powers): the columns of d1 or d2 less its rank."""
-    entry = _reduced(p, degree, powers)
-    return math.comb(p, degree) - len(entry.pivots), entry.killed
+    """(dimension, kill mask of the ordinary candidates) of the kernel of
+    d1* (degree 1) or of d2* without its zero Frobenius columns (degree 2),
+    for the p-power vectors spanning the rows of powers
+    (RestrictedAlgebra.power_rows); powers == () is d1 or d2 alone.
+
+    That kernel is the part of ker d that the induced rows send to zero.
+    The ordinary representatives, with the d1 images in degree 2, span
+    ker d (CohomologySummary holds their count to kernel_dim - image_dim),
+    so it loses the rank of the induced rows on them, and a candidate is
+    killed when d kills it and so do the induced rows.  Those rows are read
+    only through the columns a vector touches; no row of d is reduced
+    again."""
+    entry = _reduced(p, degree)
+    kernel_dim = math.comb(p, degree) - len(entry.pivots)
+    if not powers:
+        return kernel_dim, entry.killed
+    columns: dict[int, list] = {}
+    for r, row in enumerate(_induced_rows(p, degree, powers)):
+        for c, x in row.items():
+            columns.setdefault(c, []).append((r, x))
+
+    def induced(coords):
+        sums: dict[int, int] = {}
+        for c, x in coords.items():
+            for r, m in columns.get(c, ()):
+                sums[r] = (sums.get(r, 0) + m * x) % p
+        return {r: s for r, s in sums.items() if s}
+
+    spanning = [c.coordinates() for c in _group(p, degree, False).representatives]
+    if degree == 2:
+        spanning += _d1_images(p)
+    rank = gf.SpanTracker(p, map(induced, spanning)).rank
+    zero = np.array([not induced(c) for c in _candidates(p, degree, False)[1]], dtype=bool)
+    return kernel_dim - rank, entry.killed & zero
 
 
 def _induced_rows(p: int, degree: int, powers) -> list[dict[int, int]]:
@@ -202,50 +189,52 @@ def _candidates(p: int, degree: int, restricted: bool):
     return tuple(forms), tuple(c.coordinates() for c in forms)
 
 
-def h1(A: liealg.LieAlgebra) -> CohomologySummary:
-    """Ordinary degree-1 cohomology of make_m0(p): the whole kernel of d1."""
-    if A != liealg.make_m0(A.prime):
-        raise ValueError("h1 is computed on make_m0(p) only")
-    return _cohomology(
-        *_kernel(A.prime, 1, ()), (), _candidates(A.prime, 1, False),
-        prime=A.prime, lam=None, degree=1, restricted=False,
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _restricted_group(p: int, degree: int, powers: tuple, omega: tuple) -> CohomologySummary:
-    """H1+ (degree 1) or H2+ of every family member whose p-power vectors
-    span the rows of powers and whose omega on ker d1 spans the rows of
-    omega (_omega_rows), with lam None.
-
-    H1+ has no image.  H2+ counts the p zero Frobenius columns of d2* in
-    its kernel, and the Frobenius duals, which lead its candidates, are p
-    more cocycles; its image is the canonical one of the module docstring.
-    One prime has at most eight keys (four per degree, at p = 2, where W
-    runs over 0 and the three lines; two per degree from p = 3 on), and
-    the memo keeps them all, since grids and sweeps visit primes in turn."""
-    kernel_dim, killed = _kernel(p, degree, powers)
-    if degree == 1:
-        return _cohomology(
-            kernel_dim, killed, (), _candidates(p, 1, False),
-            prime=p, lam=None, degree=1, restricted=True,
-        )
-    npairs = math.comb(p, 2)
-    image = _d1_images(p)
-    image += [{npairs + k: x for k, x in enumerate(w) if x} for w in omega]
-    return _cohomology(
-        kernel_dim + p,
-        np.concatenate([np.ones(p, dtype=bool), killed]),
-        image,
-        _candidates(p, 2, True),
-        prime=p, lam=None, degree=2, restricted=True,
-    )
-
-
 def _d1_images(p: int) -> list[dict[int, int]]:
     """d1 of each dual e^k of make_m0(p), as sparse coordinates over the pairs."""
     A = liealg.make_m0(p)
     return [cochains.differential(A, e).coordinates() for e in _candidates(p, 1, False)[0]]
+
+
+@functools.lru_cache(maxsize=10)
+def _group(p: int, degree: int, restricted: bool, powers: tuple = (), omega: tuple = ()):
+    """H1 or H2 of make_m0(p) (restricted False), or H1+ or H2+ of every
+    family member whose p-power vectors span the rows of powers and whose
+    omega on ker d1 spans the rows of omega (_omega_rows), with lam None.
+
+    The kernel is _kernel's, modulo the span of the image rows: none in
+    degree 1, the d1 images in degree 2.  H2+ counts the p zero Frobenius
+    columns of d2* in its kernel, the Frobenius duals that lead its
+    candidates are p more cocycles, and its image is the canonical one of
+    the module docstring.  The killed candidates are tried in order and
+    one is kept exactly when it grows the span past the image; on the
+    family they always complete the quotient (CohomologySummary raises if
+    they do not).  One prime has at most ten keys: the two ordinary groups
+    and four per restricted degree at p = 2, where W runs over 0 and the
+    three lines, or two from p = 3 on.  The memo keeps them all, since
+    grids and sweeps visit primes in turn.  The public groups hand out
+    copies (_copy), so no caller can change an entry."""
+    kernel_dim, killed = _kernel(p, degree, powers)
+    image = _d1_images(p) if degree == 2 else []
+    frobenius = restricted and degree == 2
+    if frobenius:
+        npairs = math.comb(p, 2)
+        image += [{npairs + k: x for k, x in enumerate(w) if x} for w in omega]
+        kernel_dim += p
+        killed = np.concatenate([np.ones(p, dtype=bool), killed])
+    span = gf.SpanTracker(p, image)
+    image_dim = span.rank
+    forms, coords = _candidates(p, degree, frobenius)
+    reps = [c for c, v, k in zip(forms, coords, killed) if k and span.add(v)]
+    return CohomologySummary(
+        prime=p,
+        lam=None,
+        degree=degree,
+        restricted=restricted,
+        dimension=kernel_dim - image_dim,
+        kernel_dim=kernel_dim,
+        image_dim=image_dim,
+        representatives=reps,
+    )
 
 
 def _omega_rows(R: restricted.RestrictedAlgebra) -> tuple:
@@ -258,38 +247,51 @@ def _omega_rows(R: restricted.RestrictedAlgebra) -> tuple:
     return tuple(map(tuple, r[: len(pivots)].tolist()))
 
 
+def _copy(s: CohomologySummary, lam) -> CohomologySummary:
+    """A memo entry with lam and a representative list of the caller's own."""
+    return dataclasses.replace(s, lam=lam, representatives=list(s.representatives))
+
+
+def _ordinary(A: liealg.LieAlgebra, degree: int, name: str) -> CohomologySummary:
+    if A != liealg.make_m0(A.prime):
+        raise ValueError(f"{name} is computed on make_m0(p) only")
+    return _copy(_group(A.prime, degree, False), None)
+
+
 def _restricted_summary(R: restricted.RestrictedAlgebra, degree: int, name: str):
     if not R.is_m0_family:
         raise ValueError(f"{name} is computed on the family m_0^lambda(p) only")
-    s = _restricted_group(R.prime, degree, R.power_rows, _omega_rows(R))
-    return dataclasses.replace(s, lam=R.lam, representatives=list(s.representatives))
+    return _copy(_group(R.prime, degree, True, R.power_rows, _omega_rows(R)), R.lam)
+
+
+def h1(A: liealg.LieAlgebra) -> CohomologySummary:
+    """Ordinary degree-1 cohomology of make_m0(p): the whole kernel of d1,
+    computed once per prime."""
+    return _ordinary(A, 1, "h1")
 
 
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
-    """Restricted degree-1 cohomology: the kernel of d1 over the induced
-    omega rows, looked up by the row space of the p-powers and W
-    (_restricted_group)."""
+    """Restricted degree-1 cohomology: the part of ker d1 that the induced
+    omega rows send to zero.  d1 is reduced once per prime, and each key
+    (p-power row space, W) ranks its omega rows on a basis of ker d1; per
+    lambda the memoised summary is copied with this lambda."""
     return _restricted_summary(R, 1, "h1_star")
 
 
 def h2(A: liealg.LieAlgebra) -> CohomologySummary:
-    """Ordinary degree-2 cohomology of make_m0(p): ker d2 modulo im d1."""
-    if A != liealg.make_m0(A.prime):
-        raise ValueError("h2 is computed on make_m0(p) only")
-    p = A.prime
-    return _cohomology(
-        *_kernel(p, 2, ()), _d1_images(p), _candidates(p, 2, False),
-        prime=p, lam=None, degree=2, restricted=False,
-    )
+    """Ordinary degree-2 cohomology of make_m0(p): ker d2 modulo im d1,
+    computed once per prime."""
+    return _ordinary(A, 2, "h2")
 
 
 def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-2 cohomology: ker d2* modulo im d1*.
 
-    d2* is reduced from d2 over the induced-beta rows of a basis of the
-    p-power vectors: n rows per basis vector instead of n^2, with the same
-    row space and so the same rref.  It is looked up by that basis, and
-    the selection by that basis and W (_restricted_group)."""
+    ker d2* is the part of ker d2 that the induced-beta rows send to zero,
+    plus the p zero Frobenius columns.  d2 is reduced once per prime, and
+    each key (p-power row space, W) ranks the beta rows of a basis of the
+    p-powers, n rows per basis vector, on a basis of ker d2; per lambda the
+    memoised summary is copied with this lambda."""
     return _restricted_summary(R, 2, "h2_star")
 
 

@@ -83,7 +83,8 @@ class RestrictedAlgebra:
     def power_rows(self) -> tuple[tuple[int, ...], ...]:
         """A basis of the span of the e_k^[p]: the nonzero rref rows of the
         power matrix as int tuples, at most one row on the family.  It keys
-        the memoised reductions of d1* and d2*, so it is computed once."""
+        the memoised H1+ and H2+, whose induced omega and beta rows are
+        built from these rows alone, so it is computed once."""
         r, pivots = gf.rref(self.power_matrix, self.prime)
         return tuple(map(tuple, r[: len(pivots)].tolist()))
 

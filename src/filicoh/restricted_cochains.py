@@ -67,17 +67,6 @@ class RestrictedTwoCochain:
         npairs = self.dim * (self.dim - 1) // 2
         return self.phi.coordinates() | {npairs + k: x for k, x in enumerate(self.omega_basis) if x}
 
-    def to_json(self) -> dict:
-        return {
-            "phi": self.phi.to_json(),
-            "omega": [int(x) for x in self.omega_basis],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RestrictedTwoCochain":
-        phi = cochains.Cochain.from_json(data["phi"])
-        return cls(phi, tuple(int(x) for x in data["omega"]))
-
     def __str__(self):
         omega = omega_basis_str(self)
         return f"({self.phi}, {omega})"

@@ -183,6 +183,16 @@ def test_verify_json_separates_informational(capsys):
     assert all(c["ok"] for c in hard)
 
 
+def test_verify_marks_the_diagonal_search_not_run_above_the_search_limit(monkeypatch, capsys):
+    # above isoclass.SEARCH_LIMIT no search runs, so the check is no pass
+    monkeypatch.setattr(cli.isoclass, "SEARCH_LIMIT", 5)
+    code, out, _ = run(capsys, "verify", "--prime", "7", "--lambda", "random:1")
+    assert code == 0
+    assert "  info diagonal search confirms transformed vectors (not run: p > 5)\n" in out
+    assert "closed condition set" not in out
+    assert "verify result: pass (12 checks, 2 informational)" in out
+
+
 def verify_tags(capsys, *argv):
     """Exit code and {check name: ok/FAIL/info} of a verify table report."""
     code, out, _ = run(capsys, "verify", *argv)
@@ -487,8 +497,7 @@ def test_extend_rejects_a_repeated_pair_index(spec, capsys):
 
 
 def clear_memos():
-    for memo in (cli.ordinary_summary, cli.cohomology._reduced,
-                 cli.cohomology._restricted_group, cli.cohomology._candidates):
+    for memo in (cli.cohomology._reduced, cli.cohomology._group, cli.cohomology._candidates):
         memo.cache_clear()
 
 
@@ -596,28 +605,22 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
 
 
 def test_ordinary_groups_computed_once_per_prime(monkeypatch):
-    calls = []
+    # every row asks for H1 and H2; only the first builds them
+    built = []
+    real = cli.cohomology.CohomologySummary
 
-    def counted(name):
-        real = getattr(cli.cohomology, name)
+    def counted(**fields):
+        built.append((fields["degree"], fields["restricted"]))
+        return real(**fields)
 
-        def wrapper(A):
-            calls.append(name)
-            return real(A)
-        return wrapper
-
-    for name in ("h1", "h2"):
-        monkeypatch.setattr(cli.cohomology, name, counted(name))
-    cli.ordinary_summary.cache_clear()
-    try:
-        rows = [cli.dims_row(5, lam) for lam in ((0,) * 5, (1, 0, 2, 0, 0), (0,) * 5)]
-    finally:
-        cli.ordinary_summary.cache_clear()
-    assert sorted(calls) == ["h1", "h2"]
+    monkeypatch.setattr(cli.cohomology, "CohomologySummary", counted)
+    cli.cohomology._group.cache_clear()
+    rows = [cli.dims_row(5, lam) for lam in ((0,) * 5, (1, 0, 2, 0, 0), (0,) * 5)]
+    assert sorted(b for b in built if not b[1]) == [(1, False), (2, False)]
     assert all(r["ok"] for r in rows)
     assert rows[0] == rows[2]
     a, b = cli.group_summaries(5, (0,) * 5), cli.group_summaries(5, (1,) * 5)
-    assert a["H1"] is b["H1"] and a["H2"] is b["H2"]
+    assert a["H1"] == b["H1"] and a["H2"] == b["H2"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Cochain arithmetic and the differentials, checked against closed forms."""
 
-import json
 import random
 
 import numpy as np
@@ -336,21 +335,3 @@ def test_d_coefficients_match_pointwise_evaluation(p):
     for _ in range(20):
         u, v = (random_element(A, rng) for _ in range(2))
         assert d1c.evaluate(u, v) == c1.evaluate(A.bracket(u, v))
-
-
-def test_json_round_trip_preserves_cochain():
-    c = Cochain(7, 7, 2, {(2, 1): 3, (4, 6): 9, (1, 3): 2})
-    data = json.loads(json.dumps(c.to_json()))
-    back = Cochain.from_json(data)
-    assert back.prime == c.prime
-    assert back.dim == c.dim
-    assert back.degree == c.degree
-    assert back.coeffs == c.coeffs
-
-
-def test_json_terms_sorted_with_canonical_keys():
-    c = Cochain(5, 5, 2, {(3, 1): 1, (1, 2): 4})
-    assert c.to_json()["terms"] == [
-        {"indices": [1, 2], "coefficient": 4},
-        {"indices": [1, 3], "coefficient": 4},
-    ]

@@ -1,5 +1,6 @@
 """Cohomology dimensions and labeled bases against the closed-form tables."""
 
+import functools
 import itertools
 import math
 
@@ -357,16 +358,19 @@ def test_summary_consistency_guard():
 
 
 def test_d2_rows_is_read_only():
-    # every memoised reduction is shared: read-only, built once
+    # every memoised reduction is shared: read-only, built once per
+    # (p, degree); a p-power key only narrows its kill mask
     for degree in (1, 2):
-        for powers in ((), ((0, 0, 0, 0, 1),)):
-            entry = coh._reduced(5, degree, powers)
-            assert not entry.killed.flags.writeable
-            with pytest.raises(ValueError):
-                entry.killed[0] = 0
-            assert coh._reduced(5, degree, powers) is entry
-            assert isinstance(entry.pivots, tuple)
-            assert coh._kernel(5, degree, powers) == (math.comb(5, degree) - len(entry.pivots), entry.killed)
+        entry = coh._reduced(5, degree)
+        assert not entry.killed.flags.writeable
+        with pytest.raises(ValueError):
+            entry.killed[0] = 0
+        assert coh._reduced(5, degree) is entry
+        assert isinstance(entry.pivots, tuple)
+        assert coh._kernel(5, degree, ()) == (math.comb(5, degree) - len(entry.pivots), entry.killed)
+        kernel_dim, killed = coh._kernel(5, degree, ((0, 0, 0, 0, 1),))
+        assert kernel_dim <= math.comb(5, degree) - len(entry.pivots)
+        assert not (killed & ~entry.killed).any()
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -374,7 +378,7 @@ def test_reduction_holds_only_pivots_and_kill_mask(degree):
     # at p = 31 an entry keeps no kernel nor any block: the only array is
     # the read-only kill mask, one flag per ordinary candidate
     p = 31
-    entry = coh._reduced(p, degree, ((0,) * (p - 1) + (1,),))
+    entry = coh._reduced(p, degree)
     arrays = [name for name, value in vars(entry).items() if isinstance(value, np.ndarray)]
     assert arrays == ["killed"]
     assert entry.killed.dtype == bool and not entry.killed.flags.writeable
@@ -402,19 +406,28 @@ def induced_beta(powers, p):
     return dense_rows(coh._induced_rows(p, 2, powers), math.comb(p, 2))
 
 
+@functools.lru_cache(maxsize=None)
+def d_pivots(p, degree):
+    """The pivot columns of the rref of the dense d1 or d2 of make_m0(p)."""
+    A = liealg.make_m0(p)
+    return tuple(gf.rref(cochains.d1_matrix(A) if degree == 1 else cochains.d2_matrix(A), p)[1])
+
+
 def assert_matches_dense(p, degree, powers, dense):
-    """The memo entry for (p, degree, powers) against one rref of the dense
-    matrix, whose columns start with those of d1 or d2: the same pivots,
-    the same kernel dimension on those columns, and the same candidates
-    killed.  An rref is fixed by its pivots and its kernel."""
+    """The kernel of (p, degree, powers) against one rref of the dense
+    matrix, whose columns start with those of d1 or d2: the same kernel
+    dimension on those columns and the same candidates killed; and the
+    memoised reduction of d against the rref of d alone: the same pivots.
+    Returns the rank of the dense matrix."""
     r, pivots = gf.rref(dense, p)
-    entry = coh._reduced(p, degree, powers)
+    assert coh._reduced(p, degree).pivots == d_pivots(p, degree)
     n = math.comb(p, degree)
-    assert entry.pivots == tuple(pivots)
-    assert coh._kernel(p, degree, powers)[0] == n - len(pivots)
+    kernel_dim, killed = coh._kernel(p, degree, powers)
+    assert kernel_dim == n - len(pivots)
     vectors = np.stack([to_vector(c) for c in coh._candidates(p, degree, False)[0]])
-    killed = ~mat_mul(r[: len(pivots), :n], vectors.T, p).any(axis=0)
-    assert_same_array(entry.killed, killed)
+    want = ~mat_mul(r[: len(pivots), :n], vectors.T, p).any(axis=0)
+    assert_same_array(killed, want)
+    return len(pivots)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -479,10 +492,9 @@ def test_reduction_matches_dense_rref(p):
         R = restricted.make_m0_lambda(p, lam)
         d2_star = dense_d2_star(R)
         assert_matches_dense(p, 1, R.power_rows, d1_star_matrix(R))
-        assert_matches_dense(p, 2, R.power_rows, d2_star)
+        rank = assert_matches_dense(p, 2, R.power_rows, d2_star)
         # h2_star counts the zero Frobenius columns of d2* in its kernel,
         # and the Frobenius duals that lead its candidates are cocycles
-        rank = len(coh._reduced(p, 2, R.power_rows).pivots)
         assert coh.h2_star(R).kernel_dim == d2_star.shape[1] - rank
         frobenius = np.stack([to_vector(c) for c in coh._candidates(p, 2, True)[0][:p]])
         assert not mat_mul(d2_star, frobenius.T, p).any()
@@ -523,6 +535,7 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     # lambda assembles no d2, reduces nothing new and hands rref at most p
     # rows: the power matrix
     coh._reduced.cache_clear()
+    coh._group.cache_clear()
     lams = criterion_lambdas(p)
     for lam in lams[:2]:
         R = restricted.make_m0_lambda(p, lam)
@@ -556,12 +569,31 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     assert coh._reduced.cache_info().misses == misses
 
 
-FRONTIER_PRIMES = [p for p in range(2, 152) if gf.is_prime(p)]
+@pytest.mark.parametrize("p", [13, 31])
+def test_cold_prime_assembles_each_differential_once(p, monkeypatch):
+    # lambda = 0 and then a nonzero lambda (the line of e_p) share one
+    # assembly and elimination of d1 and one of d2
+    for memo in (coh._reduced, coh._group, coh._candidates):
+        memo.cache_clear()
+    calls = []
+    differential_rows = cochains.differential_rows
+
+    def counting_rows(algebra, degree):
+        calls.append(degree)
+        return differential_rows(algebra, degree)
+
+    monkeypatch.setattr(cochains, "differential_rows", counting_rows)
+    for lam in ((0,) * p, one_hot(p, 1)):
+        assert cli.dims_row(p, lam)["ok"]
+    assert sorted(calls) == [1, 2]
+
+
+FRONTIER_PRIMES = [p for p in range(2, 212) if gf.is_prime(p)]
 
 
 @pytest.mark.parametrize("p", FRONTIER_PRIMES)
 def test_dims_row_matches_closed_forms_to_the_frontier(p):
-    # the sparse route keeps every prime up to 151 in reach: lambda = 0 and
+    # the sparse route keeps every prime up to 211 in reach: lambda = 0 and
     # one seeded nonzero lambda against the closed-form table
     for lam in ((0,) * p, rand_lams(p, 1, seed=p)[0]):
         row = cli.dims_row(p, lam)
@@ -576,19 +608,22 @@ def test_dims_row_matches_closed_forms_to_the_frontier(p):
         assert row["ok"], row
 
 
-@pytest.mark.parametrize("p", [5, 13])
+@pytest.mark.parametrize("p", [2, 5, 13])
 def test_reduction_memo_holds_two_row_spaces_per_degree(p):
     # on the family the p-powers span 0 or the line of e_p, and from p = 3
-    # on W = 0, so the whole lambda grid adds two reductions and two
-    # selections per degree
+    # on W = 0, so the whole lambda grid adds one reduction of d, the
+    # ordinary group that spans ker d and two restricted selections per
+    # degree; at p = 2, W runs over 0 and the three lines: four selections
+    keys = 5 if p == 2 else 3
     coh._reduced.cache_clear()
-    coh._restricted_group.cache_clear()
+    coh._group.cache_clear()
     lams, _ = cli.resolve_lambdas(p, "all")
     for degree, group in ((1, coh.h1_star), (2, coh.h2_star)):
         for lam in lams:
             group(restricted.make_m0_lambda(p, lam))
-        assert coh._reduced.cache_info().currsize == 2 * degree
-        assert coh._restricted_group.cache_info().currsize == 2 * degree
+        assert coh._reduced.cache_info().currsize == degree
+        assert coh._group.cache_info().currsize == keys * degree
+    assert coh._group.cache_info().maxsize >= 2 * keys  # one prime's keys fit
 
 
 def per_lambda_greedy_pass(R, degree):
@@ -627,9 +662,12 @@ def test_restricted_selection_matches_per_lambda_greedy_pass(p):
 
 
 def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
-    # with the reductions memoised, every span tracker left is a greedy pass
+    # with d reduced and the ordinary groups memoised, the span trackers
+    # left are one greedy pass per key and one rank of the induced rows on
+    # ker d for the line of e_p (lambda = 0 reads the kernel of d itself):
+    # two keys, three trackers per degree
     p = 13
-    coh._restricted_group.cache_clear()
+    coh._group.cache_clear()
     lams, _ = cli.resolve_lambdas(p, "all")
     for powers in {restricted.make_m0_lambda(p, lam).power_rows for lam in lams}:
         for degree in (1, 2):
@@ -646,7 +684,15 @@ def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
         passes.clear()
         for lam in lams:
             group(restricted.make_m0_lambda(p, lam))
-        assert 1 <= len(passes) <= 2, group
+        assert len(passes) == 3, group
+
+
+def test_ordinary_summaries_do_not_share_representatives():
+    A = liealg.make_m0(5)
+    for group in (coh.h1, coh.h2):
+        first = group(A)
+        first.representatives.clear()
+        assert len(group(A).representatives) == first.dimension
 
 
 def test_restricted_summaries_do_not_share_representatives():

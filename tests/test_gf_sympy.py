@@ -1,9 +1,10 @@
-"""gf.rref, and the memoised reductions of d1* and d2* built on it,
-against sympy's DomainMatrix over GF(p), an independent route.
+"""gf.rref, and the reductions of d1, d2, d1* and d2* of the cohomology
+route, against sympy's DomainMatrix over GF(p), an independent route.
 
 An RREF over a field is unique, so entries and pivot columns must agree
-exactly; a reduction keeps the pivots and the candidates the matrix kills,
-both compared with sympy's rref alone.  sympy is an optional test
+exactly; the reduction of d keeps the pivots and the candidates d kills,
+and a p-power key the kernel dimension and kill mask of d1* or d2*, all
+compared with sympy's rref alone.  sympy is an optional test
 dependency (the ``oracle`` extra).
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from filicoh import cohomology as coh, gf, restricted
+from filicoh import cochains, cohomology as coh, gf, liealg, restricted
 from helpers import d1_star_matrix, dense_d2_star, matrices_mod_p, to_vector
 
 GF = pytest.importorskip("sympy").GF
@@ -43,17 +44,22 @@ def test_rref_matches_sympy(case):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduced_matches_sympy_rref_of_dense_stacks(p):
-    # lambda = 0 reduces d1 and d2 alone; a one-hot lambda adds the induced
-    # rows.  An entry keeps the pivots, so the kernel dimension, and the
-    # candidates that sympy's rref kills (on the columns of d1 or d2)
+    # the reduction of d1 or d2 keeps the pivots of sympy's rref of d
+    # alone; lambda = 0 and a one-hot lambda (the induced rows added) keep
+    # its kernel dimension and the candidates it kills (on the columns of
+    # d1 or d2) as sympy's rref of the dense stack
+    A = liealg.make_m0(p)
     for lam in ((0,) * p, (1,) + (0,) * (p - 1)):
         R = restricted.make_m0_lambda(p, lam)
-        for degree, dense in ((1, d1_star_matrix(R)), (2, dense_d2_star(R))):
-            entry = coh._reduced(p, degree, R.power_rows)
+        for degree, d, dense in (
+            (1, cochains.d1_matrix(A), d1_star_matrix(R)),
+            (2, cochains.d2_matrix(A), dense_d2_star(R)),
+        ):
+            assert coh._reduced(p, degree).pivots == tuple(sympy_rref(d, p)[1])
             want, want_pivots = sympy_rref(dense, p)
             n = math.comb(p, degree)
-            assert entry.pivots == tuple(want_pivots)
-            assert coh._kernel(p, degree, R.power_rows)[0] == n - len(want_pivots)
+            kernel_dim, killed = coh._kernel(p, degree, R.power_rows)
+            assert kernel_dim == n - len(want_pivots)
             vectors = np.stack([to_vector(c) for c in coh._candidates(p, degree, False)[0]])
-            killed = ~((want[:, :n] @ vectors.T) % p).any(axis=0)
-            assert (entry.killed == killed).all()
+            want_killed = ~((want[:, :n] @ vectors.T) % p).any(axis=0)
+            assert (killed == want_killed).all()

@@ -1,6 +1,5 @@
 """Restricted cochains: the omega/beta sum rules, induced maps, and d1*/d2*."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -647,15 +646,6 @@ def test_star_rule_for_weight_form_pairs(g, h):
     A = liealg.make_m0(7)
     c = rc.RestrictedTwoCochain(cochains.phi_k(7, 7), (1, 2, 3, 4, 5, 6, 0))
     assert rc.star_property_holds(A, c, g, h)
-
-
-def test_restricted_two_cochain_json_round_trip():
-    c = rc.RestrictedTwoCochain(cochains.phi_k(7, 5), (0, 3, 0, 0, 1, 6, 2))
-    data = json.loads(json.dumps(c.to_json()))
-    assert data["omega"] == [0, 3, 0, 0, 1, 6, 2]
-    back = rc.RestrictedTwoCochain.from_json(data)
-    assert back.phi.coeffs == c.phi.coeffs
-    assert back.omega_basis == c.omega_basis
 
 
 # ---------------------------------------------------------------------------
