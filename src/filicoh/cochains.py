@@ -25,16 +25,11 @@ from . import gf, liealg
 
 def _normalize_key(indices):
     """Sort an index tuple, returning (sorted_tuple, sign); sign 0 on repeats."""
-    idx = list(indices)
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(len(idx) - 1 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    if any(idx[t] == idx[t + 1] for t in range(len(idx) - 1)):
-        return tuple(idx), 0
-    return tuple(idx), sign
+    key = tuple(sorted(indices))
+    if len(set(key)) < len(key):
+        return key, 0
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return key, -1 if inversions % 2 else 1
 
 
 def index_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
@@ -42,7 +37,7 @@ def index_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, dim + 1), degree))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _positions(dim: int, degree: int) -> dict[tuple[int, ...], int]:
     """Position of each index tuple in index_tuples(dim, degree)."""
     return {key: pos for pos, key in enumerate(index_tuples(dim, degree))}

@@ -17,9 +17,10 @@ is p-sized work per key; no row of d is reduced twice.
 The groups pick those killed candidates by a deterministic greedy pass
 that keeps one exactly when it grows the span past the image, so golden
 tests can compare labels rather than raw coordinates.  All four groups
-come from one memo, keyed (p, degree, restricted, power rows, W); a call
-copies its entry, and per lambda H1+ and H2+ only build the key and copy
-the entry with their own lambda.  W is the row space of omega on ker d1.  The image of d1* is the
+come from one memo, keyed (p, degree, restricted, power rows, W), W only
+in H2+'s keys; a call copies its entry, and per lambda H1+ and H2+ only
+build the key and copy the entry with their own lambda.  W is the row
+space of omega on ker d1, and only H2+ reads it.  The image of d1* is the
 rows (d1 f, omega_f); its span projects onto im d1 and meets the
 Frobenius coordinates in W, and the pass reads nothing else, because the
 Frobenius duals are tried first.  So the pass runs over a canonical image
@@ -195,11 +196,12 @@ def _d1_images(p: int) -> list[dict[int, int]]:
     return [cochains.differential(A, e).coordinates() for e in _candidates(p, 1, False)[0]]
 
 
-@functools.lru_cache(maxsize=10)
+@functools.lru_cache(maxsize=8)
 def _group(p: int, degree: int, restricted: bool, powers: tuple = (), omega: tuple = ()):
     """H1 or H2 of make_m0(p) (restricted False), or H1+ or H2+ of every
-    family member whose p-power vectors span the rows of powers and whose
-    omega on ker d1 spans the rows of omega (_omega_rows), with lam None.
+    family member whose p-power vectors span the rows of powers and, for
+    H2+, whose omega on ker d1 spans the rows of omega (_omega_rows; H1+
+    keys omega = ()), with lam None.
 
     The kernel is _kernel's, modulo the span of the image rows: none in
     degree 1, the d1 images in degree 2.  H2+ counts the p zero Frobenius
@@ -208,10 +210,10 @@ def _group(p: int, degree: int, restricted: bool, powers: tuple = (), omega: tup
     the module docstring.  The killed candidates are tried in order and
     one is kept exactly when it grows the span past the image; on the
     family they always complete the quotient (CohomologySummary raises if
-    they do not).  One prime has at most ten keys: the two ordinary groups
-    and four per restricted degree at p = 2, where W runs over 0 and the
-    three lines, or two from p = 3 on.  The memo keeps them all, since
-    grids and sweeps visit primes in turn.  The public groups hand out
+    they do not).  One prime has at most eight keys: the two ordinary
+    groups, two for H1+ and, for H2+, four at p = 2, where W runs over 0
+    and the three lines, or two from p = 3 on.  The memo keeps them all,
+    since grids and sweeps visit primes in turn.  The public groups hand out
     copies (_copy), so no caller can change an entry."""
     kernel_dim, killed = _kernel(p, degree, powers)
     image = _d1_images(p) if degree == 2 else []
@@ -261,7 +263,8 @@ def _ordinary(A: liealg.LieAlgebra, degree: int, name: str) -> CohomologySummary
 def _restricted_summary(R: restricted.RestrictedAlgebra, degree: int, name: str):
     if not R.is_m0_family:
         raise ValueError(f"{name} is computed on the family m_0^lambda(p) only")
-    return _copy(_group(R.prime, degree, True, R.power_rows, _omega_rows(R)), R.lam)
+    omega = _omega_rows(R) if degree == 2 else ()
+    return _copy(_group(R.prime, degree, True, R.power_rows, omega), R.lam)
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:
@@ -272,8 +275,8 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
 
 def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
     """Restricted degree-1 cohomology: the part of ker d1 that the induced
-    omega rows send to zero.  d1 is reduced once per prime, and each key
-    (p-power row space, W) ranks its omega rows on a basis of ker d1; per
+    omega rows send to zero.  d1 is reduced once per prime, and each
+    p-power row space ranks its omega rows on a basis of ker d1; per
     lambda the memoised summary is copied with this lambda."""
     return _restricted_summary(R, 1, "h1_star")
 

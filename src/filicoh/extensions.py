@@ -33,13 +33,6 @@ class ExtensionResult:
         return self.pmap is not None
 
 
-def _extended_vector(vec, extra, p):
-    out = gf.zeros(len(vec) + 1)
-    out[:-1] = vec
-    out[-1] = extra % p
-    return out
-
-
 def extend_ordinary(A: liealg.LieAlgebra, phi: cochains.Cochain) -> ExtensionResult:
     """Append a central c with bracket twisted by the 2-cocycle phi."""
     if phi.degree != 2 or (phi.prime, phi.dim) != (A.prime, A.dim):
@@ -50,11 +43,9 @@ def extend_ordinary(A: liealg.LieAlgebra, phi: cochains.Cochain) -> ExtensionRes
         witness = min(obstruction.coeffs)
         raise ValueError(f"not a cocycle: d2 is nonzero on {witness}")
     n = A.dim
-    brackets = {}
-    for i, j in cochains.index_tuples(n, 2):
-        vec = _extended_vector(A.bracket_basis(i, j), phi.coefficient((i, j)), p)
-        if vec.any():
-            brackets[(i, j)] = vec
+    brackets = {pair: np.append(vec, 0) for pair, vec in A.brackets.items()}
+    for pair, value in phi.coeffs.items():
+        brackets.setdefault(pair, gf.zeros(n + 1))[-1] = value
     # pairs (i, n+1) are absent: c is central
     E = liealg.LieAlgebra(
         p,
@@ -73,7 +64,6 @@ def extend_restricted(
     R: restricted.RestrictedAlgebra, c2: rcoch.RestrictedTwoCochain
 ) -> ExtensionResult:
     """Append a central c twisted by a restricted 2-cocycle (phi, omega)."""
-    p = R.prime
     obstruction = rcoch.d2_star(R, c2)
     if not obstruction.is_zero():
         if not obstruction.alpha.is_zero():
@@ -85,10 +75,7 @@ def extend_restricted(
     base = extend_ordinary(R.algebra, c2.phi)
     E = base.algebra
     # omega on a basis vector is its stored value: no split, no correction
-    powers = [
-        _extended_vector(power, omega, p)
-        for power, omega in zip(R.basis_p_powers, c2.omega_basis)
-    ]
+    powers = [np.append(power, omega) for power, omega in zip(R.basis_p_powers, c2.omega_basis)]
     powers.append(E.zero())  # c^[p] = 0
     RE = restricted.RestrictedAlgebra(E, powers)
     ok, k = restricted.verify_restricted_map(RE)

@@ -56,10 +56,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def identity(n: int) -> Mat:
-    return np.eye(n, dtype=np.int64)
-
-
 def zeros(shape) -> Mat:
     return np.zeros(shape, dtype=np.int64)
 

@@ -5,7 +5,8 @@ e_1, ..., e_p with the only nonzero brackets [e_1, e_i] = e_{i+1} for
 1 < i < p, graded by weight(e_k) = k.  Elements are coefficient vectors
 (numpy int64, length dim, entries mod p) over the ordered basis; `bracket`
 and `ad_matrix` also take stacks of them, rows in the last axis, and
-accumulate their terms over `constants`, the cached nonzero constants.
+accumulate their terms over `constants`, the cached nonzero constants;
+`jacobi_check` walks them grouped by target and by pair.
 """
 
 from __future__ import annotations
@@ -112,6 +113,16 @@ class LieAlgebra:
         return types.MappingProxyType({k: tuple(terms) for k, terms in out.items()})
 
     @functools.cached_property
+    def constants_by_pair(self):
+        """`constants` grouped by ordered pair: a read-only
+        {(i, j): ((k, c), ...)}, 1-based, for both orders of every stored
+        pair, where c is the coefficient of e_k in [e_i, e_j]."""
+        out: dict[tuple, list] = {}
+        for i, j, k, c in self.constants.tolist():
+            out.setdefault((i + 1, j + 1), []).append((k + 1, c))
+        return types.MappingProxyType({pair: tuple(terms) for pair, terms in out.items()})
+
+    @functools.cached_property
     def bracket_triples(self) -> tuple[tuple[int, int, int], ...]:
         """The 1-based triples l < m < n, in lexicographic order, with a
         nonzero bracket among [e_l, e_m], [e_l, e_n] and [e_m, e_n]: a
@@ -168,9 +179,8 @@ def bracket_closed_m0(p, g, h):
 
 
 # Row-stack work holds a few arrays of a fixed number of cells per row (ad
-# matrices, recursion rows, forms, Jacobiator terms, bracket iterates) and
-# takes its rows in batches of at most this many cells per such array, so a
-# batch stays under a MB at any prime.
+# matrices, recursion rows, forms) and takes its rows in batches of at most
+# this many cells per such array, so a batch stays under a MB at any prime.
 BATCH_CELLS = 1 << 13
 
 
@@ -205,28 +215,29 @@ def ad_matrix(algebra, g):
 def jacobi_check(algebra):
     """Check the Jacobi identity on all basis triples.
 
-    The Jacobiator [[x, y], z] + [[y, z], x] + [[z, x], y] of three basis
-    vectors vanishes unless one of [x, y], [y, z], [z, x] is nonzero, so
-    it is evaluated only on `bracket_triples`, a batch of them at a time.
+    [[e_x, e_y], e_z] sums c1 c2 e_m over the chains of two constants: c1
+    of e_k in [e_x, e_y], then c2 of e_m in [e_k, e_z].  On a triple
+    a < b < c the Jacobiator is [[a, b], c] + [[b, c], a] - [[a, c], b],
+    so each chain with x < y (a stored pair, taken once) and z outside
+    {x, y} adds c1 c2 at (sorted triple, m), negated when x < z < y.  No
+    other triple has a nonzero term.
 
     Returns:
         (True, None) on success, else (False, (i, j, k)) with the first
         failing 1-based triple in lexicographic order.
     """
-    triples = np.array(algebra.bracket_triples, dtype=np.int64).reshape(-1, 3) - 1
-    basis = gf.identity(algebra.dim)
-    bracket = algebra.bracket
-
-    def failing(batch):
-        x, y, z = basis[batch.T]
-        jacobiators = bracket(bracket(x, y), z) + bracket(bracket(y, z), x)
-        jacobiators += bracket(bracket(z, x), y)
-        jacobiators %= algebra.prime
-        return jacobiators.any(axis=1)
-
-    hits = np.flatnonzero(by_row_batches(len(algebra.constants) + algebra.dim, failing, triples))
-    if hits.size:
-        return False, algebra.bracket_triples[hits[0]]
+    sums: dict[tuple, int] = {}
+    for (k, z), second in algebra.constants_by_pair.items():
+        for x, y, c1 in algebra.constants_by_target.get(k, ()):
+            if z in (x, y):
+                continue
+            key = tuple(sorted((x, y, z)))
+            sign = -1 if x < z < y else 1
+            for m, c2 in second:
+                sums[key, m] = sums.get((key, m), 0) + sign * c1 * c2
+    failing = [key for (key, _), total in sums.items() if total % algebra.prime]
+    if failing:
+        return False, min(failing)
     return True, None
 
 

@@ -19,9 +19,10 @@ serve as mutual oracles:
   of w -> w ad(h)^T + t w ad(g)^T starting from w = g.
 
 The restricted axiom ad(x^[p]) = ad(x)^p is checked on the basis by its
-definition, on the sparse product `LieAlgebra.bracket`: ad(e_k) is applied
-to the basis rows until the p-th step or until they all vanish, and no
-ad matrix or matrix power is built.
+definition, on sparse {index: coefficient} vectors and the constants
+looked up by pair (`LieAlgebra.constants_by_pair`): ad(e_k) is applied to
+each e_j until the p-th step or until the iterate vanishes, and no ad
+matrix or matrix power is built.
 """
 
 from __future__ import annotations
@@ -244,28 +245,34 @@ def p_power(R: RestrictedAlgebra, g):
 
 def verify_restricted_map(R: RestrictedAlgebra):
     """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector, on brackets:
-    for a batch of k, the basis rows e_j go through x -> [e_k, x] up to p
-    times and are compared with [e_k^[p], e_j].  The iteration stops once
-    the batch's iterate is zero, which then stays zero.
+    each e_j goes through x -> [e_k, x] up to p times and is compared with
+    [e_k^[p], e_j].  The iteration stops once x is zero, which then stays
+    zero.  Vectors are sparse {1-based index: coefficient} dicts, and each
+    bracket reads only the constants of the pairs it meets.
 
     Returns (True, None) or (False, k) for the first failing 1-based k.
     """
-    A = R.algebra
-    basis = gf.identity(A.dim)
+    p = R.prime
+    by_pair = R.algebra.constants_by_pair
 
-    def differs(e_k, powers):
-        x = basis
-        for _ in range(R.prime):
-            x = A.bracket(e_k[:, None, :], x)
-            if not x.any():
-                break
-        return (A.bracket(powers[:, None, :], basis) != x).any(axis=(1, 2))
+    def bracket(g, h):
+        out: dict[int, int] = {}
+        for i, a in g.items():
+            for j, b in h.items():
+                for m, c in by_pair.get((i, j), ()):
+                    out[m] = (out.get(m, 0) + a * b * c) % p
+        return {m: c for m, c in out.items() if c}
 
-    cells = A.dim * (len(A.constants) + A.dim)
-    differing = liealg.by_row_batches(cells, differs, basis, R.power_matrix)
-    failing = np.flatnonzero(differing)
-    if failing.size:
-        return False, int(failing[0]) + 1
+    for k, row in enumerate(R.power_matrix.tolist(), start=1):
+        power = {i: c for i, c in enumerate(row, start=1) if c}
+        for j in range(1, R.dim + 1):
+            x = {j: 1}
+            for _ in range(p):
+                x = bracket({k: 1}, x)
+                if not x:
+                    break
+            if bracket(power, {j: 1}) != x:
+                return False, k
     return True, None
 
 

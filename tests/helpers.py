@@ -28,7 +28,7 @@ def mat_pow(m, k: int, p: int):
     if k < 0:
         raise ValueError("negative matrix power")
     base = gf.normalize(m, p)
-    result = np.broadcast_to(gf.identity(base.shape[-1]), base.shape).copy()
+    result = np.broadcast_to(np.eye(base.shape[-1], dtype=np.int64), base.shape).copy()
     while k:
         if k & 1:
             result = mat_mul(result, base, p)
@@ -244,7 +244,7 @@ def jacobi_check_triples(algebra):
     def bracket(g, h):
         return np.einsum("i,ikj,j->k", g, structure, h) % algebra.prime
 
-    basis = gf.identity(n)
+    basis = np.eye(n, dtype=np.int64)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
@@ -267,7 +267,7 @@ def jacobson_corrections_matrix_poly(R, g, h):
     A = R.algebra
     g = gf.normalize(g, p)
     lin = [liealg.ad_matrix(A, h), liealg.ad_matrix(A, g)]  # ad(h) + t ad(g)
-    power = [gf.identity(A.dim)]
+    power = [np.eye(A.dim, dtype=np.int64)]
     for _ in range(p - 1):
         out = [gf.zeros((A.dim, A.dim)) for _ in range(len(power) + 1)]
         for i, a in enumerate(power):

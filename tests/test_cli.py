@@ -548,6 +548,18 @@ def test_extend_refuses_a_cocycle_with_a_spurious_differential_term(monkeypatch,
 # sweep
 
 
+def test_pair_tables_hold_one_prime_across_primes():
+    # the index tables behind Cochain.coordinates are those of the current
+    # prime only: a sweep does not keep one pair table per prime it visited
+    clear_memos()
+    try:
+        for p in (5, 7, 11):
+            cli.dims_row(p, (1,) * p)
+        assert cli.cochains._positions.cache_info().currsize <= 2
+    finally:
+        clear_memos()
+
+
 def test_sweep_six_primes_all_pass(capsys):
     code, out, _ = run(capsys, "sweep", "--primes", "2,3,5,7,11,13",
                        "--lambda", "zero")

@@ -610,11 +610,12 @@ def test_dims_row_matches_closed_forms_to_the_frontier(p):
 
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_reduction_memo_holds_two_row_spaces_per_degree(p):
-    # on the family the p-powers span 0 or the line of e_p, and from p = 3
-    # on W = 0, so the whole lambda grid adds one reduction of d, the
-    # ordinary group that spans ker d and two restricted selections per
-    # degree; at p = 2, W runs over 0 and the three lines: four selections
-    keys = 5 if p == 2 else 3
+    # on the family the p-powers span 0 or the line of e_p, so the whole
+    # lambda grid adds one reduction of d, the ordinary group that spans
+    # ker d and two restricted selections per degree; H2+ also keys W,
+    # which is 0 from p = 3 on and at p = 2 runs over 0 and the three
+    # lines: four selections
+    keys = {1: 3, 2: 5 if p == 2 else 3}
     coh._reduced.cache_clear()
     coh._group.cache_clear()
     lams, _ = cli.resolve_lambdas(p, "all")
@@ -622,8 +623,8 @@ def test_reduction_memo_holds_two_row_spaces_per_degree(p):
         for lam in lams:
             group(restricted.make_m0_lambda(p, lam))
         assert coh._reduced.cache_info().currsize == degree
-        assert coh._group.cache_info().currsize == keys * degree
-    assert coh._group.cache_info().maxsize >= 2 * keys  # one prime's keys fit
+        assert coh._group.cache_info().currsize == sum(keys[d] for d in range(1, degree + 1))
+    assert coh._group.cache_info().maxsize >= keys[1] + keys[2]  # one prime's keys fit
 
 
 def per_lambda_greedy_pass(R, degree):

@@ -324,11 +324,9 @@ def test_bracket_ad_matrix_and_center_match_the_dense_oracle(drawn):
     assert center(A).shape == want.shape and (center(A) == want).all()
 
 
-@pytest.mark.parametrize("cells", [1, 64, 1 << 12])
-def test_jacobi_check_batches_find_the_first_failing_triple(cells, monkeypatch):
-    # one planted violation in a late pair, and the same answer whatever
-    # the batch size
-    monkeypatch.setattr(liealg, "BATCH_CELLS", cells)
+def test_jacobi_check_finds_the_first_failing_triple():
+    # one planted violation in a late pair, and on extensions a planted
+    # bracket [e_5, e_9] = e_14 that only a few triples meet
     p = 7
     A = liealg.make_m0(p)
     for pair, coeff in (((2, 3), 4), ((4, 6), 2), ((5, 6), 1)):
@@ -340,17 +338,22 @@ def test_jacobi_check_batches_find_the_first_failing_triple(cells, monkeypatch):
         want = jacobi_check_triples(B)
         assert not want[0]
         assert liealg.jacobi_check(B) == want
-    rng = random.Random(cells)
-    for _ in range(100):
-        C = random_structure_constants(rng, rng.choice([2, 3, 5]), rng.randint(1, 6))
-        assert liealg.jacobi_check(C) == jacobi_check_triples(C)
+    for seed in (1, 64, 1 << 12):
+        rng = random.Random(seed)
+        for _ in range(100):
+            C = random_structure_constants(rng, rng.choice([2, 3, 5]), rng.randint(1, 6))
+            assert liealg.jacobi_check(C) == jacobi_check_triples(C)
     p = 13
-    for k in cochains.phi_weights(p):
-        E = extensions.extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
+    extended = [extensions.extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
+                for k in cochains.phi_weights(p)]
+    for E in extended:
         assert liealg.jacobi_check(E) == jacobi_check_triples(E) == (True, None)
+    # the oracle stops at its first failing triple, so it stays cheap at p = 61
+    extended.append(extensions.extend_ordinary(liealg.make_m0(61), cochains.phi_k(61, 7)).algebra)
+    for E in extended:
         bad = dict(E.brackets)
         bad[(5, 9)] = E.basis_vector(14)
-        B = liealg.LieAlgebra(p, p + 1, bad, weights=E.weights)
+        B = liealg.LieAlgebra(E.prime, E.dim, bad, weights=E.weights)
         want = jacobi_check_triples(B)
         assert not want[0]
         assert liealg.jacobi_check(B) == want
