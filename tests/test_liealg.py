@@ -324,9 +324,12 @@ def test_bracket_ad_matrix_and_center_match_the_dense_oracle(drawn):
     assert center(A).shape == want.shape and (center(A) == want).all()
 
 
-def test_jacobi_check_finds_the_first_failing_triple():
+@pytest.mark.parametrize("cells", [1, 64, 1 << 12])
+def test_jacobi_check_batches_find_the_first_failing_triple(cells, monkeypatch):
     # one planted violation in a late pair, and on extensions a planted
-    # bracket [e_5, e_9] = e_14 that only a few triples meet
+    # bracket [e_5, e_9] = e_14 that only a few triples meet; the check
+    # walks sparse constants, so the answer must not move with the batch size
+    monkeypatch.setattr(liealg, "BATCH_CELLS", cells)
     p = 7
     A = liealg.make_m0(p)
     for pair, coeff in (((2, 3), 4), ((4, 6), 2), ((5, 6), 1)):
@@ -338,11 +341,10 @@ def test_jacobi_check_finds_the_first_failing_triple():
         want = jacobi_check_triples(B)
         assert not want[0]
         assert liealg.jacobi_check(B) == want
-    for seed in (1, 64, 1 << 12):
-        rng = random.Random(seed)
-        for _ in range(100):
-            C = random_structure_constants(rng, rng.choice([2, 3, 5]), rng.randint(1, 6))
-            assert liealg.jacobi_check(C) == jacobi_check_triples(C)
+    rng = random.Random(cells)
+    for _ in range(100):
+        C = random_structure_constants(rng, rng.choice([2, 3, 5]), rng.randint(1, 6))
+        assert liealg.jacobi_check(C) == jacobi_check_triples(C)
     p = 13
     extended = [extensions.extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
                 for k in cochains.phi_weights(p)]
