@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +32,6 @@ ThreadPoolExecutor = object
 
 class UsageError(Exception):
     """Bad flag value or malformed spec; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    primes: tuple[int, ...]
-    lambda_spec: str = "zero"
-    fmt: str = "table"
-    output: str | None = None
-    degree: int = 2
-    restricted: bool = False
-    lambda_prime_spec: str | None = None
-    cocycle: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +110,20 @@ def resolve_lambdas(p: int, spec: str) -> tuple[list[tuple[int, ...]], str | Non
 # shared computation and emission helpers
 
 
-GROUP_NAMES = ("H1", "H1+", "H2", "H2+")
+# the four groups by report name, each read from a family member R; the
+# module attributes are looked up per call, so a tracer's rebinding reaches them
+GROUP_NAMES = {
+    "H1": lambda R: cohomology.h1(R.algebra),
+    "H1+": lambda R: cohomology.h1_star(R),
+    "H2": lambda R: cohomology.h2(R.algebra),
+    "H2+": lambda R: cohomology.h2_star(R),
+}
 
 
 def group_summaries(p, lam):
     """All four cohomology summaries for one family member."""
     R = restricted.make_m0_lambda(p, lam)
-    return {
-        "H1": cohomology.h1(R.algebra),
-        "H1+": cohomology.h1_star(R),
-        "H2": cohomology.h2(R.algebra),
-        "H2+": cohomology.h2_star(R),
-    }
+    return {name: summary(R) for name, summary in GROUP_NAMES.items()}
 
 
 def dims_row(p, lam) -> dict:
@@ -156,8 +144,49 @@ def dims_row(p, lam) -> dict:
     return {"prime": p, "lambda": list(lam), "groups": groups, "ok": ok}
 
 
-def _dims_table(rows, notes) -> str:
-    lines = [f"# {n}" for n in notes]
+def _lambdas(p, spec, notes) -> list[tuple[int, ...]]:
+    """resolve_lambdas(p, spec), its note, if any, appended to notes."""
+    lams, note = resolve_lambdas(p, spec)
+    if note:
+        notes.append(note)
+    return lams
+
+
+def _single_lambda(p, spec, notes):
+    lams = _lambdas(p, spec, notes)
+    if len(lams) != 1:
+        raise UsageError("this command needs a single lambda vector, not 'all'")
+    return lams[0]
+
+
+def emit(ns, text: str) -> None:
+    """Write the report to --output, if given, then to stdout, so that an
+    unwritable path prints nothing."""
+    if ns.output:
+        try:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {ns.output}: {exc.strerror or exc}")
+    sys.stdout.write(text)
+
+
+def _emit_report(ns, payload, lines) -> None:
+    """The payload as JSON, or a table: one `# note` line per payload note,
+    then the report lines."""
+    if ns.fmt == "json":
+        text = json.dumps(payload, indent=2)
+    else:
+        text = "\n".join([f"# {n}" for n in payload["notes"]] + lines)
+    emit(ns, text + "\n")
+
+
+# ---------------------------------------------------------------------------
+# dims and sweep
+
+
+def _dims_table(rows) -> list[str]:
+    lines = []
     for row in rows:
         cells = []
         for name in GROUP_NAMES:
@@ -171,50 +200,22 @@ def _dims_table(rows, notes) -> str:
     lines.append(
         f"{len(rows)} case(s): all pass" if not bad else f"{len(rows)} case(s): {bad} FAILED"
     )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def emit(cfg: RunConfig, text: str) -> None:
-    """Write the report to --output, if given, then to stdout, so that an
-    unwritable path prints nothing."""
-    if cfg.output:
-        try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --output {cfg.output}: {exc.strerror or exc}")
-    sys.stdout.write(text)
-
-
-def _emit_report(cfg, payload, table_text) -> None:
-    if cfg.fmt == "json":
-        emit(cfg, json.dumps(payload, indent=2) + "\n")
-    else:
-        emit(cfg, table_text)
-
-
-# ---------------------------------------------------------------------------
-# dims and sweep
-
-
-def _grid_rows(cfg) -> tuple[list[dict], list[str]]:
-    cases = []
+def run_dims(ns) -> int:
+    """dims at --prime, or sweep over --primes; every prime is parsed
+    before any lambda spec is resolved."""
+    texts = ns.primes.split(",") if ns.command == "sweep" else [ns.prime]
+    primes = [_parse_prime(x) for x in texts]
     notes = []
-    for p in cfg.primes:
-        lams, note = resolve_lambdas(p, cfg.lambda_spec)
-        if note:
-            notes.append(note)
-        cases.extend((p, lam) for lam in lams)
-    rows = [dims_row(p, lam) for p, lam in cases]
-    rows.sort(key=lambda r: (r["prime"], tuple(r["lambda"])))
-    return rows, notes
-
-
-def run_dims(cfg: RunConfig) -> int:
-    rows, notes = _grid_rows(cfg)
+    cases = [(p, lam) for p in primes for lam in _lambdas(p, ns.lambda_spec, notes)]
+    rows = sorted(
+        (dims_row(p, lam) for p, lam in cases), key=lambda r: (r["prime"], tuple(r["lambda"]))
+    )
     ok = all(r["ok"] for r in rows)
-    payload = {"command": cfg.command, "notes": notes, "rows": rows, "ok": ok}
-    _emit_report(cfg, payload, _dims_table(rows, notes))
+    payload = {"command": ns.command, "notes": notes, "rows": rows, "ok": ok}
+    _emit_report(ns, payload, _dims_table(rows))
     return 0 if ok else 1
 
 
@@ -222,20 +223,16 @@ def run_dims(cfg: RunConfig) -> int:
 # basis
 
 
-def run_basis(cfg: RunConfig) -> int:
-    (p,) = cfg.primes
-    lams, note = resolve_lambdas(p, cfg.lambda_spec)
-    notes = [note] if note else []
-    name = f"H{cfg.degree}{'+' if cfg.restricted else ''}"
+def run_basis(ns) -> int:
+    p = _parse_prime(ns.prime)
+    notes = []
+    lams = _lambdas(p, ns.lambda_spec, notes)
+    name = f"H{ns.degree}{'+' if ns.restricted else ''}"
     ok = True
-    lines = [f"# {n}" for n in notes]
+    lines = []
     rows = []
     for lam in lams:
-        R = restricted.make_m0_lambda(p, lam)
-        if cfg.restricted:
-            s = cohomology.h1_star(R) if cfg.degree == 1 else cohomology.h2_star(R)
-        else:
-            s = cohomology.h1(R.algebra) if cfg.degree == 1 else cohomology.h2(R.algebra)
+        s = GROUP_NAMES[name](restricted.make_m0_lambda(p, lam))
         report = cohomology.compare(s, cohomology.expected_summary(p, lam))
         ok = ok and report["ok"]
         row = cohomology.summary_to_json(s)
@@ -243,7 +240,7 @@ def run_basis(cfg: RunConfig) -> int:
         lines.append(f"{name} basis, p={p}, lambda={restricted.lam_str(lam)} (dim {s.dimension})")
         lines += [f"  {rep}" for rep in row["representatives"]]
     payload = {"command": "basis", "group": name, "notes": notes, "rows": rows, "ok": ok}
-    _emit_report(cfg, payload, "\n".join(lines) + "\n")
+    _emit_report(ns, payload, lines)
     return 0 if ok else 1
 
 
@@ -261,10 +258,10 @@ def _p2_basis_table(lams) -> list[str]:
     return lines
 
 
-def run_verify(cfg: RunConfig) -> int:
-    (p,) = cfg.primes
-    lams, note = resolve_lambdas(p, cfg.lambda_spec)
-    notes = [note] if note else []
+def run_verify(ns) -> int:
+    p = _parse_prime(ns.prime)
+    notes = []
+    lams = _lambdas(p, ns.lambda_spec, notes)
     rng = np.random.default_rng([CAP_SEED, p, len(lams)])
     records: list[dict] = []
     identity = checks.prime_checks(p, records, rng)
@@ -276,8 +273,7 @@ def run_verify(cfg: RunConfig) -> int:
 
     hard = [c for c in records if not c["info"]]
     ok = all(c["ok"] for c in hard)
-    lines = [f"# {n}" for n in notes]
-    lines.append(f"verify p={p}, {len(lams)} lambda vector(s)")
+    lines = [f"verify p={p}, {len(lams)} lambda vector(s)"]
     for c in records:
         tag = "info" if c["info"] else ("ok" if c["ok"] else "FAIL")
         detail = f" ({c['detail']})" if c["detail"] else ""
@@ -297,7 +293,7 @@ def run_verify(cfg: RunConfig) -> int:
         "checks": records,
         "ok": ok,
     }
-    _emit_report(cfg, payload, "\n".join(lines) + "\n")
+    _emit_report(ns, payload, lines)
     return 0 if ok else 1
 
 
@@ -305,27 +301,16 @@ def run_verify(cfg: RunConfig) -> int:
 # iso
 
 
-def _single_lambda(p, spec, notes):
-    lams, note = resolve_lambdas(p, spec)
-    if note:
-        notes.append(note)
-    if len(lams) != 1:
-        raise UsageError("this command needs a single lambda vector, not 'all'")
-    return lams[0]
-
-
-def _run_iso_classify(cfg: RunConfig, p: int, notes: list[str]) -> int:
+def _run_iso_classify(ns, p: int) -> int:
     """Partition the selected lambda set into graded isomorphism classes."""
-    lams, note = resolve_lambdas(p, cfg.lambda_spec)
-    if note:
-        notes.append(note)
+    notes = []
+    lams = _lambdas(p, ns.lambda_spec, notes)
     try:
         classes = isoclass.partition_classes(p, lams)
     except ValueError as exc:
         raise UsageError(str(exc))
     as_lists = [[list(lam) for lam in cls] for cls in classes]
-    lines = [f"# {n}" for n in notes]
-    lines.append(f"{len(classes)} class(es) over {len(lams)} lambda vector(s)")
+    lines = [f"{len(classes)} class(es) over {len(lams)} lambda vector(s)"]
     lines.extend(json.dumps(cls, separators=(",", ":")) for cls in as_lists)
     payload = {
         "command": "iso",
@@ -336,26 +321,24 @@ def _run_iso_classify(cfg: RunConfig, p: int, notes: list[str]) -> int:
         "classes": as_lists,
         "notes": notes,
     }
-    _emit_report(cfg, payload, "\n".join(lines) + "\n")
+    _emit_report(ns, payload, lines)
     return 0
 
 
-def run_iso(cfg: RunConfig) -> int:
-    (p,) = cfg.primes
+def run_iso(ns) -> int:
+    p = _parse_prime(ns.prime)
+    if ns.lambda_prime_spec is None:
+        return _run_iso_classify(ns, p)
     notes = []
-    if cfg.lambda_prime_spec is None:
-        return _run_iso_classify(cfg, p, notes)
-    lam = _single_lambda(p, cfg.lambda_spec, notes)
-    lam2 = _single_lambda(p, cfg.lambda_prime_spec, notes)
+    lam = _single_lambda(p, ns.lambda_spec, notes)
+    lam2 = _single_lambda(p, ns.lambda_prime_spec, notes)
     try:
         report = isoclass.proposition_formula_check(p, lam, lam2)
     except ValueError as exc:
         raise UsageError(str(exc))
     witness = report["bruteforce_witness"]
-    lines = [f"# {n}" for n in notes]
-    lines.append("isomorphic, mu1={}, mu2={}".format(*witness) if witness else "not isomorphic")
-    payload = {**report, "command": "iso", "notes": notes}
-    _emit_report(cfg, payload, "\n".join(lines) + "\n")
+    line = "isomorphic, mu1={}, mu2={}".format(*witness) if witness else "not isomorphic"
+    _emit_report(ns, {**report, "command": "iso", "notes": notes}, [line])
     return 0 if witness else 1
 
 
@@ -386,13 +369,13 @@ def parse_cocycle_spec(p: int, spec: str) -> rcoch.RestrictedTwoCochain:
     raise UsageError(f"unknown cocycle kind {kind!r}; use ebar:K, e:I,J or phi:K")
 
 
-def run_extend(cfg: RunConfig) -> int:
-    (p,) = cfg.primes
+def run_extend(ns) -> int:
+    p = _parse_prime(ns.prime)
     notes = []
-    lam = _single_lambda(p, cfg.lambda_spec, notes)
-    if not cfg.cocycle:
+    lam = _single_lambda(p, ns.lambda_spec, notes)
+    if not ns.cocycle:
         raise UsageError("extend requires --cocycle")
-    c2 = parse_cocycle_spec(p, cfg.cocycle)
+    c2 = parse_cocycle_spec(p, ns.cocycle)
     R = restricted.make_m0_lambda(p, lam)
     try:
         result = extensions.extend_restricted(R, c2)
@@ -402,7 +385,7 @@ def run_extend(cfg: RunConfig) -> int:
     payload = extensions.extension_to_json(result)
     if notes:
         payload["notes"] = notes
-    emit(cfg, json.dumps(payload, indent=2) + "\n")
+    emit(ns, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -417,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, primes=False):
+    def command(name, help, run, primes=False):
+        sp = sub.add_parser(name, help=help)
         if primes:
             sp.add_argument("--primes", required=True, help="comma-separated primes")
         else:
@@ -426,55 +410,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="p residues, 'zero', 'all', or 'random:SEED'")
         sp.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
         sp.add_argument("--output", default=None, help="also write the report to this file")
+        sp.set_defaults(run=run)
+        return sp
 
-    common(sub.add_parser("dims", help="computed vs expected dimensions"))
-    sp = sub.add_parser("basis", help="representative cocycles")
-    common(sp)
+    command("dims", "computed vs expected dimensions", run_dims)
+    sp = command("basis", "representative cocycles", run_basis)
     sp.add_argument("--degree", type=int, choices=(1, 2), default=2)
     sp.add_argument("--restricted", action="store_true")
-    common(sub.add_parser("verify", help="full invariant suite"))
-    sp = sub.add_parser("iso", help="diagonal isomorphism test")
-    common(sp)
+    command("verify", "full invariant suite", run_verify)
+    sp = command("iso", "diagonal isomorphism test", run_iso)
     sp.add_argument(
         "--lambda-prime",
         dest="lambda_prime_spec",
         help="second vector for a pairwise test; omit to partition --lambda into classes",
     )
-    sp = sub.add_parser("extend", help="one-dimensional central extension")
-    common(sp)
+    sp = command("extend", "one-dimensional central extension", run_extend)
     sp.add_argument("--cocycle", required=True, help="ebar:K, e:I,J or phi:K")
-    common(sub.add_parser("sweep", help="dims over a prime grid"), primes=True)
+    command("sweep", "dims over a prime grid", run_dims, primes=True)
     return parser
-
-
-def config_from_args(ns) -> RunConfig:
-    if ns.command == "sweep":
-        primes = tuple(_parse_prime(x) for x in ns.primes.split(","))
-        if not primes:
-            raise UsageError("sweep needs at least one prime")
-    else:
-        primes = (_parse_prime(ns.prime),)
-    return RunConfig(
-        command=ns.command,
-        primes=primes,
-        lambda_spec=ns.lambda_spec,
-        fmt=ns.fmt,
-        output=ns.output,
-        degree=getattr(ns, "degree", 2),
-        restricted=getattr(ns, "restricted", False),
-        lambda_prime_spec=getattr(ns, "lambda_prime_spec", None),
-        cocycle=getattr(ns, "cocycle", None),
-    )
-
-
-COMMANDS = {
-    "dims": run_dims,
-    "basis": run_basis,
-    "verify": run_verify,
-    "iso": run_iso,
-    "extend": run_extend,
-    "sweep": run_dims,
-}
 
 
 def main(argv=None) -> int:
@@ -484,8 +437,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = config_from_args(ns)
-        return COMMANDS[cfg.command](cfg)
+        return ns.run(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

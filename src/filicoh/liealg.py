@@ -178,23 +178,20 @@ def bracket_closed_m0(p, g, h):
     return out
 
 
-# Row-stack work holds a few arrays of a fixed number of cells per row (ad
-# matrices, recursion rows, forms) and takes its rows in batches of at most
-# this many cells per such array, so a batch stays under a MB at any prime.
+# restricted.split_sum takes the splits of a row stack in batches of at
+# most this many cells per array its correction holds per split (ad
+# matrices, recursion rows, forms), so a batch stays under a MB at any prime.
 BATCH_CELLS = 1 << 13
 
 
-def by_row_batches(cells, fn, *stacks):
-    """fn(*batch) over consecutive batches of rows of equally long stacks,
-    at most BATCH_CELLS // cells rows each for an fn holding `cells` cells
-    per row, the results concatenated.  A vector or short stack goes whole."""
+def by_row_batches(cells, fn, stack):
+    """fn(batch) over consecutive batches of rows of stack, at most
+    BATCH_CELLS // cells rows each for an fn holding `cells` cells per
+    row, the results concatenated.  A short stack goes whole."""
     step = max(1, BATCH_CELLS // cells)
-    count = len(stacks[0])
-    if stacks[0].ndim == 1 or count <= step:
-        return fn(*stacks)
-    return np.concatenate(
-        [fn(*(s[start : start + step] for s in stacks)) for start in range(0, count, step)]
-    )
+    if len(stack) <= step:
+        return fn(stack)
+    return np.concatenate([fn(stack[start : start + step]) for start in range(0, len(stack), step)])
 
 
 def ad_matrix(algebra, g):

@@ -216,12 +216,8 @@ def jacobson_corrections(R: RestrictedAlgebra, g, h):
     g = gf.normalize(g, p)
     h = gf.normalize(h, p)
     inverses = np.array([gf.inv_mod(i, p) for i in range(1, p)], dtype=np.int64)
-
-    def corrections(g, h):
-        w = ad_recursion(R.algebra, g, h, g[..., None, :], p - 1)
-        return (inverses @ w[..., : p - 1, :]) % p
-
-    return liealg.by_row_batches(R.dim**2, corrections, g, h)
+    w = ad_recursion(R.algebra, g, h, g[..., None, :], p - 1)
+    return (inverses @ w[..., : p - 1, :]) % p
 
 
 def p_power_jacobson(R: RestrictedAlgebra, g):

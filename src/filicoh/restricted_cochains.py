@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cochains, gf, liealg, restricted
+from . import cochains, gf, restricted
 
 
 @dataclass(frozen=True)
@@ -170,18 +170,13 @@ def _correction_sum(algebra, forms, h1, h2):
     p = algebra.prime
     h1 = gf.normalize(h1, p)
     h2 = gf.normalize(h2, p)
+    if p == 2:
+        return _pair(forms, h1, h2, p)
     # #h1 is d + 1 in the prefix, d + 2 when h1 also fills the last slot
     last_h1 = np.array([gf.inv_mod(d + 2, p) for d in range(p - 2)], dtype=np.int64)
     last_h2 = np.array([gf.inv_mod(d + 1, p) for d in range(p - 2)], dtype=np.int64)
-
-    def corrections(h1, h2, forms):
-        if p == 2:
-            return _pair(forms, h1, h2, p)
-        w = restricted.ad_recursion(algebra, h1, h2, algebra.bracket(h1, h2)[..., None, :], p - 3)
-        return (_pair(forms, last_h1 @ w % p, h1, p) + _pair(forms, last_h2 @ w % p, h2, p)) % p
-
-    forms = np.broadcast_to(forms, h1.shape[:-1] + forms.shape[-2:])
-    return liealg.by_row_batches(algebra.dim**2, corrections, h1, h2, forms)
+    w = restricted.ad_recursion(algebra, h1, h2, algebra.bracket(h1, h2)[..., None, :], p - 3)
+    return (_pair(forms, last_h1 @ w % p, h1, p) + _pair(forms, last_h2 @ w % p, h2, p)) % p
 
 
 def star_correction(algebra, phi, h1, h2):

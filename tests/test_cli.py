@@ -692,6 +692,23 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("sweep --primes 9,4 --lambda ones", "9 is not prime"),
+    ("dims --prime 4 --lambda ones", "4 is not prime"),
+    ("basis --prime 6 --lambda random:-1", "6 is not prime"),
+    ("iso --prime 5 --lambda all --lambda-prime 1,2",
+     "this command needs a single lambda vector, not 'all'"),
+    ("extend --prime 7 --lambda 1,2 --cocycle ebar:9",
+     "lambda must have 7 entries for p=7, got 2"),
+    ("dims --prime 5 --lambda ones --output {missing}", "bad lambda spec 'ones'"),
+])
+def test_first_failing_check_decides_the_message(argv, message, tmp_path, capsys):
+    # every prime is checked before any lambda spec, and the lambda specs
+    # before the cocycle and the output path
+    argv = argv.format(missing=tmp_path / "missing" / "x").split()
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_iso_classify_partitions_p3(capsys):
     code, out, _ = run(capsys, "iso", "--prime", "3", "--lambda", "all")
     assert code == 0
