@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, run, primes=False):
+    def command(name, help, run, primes=False, formats=("table", "json")):
         sp = sub.add_parser(name, help=help)
         if primes:
             sp.add_argument("--primes", required=True, help="comma-separated primes")
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--prime", required=True, help="prime p")
         sp.add_argument("--lambda", dest="lambda_spec", default="zero",
                         help="p residues, 'zero', 'all', or 'random:SEED'")
-        sp.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
+        sp.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         sp.add_argument("--output", default=None, help="also write the report to this file")
         sp.set_defaults(run=run)
         return sp
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="lambda_prime_spec",
         help="second vector for a pairwise test; omit to partition --lambda into classes",
     )
-    sp = command("extend", "one-dimensional central extension", run_extend)
+    sp = command("extend", "one-dimensional central extension", run_extend, formats=("json",))
     sp.add_argument("--cocycle", required=True, help="ebar:K, e:I,J or phi:K")
     command("sweep", "dims over a prime grid", run_dims, primes=True)
     return parser

@@ -178,22 +178,6 @@ def bracket_closed_m0(p, g, h):
     return out
 
 
-# restricted.split_sum takes the splits of a row stack in batches of at
-# most this many cells per array its correction holds per split (ad
-# matrices, recursion rows, forms), so a batch stays under a MB at any prime.
-BATCH_CELLS = 1 << 13
-
-
-def by_row_batches(cells, fn, stack):
-    """fn(batch) over consecutive batches of rows of stack, at most
-    BATCH_CELLS // cells rows each for an fn holding `cells` cells per
-    row, the results concatenated.  A short stack goes whole."""
-    step = max(1, BATCH_CELLS // cells)
-    if len(stack) <= step:
-        return fn(stack)
-    return np.concatenate([fn(stack[start : start + step]) for start in range(0, len(stack), step)])
-
-
 def ad_matrix(algebra, g):
     """Matrix of ad(g) = [g, -] acting on column coefficient vectors, for a
     vector g or, stacked the same way, for each row of a stack.

@@ -5,7 +5,9 @@ e_k^[p], here stored as a coefficient vector.  The p-power, the omega of
 a restricted 2-cochain and the beta of a restricted 3-cochain are all
 p-semilinear on scaled basis vectors and additive up to a correction sum;
 `split_sum` is the one routine that evaluates such a map, on a vector or
-on a stack of rows, every split of every row in bounded batches.  Two
+on a stack of rows, in batches of split positions: a batch holds the
+splits of every row at a run of positions, and the correction gets them as
+(heads, tails) with one leading axis over the positions.  Two
 evaluators for the p-th power are kept deliberately separate so they can
 serve as mutual oracles:
 
@@ -147,6 +149,13 @@ def p_power_closed(R: RestrictedAlgebra, g):
     return out
 
 
+# split_sum batches as many split positions as keep each array its
+# correction holds (ad matrices, recursion rows, forms: dim^2 cells a split)
+# under this many cells, and at least one: max(BATCH_CELLS, rows * dim^2)
+# cells.  The callers here pass at most 3(p + 1) rows, 5.5 MB at p = 61.
+BATCH_CELLS = 1 << 13
+
+
 def split_sum(p: int, v, on_basis, correction):
     """Value at v of a map known on scaled basis vectors and additive up
     to a correction: f(a e_k) = a^p f(e_k), with k 0-based, and
@@ -158,28 +167,24 @@ def split_sum(p: int, v, on_basis, correction):
     head) and the sum of the terms after it (the tail).
 
     on_basis(scales) gets the entries a_k^p, shaped as v, and returns
-    sum_k scales_k f(e_k) for every row.  correction(rows, heads, tails)
-    gets a batch of splits, heads and tails stacked, `rows` naming the row
-    of v.reshape(-1, dim) each split came from, and returns one value per
-    split.  Every split of every row is evaluated, without branching on
-    its entries: a zero head or tail must give a zero correction.  Values
-    are scalars or vectors; the sums are returned mod p, one per row of v.
+    sum_k scales_k f(e_k) for every row.  correction(heads, tails) gets
+    the splits at a run of positions k, shaped as v behind a leading axis
+    over k: heads np.where(cols == k, v, 0), tails np.where(cols > k, v, 0).
+    It returns its values with that leading axis; data it holds per row of
+    v reaches them by broadcasting.  Every split of every row is evaluated,
+    without branching on its entries: a zero head or tail must give a zero
+    correction.  Values are scalars or vectors; the sums are returned mod
+    p, one per row of v.
     """
     v = gf.normalize(v, p)
-    stack = v.reshape(-1, v.shape[-1])
-    m, n = stack.shape
+    n = v.shape[-1]
     total = np.array(on_basis(frobenius(v, p)), dtype=np.int64)
-    by_row = total.reshape((m,) + total.shape[v.ndim - 1 :])  # a view of total
-    # split k of a row is v_k e_k + sum_{j > k} v_j e_j; the last term has no tail
-    splits = np.stack(np.divmod(np.arange(m * (n - 1)), max(n - 1, 1)), axis=1)
     cols = np.arange(n)
-
-    def corrections(batch):
-        rows, k = batch[:, 0], batch[:, 1:]
-        picked = stack[rows]
-        return correction(rows, np.where(cols == k, picked, 0), np.where(cols > k, picked, 0))
-
-    np.add.at(by_row, splits[:, 0], liealg.by_row_batches(n * n, corrections, splits))
+    step = max(1, BATCH_CELLS // max(v.size * n, 1))
+    # the last term has no tail, so the positions are 0..n-2
+    for start in range(0, n - 1, step):
+        k = np.arange(start, min(start + step, n - 1)).reshape((-1,) + (1,) * v.ndim)
+        total += correction(np.where(cols == k, v, 0), np.where(cols > k, v, 0)).sum(axis=0)
     total %= p
     return total[()]  # a scalar, not a 0-d array, for a vector of scalar values
 
@@ -228,7 +233,7 @@ def p_power_jacobson(R: RestrictedAlgebra, g):
     return split_sum(
         R.prime, g,
         lambda scales: scales @ R.power_matrix,
-        lambda rows, x, y: jacobson_corrections(R, x, y),
+        lambda x, y: jacobson_corrections(R, x, y),
     )
 
 
@@ -244,30 +249,30 @@ def verify_restricted_map(R: RestrictedAlgebra):
     each e_j goes through x -> [e_k, x] up to p times and is compared with
     [e_k^[p], e_j].  The iteration stops once x is zero, which then stays
     zero.  Vectors are sparse {1-based index: coefficient} dicts, and each
-    bracket reads only the constants of the pairs it meets.
+    bracket [e_k, x] reads only the constants of the pairs (k, i) for the
+    terms e_i of x; [e_k^[p], e_j] is taken as [e_j, -e_k^[p]].
 
     Returns (True, None) or (False, k) for the first failing 1-based k.
     """
     p = R.prime
     by_pair = R.algebra.constants_by_pair
 
-    def bracket(g, h):
+    def ad(k, x):
         out: dict[int, int] = {}
-        for i, a in g.items():
-            for j, b in h.items():
-                for m, c in by_pair.get((i, j), ()):
-                    out[m] = (out.get(m, 0) + a * b * c) % p
+        for i, a in x.items():
+            for m, c in by_pair.get((k, i), ()):
+                out[m] = (out.get(m, 0) + a * c) % p
         return {m: c for m, c in out.items() if c}
 
     for k, row in enumerate(R.power_matrix.tolist(), start=1):
-        power = {i: c for i, c in enumerate(row, start=1) if c}
+        minus_power = {i: p - c for i, c in enumerate(row, start=1) if c}
         for j in range(1, R.dim + 1):
             x = {j: 1}
             for _ in range(p):
-                x = bracket({k: 1}, x)
+                x = ad(k, x)
                 if not x:
                     break
-            if bracket(power, {j: 1}) != x:
+            if ad(j, minus_power) != x:
                 return False, k
     return True, None
 

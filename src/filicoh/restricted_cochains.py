@@ -18,8 +18,10 @@ on basis pairs, with the analogous correction rule in its second argument
 
 Both omega and beta (in h) are evaluated by `restricted.split_sum`, the
 routine the Jacobson p-power shares: split each argument row into basis
-terms lowest index first and add the correction sum at each split, every
-split of every row at once.  The correction sum has 2^(p-2) terms; grouped
+terms lowest index first and add the correction sum at each split, the
+splits of every row at a run of positions at once, as (heads, tails) with
+a leading axis over the positions; the forms and g of each row reach them
+by broadcasting.  The correction sum has 2^(p-2) terms; grouped
 by the number of slots that carry h1, it is the recursion of the Jacobson
 corrections, w -> w ad(h2)^T + t w ad(h1)^T from w = [h1, h2], one row of
 w per power of t.  The rows are weighted by inverses and summed first, and
@@ -212,9 +214,7 @@ def star_eval(algebra, c, g):
     return restricted.split_sum(
         algebra.prime, g,
         lambda scales: (scales * omega).sum(axis=-1),
-        lambda rows, x, y: star_correction(
-            algebra, forms if forms.ndim == 2 else forms[rows % len(forms)], x, y
-        ),
+        lambda x, y: star_correction(algebra, forms, x, y),
     )
 
 
@@ -225,13 +225,10 @@ def doublestar_eval(algebra, rc3: RestrictedThreeCochain, g, h):
     p = algebra.prime
     g = gf.normalize(g, p)
     on_basis = (g @ rc3.beta_pairs) % p  # beta(g, e_k) for every k
-    g_rows = g.reshape(-1, g.shape[-1])
     return restricted.split_sum(
         p, h,
         lambda scales: (scales * on_basis).sum(axis=-1),
-        lambda rows, x, y: -doublestar_correction(
-            algebra, rc3.alpha, g_rows[rows % len(g_rows)], x, y
-        ),
+        lambda x, y: -doublestar_correction(algebra, rc3.alpha, g, x, y),
     )
 
 

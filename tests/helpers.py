@@ -314,6 +314,15 @@ def doublestar_correction_naive(algebra, alpha, g, h1, h2):
     return correction_sum_naive(algebra, form, h1, h2)
 
 
+def each_split(fn, heads, tails, *per_row):
+    """fn(head, tail, *rows) split by split over a batch of
+    restricted.split_sum, with per-row arrays broadcast against the heads:
+    the batch reshaped to rows, and the values back to its shape."""
+    n = heads.shape[-1]
+    rows = [np.broadcast_to(a, heads.shape).reshape(-1, n) for a in (heads, tails, *per_row)]
+    return np.array([fn(*row) for row in zip(*rows)], dtype=np.int64).reshape(heads.shape[:-1])
+
+
 def star_eval_naive(algebra, c, g):
     """omega at g as rcoch.star_eval splits it, with the naive correction
     sum taken split by split."""
@@ -321,9 +330,8 @@ def star_eval_naive(algebra, c, g):
     return restricted.split_sum(
         algebra.prime, g,
         lambda scales: scales @ omega,
-        lambda rows, heads, tails: np.array(
-            [star_correction_naive(algebra, c.phi, x, y) for x, y in zip(heads, tails)],
-            dtype=np.int64,
+        lambda heads, tails: each_split(
+            lambda x, y: star_correction_naive(algebra, c.phi, x, y), heads, tails
         ),
     )
 
@@ -336,8 +344,19 @@ def doublestar_eval_naive(algebra, rc3, g, h):
     return restricted.split_sum(
         p, h,
         lambda scales: scales @ ((g @ rc3.beta_pairs) % p),
-        lambda rows, heads, tails: np.array(
-            [-doublestar_correction_naive(algebra, rc3.alpha, g, x, y) for x, y in zip(heads, tails)],
-            dtype=np.int64,
+        lambda heads, tails: each_split(
+            lambda x, y, row: -doublestar_correction_naive(algebra, rc3.alpha, row, x, y),
+            heads, tails, g,
         ),
     )
+
+
+def few_positions_per_batch(monkeypatch, v):
+    """Patch restricted.BATCH_CELLS, for split_sum on v, to one cell (one
+    split position per batch) and then to half the positions and one more
+    (positions 0-2, then 3, at dim 5), so every batched path splits and a
+    short last batch is met; yields after each."""
+    n = np.shape(v)[-1]
+    for cells in (1, ((n - 1) // 2 + 1) * np.size(v) * n):
+        monkeypatch.setattr(restricted, "BATCH_CELLS", cells)
+        yield

@@ -445,6 +445,18 @@ def test_extend_frobenius_dual(capsys):
     assert doc["p_powers"][0] == [0, 0, 0, 0, 0, 0]
 
 
+def test_extend_format_json_prints_what_no_flag_prints(capsys):
+    argv = ("extend", "--prime", "5", "--lambda", "zero", "--cocycle", "ebar:3")
+    assert run(capsys, *argv, "--format", "json") == run(capsys, *argv)
+
+
+def test_extend_rejects_the_table_format(capsys):
+    code, out, err = run(capsys, "extend", "--prime", "5", "--lambda", "zero",
+                         "--cocycle", "ebar:3", "--format", "table")
+    assert (code, out) == (2, "")
+    assert "argument --format: invalid choice: 'table'" in err
+
+
 def test_extend_pair_cochain_and_phi(capsys):
     code, out, _ = run(capsys, "extend", "--prime", "5", "--lambda", "zero",
                        "--cocycle", "e:1,5")

@@ -325,11 +325,10 @@ def test_bracket_ad_matrix_and_center_match_the_dense_oracle(drawn):
 
 
 @pytest.mark.parametrize("cells", [1, 64, 1 << 12])
-def test_jacobi_check_batches_find_the_first_failing_triple(cells, monkeypatch):
+def test_jacobi_check_batches_find_the_first_failing_triple(cells):
     # one planted violation in a late pair, and on extensions a planted
-    # bracket [e_5, e_9] = e_14 that only a few triples meet; the check
-    # walks sparse constants, so the answer must not move with the batch size
-    monkeypatch.setattr(liealg, "BATCH_CELLS", cells)
+    # bracket [e_5, e_9] = e_14 that only a few triples meet; each case
+    # draws its own random algebras from random.Random(cells)
     p = 7
     A = liealg.make_m0(p)
     for pair, coeff in (((2, 3), 4), ((4, 6), 2), ((5, 6), 1)):

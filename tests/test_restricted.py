@@ -9,7 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
-from helpers import jacobson_corrections_matrix_poly, mat_pow, random_element
+from helpers import (
+    few_positions_per_batch,
+    jacobson_corrections_matrix_poly,
+    mat_pow,
+    random_element,
+)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -257,9 +262,31 @@ def stack_with_edge_rows(rng, p, dim, count=6):
     return rows
 
 
-def few_rows_per_batch(monkeypatch):
-    """Shrink the row batches to one row, so every batched path splits."""
-    monkeypatch.setattr(liealg, "BATCH_CELLS", 1)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_split_sum_matches_the_split_loop(p, monkeypatch):
+    # a bilinear correction that is nonzero at every split position; on the
+    # family only the split at e_1 can have a nonzero correction, so the
+    # p-power and the sum rules there cannot tell a dropped later position
+    rng = np.random.default_rng(60 + p)
+    n = 6
+    basis = rng.integers(0, p, size=(n, n))
+    coeffs = rng.integers(0, p, size=(n, n, n))
+    on_basis = lambda scales: scales @ basis
+    correction = lambda x, y: np.einsum("...i,ijk,...j->...k", x, coeffs, y) % p
+    v = stack_with_edge_rows(rng, p, n).reshape(2, 3, n)
+    want = np.zeros_like(v)
+    for idx in np.ndindex(v.shape[:-1]):
+        row = v[idx]
+        total = restricted.frobenius(row, p) @ basis
+        for k in range(n - 1):
+            head, tail = np.zeros_like(row), row.copy()
+            head[k], tail[: k + 1] = row[k], 0
+            total += correction(head, tail)
+        want[idx] = total % p
+    assert (restricted.split_sum(p, v, on_basis, correction) == want).all()
+    assert (restricted.split_sum(p, v[1, 2], on_basis, correction) == want[1, 2]).all()
+    for _ in few_positions_per_batch(monkeypatch, v):
+        assert (restricted.split_sum(p, v, on_basis, correction) == want).all()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -271,8 +298,8 @@ def test_p_power_jacobson_stack_equals_rows(p, monkeypatch):
     want = np.stack([restricted.p_power_jacobson(R, row) for row in rows])
     assert (got == want).all()
     assert (got == restricted.p_power_closed(R, rows)).all()
-    few_rows_per_batch(monkeypatch)
-    assert (restricted.p_power_jacobson(R, rows) == want).all()
+    for _ in few_positions_per_batch(monkeypatch, rows):
+        assert (restricted.p_power_jacobson(R, rows) == want).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -281,8 +308,8 @@ def test_p_power_jacobson_stack_equals_rows_with_corrections(p, monkeypatch):
     rows = np.array(list(itertools.product(range(p), repeat=2)))
     want = np.stack([restricted.p_power_jacobson(R, row) for row in rows])
     assert (restricted.p_power_jacobson(R, rows) == want).all()
-    few_rows_per_batch(monkeypatch)
-    assert (restricted.p_power_jacobson(R, rows) == want).all()
+    for _ in few_positions_per_batch(monkeypatch, rows):
+        assert (restricted.p_power_jacobson(R, rows) == want).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -298,14 +325,12 @@ def test_corrections_match_matrix_polynomial_at_every_prime(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_corrections_stack_matches_matrix_polynomial_on_affine_line(p, monkeypatch):
+def test_corrections_stack_matches_matrix_polynomial_on_affine_line(p):
     R = affine_line_algebra(p)
     elements = np.array(list(itertools.product(range(p), repeat=2)))
     g = np.repeat(elements, len(elements), axis=0)
     h = np.tile(elements, (len(elements), 1))
     want = np.stack([jacobson_corrections_matrix_poly(R, x, y) for x, y in zip(g, h)])
-    assert (restricted.jacobson_corrections(R, g, h) == want).all()
-    few_rows_per_batch(monkeypatch)
     assert (restricted.jacobson_corrections(R, g, h) == want).all()
 
 

@@ -14,6 +14,7 @@ from helpers import (
     d1_star,
     doublestar_correction_naive,
     doublestar_eval_naive,
+    few_positions_per_batch,
     ind1_at,
     ind2_at,
     ind2_family_closed,
@@ -665,10 +666,6 @@ def stack_with_edge_rows(rng, p, count=5):
     return rows
 
 
-def few_rows_per_batch(monkeypatch):
-    monkeypatch.setattr(liealg, "BATCH_CELLS", 1)
-
-
 @pytest.mark.parametrize("p", STACK_PRIMES)
 def test_star_eval_stack_equals_rows(p, monkeypatch):
     rng = np.random.default_rng(2200 + p)
@@ -684,8 +681,8 @@ def test_star_eval_stack_equals_rows(p, monkeypatch):
     assert rc.star_eval(A, per_row, g).tolist() == want_rows
     # a cochain per row also serves every block of rows before it
     assert rc.star_eval(A, per_row, np.stack([g, g])).tolist() == [want_rows] * 2
-    few_rows_per_batch(monkeypatch)
-    assert rc.star_eval(A, per_row, g).tolist() == want_rows
+    for _ in few_positions_per_batch(monkeypatch, g):
+        assert rc.star_eval(A, per_row, g).tolist() == want_rows
 
 
 @pytest.mark.parametrize("p", STACK_PRIMES)
@@ -702,8 +699,14 @@ def test_doublestar_eval_stack_equals_rows(p, monkeypatch):
     assert rc.doublestar_eval(A, c3, g[0], h).tolist() == [
         rc.doublestar_eval(A, c3, g[0], y) for y in h
     ]
-    few_rows_per_batch(monkeypatch)
-    assert rc.doublestar_eval(A, c3, g, h).tolist() == want
+    # g per row also serves every block of rows of h
+    blocks = np.stack([h, h[::-1]])
+    want_blocks = [[rc.doublestar_eval(A, c3, x, y) for x, y in zip(g, b)] for b in blocks]
+    assert rc.doublestar_eval(A, c3, g, blocks).tolist() == want_blocks
+    for _ in few_positions_per_batch(monkeypatch, h):
+        assert rc.doublestar_eval(A, c3, g, h).tolist() == want
+    for _ in few_positions_per_batch(monkeypatch, blocks):
+        assert rc.doublestar_eval(A, c3, g, blocks).tolist() == want_blocks
 
 
 @pytest.mark.parametrize("p", STACK_PRIMES)
@@ -724,7 +727,7 @@ def test_sum_rules_stack_equal_rows(p):
 
 
 @pytest.mark.parametrize("p", STACK_PRIMES)
-def test_correction_stacks_match_naive_sum(p, monkeypatch):
+def test_correction_stacks_match_naive_sum(p):
     # the literal 2^(p-2)-term sum, row by row, including zero heads
     rng = np.random.default_rng(2500 + p)
     A = liealg.make_m0(p)
@@ -737,9 +740,6 @@ def test_correction_stacks_match_naive_sum(p, monkeypatch):
     h1[-1, p // 2] = 1  # a scaled basis vector, as split_sum's heads are
     star = [star_correction_naive(A, phi, x, y) for x, y in zip(h1, h2)]
     dstar = [doublestar_correction_naive(A, alpha, *row) for row in zip(g, h1, h2)]
-    assert rc.star_correction(A, phi, h1, h2).tolist() == star
-    assert rc.doublestar_correction(A, alpha, g, h1, h2).tolist() == dstar
-    few_rows_per_batch(monkeypatch)
     assert rc.star_correction(A, phi, h1, h2).tolist() == star
     assert rc.doublestar_correction(A, alpha, g, h1, h2).tolist() == dstar
 
