@@ -4,9 +4,13 @@ Each check appends a record {name, ok, detail, info}; an info record never
 fails the run.  The checks draw from one numpy generator in a fixed order,
 so a seeded run replays byte for byte.  What does not depend on lambda is
 evaluated once per prime: d2 of each dual pair, the d1 images of the
-degree-1 duals, and d2 of each of those images.  The sampled oracles get
-each lambda's samples, drawn in that order, as one stack of rows, and a
-failure is still counted per sample.
+degree-1 duals, d2 of each of those images and their span, against which
+every Frobenius dual extension is found trivial.  The samples of every
+lambda are drawn first, in that order; then each oracle runs once per part
+of the lambda stack, a restricted.FamilyStack cut by restricted.batches
+into parts of at most restricted.BATCH_CELLS cells, and a failure is still
+counted per sample.  Only the extension builds and the diagonal search,
+which need objects of their own, run once per lambda.
 """
 
 from __future__ import annotations
@@ -28,17 +32,20 @@ def record(records, name, ok, detail="", info=False):
 
 @dataclass(frozen=True)
 class ComplexIdentity:
-    """d1 e^k for k = 1..p, their form matrices, and whether d2 kills every
-    one of them."""
+    """d1 e^k for k = 1..p, their form matrices, whether d2 kills every
+    one of them, and their span, the 2-coboundaries."""
 
     images: tuple[cochains.Cochain, ...]
     forms: np.ndarray
     ok: bool
+    coboundaries: gf.SpanTracker
 
-    def restricted_holds(self, R) -> bool:
+    def restricted_holds(self, family: restricted.FamilyStack) -> np.ndarray:
         """d2+(d1+ e^k) = (d2(d1 e^k), induced beta of d1 e^k) = (0, 0) for
-        every k.  self.ok decided the lambda-independent form part."""
-        return self.ok and not rcoch.ind2_matrix(R, self.forms).any()
+        every k, one flag per member: one ind2_matrix product of the forms
+        over the stack.  self.ok decided the lambda-independent form part."""
+        induced = rcoch.ind2_matrix(family, self.forms[:, None])  # (k, member, i, j)
+        return self.ok & ~induced.any(axis=(0, 2, 3))
 
 
 def complex_identity(A: liealg.LieAlgebra) -> ComplexIdentity:
@@ -48,7 +55,8 @@ def complex_identity(A: liealg.LieAlgebra) -> ComplexIdentity:
         cochains.d1(A, cochains.dual_cochain(p, A.dim, (k,))) for k in range(1, A.dim + 1)
     )
     ok = all(cochains.d2(A, image).is_zero() for image in images)
-    return ComplexIdentity(images, rcoch.form_matrices(images), ok)
+    span = gf.SpanTracker(p, (image.coordinates() for image in images))
+    return ComplexIdentity(images, rcoch.form_matrices(images), ok, span)
 
 
 def transform_confirmed(p: int, lam, mu1: int, mu2: int) -> bool:
@@ -58,9 +66,10 @@ def transform_confirmed(p: int, lam, mu1: int, mu2: int) -> bool:
 
 
 def draw(rng, p, count):
-    """count random vectors, one rng call each as the checks have always
-    drawn them, stacked as rows."""
-    return np.stack([gf.normalize(rng.integers(0, p, size=p), p) for _ in range(count)])
+    """count random vectors, stacked as rows, in one rng call: a
+    Generator's bounded draws give the stream of one call per vector, which
+    is how the checks have always drawn them."""
+    return rng.integers(0, p, size=(count, p))
 
 
 def prime_checks(p, records, rng) -> ComplexIdentity:
@@ -108,54 +117,84 @@ def prime_checks(p, records, rng) -> ComplexIdentity:
 
 
 def lambda_checks(p, lams, identity: ComplexIdentity, records, rng):
-    """The p-power recursion and the restricted complex identity on every lambda."""
+    """The p-power recursion and the restricted complex identity on every
+    lambda, each oracle called once per part of the lambda stack."""
+    family = restricted.FamilyStack(p, lams)
+    g = draw(rng, p, 3 * len(lams)).reshape(len(lams), 3, p)
     bad_power = bad_complex = 0
-    for lam in lams:
-        R = restricted.make_m0_lambda(p, lam)
-        g = draw(rng, p, 3)
-        jacobson = restricted.p_power_jacobson(R, g)
-        bad_power += int((jacobson != restricted.p_power_closed(R, g)).any(axis=1).sum())
-        if not identity.restricted_holds(R):
-            bad_complex += 1
+    # a lambda brings 3 rows of dim x dim ad matrices to each split
+    for part in restricted.batches(len(lams), 3 * p * p):
+        jacobson = restricted.p_power_jacobson(family[part], g[part])
+        closed = restricted.p_power_closed(family[part], g[part])
+        bad_power += int((jacobson != closed).any(axis=-1).sum())
+    # and p induced beta matrices to the complex identity
+    for part in restricted.batches(len(lams), p**3):
+        bad_complex += int((~identity.restricted_holds(family[part])).sum())
     cover = f"{len(lams)} lambda vector(s)"
     record(records, "p-power recursion vs closed form", bad_power == 0, f"{cover}, 3 samples each")
     record(records, "restricted complex identity", bad_complex == 0, f"{cover}, all duals")
 
 
 def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
-    """Sum rules, extensions and the diagonal search on a capped sample."""
+    """Sum rules, extensions and the diagonal search on a capped sample.
+
+    Every sampled lambda's values are drawn first, in the order the checks
+    have always drawn them.  The sum rules then run once per part of the
+    sample's stack; the extensions and the diagonal search build their own
+    objects per lambda."""
     sample = lams[:VERIFY_SAMPLE_CAP]
     cover = f"{len(sample)} of {len(lams)} lambda vector(s)"
-    bad_star = bad_dstar = bad_ind1 = bad_ext = bad_prop = 0
+    search = p <= isoclass.SEARCH_LIMIT
+    gh, cocycles, omegas, triples, mus = [], [], [], [], []
+    for _ in sample:
+        pairs_gh = draw(rng, p, 2 * p)  # g then h for each induced pair d1+(e^k)
+        cocycles.append(cochains.random_cocycle(rng, p))
+        omegas.append(rng.integers(0, p, size=p))
+        gh.append(np.vstack([pairs_gh, draw(rng, p, 2)]))  # and for the cocycle pair
+        triples.append(draw(rng, p, 9))
+        if search:
+            mus.append(tuple(int(rng.integers(1, p)) if p > 2 else 1 for _ in range(2)))
+    A = liealg.make_m0(p)
+    family = restricted.FamilyStack(p, sample)
+    gh, triples, omegas = np.stack(gh), np.stack(triples), np.stack(omegas)
+    g, h = gh[:, 0::2], gh[:, 1::2]
+    phis = rcoch.form_matrices(cocycles)
     psis = [cochains.dual_cochain(p, p, (k,)) for k in range(1, p + 1)]
-    for lam in sample:
-        R = restricted.make_m0_lambda(p, lam)
-        # d1+(e^k) = (d1 e^k, omega induced by the p-powers), d1 e^k once per prime
-        pairs = [
-            rcoch.RestrictedTwoCochain(image, rcoch.ind1_values(R, psi))
-            for image, psi in zip(identity.images, psis)
-        ]
-        gh = draw(rng, p, 2 * p)  # g then h for each induced pair d1+(e^k)
-        phi = cochains.random_cocycle(rng, p)
-        omega = tuple(int(x) for x in rng.integers(0, p, size=p))
-        c2 = rcoch.RestrictedTwoCochain(phi, omega)
-        gh = np.vstack([gh, draw(rng, p, 2)])  # and for the cocycle pair
-        g, h = gh[0::2], gh[1::2]
-        holds = rcoch.star_property_holds(R.algebra, pairs + [c2], g, h)
+
+    bad_star = bad_ind1 = bad_dstar = 0
+    # a lambda brings 3(p + 1) rows (g, h and g + h of p + 1 pairs) to a split
+    for part in restricted.batches(len(sample), 3 * (p + 1) * p * p):
+        members = family[part]
+        # d1+(e^k) = (d1 e^k, omega induced by the p-powers), d1 e^k once
+        # per prime, then the cocycle pair (phi, omega)
+        induced = [rcoch.ind1_values(members, psi)[:, None] for psi in psis]
+        omega = np.concatenate(induced + [omegas[part, None]], axis=1)
+        forms = np.concatenate(
+            [np.broadcast_to(identity.forms, (len(members), p, p, p)), phis[part, None]], axis=1
+        )
+        at_g, holds = rcoch.star_rule(A, (omega, forms), g[part], h[part])
         bad_star += int((~holds).sum())
-        induced = rcoch.star_eval(R.algebra, pairs, g[:p])
-        powers = restricted.p_power(R, g[:p])
-        bad_ind1 += sum(
-            value != psi.evaluate(power) for value, psi, power in zip(induced, psis, powers)
-        )
-        rc3 = rcoch.d2_star(R, c2)
-        triples = draw(rng, p, 9)
-        holds = rcoch.doublestar_property_holds(
-            R.algebra, rc3, triples[0::3], triples[1::3], triples[2::3]
-        )
+        # psi_k = e^k reads coordinate k of the k-th p-power
+        powers = restricted.p_power(members, g[part, :p])
+        bad_ind1 += int((at_g[:, :p] != np.diagonal(powers, axis1=-2, axis2=-1)).sum())
+
+    # and 9 rows (h1, h2 and h1 + h2 of 3 triples) to a beta split
+    for part in restricted.batches(len(sample), 9 * p * p):
+        # d2+(phi, omega) = (d2 phi, beta induced by the p-powers)
+        betas = rcoch.ind2_matrix(family[part], phis[part])
+        rc3 = [
+            rcoch.RestrictedThreeCochain(cochains.differential(A, phi), beta)
+            for phi, beta in zip(cocycles[part], betas)
+        ]
+        t = triples[part]
+        holds = rcoch.doublestar_property_holds(A, rc3, t[:, 0::3], t[:, 1::3], t[:, 2::3])
         bad_dstar += int((~holds).sum())
-        for k in (1, 2, p):
-            dual = rcoch.frobenius_dual_cochain(p, p, k)
+
+    bad_ext = bad_prop = 0
+    duals = [rcoch.frobenius_dual_cochain(p, p, k) for k in (1, 2, p)]
+    for i, lam in enumerate(sample):
+        R = restricted.make_m0_lambda(p, lam)
+        for dual in duals:
             try:
                 res = extensions.extend_restricted(R, dual)
             except (ValueError, RuntimeError):
@@ -163,21 +202,18 @@ def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
                 continue
             # the form part of (0, ebar^k) is a coboundary, so E_k splits
             # when forgotten down to an ordinary extension
-            if not extensions.is_trivial_ordinary_extension(R.algebra, dual.phi):
+            if not extensions.is_trivial_ordinary_extension(A, dual.phi, identity.coboundaries):
                 bad_ext += 1
             if res.algebra.labels[-1] != extensions.CENTER_LABEL:
                 bad_ext += 1
-        if p <= isoclass.SEARCH_LIMIT:
-            mu1 = int(rng.integers(1, p)) if p > 2 else 1
-            mu2 = int(rng.integers(1, p)) if p > 2 else 1
-            if not transform_confirmed(p, lam, mu1, mu2):
-                bad_prop += 1
+        if search and not transform_confirmed(p, lam, *mus[i]):
+            bad_prop += 1
     record(records, "omega sum rule on induced and cocycle pairs", bad_star == 0, cover)
     record(records, "induced omega matches psi of the p-power", bad_ind1 == 0, cover)
     record(records, "beta sum rule on induced triples", bad_dstar == 0, f"{cover}, 3 triples each")
     record(records, "central extensions verify and stay trivial", bad_ext == 0, cover)
     name = "diagonal search confirms transformed vectors"
-    if p <= isoclass.SEARCH_LIMIT:
+    if search:
         record(records, name, bad_prop == 0, cover)
     else:
         record(records, name, True, f"not run: p > {isoclass.SEARCH_LIMIT}", info=True)

@@ -35,7 +35,6 @@ one.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -245,13 +244,16 @@ def _omega_rows(R: restricted.RestrictedAlgebra) -> tuple:
     the family they span ker d1, since H1 has no image).  Row e^k of that
     product is omega of e^k, j -> e^k(e_j^[p]), column k of power_matrix."""
     p = R.prime
-    r, pivots = gf.rref(R.power_matrix[:, _kernel(p, 1, ())[1]].T, p)
+    omega = R.power_matrix[:, _kernel(p, 1, ())[1]].T
+    if not omega.any():  # on the family from p = 3 on: f(e_p) = 0 on ker d1
+        return ()
+    r, pivots = gf.rref(omega, p)
     return tuple(map(tuple, r[: len(pivots)].tolist()))
 
 
 def _copy(s: CohomologySummary, lam) -> CohomologySummary:
     """A memo entry with lam and a representative list of the caller's own."""
-    return dataclasses.replace(s, lam=lam, representatives=list(s.representatives))
+    return type(s)(**{**vars(s), "lam": lam, "representatives": list(s.representatives)})
 
 
 def _ordinary(A: liealg.LieAlgebra, degree: int, name: str) -> CohomologySummary:
@@ -305,7 +307,13 @@ def expected_summary(p: int, lam) -> ExpectedSummary:
     lam = tuple(int(x) % p for x in lam)
     if len(lam) != p:
         raise ValueError("lambda must have one entry per basis vector")
-    nonzero = any(lam)
+    return ExpectedSummary(p, lam, *_expected_entries(p, any(lam)))
+
+
+@functools.lru_cache(maxsize=None)
+def _expected_entries(p: int, nonzero: bool) -> tuple[ExpectedEntry, ...]:
+    """The closed-form H1, H1+, H2 and H2+ entries, which depend on lambda
+    only through whether it is nonzero."""
     if p >= 3:
         h1e = ExpectedEntry(2, 2, 0)
         h1se = ExpectedEntry(2, 2, 0)
@@ -319,7 +327,7 @@ def expected_summary(p: int, lam) -> ExpectedSummary:
         h1se = ExpectedEntry(1, 1, 0) if nonzero else ExpectedEntry(2, 2, 0)
         h2e = ExpectedEntry(1, 1, 0)
         h2se = ExpectedEntry(1, 2, 1) if nonzero else ExpectedEntry(3, 3, 0)
-    return ExpectedSummary(p, lam, h1e, h1se, h2e, h2se)
+    return h1e, h1se, h2e, h2se
 
 
 def compare(computed: CohomologySummary, expected: ExpectedSummary) -> dict:

@@ -190,7 +190,8 @@ def ad_matrix(algebra, g):
     i, j, k, c = algebra.constants.T
     out = gf.zeros(g.shape[:-1] + (n * n,))
     np.add.at(out, (..., k * n + j), g[..., i] * c)
-    return (out % algebra.prime).reshape(g.shape[:-1] + (n, n))
+    out %= algebra.prime
+    return out.reshape(g.shape[:-1] + (n, n))
 
 
 def jacobi_check(algebra):

@@ -20,6 +20,11 @@ serve as mutual oracles:
   recursion on row stacks: one row per power of t, with p-1 applications
   of w -> w ad(h)^T + t w ad(g)^T starting from w = g.
 
+The p-powers of many members of the family at once are read from a
+`FamilyStack`: lam and one power matrix per member, which p_power_closed
+and p_power_jacobson broadcast against one block of rows per member.
+`batches` cuts such stacks into parts that BATCH_CELLS bounds.
+
 The restricted axiom ad(x^[p]) = ad(x)^p is checked on the basis by its
 definition, on sparse {index: coefficient} vectors and the constants
 looked up by pair (`LieAlgebra.constants_by_pair`): ad(e_k) is applied to
@@ -39,24 +44,29 @@ from . import gf, liealg
 class RestrictedAlgebra:
     """A Lie algebra together with basis p-powers.
 
-    basis_p_powers[k-1] is the coefficient vector of e_k^[p].  `lam` marks
-    a member of the maximal-class family: the algebra is make_m0(p) and
-    e_k^[p] = lam[k-1] e_p for every k, which the constructor checks.  It
-    unlocks the closed p-power formula.
+    Row k-1 of the read-only power_matrix, and basis_p_powers[k-1], is the
+    coefficient vector of e_k^[p].  `lam` marks a member of the
+    maximal-class family: the algebra is make_m0(p) and e_k^[p] =
+    lam[k-1] e_p for every k, which the constructor checks.  It unlocks the
+    closed p-power formula.
     """
 
     def __init__(self, algebra: liealg.LieAlgebra, basis_p_powers, lam=None):
         self.algebra = algebra
-        p = algebra.prime
-        powers = [gf.normalize(v, p) for v in basis_p_powers]
-        if len(powers) != algebra.dim or any(v.shape != (algebra.dim,) for v in powers):
+        p, n = algebra.prime, algebra.dim
+        try:
+            matrix = gf.normalize(basis_p_powers, p)
+        except ValueError:  # rows of different lengths
+            matrix = None
+        if matrix is None or matrix.shape != (n, n):
             raise ValueError("basis_p_powers must give one vector of length dim per basis vector")
-        self.basis_p_powers = powers
+        matrix.setflags(write=False)
+        self.power_matrix = matrix
         self.lam = None if lam is None else tuple(int(x) % p for x in lam)
         if self.lam is not None and (
             algebra != liealg.make_m0(p)
-            or len(self.lam) != p
-            or any(v[:-1].any() or v[-1] != x for v, x in zip(powers, self.lam))
+            or matrix[:, -1].tolist() != list(self.lam)
+            or matrix[:, :-1].any()
         ):
             raise ValueError(
                 "lambda is given only for the family m_0^lambda(p): "
@@ -76,18 +86,19 @@ class RestrictedAlgebra:
         return self.lam is not None
 
     @functools.cached_property
-    def power_matrix(self):
-        """The e_k^[p] stacked as rows, read-only."""
-        out = np.stack(self.basis_p_powers)
-        out.setflags(write=False)
-        return out
+    def basis_p_powers(self) -> list:
+        """The e_k^[p] as vectors: the rows of power_matrix, read-only."""
+        return list(self.power_matrix)
 
     @functools.cached_property
     def power_rows(self) -> tuple[tuple[int, ...], ...]:
         """A basis of the span of the e_k^[p]: the nonzero rref rows of the
-        power matrix as int tuples, at most one row on the family.  It keys
-        the memoised H1+ and H2+, whose induced omega and beta rows are
-        built from these rows alone, so it is computed once."""
+        power matrix as int tuples.  It keys the memoised H1+ and H2+, whose
+        induced omega and beta rows are built from these rows alone, so it
+        is computed once.  On the family the e_k^[p] = lam_k e_p span the
+        line of e_p, or nothing at lam = 0, which is that rref read off."""
+        if self.lam is not None:
+            return ((0,) * (self.dim - 1) + (1,),) if any(self.lam) else ()
         r, pivots = gf.rref(self.power_matrix, self.prime)
         return tuple(map(tuple, r[: len(pivots)].tolist()))
 
@@ -111,16 +122,54 @@ def make_m0_lambda(p: int, lam) -> RestrictedAlgebra:
         p: prime.
         lam: sequence of p integers, reduced mod p.
     """
-    A = liealg.make_m0(p)
     lam = [int(x) % p for x in lam]
     if len(lam) != p:
         raise ValueError(f"lambda must have length {p}")
-    powers = []
-    for k in range(1, p + 1):
-        v = gf.zeros(p)
-        v[p - 1] = lam[k - 1]
-        powers.append(v)
-    return RestrictedAlgebra(A, powers, lam=lam)
+    powers = gf.zeros((p, p))
+    powers[:, p - 1] = lam
+    return RestrictedAlgebra(liealg.make_m0(p), powers, lam=lam)
+
+
+class FamilyStack:
+    """The members m_0^lambda(p) of a stack of lambda vectors, held as
+    arrays: lam of shape (L, p) and power_matrix of shape (L, p, p), both
+    read-only.  It stands in for L RestrictedAlgebra objects in the
+    routines that read only prime, algebra, lam and power_matrix
+    (p_power_closed, p_power_jacobson, restricted_cochains.ind1_values and
+    ind2_matrix): member m reaches block m of the rows they get, so g has
+    shape (L, rows, p).  A slice gives the sub-stack."""
+
+    is_m0_family = True
+
+    def __init__(self, p: int, lams):
+        lam = gf.normalize(lams, p)
+        if lam.ndim != 2 or lam.shape[1] != p:
+            raise ValueError(f"a stack of lambda vectors of length {p} is needed")
+        lam.setflags(write=False)
+        self.algebra = liealg.make_m0(p)
+        self.lam = lam
+
+    @property
+    def prime(self):
+        return self.algebra.prime
+
+    @property
+    def dim(self):
+        return self.algebra.dim
+
+    def __len__(self):
+        return len(self.lam)
+
+    def __getitem__(self, index: slice) -> FamilyStack:
+        return FamilyStack(self.prime, self.lam[index])
+
+    @functools.cached_property
+    def power_matrix(self):
+        """e_k^[p] = lam_k e_p as the rows of one matrix per member."""
+        out = gf.zeros(self.lam.shape + (self.dim,))
+        out[..., -1] = self.lam
+        out.setflags(write=False)
+        return out
 
 
 def lam_str(lam) -> str:
@@ -135,7 +184,8 @@ def frobenius(v, p: int):
 
 def p_power_closed(R: RestrictedAlgebra, g):
     """p-th power via the maximal-class closed form, of a vector or of each
-    row of a stack.
+    row of a stack; R is a family member, or a FamilyStack whose member m
+    powers the rows g[m].
 
     Only valid on the maximal-class family; raises otherwise.  With
     g = sum(a_k e_k), returns sum(a_k^p lam_k) e_p.
@@ -145,15 +195,27 @@ def p_power_closed(R: RestrictedAlgebra, g):
     p = R.prime
     g = gf.normalize(g, p)
     out = gf.zeros(g.shape)
-    out[..., p - 1] = (frobenius(g, p) @ np.array(R.lam, dtype=np.int64)) % p
+    lam = np.asarray(R.lam, dtype=np.int64)[..., None]  # a column per member
+    out[..., p - 1] = (frobenius(g, p) @ lam)[..., 0] % p
     return out
 
 
-# split_sum batches as many split positions as keep each array its
-# correction holds (ad matrices, recursion rows, forms: dim^2 cells a split)
-# under this many cells, and at least one: max(BATCH_CELLS, rows * dim^2)
-# cells.  The callers here pass at most 3(p + 1) rows, 5.5 MB at p = 61.
+# The one cell budget of the stacked routines.  split_sum batches as many
+# split positions as keep each array its correction holds (ad matrices,
+# recursion rows, forms: dim^2 cells a row and split) under it, and at
+# least one: max(BATCH_CELLS, rows * dim^2) cells.  `batches` cuts the
+# lambda stacks of the checks so that a part's rows stay under it as well,
+# and takes one lambda at least; the most rows one lambda brings are the
+# 3(p + 1) of the omega sum rule, 5.5 MB an array at p = 61.
 BATCH_CELLS = 1 << 13
+
+
+def batches(count: int, cells: int) -> list[slice]:
+    """Slices cutting a stack of count items into parts of at most
+    BATCH_CELLS cells, one item at least, when an item holds `cells` cells
+    in the largest array a routine builds for it."""
+    step = max(1, BATCH_CELLS // max(cells, 1))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def split_sum(p: int, v, on_basis, correction):
@@ -228,7 +290,8 @@ def jacobson_corrections(R: RestrictedAlgebra, g, h):
 def p_power_jacobson(R: RestrictedAlgebra, g):
     """p-th power of a vector, or of each row of a stack, by basis splitting
     plus corrections: (a e_k)^[p] = a^p e_k^[p] and
-    (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).
+    (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).  R is one restricted
+    algebra, or a FamilyStack whose member m powers the rows g[m].
     """
     return split_sum(
         R.prime, g,
@@ -246,34 +309,56 @@ def p_power(R: RestrictedAlgebra, g):
 
 def verify_restricted_map(R: RestrictedAlgebra):
     """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector, on brackets:
-    each e_j goes through x -> [e_k, x] up to p times and is compared with
-    [e_k^[p], e_j].  The iteration stops once x is zero, which then stays
-    zero.  Vectors are sparse {1-based index: coefficient} dicts, and each
-    bracket [e_k, x] reads only the constants of the pairs (k, i) for the
-    terms e_i of x; [e_k^[p], e_j] is taken as [e_j, -e_k^[p]].
+    for each k, every e_j goes through x -> [e_k, x] up to p times and is
+    compared with [e_k^[p], e_j].  An iterate is dropped once zero, which
+    then stays zero.  Vectors are sparse {1-based index: coefficient}
+    dicts, and each bracket [e_k, x] reads only the constants of the pairs
+    (k, i) for the terms e_i of x.  [e_k^[p], e_j] = -[e_j, e_k^[p]] is
+    summed for every j at once over the terms e_i of e_k^[p], from the
+    constants of the pairs (j, i).
 
     Returns (True, None) or (False, k) for the first failing 1-based k.
     """
     p = R.prime
-    by_pair = R.algebra.constants_by_pair
+    # rows[k][i] and columns[i][j]: the constants of [e_k, e_i] and [e_j, e_i]
+    rows: dict[int, dict] = {}
+    columns: dict[int, dict] = {}
+    for (k, i), terms in R.algebra.constants_by_pair.items():
+        rows.setdefault(k, {})[i] = terms
+        columns.setdefault(i, {})[k] = terms
 
-    def ad(k, x):
-        out: dict[int, int] = {}
-        for i, a in x.items():
-            for m, c in by_pair.get((k, i), ()):
-                out[m] = (out.get(m, 0) + a * c) % p
-        return {m: c for m, c in out.items() if c}
+    def nonzero(vectors):
+        """vectors without their zero terms, and without those left empty"""
+        out = {}
+        for j, v in vectors.items():
+            v = {m: c for m, c in v.items() if c}
+            if v:
+                out[j] = v
+        return out
 
     for k, row in enumerate(R.power_matrix.tolist(), start=1):
-        minus_power = {i: p - c for i, c in enumerate(row, start=1) if c}
-        for j in range(1, R.dim + 1):
-            x = {j: 1}
-            for _ in range(p):
-                x = ad(k, x)
-                if not x:
-                    break
-            if ad(j, minus_power) != x:
-                return False, k
+        ad_k = rows.get(k, {})
+        iterates = {j: {j: 1} for j in range(1, R.dim + 1) if j in ad_k}
+        for _ in range(p):
+            images: dict[int, dict] = {}
+            for j, x in iterates.items():
+                image = images[j] = {}
+                for i, a in x.items():
+                    for m, c in ad_k.get(i, ()):
+                        image[m] = (image.get(m, 0) + a * c) % p
+            iterates = nonzero(images)
+            if not iterates:
+                break
+        brackets: dict[int, dict] = {}
+        for i, a in enumerate(row, start=1):
+            if not a:
+                continue
+            for j, terms in columns.get(i, {}).items():
+                image = brackets.setdefault(j, {})
+                for m, c in terms:
+                    image[m] = (image.get(m, 0) - a * c) % p
+        if nonzero(brackets) != iterates:
+            return False, k
     return True, None
 
 

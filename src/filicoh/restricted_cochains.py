@@ -189,26 +189,48 @@ def star_correction(algebra, phi, h1, h2):
     return _correction_sum(algebra, forms, h1, h2)
 
 
-def doublestar_correction(algebra, alpha: cochains.Cochain, g, h1, h2):
+def _alpha_forms(alpha, g):
+    """The matrices of alpha(g, -, -): form_matrix(alpha, g) for one 3-form,
+    or, for a sequence of them, alpha[m] against the rows g[m]."""
+    if isinstance(alpha, cochains.Cochain):
+        return form_matrix(alpha, g)
+    return np.stack([form_matrix(a, rows) for a, rows in zip(alpha, g, strict=True)])
+
+
+def _beta_and_alpha(rc3):
+    """beta on basis pairs and alpha of one RestrictedThreeCochain, or the
+    betas stacked and the alphas listed over a sequence of them."""
+    if isinstance(rc3, RestrictedThreeCochain):
+        return rc3.beta_pairs, rc3.alpha
+    return np.stack([c.beta_pairs for c in rc3]), [c.alpha for c in rc3]
+
+
+def doublestar_correction(algebra, alpha, g, h1, h2):
     """The beta correction sum attached to alpha at the split h = h1 + h2,
-    for one g or one g per row."""
-    return _correction_sum(algebra, form_matrix(alpha, g), h1, h2)
+    for one g or one g per row: omega's correction sum of the 2-forms
+    alpha(g, -, -).  alpha is a degree-3 Cochain, or a sequence of them
+    whose alpha[m] goes with the rows g[m]."""
+    return _correction_sum(algebra, _alpha_forms(alpha, g), h1, h2)
 
 
 def _omega_and_forms(c):
-    """omega basis values and form matrix of one RestrictedTwoCochain, or
-    both stacked over a sequence of them."""
+    """omega basis values and form matrix of one RestrictedTwoCochain, both
+    stacked over a sequence of them, or c itself when it is already such a
+    pair of arrays."""
     if isinstance(c, RestrictedTwoCochain):
         return np.array(c.omega_basis, dtype=np.int64), form_matrix(c.phi)
+    if isinstance(c[0], np.ndarray):
+        return c
     return np.array([x.omega_basis for x in c], dtype=np.int64), form_matrices([x.phi for x in c])
 
 
 def star_eval(algebra, c, g):
     """Evaluate omega at g, a vector or a stack of rows: omega(a e_k) =
     a^p omega_k on scaled basis vectors, and the correction sum at each
-    split of `restricted.split_sum`.  c is one RestrictedTwoCochain, or a
-    sequence of them, one per row of g along its last stack axis.  The
-    result does not depend on the split order.
+    split of `restricted.split_sum`.  c is one RestrictedTwoCochain, a
+    sequence of them, one per row of g along its last stack axis, or a pair
+    (omega basis values, form matrices) of arrays that broadcast against
+    the rows of g.  The result does not depend on the split order.
     """
     omega, forms = _omega_and_forms(c)
     return restricted.split_sum(
@@ -218,43 +240,52 @@ def star_eval(algebra, c, g):
     )
 
 
-def doublestar_eval(algebra, rc3: RestrictedThreeCochain, g, h):
+def doublestar_eval(algebra, rc3, g, h):
     """Evaluate beta at (g, h), or at each pair of rows, g broadcast against
     h: linear in g, and split in h like omega, with the correction
-    subtracted."""
+    subtracted.  rc3 is one RestrictedThreeCochain, or a sequence of them
+    whose rc3[m] goes with the rows g[m].  The matrices of alpha(g, -, -)
+    are built once, and each split takes omega's correction sum of them."""
     p = algebra.prime
     g = gf.normalize(g, p)
-    on_basis = (g @ rc3.beta_pairs) % p  # beta(g, e_k) for every k
+    beta, alpha = _beta_and_alpha(rc3)
+    on_basis = (g @ beta) % p  # beta(g, e_k) for every k
+    forms = _alpha_forms(alpha, g)
     return restricted.split_sum(
         p, h,
         lambda scales: (scales * on_basis).sum(axis=-1),
-        lambda x, y: -doublestar_correction(algebra, rc3.alpha, g, x, y),
+        lambda x, y: -star_correction(algebra, forms, x, y),
     )
 
 
-def star_property_holds(algebra, c, g, h):
-    """Check the omega sum rule at one pair (g, h), or at each pair of rows;
-    c is one RestrictedTwoCochain, or one per row.  One star_eval call
+def star_rule(algebra, c, g, h):
+    """omega at g, and whether the omega sum rule holds, at one pair (g, h)
+    or at each pair of rows; c as for star_eval.  One star_eval call
     evaluates omega at g, h and g + h."""
     at_g, at_h, at_sum = star_eval(algebra, c, np.stack([g, h, np.add(g, h)]))
     rhs = at_g + at_h + star_correction(algebra, _omega_and_forms(c)[1], g, h)
-    return at_sum == rhs % algebra.prime
+    return at_g, at_sum == rhs % algebra.prime
 
 
-def doublestar_property_holds(algebra, rc3: RestrictedThreeCochain, g, h1, h2):
+def doublestar_property_holds(algebra, rc3, g, h1, h2):
     """Check the beta sum rule at one triple (g, h1, h2), or at each triple
-    of rows.  One doublestar_eval call evaluates beta at h1, h2 and
-    h1 + h2."""
+    of rows; rc3 as for doublestar_eval.  One doublestar_eval call evaluates
+    beta at h1, h2 and h1 + h2."""
     at_h1, at_h2, at_sum = doublestar_eval(algebra, rc3, g, np.stack([h1, h2, np.add(h1, h2)]))
-    rhs = at_h1 + at_h2 - doublestar_correction(algebra, rc3.alpha, g, h1, h2)
+    rhs = at_h1 + at_h2 - doublestar_correction(algebra, _beta_and_alpha(rc3)[1], g, h1, h2)
     return at_sum == rhs % algebra.prime
 
 
-def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain) -> tuple[int, ...]:
-    """omega basis values induced by a 1-cochain: omega_k = psi(e_k^[p])."""
+def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain):
+    """omega basis values induced by a 1-cochain: omega_k = psi(e_k^[p]),
+    the power matrix times psi's coefficient vector.  R is one restricted
+    algebra, or a restricted.FamilyStack, which gives a row per member."""
     if psi.degree != 1:
         raise ValueError("ind1 needs a degree-1 cochain")
-    return tuple(psi.evaluate(v) for v in R.basis_p_powers)
+    coefficients = gf.zeros(R.dim)
+    for position, x in psi.coordinates().items():
+        coefficients[position] = x
+    return R.power_matrix @ coefficients % R.prime
 
 
 def ind2_matrix(R: restricted.RestrictedAlgebra, phi):
@@ -263,12 +294,14 @@ def ind2_matrix(R: restricted.RestrictedAlgebra, phi):
     Entry (i, j) is row i of phi's form matrix applied to e_j^[p], so the
     matrix is one product instead of n^2 pairings.  phi is a degree-2
     Cochain, or a stack of form matrices (`form_matrix`), giving a stack.
+    R is one restricted algebra, or a restricted.FamilyStack, whose power
+    matrices broadcast against phi's stack axes as matmul does.
     """
     if isinstance(phi, cochains.Cochain):
         if phi.degree != 2:
             raise ValueError("ind2 needs a degree-2 cochain")
         phi = form_matrix(phi)
-    out = phi @ R.power_matrix.T
+    out = phi @ R.power_matrix.swapaxes(-1, -2)
     out %= R.prime
     return out
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -193,6 +194,26 @@ def test_verify_marks_the_diagonal_search_not_run_above_the_search_limit(monkeyp
     assert "verify result: pass (12 checks, 2 informational)" in out
 
 
+# tracemalloc peak of a repeated `verify --prime 13 --lambda all`, whose
+# memos and caches the first run filled: 544 KB before the lambda stacks,
+# 716 KB with them, cut to parts of restricted.BATCH_CELLS cells.  Without
+# the cut the stacks over the 201 lambdas alone would take several MB.
+VERIFY_P13_PEAK_BOUND = 800_000
+
+
+def test_verify_stacks_stay_within_their_cell_budget(capsys):
+    argv = ["verify", "--prime", "13", "--lambda", "all"]
+    want = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        got = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want and got[0] == 0
+    assert peak < VERIFY_P13_PEAK_BOUND, peak
+
+
 def verify_tags(capsys, *argv):
     """Exit code and {check name: ok/FAIL/info} of a verify table report."""
     code, out, _ = run(capsys, "verify", *argv)
@@ -237,27 +258,57 @@ def test_verify_fails_on_corrupted_d2(monkeypatch, capsys):
 
 
 # Each fault below sits in one sample of one lambda, so a check that
-# batches its samples must still count it and print FAIL.
+# batches its samples, or stacks its lambdas, must still count it and
+# print FAIL.
 TARGET_LAMBDA = (1, 2, 0)
 
 
-def test_verify_fails_on_one_wrong_closed_p_power(monkeypatch, capsys):
+def member_rows(family, lam):
+    """The members of a restricted.FamilyStack whose lambda is lam."""
+    return np.flatnonzero((family.lam == lam).all(axis=-1))
+
+
+def plant_wrong_closed_p_power(monkeypatch, lam):
+    """Make p_power_closed wrong on the first sample of lam, the first time
+    it gets lam.  Returns the stack sizes it got, and at which call it
+    planted the fault."""
     real = cli.restricted.p_power_closed
-    planted = []
+    sizes, planted = [], []
 
     def wrong(R, g):
         out = real(R, g)
-        if R.lam == TARGET_LAMBDA and not planted:
-            planted.append(True)
-            first = out.reshape(-1, R.dim)[0]  # the first sample only
+        rows = member_rows(R, lam)
+        if rows.size and not planted:
+            planted.append(len(sizes))
+            first = out[rows[0]].reshape(-1, R.dim)[0]  # the first sample only
             first[-1] = (first[-1] + 1) % R.prime
+        sizes.append(len(R))
         return out
 
     monkeypatch.setattr(cli.restricted, "p_power_closed", wrong)
+    return sizes, planted
+
+
+def test_verify_fails_on_one_wrong_closed_p_power(monkeypatch, capsys):
+    _, planted = plant_wrong_closed_p_power(monkeypatch, TARGET_LAMBDA)
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
     assert planted
     assert code == 1
     assert tags["p-power recursion vs closed form"] == "FAIL"
+    assert tags["induced omega matches psi of the p-power"] == "ok"
+
+
+def test_verify_fails_on_a_wrong_p_power_in_the_last_part(monkeypatch, capsys):
+    # a budget of 4 lambdas' samples cuts the 27 lambdas at p = 3 into 7
+    # parts; the fault sits in the last lambda, alone in the last part
+    monkeypatch.setattr(cli.restricted, "BATCH_CELLS", 4 * 3 * 3 * 3)
+    sizes, planted = plant_wrong_closed_p_power(monkeypatch, (2, 2, 2))
+    code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
+    assert sizes[:7] == [4] * 6 + [3]
+    assert planted == [6]
+    assert code == 1
+    assert tags["p-power recursion vs closed form"] == "FAIL"
+    assert tags["restricted complex identity"] == "ok"
     assert tags["induced omega matches psi of the p-power"] == "ok"
 
 
@@ -267,9 +318,10 @@ def test_verify_fails_on_one_wrong_induced_omega(monkeypatch, capsys):
 
     def off(R, psi):
         values = real(R, psi)
-        if R.lam == TARGET_LAMBDA and psi.coeffs == {(3,): 1}:
+        rows = member_rows(R, TARGET_LAMBDA)
+        if rows.size and psi.coeffs == {(3,): 1}:
             planted.append(True)
-            return tuple((v + 1) % R.prime for v in values)
+            values[rows] = (values[rows] + 1) % R.prime
         return values
 
     monkeypatch.setattr(cli.rcoch, "ind1_values", off)

@@ -283,7 +283,7 @@ def test_star_rule_holds_for_induced_pairs(p):
             psi = rand_cochain(rng, p, p, 1)
             c = d1_star(R, psi)
             g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-            assert rc.star_property_holds(R.algebra, c, g, h)
+            assert rc.star_rule(R.algebra, c, g, h)[1]
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -294,7 +294,7 @@ def test_star_rule_holds_for_cocycle_pairs(p):
     for _ in range(6):
         c = rc.RestrictedTwoCochain(rand_cocycle(rng, A), rand_lambda(rng, p))
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_property_holds(A, c, g, h)
+        assert rc.star_rule(A, c, g, h)[1]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -304,7 +304,7 @@ def test_star_rule_holds_for_zero_form_any_omega(p):
     for _ in range(4):
         c = rc.RestrictedTwoCochain(Cochain(p, p, 2), rand_lambda(rng, p))
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_property_holds(A, c, g, h)
+        assert rc.star_rule(A, c, g, h)[1]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -317,9 +317,7 @@ def test_star_rule_truth_value_ignores_omega_basis(p):
         phi = rand_cochain(rng, p, p, 2)
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
         verdicts = {
-            rc.star_property_holds(
-                A, rc.RestrictedTwoCochain(phi, rand_lambda(rng, p)), g, h
-            )
+            rc.star_rule(A, rc.RestrictedTwoCochain(phi, rand_lambda(rng, p)), g, h)[1]
             for _ in range(3)
         }
         assert len(verdicts) == 1
@@ -333,7 +331,7 @@ def test_star_rule_detects_top_pair_tampering():
     failures = 0
     for _ in range(40):
         g, h = rand_vec(rng, 5, 5), rand_vec(rng, 5, 5)
-        if not rc.star_property_holds(A, c, g, h):
+        if not rc.star_rule(A, c, g, h)[1]:
             failures += 1
     assert failures > 0
 
@@ -351,7 +349,7 @@ def test_corrupted_omega_caught_by_function_comparison():
     )
     for _ in range(15):
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_property_holds(R.algebra, corrupt, g, h)
+        assert rc.star_rule(R.algebra, corrupt, g, h)[1]
     e1 = R.algebra.basis_vector(1)
     assert rc.star_eval(R.algebra, corrupt, e1) != ind1_at(R, psi, e1)
     assert rc.star_eval(R.algebra, good, e1) == ind1_at(R, psi, e1)
@@ -370,20 +368,20 @@ def test_ind1_values_scale_lambda(p):
         R = restricted.make_m0_lambda(p, lam)
         psi = rand_cochain(rng, p, p, 1)
         top = psi.coefficient((p,))
-        assert rc.ind1_values(R, psi) == tuple((top * lk) % p for lk in lam)
+        assert rc.ind1_values(R, psi).tolist() == [(top * lk) % p for lk in lam]
 
 
 def test_ind1_values_p2():
     R = restricted.make_m0_lambda(2, (1, 1))
-    assert rc.ind1_values(R, dual_cochain(2, 2, (2,))) == (1, 1)
-    assert rc.ind1_values(R, dual_cochain(2, 2, (1,))) == (0, 0)
+    assert rc.ind1_values(R, dual_cochain(2, 2, (2,))).tolist() == [1, 1]
+    assert rc.ind1_values(R, dual_cochain(2, 2, (1,))).tolist() == [0, 0]
 
 
 def test_ind1_values_trivial_family():
     R = restricted.make_m0_lambda(7, (0,) * 7)
     rng = np.random.default_rng(17)
     psi = rand_cochain(rng, 7, 7, 1)
-    assert rc.ind1_values(R, psi) == (0,) * 7
+    assert rc.ind1_values(R, psi).tolist() == [0] * 7
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -646,7 +644,7 @@ def test_star_rule_for_weight_form_pairs(g, h):
     # any omega values attached
     A = liealg.make_m0(7)
     c = rc.RestrictedTwoCochain(cochains.phi_k(7, 7), (1, 2, 3, 4, 5, 6, 0))
-    assert rc.star_property_holds(A, c, g, h)
+    assert rc.star_rule(A, c, g, h)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +714,41 @@ def test_sum_rules_stack_equal_rows(p):
     pairs = [d1_star(R, rand_cochain(rng, p, p, 1)) for _ in range(3)]
     pairs.append(rc.basis_pair_cochain(p, p, p - 1, p))  # not a cocycle for p >= 5
     g, h = stack_with_edge_rows(rng, p, 4), rng.integers(0, p, size=(4, p))
-    got = rc.star_property_holds(R.algebra, pairs, g, h)
-    assert got.tolist() == [rc.star_property_holds(R.algebra, *row) for row in zip(pairs, g, h)]
+    at_g, got = rc.star_rule(R.algebra, pairs, g, h)
+    assert got.tolist() == [rc.star_rule(R.algebra, *row)[1] for row in zip(pairs, g, h)]
+    assert at_g.tolist() == [rc.star_eval(R.algebra, c, x) for c, x in zip(pairs, g)]
+    # the same pairs given as arrays of omega values and form matrices
+    arrays = (np.array([c.omega_basis for c in pairs]), rc.form_matrices([c.phi for c in pairs]))
+    assert rc.star_rule(R.algebra, arrays, g, h)[1].tolist() == got.tolist()
     c3 = rc.d2_star(R, rc.basis_pair_cochain(p, p, p - 1, p))
     g, h1, h2 = (stack_with_edge_rows(rng, p, 4) for _ in range(3))
     got = rc.doublestar_property_holds(R.algebra, c3, g, h1, h2)
     assert got.tolist() == [
         rc.doublestar_property_holds(R.algebra, c3, *row) for row in zip(g, h1, h2)
     ]
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_doublestar_sequence_goes_with_blocks_of_rows(p, monkeypatch):
+    # rc3[m] with the rows g[m], h1[m], h2[m], as each on its own
+    rng = np.random.default_rng(2450 + p)
+    A = liealg.make_m0(p)
+    rc3 = [
+        rc.RestrictedThreeCochain(
+            rand_cochain(rng, p, p, 3), gf.normalize(rng.integers(0, p, size=(p, p)), p)
+        )
+        for _ in range(3)
+    ]
+    g, h1, h2 = (rng.integers(0, p, size=(3, 2, p)) for _ in range(3))
+    h1[0, 0] = 0
+    want_eval = [rc.doublestar_eval(A, c, x, y).tolist() for c, x, y in zip(rc3, g, h1)]
+    want_rule = [
+        rc.doublestar_property_holds(A, c, *rows).tolist() for c, *rows in zip(rc3, g, h1, h2)
+    ]
+    assert rc.doublestar_eval(A, rc3, g, h1).tolist() == want_eval
+    assert rc.doublestar_property_holds(A, rc3, g, h1, h2).tolist() == want_rule
+    for _ in few_positions_per_batch(monkeypatch, h1):
+        assert rc.doublestar_eval(A, rc3, g, h1).tolist() == want_eval
 
 
 @pytest.mark.parametrize("p", STACK_PRIMES)
@@ -785,3 +810,45 @@ def test_form_matrix_checks_the_degree():
         rc.form_matrix(Cochain(5, 5, 3))
     with pytest.raises(ValueError, match="form_matrix"):
         rc.form_matrix(Cochain(5, 5, 2), np.zeros(5, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# lambda stacks: one call over restricted.FamilyStack equals one call per
+# family member
+
+
+@st.composite
+def lambda_stacks(draw):
+    """A prime and a stack of lambda vectors holding the zero vector, a
+    one-hot vector and random vectors, in a drawn order."""
+    p = draw(st.sampled_from(STACK_PRIMES))
+    vector = st.lists(st.integers(0, p - 1), min_size=p, max_size=p)
+    one_hot = [int(i == draw(st.integers(0, p - 1))) for i in range(p)]
+    lams = [[0] * p, one_hot] + draw(st.lists(vector, max_size=4))
+    return p, draw(st.permutations(lams))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(stack=lambda_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_family_stack_oracles_equal_each_member(stack, seed):
+    p, lams = stack
+    rng = np.random.default_rng(seed)
+    family = restricted.FamilyStack(p, lams)
+    members = [restricted.make_m0_lambda(p, lam) for lam in lams]
+    g = rng.integers(0, p, size=(len(lams), 3, p))
+    forms = rc.form_matrices([rand_cochain(rng, p, p, 2) for _ in range(2)])
+    psi = rand_cochain(rng, p, p, 1)
+    jacobson = restricted.p_power_jacobson(family, g)
+    closed = restricted.p_power_closed(family, g)
+    induced = rc.ind2_matrix(family, forms[:, None])
+    omega = rc.ind1_values(family, psi)
+    for m, R in enumerate(members):
+        assert (jacobson[m] == restricted.p_power_jacobson(R, g[m])).all()
+        assert (closed[m] == restricted.p_power_closed(R, g[m])).all()
+        for f, form in enumerate(forms):
+            assert (induced[f, m] == rc.ind2_matrix(R, form)).all()
+        assert omega[m].tolist() == rc.ind1_values(R, psi).tolist()
+    # sub-stacks of two members give what the whole stack gives
+    for start in range(0, len(lams), 2):
+        part = slice(start, start + 2)
+        assert (restricted.p_power_jacobson(family[part], g[part]) == jacobson[part]).all()
