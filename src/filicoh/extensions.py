@@ -75,9 +75,8 @@ def extend_restricted(
     base = extend_ordinary(R.algebra, c2.phi)
     E = base.algebra
     # omega on a basis vector is its stored value: no split, no correction
-    powers = gf.zeros((E.dim, E.dim))  # the last row: c^[p] = 0
-    powers[:-1, :-1] = R.power_matrix
-    powers[:-1, -1] = c2.omega_basis
+    powers = [np.append(power, omega) for power, omega in zip(R.basis_p_powers, c2.omega_basis)]
+    powers.append(E.zero())  # c^[p] = 0
     RE = restricted.RestrictedAlgebra(E, powers)
     ok, k = restricted.verify_restricted_map(RE)
     if not ok:
@@ -85,21 +84,13 @@ def extend_restricted(
     return ExtensionResult(algebra=E, pmap=RE, source_cocycle=str(c2))
 
 
-def is_trivial_ordinary_extension(
-    A: liealg.LieAlgebra, phi: cochains.Cochain, coboundaries: gf.SpanTracker | None = None
-) -> bool:
-    """Whether the extension by phi splits: phi lies in the image of d1.
-    coboundaries is that image, spanned once by a caller that asks about
-    many cocycles of A; by default it is spanned here, from d1 of the
-    degree-1 duals."""
+def is_trivial_ordinary_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -> bool:
+    """Whether the extension by phi splits: phi lies in the image of d1."""
     if not cochains.differential(A, phi).is_zero():
         raise ValueError("triviality is decided for cocycles only")
-    if coboundaries is None:
-        duals = (cochains.dual_cochain(A.prime, A.dim, (k,)) for k in range(1, A.dim + 1))
-        coboundaries = gf.SpanTracker(
-            A.prime, (cochains.differential(A, psi).coordinates() for psi in duals)
-        )
-    return coboundaries.contains(phi.coordinates())
+    duals = (cochains.dual_cochain(A.prime, A.dim, (k,)) for k in range(1, A.dim + 1))
+    image = (cochains.differential(A, psi).coordinates() for psi in duals)
+    return gf.SpanTracker(A.prime, image).contains(phi.coordinates())
 
 
 def extension_to_json(result: ExtensionResult) -> dict:

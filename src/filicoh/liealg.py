@@ -190,8 +190,7 @@ def ad_matrix(algebra, g):
     i, j, k, c = algebra.constants.T
     out = gf.zeros(g.shape[:-1] + (n * n,))
     np.add.at(out, (..., k * n + j), g[..., i] * c)
-    out %= algebra.prime
-    return out.reshape(g.shape[:-1] + (n, n))
+    return (out % algebra.prime).reshape(g.shape[:-1] + (n, n))
 
 
 def jacobi_check(algebra):

@@ -203,18 +203,19 @@ def p_power_closed(R: RestrictedAlgebra, g):
 # The one cell budget of the stacked routines.  split_sum batches as many
 # split positions as keep each array its correction holds (ad matrices,
 # recursion rows, forms: dim^2 cells a row and split) under it, and at
-# least one: max(BATCH_CELLS, rows * dim^2) cells.  `batches` cuts the
-# lambda stacks of the checks so that a part's rows stay under it as well,
-# and takes one lambda at least; the most rows one lambda brings are the
-# 3(p + 1) of the omega sum rule, 5.5 MB an array at p = 61.
+# least one: max(BATCH_CELLS, rows * dim^2) cells.  `batches` applies the
+# same rule to the lambda stacks of the checks, whose parts then stay under
+# it as well; the most rows one lambda brings are the 3(p + 1) of the
+# omega sum rule, 5.5 MB an array at p = 61.
 BATCH_CELLS = 1 << 13
 
 
-def batches(count: int, cells: int) -> list[slice]:
-    """Slices cutting a stack of count items into parts of at most
-    BATCH_CELLS cells, one item at least, when an item holds `cells` cells
-    in the largest array a routine builds for it."""
-    step = max(1, BATCH_CELLS // max(cells, 1))
+def batches(count: int, rows: int, dim: int) -> list[slice]:
+    """Slices cutting a stack of count items, each bringing `rows` rows of
+    length dim, into parts of at most BATCH_CELLS cells at dim^2 cells a
+    row, one item at least.  split_sum cuts its split positions so, and
+    the checks their lambda stacks."""
+    step = max(1, BATCH_CELLS // max(rows * dim * dim, 1))
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -242,10 +243,9 @@ def split_sum(p: int, v, on_basis, correction):
     n = v.shape[-1]
     total = np.array(on_basis(frobenius(v, p)), dtype=np.int64)
     cols = np.arange(n)
-    step = max(1, BATCH_CELLS // max(v.size * n, 1))
     # the last term has no tail, so the positions are 0..n-2
-    for start in range(0, n - 1, step):
-        k = np.arange(start, min(start + step, n - 1)).reshape((-1,) + (1,) * v.ndim)
+    for part in batches(n - 1, v.size // n, n):
+        k = cols[: n - 1][part].reshape((-1,) + (1,) * v.ndim)
         total += correction(np.where(cols == k, v, 0), np.where(cols > k, v, 0)).sum(axis=0)
     total %= p
     return total[()]  # a scalar, not a 0-d array, for a vector of scalar values
@@ -309,56 +309,34 @@ def p_power(R: RestrictedAlgebra, g):
 
 def verify_restricted_map(R: RestrictedAlgebra):
     """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector, on brackets:
-    for each k, every e_j goes through x -> [e_k, x] up to p times and is
-    compared with [e_k^[p], e_j].  An iterate is dropped once zero, which
-    then stays zero.  Vectors are sparse {1-based index: coefficient}
-    dicts, and each bracket [e_k, x] reads only the constants of the pairs
-    (k, i) for the terms e_i of x.  [e_k^[p], e_j] = -[e_j, e_k^[p]] is
-    summed for every j at once over the terms e_i of e_k^[p], from the
-    constants of the pairs (j, i).
+    each e_j goes through x -> [e_k, x] up to p times and is compared with
+    [e_k^[p], e_j].  The iteration stops once x is zero, which then stays
+    zero.  Vectors are sparse {1-based index: coefficient} dicts, and each
+    bracket [e_k, x] reads only the constants of the pairs (k, i) for the
+    terms e_i of x; [e_k^[p], e_j] is taken as [e_j, -e_k^[p]].
 
     Returns (True, None) or (False, k) for the first failing 1-based k.
     """
     p = R.prime
-    # rows[k][i] and columns[i][j]: the constants of [e_k, e_i] and [e_j, e_i]
-    rows: dict[int, dict] = {}
-    columns: dict[int, dict] = {}
-    for (k, i), terms in R.algebra.constants_by_pair.items():
-        rows.setdefault(k, {})[i] = terms
-        columns.setdefault(i, {})[k] = terms
+    by_pair = R.algebra.constants_by_pair
 
-    def nonzero(vectors):
-        """vectors without their zero terms, and without those left empty"""
-        out = {}
-        for j, v in vectors.items():
-            v = {m: c for m, c in v.items() if c}
-            if v:
-                out[j] = v
-        return out
+    def ad(k, x):
+        out: dict[int, int] = {}
+        for i, a in x.items():
+            for m, c in by_pair.get((k, i), ()):
+                out[m] = (out.get(m, 0) + a * c) % p
+        return {m: c for m, c in out.items() if c}
 
     for k, row in enumerate(R.power_matrix.tolist(), start=1):
-        ad_k = rows.get(k, {})
-        iterates = {j: {j: 1} for j in range(1, R.dim + 1) if j in ad_k}
-        for _ in range(p):
-            images: dict[int, dict] = {}
-            for j, x in iterates.items():
-                image = images[j] = {}
-                for i, a in x.items():
-                    for m, c in ad_k.get(i, ()):
-                        image[m] = (image.get(m, 0) + a * c) % p
-            iterates = nonzero(images)
-            if not iterates:
-                break
-        brackets: dict[int, dict] = {}
-        for i, a in enumerate(row, start=1):
-            if not a:
-                continue
-            for j, terms in columns.get(i, {}).items():
-                image = brackets.setdefault(j, {})
-                for m, c in terms:
-                    image[m] = (image.get(m, 0) - a * c) % p
-        if nonzero(brackets) != iterates:
-            return False, k
+        minus_power = {i: p - c for i, c in enumerate(row, start=1) if c}
+        for j in range(1, R.dim + 1):
+            x = {j: 1}
+            for _ in range(p):
+                x = ad(k, x)
+                if not x:
+                    break
+            if ad(j, minus_power) != x:
+                return False, k
     return True, None
 
 

@@ -214,23 +214,20 @@ def doublestar_correction(algebra, alpha, g, h1, h2):
 
 
 def _omega_and_forms(c):
-    """omega basis values and form matrix of one RestrictedTwoCochain, both
-    stacked over a sequence of them, or c itself when it is already such a
-    pair of arrays."""
+    """omega basis values and form matrix of one RestrictedTwoCochain, or c
+    itself when it is already such a pair of arrays."""
     if isinstance(c, RestrictedTwoCochain):
         return np.array(c.omega_basis, dtype=np.int64), form_matrix(c.phi)
-    if isinstance(c[0], np.ndarray):
-        return c
-    return np.array([x.omega_basis for x in c], dtype=np.int64), form_matrices([x.phi for x in c])
+    return c
 
 
 def star_eval(algebra, c, g):
     """Evaluate omega at g, a vector or a stack of rows: omega(a e_k) =
     a^p omega_k on scaled basis vectors, and the correction sum at each
-    split of `restricted.split_sum`.  c is one RestrictedTwoCochain, a
-    sequence of them, one per row of g along its last stack axis, or a pair
-    (omega basis values, form matrices) of arrays that broadcast against
-    the rows of g.  The result does not depend on the split order.
+    split of `restricted.split_sum`.  c is one RestrictedTwoCochain, or a
+    pair (omega basis values, form matrices) of arrays stacked over
+    cochains, which broadcast against the rows of g as one per row.  The
+    result does not depend on the split order.
     """
     omega, forms = _omega_and_forms(c)
     return restricted.split_sum(

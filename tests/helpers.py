@@ -154,6 +154,13 @@ def dense_ad_matrix(algebra, g):
     return flat.reshape(g.shape[:-1] + (n, n)) % algebra.prime
 
 
+def pair_arrays(pairs):
+    """A sequence of RestrictedTwoCochains as the (omega basis values, form
+    matrices) arrays that rcoch.star_eval and rcoch.star_rule stack."""
+    omega = np.array([c.omega_basis for c in pairs], dtype=np.int64)
+    return omega, rcoch.form_matrices([c.phi for c in pairs])
+
+
 def ind1_at(R, psi, g) -> int:
     """The induced omega as a function: psi(g^[p])."""
     return psi.evaluate(restricted.p_power(R, g))
