@@ -10,8 +10,10 @@ lambda, splits.  The samples of every lambda are drawn first, in that
 order; then each oracle runs once per part of the lambda stack, a
 restricted.FamilyStack cut by restricted.batches into parts of at most
 restricted.BATCH_CELLS cells, and a failure is still counted per sample.
-Only the extension builds and the diagonal search, which need objects of
-their own, run once per lambda.
+The beta sum rule is omega's rule of restricted_cochains.beta_at, one
+(basis values, forms) block per member, and the p-powers are the closed
+ones of the family.  Only the extension builds and the diagonal search,
+which need objects of their own, run once per lambda.
 """
 
 from __future__ import annotations
@@ -174,19 +176,21 @@ def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
         at_g, holds = rcoch.star_rule(A, (omega, forms), g[part], h[part])
         bad_star += int((~holds).sum())
         # psi_k = e^k reads coordinate k of the k-th p-power
-        powers = restricted.p_power(members, g[part, :p])
+        powers = restricted.p_power_closed(members, g[part, :p])
         bad_ind1 += int((at_g[:, :p] != np.diagonal(powers, axis1=-2, axis2=-1)).sum())
 
     # and 9 rows (h1, h2 and h1 + h2 of 3 triples) to a beta split
     for part in restricted.batches(len(sample), 9, p):
-        # d2+(phi, omega) = (d2 phi, beta induced by the p-powers)
+        # d2+(phi, omega) = (d2 phi, beta induced by the p-powers); beta(g, -)
+        # of each member is omega of beta_at, so omega's rule decides it
         betas = rcoch.ind2_matrix(family[part], phis[part])
-        rc3 = [
-            rcoch.RestrictedThreeCochain(cochains.differential(A, phi), beta)
-            for phi, beta in zip(cocycles[part], betas)
-        ]
         t = triples[part]
-        holds = rcoch.doublestar_property_holds(A, rc3, t[:, 0::3], t[:, 1::3], t[:, 2::3])
+        at = [
+            rcoch.beta_at(cochains.differential(A, phi), beta, rows)
+            for phi, beta, rows in zip(cocycles[part], betas, t[:, 0::3])
+        ]
+        stacked = tuple(np.stack(arrays) for arrays in zip(*at))
+        _, holds = rcoch.star_rule(A, stacked, t[:, 1::3], t[:, 2::3])
         bad_dstar += int((~holds).sum())
 
     bad_ext = bad_prop = 0

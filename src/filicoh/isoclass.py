@@ -69,6 +69,11 @@ def diag_iso_check(p: int, lam, lam2, mu1: int, mu2: int) -> bool:
     mu2 %= p
     if mu1 == 0 or mu2 == 0:
         raise ValueError("scale factors must be nonzero")
+    return _carries(p, lam, lam2, mu1, mu2)
+
+
+def _carries(p, lam, lam2, mu1, mu2) -> bool:
+    """diag_iso_check on arguments it has already checked."""
     mus = scale_factors(p, mu1, mu2)
     mu_p = mus[p - 1]
     return all(
@@ -84,7 +89,7 @@ def iso_bruteforce(p: int, lam, lam2) -> IsoWitness | None:
     lam, lam2 = _check_args(p, lam, lam2)
     for mu1 in range(1, p):
         for mu2 in range(1, p):
-            if diag_iso_check(p, lam, lam2, mu1, mu2):
+            if _carries(p, lam, lam2, mu1, mu2):
                 return IsoWitness(p, mu1, mu2)
     return None
 

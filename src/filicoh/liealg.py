@@ -235,13 +235,3 @@ def to_json(algebra) -> dict:
         ],
     }
 
-
-def from_json(data: dict) -> LieAlgebra:
-    brackets = {(b["i"], b["j"]): b["coeffs"] for b in data["brackets"]}
-    return LieAlgebra(
-        data["prime"],
-        data["dim"],
-        brackets,
-        weights=data["weights"],
-        labels=data.get("labels"),
-    )

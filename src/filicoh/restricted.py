@@ -300,13 +300,6 @@ def p_power_jacobson(R: RestrictedAlgebra, g):
     )
 
 
-def p_power(R: RestrictedAlgebra, g):
-    """p-th power of g: closed route on the family, Jacobson route otherwise."""
-    if R.is_m0_family:
-        return p_power_closed(R, g)
-    return p_power_jacobson(R, g)
-
-
 def verify_restricted_map(R: RestrictedAlgebra):
     """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector, on brackets:
     each e_j goes through x -> [e_k, x] up to p times and is compared with
@@ -347,17 +340,3 @@ def to_json(R: RestrictedAlgebra) -> dict:
         data["lambda"] = list(R.lam)
     return data
 
-
-def from_json(data: dict) -> RestrictedAlgebra:
-    A = liealg.from_json(data)
-    if "p_powers" in data:
-        powers = data["p_powers"]
-    elif "lambda" in data:
-        powers = []
-        for k in range(A.dim):
-            v = [0] * A.dim
-            v[A.dim - 1] = data["lambda"][k]
-            powers.append(v)
-    else:
-        raise ValueError("restricted algebra JSON needs p_powers or lambda")
-    return RestrictedAlgebra(A, powers, lam=data.get("lambda"))

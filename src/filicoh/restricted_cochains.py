@@ -14,19 +14,21 @@ where #g counts the slots assigned g and [..] is the left-normed bracket.
 A restricted 3-cochain is a pair (alpha, beta): an alternating 3-form plus
 a bilinear-in-the-first-argument companion beta determined by its values
 on basis pairs, with the analogous correction rule in its second argument
-(subtracted, and weighted by alpha(g ^ [..] ^ last)).
+(subtracted, and weighted by alpha(g ^ [..] ^ last)).  So beta(g, -) is
+the omega of a restricted 2-cochain: basis values beta(g, e_k) and the
+2-form -alpha(g, -, -) (`beta_at`), and the omega evaluator serves both.
 
-Both omega and beta (in h) are evaluated by `restricted.split_sum`, the
-routine the Jacobson p-power shares: split each argument row into basis
-terms lowest index first and add the correction sum at each split, the
-splits of every row at a run of positions at once, as (heads, tails) with
-a leading axis over the positions; the forms and g of each row reach them
-by broadcasting.  The correction sum has 2^(p-2) terms; grouped
-by the number of slots that carry h1, it is the recursion of the Jacobson
-corrections, w -> w ad(h2)^T + t w ad(h1)^T from w = [h1, h2], one row of
-w per power of t.  The rows are weighted by inverses and summed first, and
-the form, a dim x dim matrix (`form_matrix`), is applied twice per split.
-The literal enumeration is a test oracle (`tests/helpers.py`).
+omega is evaluated by `restricted.split_sum`, the routine the Jacobson
+p-power shares: split each argument row into basis terms lowest index
+first and add the correction sum at each split, the splits of every row at
+a run of positions at once, as (heads, tails) with a leading axis over the
+positions; the forms of each row reach them by broadcasting.  The
+correction sum has 2^(p-2) terms; grouped by the number of slots that
+carry h1, it is the recursion of the Jacobson corrections,
+w -> w ad(h2)^T + t w ad(h1)^T from w = [h1, h2], one row of w per power
+of t.  The rows are weighted by inverses and summed first, and the form, a
+dim x dim matrix (`form_matrix`), is applied twice per split.  The literal
+enumeration is a test oracle (`tests/helpers.py`).
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def _pair(forms, x, y, p):
     return np.einsum("...i,...ij,...j->...", x, forms, y) % p
 
 
-def _correction_sum(algebra, forms, h1, h2):
-    """The 2^(p-2)-term correction sum, for a pair of vectors or each pair
-    of rows, with the phi or alpha part given by form matrices F.
+def star_correction(algebra, phi, h1, h2):
+    """The omega correction sum attached to phi at the split g = h1 + h2,
+    for a pair of vectors or each pair of rows.  phi is a degree-2 Cochain,
+    or form matrices F (`form_matrix`): one for all rows, or one per row.
 
     Left-normed brackets are linear in every slot, so prefixes with equal
     h1-multiplicity are summed before bracketing continues: row d of w is
@@ -170,6 +173,7 @@ def _correction_sum(algebra, forms, h1, h2):
     odd p.  Weighted by 1/#h1, the rows are summed before F is applied.
     """
     p = algebra.prime
+    forms = phi if isinstance(phi, np.ndarray) else form_matrix(phi)
     h1 = gf.normalize(h1, p)
     h2 = gf.normalize(h2, p)
     if p == 2:
@@ -181,36 +185,23 @@ def _correction_sum(algebra, forms, h1, h2):
     return (_pair(forms, last_h1 @ w % p, h1, p) + _pair(forms, last_h2 @ w % p, h2, p)) % p
 
 
-def star_correction(algebra, phi, h1, h2):
-    """The omega correction sum attached to phi at the split g = h1 + h2,
-    for a pair of vectors or each pair of rows.  phi is a degree-2 Cochain,
-    or form matrices (`form_matrix`): one for all rows, or one per row."""
-    forms = phi if isinstance(phi, np.ndarray) else form_matrix(phi)
-    return _correction_sum(algebra, forms, h1, h2)
-
-
-def _alpha_forms(alpha, g):
-    """The matrices of alpha(g, -, -): form_matrix(alpha, g) for one 3-form,
-    or, for a sequence of them, alpha[m] against the rows g[m]."""
-    if isinstance(alpha, cochains.Cochain):
-        return form_matrix(alpha, g)
-    return np.stack([form_matrix(a, rows) for a, rows in zip(alpha, g, strict=True)])
-
-
-def _beta_and_alpha(rc3):
-    """beta on basis pairs and alpha of one RestrictedThreeCochain, or the
-    betas stacked and the alphas listed over a sequence of them."""
-    if isinstance(rc3, RestrictedThreeCochain):
-        return rc3.beta_pairs, rc3.alpha
-    return np.stack([c.beta_pairs for c in rc3]), [c.alpha for c in rc3]
-
-
 def doublestar_correction(algebra, alpha, g, h1, h2):
-    """The beta correction sum attached to alpha at the split h = h1 + h2,
-    for one g or one g per row: omega's correction sum of the 2-forms
-    alpha(g, -, -).  alpha is a degree-3 Cochain, or a sequence of them
-    whose alpha[m] goes with the rows g[m]."""
-    return _correction_sum(algebra, _alpha_forms(alpha, g), h1, h2)
+    """The beta correction sum attached to the 3-form alpha at the split
+    h = h1 + h2, for one g or one g per row: omega's correction sum of the
+    2-forms alpha(g, -, -)."""
+    return star_correction(algebra, form_matrix(alpha, g), h1, h2)
+
+
+def beta_at(alpha, beta, g):
+    """beta(g, -) of (alpha, beta), for one g or one g per row, as the
+    (omega basis values, form matrices) arrays that star_eval and
+    star_rule take: in h, beta(g, -) obeys omega's sum rule with basis
+    values beta(g, e_k) and the 2-form -alpha(g, -, -), since beta's
+    correction is subtracted.  alpha is a degree-3 Cochain and beta the
+    dim x dim array of its values on basis pairs."""
+    p = alpha.prime
+    g = gf.normalize(g, p)
+    return g @ beta % p, -form_matrix(alpha, g) % p
 
 
 def _omega_and_forms(c):
@@ -238,21 +229,9 @@ def star_eval(algebra, c, g):
 
 
 def doublestar_eval(algebra, rc3, g, h):
-    """Evaluate beta at (g, h), or at each pair of rows, g broadcast against
-    h: linear in g, and split in h like omega, with the correction
-    subtracted.  rc3 is one RestrictedThreeCochain, or a sequence of them
-    whose rc3[m] goes with the rows g[m].  The matrices of alpha(g, -, -)
-    are built once, and each split takes omega's correction sum of them."""
-    p = algebra.prime
-    g = gf.normalize(g, p)
-    beta, alpha = _beta_and_alpha(rc3)
-    on_basis = (g @ beta) % p  # beta(g, e_k) for every k
-    forms = _alpha_forms(alpha, g)
-    return restricted.split_sum(
-        p, h,
-        lambda scales: (scales * on_basis).sum(axis=-1),
-        lambda x, y: -star_correction(algebra, forms, x, y),
-    )
+    """Evaluate beta of one RestrictedThreeCochain at (g, h), or at each
+    pair of rows, g broadcast against h: omega of `beta_at` at h."""
+    return star_eval(algebra, beta_at(rc3.alpha, rc3.beta_pairs, g), h)
 
 
 def star_rule(algebra, c, g, h):
@@ -265,12 +244,9 @@ def star_rule(algebra, c, g, h):
 
 
 def doublestar_property_holds(algebra, rc3, g, h1, h2):
-    """Check the beta sum rule at one triple (g, h1, h2), or at each triple
-    of rows; rc3 as for doublestar_eval.  One doublestar_eval call evaluates
-    beta at h1, h2 and h1 + h2."""
-    at_h1, at_h2, at_sum = doublestar_eval(algebra, rc3, g, np.stack([h1, h2, np.add(h1, h2)]))
-    rhs = at_h1 + at_h2 - doublestar_correction(algebra, _beta_and_alpha(rc3)[1], g, h1, h2)
-    return at_sum == rhs % algebra.prime
+    """Check the beta sum rule of one RestrictedThreeCochain at one triple
+    (g, h1, h2), or at each triple of rows: omega's rule of `beta_at`."""
+    return star_rule(algebra, beta_at(rc3.alpha, rc3.beta_pairs, g), h1, h2)[1]
 
 
 def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain):

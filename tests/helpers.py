@@ -161,14 +161,50 @@ def pair_arrays(pairs):
     return omega, rcoch.form_matrices([c.phi for c in pairs])
 
 
+def p_power(R, g):
+    """p-th power of g: closed route on the family, Jacobson route otherwise."""
+    if R.is_m0_family:
+        return restricted.p_power_closed(R, g)
+    return restricted.p_power_jacobson(R, g)
+
+
 def ind1_at(R, psi, g) -> int:
     """The induced omega as a function: psi(g^[p])."""
-    return psi.evaluate(restricted.p_power(R, g))
+    return psi.evaluate(p_power(R, g))
 
 
 def ind2_at(R, phi, g, h) -> int:
     """The induced beta as a function: phi(g ^ h^[p])."""
-    return phi.evaluate(gf.normalize(g, R.prime), restricted.p_power(R, h))
+    return phi.evaluate(gf.normalize(g, R.prime), p_power(R, h))
+
+
+def algebra_from_json(data: dict) -> liealg.LieAlgebra:
+    """The LieAlgebra of liealg.to_json's plain-dict form."""
+    brackets = {(b["i"], b["j"]): b["coeffs"] for b in data["brackets"]}
+    return liealg.LieAlgebra(
+        data["prime"],
+        data["dim"],
+        brackets,
+        weights=data["weights"],
+        labels=data.get("labels"),
+    )
+
+
+def restricted_from_json(data: dict) -> restricted.RestrictedAlgebra:
+    """The RestrictedAlgebra of restricted.to_json's form, or of an
+    extension report: p_powers, else the family's lambda."""
+    A = algebra_from_json(data)
+    if "p_powers" in data:
+        powers = data["p_powers"]
+    elif "lambda" in data:
+        powers = []
+        for k in range(A.dim):
+            v = [0] * A.dim
+            v[A.dim - 1] = data["lambda"][k]
+            powers.append(v)
+    else:
+        raise ValueError("restricted algebra JSON needs p_powers or lambda")
+    return restricted.RestrictedAlgebra(A, powers, lam=data.get("lambda"))
 
 
 def ind2_family_closed(R, phi, g, h) -> int:

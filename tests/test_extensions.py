@@ -8,7 +8,15 @@ import pytest
 from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from filicoh.cochains import Cochain, dual_cochain
-from helpers import center, coboundary_shift_is_isomorphism, cochain_from_vector, sparse
+from helpers import (
+    algebra_from_json,
+    center,
+    coboundary_shift_is_isomorphism,
+    cochain_from_vector,
+    p_power,
+    restricted_from_json,
+    sparse,
+)
 
 
 def rand_lambda(rng, p):
@@ -93,7 +101,7 @@ def test_extension_checks_stay_below_a_dense_structure_array():
     p = 61
     R = restricted.make_m0_lambda(p, (0,) * p)
     c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(p, 7), (0,) * p)
-    RE = restricted.from_json(restricted.to_json(extensions.extend_restricted(R, c2).pmap))
+    RE = restricted_from_json(restricted.to_json(extensions.extend_restricted(R, c2).pmap))
     tracemalloc.start()
     try:
         assert liealg.jacobi_check(RE.algebra) == (True, None)
@@ -159,8 +167,8 @@ def test_power_map_additive_on_frobenius_extensions(p):
         g = gf.normalize(rng.integers(0, p, size=p + 1), p)
         h = gf.normalize(rng.integers(0, p, size=p + 1), p)
         assert not restricted.jacobson_corrections(RE, g, h).any()
-        lhs = restricted.p_power(RE, (g + h) % p)
-        rhs = (restricted.p_power(RE, g) + restricted.p_power(RE, h)) % p
+        lhs = p_power(RE, (g + h) % p)
+        rhs = (p_power(RE, g) + p_power(RE, h)) % p
         assert (lhs == rhs).all()
 
 
@@ -228,7 +236,7 @@ def test_extension_json_round_trip():
     assert data["extension_of"]["base_dim"] == 3
     assert data["extension_of"]["restricted"] is True
     assert data["extension_of"]["cocycle"] == "(0, ebar^1)"
-    back = restricted.from_json(data)
+    back = restricted_from_json(data)
     assert back.algebra == res.algebra
     assert all(
         (a == b).all() for a, b in zip(back.basis_p_powers, res.pmap.basis_p_powers)
@@ -240,5 +248,5 @@ def test_ordinary_extension_json():
     res = extensions.extend_ordinary(A, dual_cochain(5, 5, (1, 5)))
     data = extensions.extension_to_json(res)
     assert data["extension_of"]["restricted"] is False
-    back = liealg.from_json(data)
+    back = algebra_from_json(data)
     assert back == res.algebra

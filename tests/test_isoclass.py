@@ -143,6 +143,35 @@ def test_witness_actually_verifies():
             assert diag_iso_check(p, lam, lam2, w.mu1, w.mu2)
 
 
+def test_search_checks_its_arguments_once(monkeypatch):
+    # every (mu1, mu2) is tested on the arguments checked at the start, and
+    # the first witness is the one diag_iso_check finds pair by pair
+    checked = []
+    real = isoclass._check_args
+
+    def counted(*args):
+        checked.append(args)
+        return real(*args)
+
+    rng = np.random.default_rng(33)
+    found = 0
+    for p in (3, 5, 7):
+        for _ in range(6):
+            lam, lam2 = (tuple(int(x) for x in rng.integers(0, p, size=p)) for _ in range(2))
+            if rng.random() < 0.5:
+                lam = proof_transform(p, lam2, int(rng.integers(1, p)), int(rng.integers(1, p)))
+            pairs = itertools.product(range(1, p), repeat=2)
+            first = next((mus for mus in pairs if diag_iso_check(p, lam, lam2, *mus)), None)
+            monkeypatch.setattr(isoclass, "_check_args", counted)
+            w = iso_bruteforce(p, lam, lam2)
+            monkeypatch.undo()
+            assert (None if w is None else (w.mu1, w.mu2)) == first
+            assert len(checked) == 1
+            checked.clear()
+            found += w is not None
+    assert 0 < found < 18
+
+
 def test_relation_is_reflexive():
     rng = np.random.default_rng(37)
     for p in (2, 3, 5):

@@ -729,7 +729,8 @@ def test_sum_rules_stack_equal_rows(p):
 
 @pytest.mark.parametrize("p", STACK_PRIMES)
 def test_doublestar_sequence_goes_with_blocks_of_rows(p, monkeypatch):
-    # rc3[m] with the rows g[m], h1[m], h2[m], as each on its own
+    # beta_at of rc3[m] against the rows g[m], stacked over m, goes with the
+    # rows h1[m], h2[m] in star_eval and star_rule, as each on its own
     rng = np.random.default_rng(2450 + p)
     A = liealg.make_m0(p)
     rc3 = [
@@ -744,10 +745,59 @@ def test_doublestar_sequence_goes_with_blocks_of_rows(p, monkeypatch):
     want_rule = [
         rc.doublestar_property_holds(A, c, *rows).tolist() for c, *rows in zip(rc3, g, h1, h2)
     ]
-    assert rc.doublestar_eval(A, rc3, g, h1).tolist() == want_eval
-    assert rc.doublestar_property_holds(A, rc3, g, h1, h2).tolist() == want_rule
+    at = [rc.beta_at(c.alpha, c.beta_pairs, x) for c, x in zip(rc3, g)]
+    stacked = tuple(np.stack(arrays) for arrays in zip(*at))
+    assert rc.star_eval(A, stacked, h1).tolist() == want_eval
+    assert rc.star_rule(A, stacked, h1, h2)[1].tolist() == want_rule
     for _ in few_positions_per_batch(monkeypatch, h1):
-        assert rc.doublestar_eval(A, rc3, g, h1).tolist() == want_eval
+        assert rc.star_eval(A, stacked, h1).tolist() == want_eval
+
+
+def filiform(p, dim):
+    """[e_1, e_i] = e_{i+1} for 1 < i < dim: make_m0(p) when dim = p."""
+    brackets = {(1, i): [int(k == i) for k in range(dim)] for i in range(2, dim)}
+    return liealg.LieAlgebra(p, dim, brackets, weights=range(1, dim + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_beta_rule_flags_match_naive_rule(p):
+    # the flag of every row against the rule spelled out with the naive
+    # sums, beta(g, h1 + h2) = beta(g, h1) + beta(g, h2) - correction.  The
+    # rule is linear in alpha, so alpha and -alpha fail on the same rows:
+    # beta at h1 is compared too, which a sign lost in beta_at changes.  On
+    # make_m0(3) the rule holds for every alpha, so the algebra is one step
+    # longer; at p = 2 it holds for every alpha on any algebra
+    rng = np.random.default_rng(2470 + p)
+    n = p + 1
+    A = filiform(p, n)
+    rc3 = [
+        rc.RestrictedThreeCochain(
+            rand_cochain(rng, p, n, 3), gf.normalize(rng.integers(0, p, size=(n, n)), p)
+        )
+        for _ in range(2)
+    ]
+    g, h1, h2 = (rng.integers(0, p, size=(2, 6, n)) for _ in range(3))
+    h1[:, 0] = 0  # a zero h1
+    h2[:, 1] = 0  # a zero h2
+    h1[:, 2] = 0  # h1 = a e_1, h2 without e_1: a split, where the rule holds
+    h1[:, 2, 0] = rng.integers(1, p)
+    h2[:, 2, 0] = 0
+
+    def naive_holds(c, x, y1, y2):
+        at = [doublestar_eval_naive(A, c, x, y) for y in (y1, y2, (y1 + y2) % p)]
+        return at[2] == (at[0] + at[1] - doublestar_correction_naive(A, c.alpha, x, y1, y2)) % p
+
+    rows = list(zip(rc3, g, h1, h2))
+    want = [[naive_holds(c, *row) for row in zip(x, y1, y2)] for c, x, y1, y2 in rows]
+    want_h1 = [[doublestar_eval_naive(A, c, *row) for row in zip(x, y1)] for c, x, y1, _ in rows]
+    assert [rc.doublestar_property_holds(A, *row).tolist() for row in rows] == want
+    at = [rc.beta_at(c.alpha, c.beta_pairs, x) for c, x in zip(rc3, g)]
+    stacked = tuple(np.stack(arrays) for arrays in zip(*at))
+    at_h1, holds = rc.star_rule(A, stacked, h1, h2)
+    assert holds.tolist() == want
+    assert at_h1.tolist() == want_h1
+    assert all(flags[:3] == [True] * 3 for flags in want)
+    assert any(not all(flags) for flags in want) == (p > 2)
 
 
 @pytest.mark.parametrize("p", STACK_PRIMES)
