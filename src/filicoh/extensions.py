@@ -2,9 +2,15 @@
 
 An extension appends a central generator c: the bracket gains the cocycle
 value [x, y] -> [x, y] + phi(x ^ y) c, and in the restricted case the
-p-power map gains omega, x^[p] -> x^[p] + omega(x) c with c^[p] = 0.  The
-construction rejects non-cocycles with a witness and re-verifies every
-axiom on the result instead of trusting the cocycle condition.
+p-power map gains omega, x^[p] -> x^[p] + omega(x) c with c^[p] = 0.
+`central_extension` builds the twisted brackets and re-verifies Jacobi.
+`extend_restricted` rejects a non-cocycle with a witness, deciding it once
+on the restricted differential: d2 phi from `cochains.differential`, then
+the induced beta of `restricted_cochains.ind2_matrix`.  It then builds the
+brackets without a second cocycle check and re-verifies the restricted
+axiom on the result instead of trusting the cocycle condition.  The
+ordinary extension with its own cocycle witness is a test helper
+(`tests/helpers.extend_ordinary`), since nothing in the package builds one.
 """
 
 from __future__ import annotations
@@ -33,22 +39,17 @@ class ExtensionResult:
         return self.pmap is not None
 
 
-def extend_ordinary(A: liealg.LieAlgebra, phi: cochains.Cochain) -> ExtensionResult:
-    """Append a central c with bracket twisted by the 2-cocycle phi."""
-    if phi.degree != 2 or (phi.prime, phi.dim) != (A.prime, A.dim):
-        raise ValueError("cocycle must be a degree-2 cochain over the algebra")
-    p = A.prime
-    obstruction = cochains.differential(A, phi)
-    if not obstruction.is_zero():
-        witness = min(obstruction.coeffs)
-        raise ValueError(f"not a cocycle: d2 is nonzero on {witness}")
+def central_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -> liealg.LieAlgebra:
+    """A with a central c appended and brackets twisted by the 2-cochain
+    phi over A, built from the stored pairs and phi's terms.  phi is not
+    checked to be a cocycle: Jacobi is re-verified on the result."""
     n = A.dim
     brackets = {pair: np.append(vec, 0) for pair, vec in A.brackets.items()}
     for pair, value in phi.coeffs.items():
         brackets.setdefault(pair, gf.zeros(n + 1))[-1] = value
     # pairs (i, n+1) are absent: c is central
     E = liealg.LieAlgebra(
-        p,
+        A.prime,
         n + 1,
         brackets,
         weights=A.weights + (max(A.weights) + 1,),
@@ -57,25 +58,27 @@ def extend_ordinary(A: liealg.LieAlgebra, phi: cochains.Cochain) -> ExtensionRes
     ok, triple = liealg.jacobi_check(E)
     if not ok:
         raise RuntimeError(f"extension failed Jacobi at {triple}")
-    return ExtensionResult(algebra=E, pmap=None, source_cocycle=str(phi))
+    return E
 
 
 def extend_restricted(
     R: restricted.RestrictedAlgebra, c2: rcoch.RestrictedTwoCochain
 ) -> ExtensionResult:
-    """Append a central c twisted by a restricted 2-cocycle (phi, omega)."""
-    obstruction = rcoch.d2_star(R, c2)
-    if not obstruction.is_zero():
-        if not obstruction.alpha.is_zero():
-            witness = f"d2 is nonzero on {min(obstruction.alpha.coeffs)}"
-        else:
-            i, j = np.argwhere(obstruction.beta_pairs).tolist()[0]
-            witness = f"induced beta is nonzero on basis pair ({i + 1}, {j + 1})"
-        raise ValueError(f"not a restricted cocycle: {witness}")
-    base = extend_ordinary(R.algebra, c2.phi)
-    E = base.algebra
+    """Append a central c twisted by a restricted 2-cocycle (phi, omega):
+    its restricted differential (d2 phi, induced beta) must vanish, d2 phi
+    checked first."""
+    alpha = cochains.differential(R.algebra, c2.phi)
+    if not alpha.is_zero():
+        raise ValueError(f"not a restricted cocycle: d2 is nonzero on {min(alpha.coeffs)}")
+    beta = rcoch.ind2_matrix(R, c2.phi)
+    if beta.any():
+        i, j = np.argwhere(beta)[0].tolist()
+        raise ValueError(
+            f"not a restricted cocycle: induced beta is nonzero on basis pair ({i + 1}, {j + 1})"
+        )
+    E = central_extension(R.algebra, c2.phi)
     # omega on a basis vector is its stored value: no split, no correction
-    powers = [np.append(power, omega) for power, omega in zip(R.basis_p_powers, c2.omega_basis)]
+    powers = [np.append(power, omega) for power, omega in zip(R.power_matrix, c2.omega_basis)]
     powers.append(E.zero())  # c^[p] = 0
     RE = restricted.RestrictedAlgebra(E, powers)
     ok, k = restricted.verify_restricted_map(RE)

@@ -44,11 +44,10 @@ from . import gf, liealg
 class RestrictedAlgebra:
     """A Lie algebra together with basis p-powers.
 
-    Row k-1 of the read-only power_matrix, and basis_p_powers[k-1], is the
-    coefficient vector of e_k^[p].  `lam` marks a member of the
-    maximal-class family: the algebra is make_m0(p) and e_k^[p] =
-    lam[k-1] e_p for every k, which the constructor checks.  It unlocks the
-    closed p-power formula.
+    Row k-1 of the read-only power_matrix is the coefficient vector of
+    e_k^[p].  `lam` marks a member of the maximal-class family: the
+    algebra is make_m0(p) and e_k^[p] = lam[k-1] e_p for every k, which the
+    constructor checks.  It unlocks the closed p-power formula.
     """
 
     def __init__(self, algebra: liealg.LieAlgebra, basis_p_powers, lam=None):
@@ -86,11 +85,6 @@ class RestrictedAlgebra:
         return self.lam is not None
 
     @functools.cached_property
-    def basis_p_powers(self) -> list:
-        """The e_k^[p] as vectors: the rows of power_matrix, read-only."""
-        return list(self.power_matrix)
-
-    @functools.cached_property
     def power_rows(self) -> tuple[tuple[int, ...], ...]:
         """A basis of the span of the e_k^[p]: the nonzero rref rows of the
         power matrix as int tuples.  It keys the memoised H1+ and H2+, whose
@@ -108,7 +102,7 @@ class RestrictedAlgebra:
         return (
             self.algebra == other.algebra
             and self.lam == other.lam
-            and all((a == b).all() for a, b in zip(self.basis_p_powers, other.basis_p_powers))
+            and np.array_equal(self.power_matrix, other.power_matrix)
         )
 
     def __repr__(self):
@@ -335,7 +329,7 @@ def verify_restricted_map(R: RestrictedAlgebra):
 
 def to_json(R: RestrictedAlgebra) -> dict:
     data = liealg.to_json(R.algebra)
-    data["p_powers"] = [[int(c) for c in v] for v in R.basis_p_powers]
+    data["p_powers"] = R.power_matrix.tolist()
     if R.lam is not None:
         data["lambda"] = list(R.lam)
     return data

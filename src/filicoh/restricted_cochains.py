@@ -11,12 +11,14 @@ additivity by bracket terms weighted with phi:
                    (1 / #g) phi([g_1, ..., g_{p-1}] ^ g_p)
 
 where #g counts the slots assigned g and [..] is the left-normed bracket.
-A restricted 3-cochain is a pair (alpha, beta): an alternating 3-form plus
-a bilinear-in-the-first-argument companion beta determined by its values
-on basis pairs, with the analogous correction rule in its second argument
-(subtracted, and weighted by alpha(g ^ [..] ^ last)).  So beta(g, -) is
-the omega of a restricted 2-cochain: basis values beta(g, e_k) and the
-2-form -alpha(g, -, -) (`beta_at`), and the omega evaluator serves both.
+A restricted 3-cochain is a pair (alpha, beta), passed as a degree-3
+Cochain and the dim x dim array of beta's values on basis pairs: beta is
+linear in its first argument, with the analogous correction rule in its
+second (subtracted, and weighted by alpha(g ^ [..] ^ last)).  So
+beta(g, -) is the omega of a restricted 2-cochain: basis values
+beta(g, e_k) and the 2-form -alpha(g, -, -) (`beta_at`), and star_eval and
+star_rule serve both.  The restricted differential of (phi, omega) is
+(d2 phi, `ind2_matrix` of phi).
 
 omega is evaluated by `restricted.split_sum`, the routine the Jacobson
 p-power shares: split each argument row into basis terms lowest index
@@ -33,7 +35,7 @@ enumeration is a test oracle (`tests/helpers.py`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,38 +83,6 @@ def omega_basis_str(c: RestrictedTwoCochain) -> str:
     return cochains.signed_sum(
         ((value, f"ebar^{k}") for k, value in enumerate(c.omega_basis, start=1) if value), c.prime
     )
-
-
-@dataclass(frozen=True)
-class RestrictedThreeCochain:
-    """(alpha, beta) with beta stored by its values on basis pairs."""
-
-    alpha: cochains.Cochain
-    beta_pairs: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        if self.alpha.degree != 3:
-            raise ValueError("alpha must have degree 3")
-        arr = gf.normalize(self.beta_pairs, self.alpha.prime)
-        if arr.shape != (self.alpha.dim, self.alpha.dim):
-            raise ValueError("beta_pairs must be dim x dim")
-        object.__setattr__(self, "beta_pairs", arr)
-
-    @property
-    def prime(self):
-        return self.alpha.prime
-
-    @property
-    def dim(self):
-        return self.alpha.dim
-
-    def is_zero(self):
-        return self.alpha.is_zero() and not self.beta_pairs.any()
-
-    def __eq__(self, other):
-        if not isinstance(other, RestrictedThreeCochain):
-            return NotImplemented
-        return self.alpha == other.alpha and (self.beta_pairs == other.beta_pairs).all()
 
 
 # the orderings of a 3-form's slots, with their signs
@@ -228,12 +198,6 @@ def star_eval(algebra, c, g):
     )
 
 
-def doublestar_eval(algebra, rc3, g, h):
-    """Evaluate beta of one RestrictedThreeCochain at (g, h), or at each
-    pair of rows, g broadcast against h: omega of `beta_at` at h."""
-    return star_eval(algebra, beta_at(rc3.alpha, rc3.beta_pairs, g), h)
-
-
 def star_rule(algebra, c, g, h):
     """omega at g, and whether the omega sum rule holds, at one pair (g, h)
     or at each pair of rows; c as for star_eval.  One star_eval call
@@ -241,12 +205,6 @@ def star_rule(algebra, c, g, h):
     at_g, at_h, at_sum = star_eval(algebra, c, np.stack([g, h, np.add(g, h)]))
     rhs = at_g + at_h + star_correction(algebra, _omega_and_forms(c)[1], g, h)
     return at_g, at_sum == rhs % algebra.prime
-
-
-def doublestar_property_holds(algebra, rc3, g, h1, h2):
-    """Check the beta sum rule of one RestrictedThreeCochain at one triple
-    (g, h1, h2), or at each triple of rows: omega's rule of `beta_at`."""
-    return star_rule(algebra, beta_at(rc3.alpha, rc3.beta_pairs, g), h1, h2)[1]
 
 
 def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain):
@@ -277,15 +235,6 @@ def ind2_matrix(R: restricted.RestrictedAlgebra, phi):
     out = phi @ R.power_matrix.swapaxes(-1, -2)
     out %= R.prime
     return out
-
-
-def d2_star(R: restricted.RestrictedAlgebra, c: RestrictedTwoCochain) -> RestrictedThreeCochain:
-    """Restricted degree-2 differential: (d2 phi, beta induced by p-powers),
-    with d2 phi from the structure constants (cochains.differential).
-
-    The beta part depends only on phi, not on the omega companion.
-    """
-    return RestrictedThreeCochain(cochains.differential(R.algebra, c.phi), ind2_matrix(R, c.phi))
 
 
 def basis_pair_cochain(prime, dim, i, j) -> RestrictedTwoCochain:

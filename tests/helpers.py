@@ -90,6 +90,13 @@ def d1_star(R, psi):
     return rcoch.RestrictedTwoCochain(cochains.d1(R.algebra, psi), rcoch.ind1_values(R, psi))
 
 
+def d2_star(R, c):
+    """Restricted degree-2 differential of (phi, omega) as the (alpha, beta)
+    arrays of rcoch.beta_at: (d2 phi, beta induced by p-powers), where beta
+    does not depend on omega."""
+    return cochains.differential(R.algebra, c.phi), rcoch.ind2_matrix(R, c.phi)
+
+
 def random_element(algebra, rng: random.Random):
     """Uniformly random coefficient vector drawn from a seeded generator."""
     return np.array([rng.randrange(algebra.prime) for _ in range(algebra.dim)], dtype=np.int64)
@@ -105,12 +112,24 @@ def left_normed_bracket(algebra, elements):
     return acc
 
 
+def extend_ordinary(A, phi):
+    """The ordinary central extension by the 2-cocycle phi, as an
+    extensions.ExtensionResult without p-powers; a non-cocycle is refused
+    with the first triple where d2 phi is nonzero."""
+    if phi.degree != 2 or (phi.prime, phi.dim) != (A.prime, A.dim):
+        raise ValueError("cocycle must be a degree-2 cochain over the algebra")
+    obstruction = cochains.differential(A, phi)
+    if not obstruction.is_zero():
+        raise ValueError(f"not a cocycle: d2 is nonzero on {min(obstruction.coeffs)}")
+    return extensions.ExtensionResult(extensions.central_extension(A, phi), None, str(phi))
+
+
 def coboundary_shift_is_isomorphism(A, phi, psi) -> bool:
     """Verify x -> x + psi(x) c carries the phi-extension onto the
     (phi + d1 psi)-extension bracket-for-bracket."""
     p = A.prime
-    E1 = extensions.extend_ordinary(A, phi).algebra
-    E2 = extensions.extend_ordinary(A, phi + cochains.d1(A, psi)).algebra
+    E1 = extend_ordinary(A, phi).algebra
+    E2 = extend_ordinary(A, phi + cochains.d1(A, psi)).algebra
     n = A.dim
 
     def image(vec):
@@ -259,7 +278,7 @@ def d1_star_matrix(R):
     """Matrix of d1* over the degree-1 duals: d1 rows over the induced
     omega rows, whose row k is e_k^[p].  Column k is the coordinate vector
     of d1*(e^k)."""
-    return np.vstack([cochains.d1_matrix(R.algebra), np.stack(R.basis_p_powers)])
+    return np.vstack([cochains.d1_matrix(R.algebra), R.power_matrix])
 
 
 def dense_d2_star(R):
@@ -379,16 +398,17 @@ def star_eval_naive(algebra, c, g):
     )
 
 
-def doublestar_eval_naive(algebra, rc3, g, h):
-    """beta at (g, h) as rcoch.doublestar_eval splits it, with the naive
-    correction sum taken split by split."""
+def doublestar_eval_naive(algebra, alpha, beta, g, h):
+    """beta at (g, h), for the 3-form alpha and beta's values on basis
+    pairs, as rcoch.star_eval splits beta_at(alpha, beta, g), with the
+    naive correction sum taken split by split."""
     p = algebra.prime
     g = gf.normalize(g, p)
     return restricted.split_sum(
         p, h,
-        lambda scales: scales @ ((g @ rc3.beta_pairs) % p),
+        lambda scales: scales @ ((g @ beta) % p),
         lambda heads, tails: each_split(
-            lambda x, y, row: -doublestar_correction_naive(algebra, rc3.alpha, row, x, y),
+            lambda x, y, row: -doublestar_correction_naive(algebra, alpha, row, x, y),
             heads, tails, g,
         ),
     )

@@ -1,15 +1,18 @@
-"""Every function the benchmark's tracer wraps still exists in the package.
+"""Every function the benchmark's tracer wraps still exists in the package,
+and every other top-level function or class in it has a caller there.
 
 bench/spans.py names its targets by module and attribute and resolves them
 only when a traced run starts, so a rename or deletion under src/ would
 otherwise first show up as a failed `bench/run.py --trace 1`.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "filicoh"
 
 
 def load_spans():
@@ -30,3 +33,31 @@ def test_traced_names_resolve():
             missing.append((name, f"filicoh.{modname}.{attr}"))
     assert not missing
     assert hasattr(importlib.import_module("filicoh.cli"), "ThreadPoolExecutor")
+
+
+def loaded_names(node, skip):
+    """The names and attributes read anywhere under node, outside skip."""
+    if node is skip:
+        return
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        yield node.id if isinstance(node, ast.Name) else node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from loaded_names(child, skip)
+
+
+def test_every_definition_is_used_or_traced():
+    # a top-level function or class of src/ that no code in src/ reads
+    # outside its own definition is dead, unless the bench traces it
+    spans = load_spans()
+    traced = {
+        f"{modname}.{attr.split('.')[0]}" for _, modname, attr in spans.TARGETS + spans.COUNTED
+    }
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unused = {
+        f"{modname}.{node.name}"
+        for modname, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in loaded_names(other, node) for other in trees.values())
+    }
+    assert unused <= traced, sorted(unused - traced)

@@ -534,6 +534,13 @@ def test_extend_rejects_noncocycle(capsys):
     assert "induced beta" in err
 
 
+def test_extend_names_the_first_pair_with_nonzero_induced_beta(capsys):
+    code, out, err = run(capsys, "extend", "--prime", "5", "--lambda", "1,0,0,0,0",
+                         "--cocycle", "e:1,5")
+    assert (code, out) == (1, "")
+    assert err == "error: not a restricted cocycle: induced beta is nonzero on basis pair (1, 1)\n"
+
+
 def test_extend_rejects_bad_specs(capsys):
     code, _, err = run(capsys, "extend", "--prime", "5", "--lambda", "zero",
                        "--cocycle", "bogus")

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from filicoh import cochains, extensions, liealg
+from filicoh import cochains, liealg
 from filicoh.cochains import Cochain, dual_cochain
-from helpers import cochain_from_vector, homogeneous_weight, mat_mul, random_element, to_vector
+from helpers import (
+    cochain_from_vector,
+    extend_ordinary,
+    homogeneous_weight,
+    mat_mul,
+    random_element,
+    to_vector,
+)
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -180,7 +187,7 @@ def test_matrices_match_evaluate_oracle(p):
 def test_matrices_match_evaluate_oracle_on_extensions(p):
     # dim p+1, with brackets landing on the new central generator
     for k in cochains.phi_weights(p):
-        E = extensions.extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
+        E = extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
         _assert_matrices_match_oracle(E)
 
 
@@ -215,7 +222,7 @@ NO_BRACKETS = liealg.LieAlgebra(5, 4, {}, weights=[1] * 4)
 
 def _on_phi_extensions_at_13(test):
     # make_m0(13) with [e_i, e_j] += phi_k(e_i, e_j) e_14, built without
-    # extensions.extend_ordinary (which runs the route under test): every
+    # extend_ordinary (which runs the route under test): every
     # term of phi_k lands on the one central k = 14
     A = liealg.make_m0(13)
     for k in cochains.phi_weights(13):

@@ -13,6 +13,7 @@ from helpers import (
     center,
     coboundary_shift_is_isomorphism,
     cochain_from_vector,
+    extend_ordinary,
     p_power,
     restricted_from_json,
     sparse,
@@ -25,7 +26,7 @@ def rand_lambda(rng, p):
 
 def test_zero_cocycle_gives_direct_sum():
     A = liealg.make_m0(5)
-    res = extensions.extend_ordinary(A, Cochain(5, 5, 2))
+    res = extend_ordinary(A, Cochain(5, 5, 2))
     E = res.algebra
     assert E.dim == 6
     assert E.labels[-1] == "c"
@@ -38,7 +39,7 @@ def test_zero_cocycle_gives_direct_sum():
 def test_top_pair_extension_bracket():
     # phi = e^{1,5}: the only new bracket entry is [e_1, e_5] = c
     A = liealg.make_m0(5)
-    res = extensions.extend_ordinary(A, dual_cochain(5, 5, (1, 5)))
+    res = extend_ordinary(A, dual_cochain(5, 5, (1, 5)))
     E = res.algebra
     c = E.basis_vector(6)
     assert (E.bracket_basis(1, 5) == c).all()
@@ -50,7 +51,7 @@ def test_top_pair_extension_bracket():
 
 def test_new_generator_is_central():
     A = liealg.make_m0(7)
-    res = extensions.extend_ordinary(A, cochains.phi_k(7, 7))
+    res = extend_ordinary(A, cochains.phi_k(7, 7))
     E = res.algebra
     c = E.basis_vector(8)
     for k in range(1, 9):
@@ -62,15 +63,15 @@ def test_new_generator_is_central():
 def test_noncocycle_rejected_with_witness():
     A = liealg.make_m0(5)
     with pytest.raises(ValueError, match=r"not a cocycle.*\(1, 3, 5\)"):
-        extensions.extend_ordinary(A, dual_cochain(5, 5, (4, 5)))
+        extend_ordinary(A, dual_cochain(5, 5, (4, 5)))
 
 
 def test_wrong_shape_rejected():
     A = liealg.make_m0(5)
     with pytest.raises(ValueError):
-        extensions.extend_ordinary(A, dual_cochain(5, 5, (1,)))
+        extend_ordinary(A, dual_cochain(5, 5, (1,)))
     with pytest.raises(ValueError):
-        extensions.extend_ordinary(A, dual_cochain(7, 7, (1, 7)))
+        extend_ordinary(A, dual_cochain(7, 7, (1, 7)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -90,8 +91,8 @@ def test_frobenius_dual_extension_matches_power_table(p):
                 expected[p - 1] = lam[i - 1]
                 if i == k:
                     expected[p] = 1
-                assert (RE.basis_p_powers[i - 1] == expected).all(), (lam, k, i)
-            assert not RE.basis_p_powers[p].any()
+                assert (RE.power_matrix[i - 1] == expected).all(), (lam, k, i)
+            assert not RE.power_matrix[p].any()
 
 
 def test_extension_checks_stay_below_a_dense_structure_array():
@@ -127,7 +128,7 @@ def test_restricted_extension_with_omega_values():
     c2 = rcoch.RestrictedTwoCochain(Cochain(5, 5, 2), (1, 4, 0, 2, 3))
     res = extensions.extend_restricted(R, c2)
     for i in range(5):
-        assert res.pmap.basis_p_powers[i][-1] == c2.omega_basis[i]
+        assert res.pmap.power_matrix[i][-1] == c2.omega_basis[i]
     ok, _ = restricted.verify_restricted_map(res.pmap)
     assert ok
 
@@ -139,6 +140,33 @@ def test_restricted_noncocycle_rejected():
         extensions.extend_restricted(R, rcoch.basis_pair_cochain(5, 5, 1, 5))
     with pytest.raises(ValueError, match="not a restricted cocycle"):
         extensions.extend_restricted(R, rcoch.basis_pair_cochain(5, 5, 4, 5))
+
+
+def test_restricted_extension_checks_its_cocycle_once(monkeypatch):
+    # one d2 of phi per call, whether it builds or refuses on d2 or on beta
+    real = cochains.differential
+    calls = []
+
+    def spy(algebra, cochain):
+        calls.append(cochain)
+        return real(algebra, cochain)
+
+    monkeypatch.setattr(extensions.cochains, "differential", spy)
+    R = restricted.make_m0_lambda(5, (1, 0, 0, 0, 0))
+    cocycles = (
+        rcoch.frobenius_dual_cochain(5, 5, 2),
+        rcoch.RestrictedTwoCochain(cochains.phi_k(5, 5), (0,) * 5),
+    )
+    for c2 in cocycles:
+        calls.clear()
+        assert extensions.extend_restricted(R, c2).restricted
+        assert len(calls) == 1 and calls[0] is c2.phi
+    for c2, witness in ((rcoch.basis_pair_cochain(5, 5, 1, 5), "induced beta"),
+                        (rcoch.basis_pair_cochain(5, 5, 4, 5), "d2")):
+        calls.clear()
+        with pytest.raises(ValueError, match=witness):
+            extensions.extend_restricted(R, c2)
+        assert len(calls) == 1 and calls[0] is c2.phi
 
 
 def test_top_pair_extension_at_trivial_powers():
@@ -219,7 +247,7 @@ def test_coboundary_shift_detects_wrong_target():
     A = liealg.make_m0(5)
     psi = dual_cochain(5, 5, (4,))
     assert not cochains.d1(A, psi).is_zero()
-    E1 = extensions.extend_ordinary(A, dual_cochain(5, 5, (1, 5))).algebra
+    E1 = extend_ordinary(A, dual_cochain(5, 5, (1, 5))).algebra
     shifted = coboundary_shift_is_isomorphism(A, dual_cochain(5, 5, (1, 5)), psi)
     assert shifted
     zero_shift = coboundary_shift_is_isomorphism(
@@ -238,14 +266,12 @@ def test_extension_json_round_trip():
     assert data["extension_of"]["cocycle"] == "(0, ebar^1)"
     back = restricted_from_json(data)
     assert back.algebra == res.algebra
-    assert all(
-        (a == b).all() for a, b in zip(back.basis_p_powers, res.pmap.basis_p_powers)
-    )
+    assert (back.power_matrix == res.pmap.power_matrix).all()
 
 
 def test_ordinary_extension_json():
     A = liealg.make_m0(5)
-    res = extensions.extend_ordinary(A, dual_cochain(5, 5, (1, 5)))
+    res = extend_ordinary(A, dual_cochain(5, 5, (1, 5)))
     data = extensions.extension_to_json(res)
     assert data["extension_of"]["restricted"] is False
     back = algebra_from_json(data)

@@ -33,7 +33,7 @@ def test_make_m0_lambda_stores_top_line_powers(p):
     assert R.lam == tuple(x % p for x in lam)
     assert R.is_m0_family
     for k in range(1, p + 1):
-        v = R.basis_p_powers[k - 1]
+        v = R.power_matrix[k - 1]
         assert v[p - 1] == lam[k - 1] % p
         assert not v[: p - 1].any()
 
@@ -202,7 +202,7 @@ def test_verify_restricted_map_on_family(p):
 def test_verify_restricted_map_detects_corruption():
     p = 5
     R = restricted.make_m0_lambda(p, [0] * p)
-    bad_powers = [v.copy() for v in R.basis_p_powers]
+    bad_powers = R.power_matrix.copy()
     bad_powers[0] = R.algebra.basis_vector(1)  # e_1^[p] = e_1 but ad(e_1)^p = 0
     bad = restricted.RestrictedAlgebra(R.algebra, bad_powers)
     ok, witness = restricted.verify_restricted_map(bad)
@@ -213,7 +213,7 @@ def test_verify_restricted_map_detects_corruption():
     p = 31
     c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(p, 7), (0,) * p)
     RE = extensions.extend_restricted(restricted.make_m0_lambda(p, [0] * p), c2).pmap
-    bad_powers = [v.copy() for v in RE.basis_p_powers]
+    bad_powers = RE.power_matrix.copy()
     bad_powers[4][1] = 1
     bad = restricted.RestrictedAlgebra(RE.algebra, bad_powers)
     assert first_failing_power(RE) is None
@@ -339,7 +339,7 @@ def first_failing_power(R):
     """ad(e_k^[p]) against ad(e_k)^p one k at a time."""
     A, p = R.algebra, R.prime
     for k in range(1, A.dim + 1):
-        lhs = liealg.ad_matrix(A, R.basis_p_powers[k - 1])
+        lhs = liealg.ad_matrix(A, R.power_matrix[k - 1])
         rhs = mat_pow(liealg.ad_matrix(A, A.basis_vector(k)), p, p)
         if (lhs != rhs).any():
             return k
@@ -350,7 +350,7 @@ def first_failing_power(R):
 def test_verify_restricted_map_matches_per_k_powers(p):
     R = restricted.make_m0_lambda(p, [1] * p)
     for k in range(1, p + 1):
-        powers = [v.copy() for v in R.basis_p_powers]
+        powers = R.power_matrix.copy()
         powers[k - 1][0] = (powers[k - 1][0] + 1) % p  # e_k^[p] gains e_1
         bad = restricted.RestrictedAlgebra(R.algebra, powers)
         want = first_failing_power(bad)

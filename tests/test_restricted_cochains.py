@@ -12,6 +12,7 @@ from filicoh.cochains import Cochain, dual_cochain
 from helpers import (
     cochain_from_vector,
     d1_star,
+    d2_star,
     doublestar_correction_naive,
     doublestar_eval_naive,
     few_positions_per_batch,
@@ -63,16 +64,6 @@ def test_two_cochain_omega_length_checked():
         rc.RestrictedTwoCochain(dual_cochain(5, 5, (1, 2)), (0, 0, 0))
 
 
-def test_three_cochain_requires_degree_three():
-    with pytest.raises(ValueError):
-        rc.RestrictedThreeCochain(dual_cochain(5, 5, (1, 2)), gf.zeros((5, 5)))
-
-
-def test_three_cochain_beta_shape_checked():
-    with pytest.raises(ValueError):
-        rc.RestrictedThreeCochain(dual_cochain(5, 5, (1, 2, 3)), gf.zeros((5, 4)))
-
-
 def test_two_cochain_vector_round_trip():
     rng = np.random.default_rng(7)
     p = 5
@@ -87,17 +78,6 @@ def test_two_cochain_str():
     assert str(rc.basis_pair_cochain(5, 5, 2, 3)) == "(e^{2,3}, 0)"
     mixed = rc.RestrictedTwoCochain(dual_cochain(7, 7, (1, 7)), (0, 1, 0, 0, 0, 0, 6))
     assert str(mixed) == "(e^{1,7}, ebar^2 - ebar^7)"
-
-
-def test_three_cochain_zero_and_eq():
-    zero = rc.RestrictedThreeCochain(Cochain(5, 5, 3), gf.zeros((5, 5)))
-    assert zero.is_zero()
-    beta = gf.zeros((5, 5))
-    beta[0, 1] = 2
-    other = rc.RestrictedThreeCochain(Cochain(5, 5, 3), beta)
-    assert not other.is_zero()
-    assert zero != other
-    assert other == rc.RestrictedThreeCochain(Cochain(5, 5, 3), beta.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +480,8 @@ def test_d2_star_kills_frobenius_duals(p):
     rng = np.random.default_rng(1600 + p)
     R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
     for k in range(1, p + 1):
-        assert rc.d2_star(R, rc.frobenius_dual_cochain(p, p, k)).is_zero()
+        alpha, beta = d2_star(R, rc.frobenius_dual_cochain(p, p, k))
+        assert alpha.is_zero() and not beta.any()
 
 
 def test_d2_star_ignores_omega_part():
@@ -508,17 +489,17 @@ def test_d2_star_ignores_omega_part():
     p = 5
     R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
     phi = rand_cochain(rng, p, p, 2)
-    a = rc.d2_star(R, rc.RestrictedTwoCochain(phi, (0,) * p))
-    b = rc.d2_star(R, rc.RestrictedTwoCochain(phi, rand_lambda(rng, p)))
-    assert a == b
+    a = d2_star(R, rc.RestrictedTwoCochain(phi, (0,) * p))
+    b = d2_star(R, rc.RestrictedTwoCochain(phi, rand_lambda(rng, p)))
+    assert a[0] == b[0] and (a[1] == b[1]).all()
 
 
 def test_d2_star_top_dual_beta():
     lam = (1, 2, 3, 4, 0)
     R = restricted.make_m0_lambda(5, lam)
-    out = rc.d2_star(R, rc.basis_pair_cochain(5, 5, 1, 5))
-    assert tuple(int(x) for x in out.beta_pairs[0]) == lam
-    assert not out.beta_pairs[1:].any()
+    _, beta = d2_star(R, rc.basis_pair_cochain(5, 5, 1, 5))
+    assert tuple(int(x) for x in beta[0]) == lam
+    assert not beta[1:].any()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -528,10 +509,10 @@ def test_d2_star_after_d1_star_is_zero(p):
     for lam in lams:
         R = restricted.make_m0_lambda(p, lam)
         for k in range(1, p + 1):
-            out = rc.d2_star(R, d1_star(R, dual_cochain(p, p, (k,))))
-            assert out.is_zero()
-        out = rc.d2_star(R, d1_star(R, rand_cochain(rng, p, p, 1)))
-        assert out.is_zero()
+            alpha, beta = d2_star(R, d1_star(R, dual_cochain(p, p, (k,))))
+            assert alpha.is_zero() and not beta.any()
+        alpha, beta = d2_star(R, d1_star(R, rand_cochain(rng, p, p, 1)))
+        assert alpha.is_zero() and not beta.any()
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +525,8 @@ def test_doublestar_rule_holds_for_zero_form(p):
     A = liealg.make_m0(p)
     for _ in range(4):
         beta = gf.normalize(rng.integers(0, p, size=(p, p)), p)
-        c3 = rc.RestrictedThreeCochain(Cochain(p, p, 3), beta)
         g, h1, h2 = (rand_vec(rng, p, p) for _ in range(3))
-        assert rc.doublestar_property_holds(A, c3, g, h1, h2)
+        assert rc.star_rule(A, rc.beta_at(Cochain(p, p, 3), beta, g), h1, h2)[1]
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -556,9 +536,9 @@ def test_doublestar_rule_holds_for_cocycle_images(p):
     for _ in range(4):
         R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
         c = rc.RestrictedTwoCochain(rand_cocycle(rng, A), rand_lambda(rng, p))
-        c3 = rc.d2_star(R, c)
+        alpha, beta = d2_star(R, c)
         g, h1, h2 = (rand_vec(rng, p, p) for _ in range(3))
-        assert rc.doublestar_property_holds(A, c3, g, h1, h2)
+        assert rc.star_rule(A, rc.beta_at(alpha, beta, g), h1, h2)[1]
 
 
 def test_doublestar_direct_evaluation_example():
@@ -569,12 +549,12 @@ def test_doublestar_direct_evaluation_example():
     A = liealg.make_m0(7)
     alpha = cochains.d2(A, dual_cochain(7, 7, (3, 4)))
     assert not alpha.is_zero()
-    c3 = rc.RestrictedThreeCochain(alpha, gf.zeros((7, 7)))
     for _ in range(6):
         g, h1, h2 = (rand_vec(rng, 7, 7) for _ in range(3))
+        at = rc.beta_at(alpha, gf.zeros((7, 7)), g)
         assert rc.doublestar_correction(A, alpha, g, h1, h2) == 0
-        assert rc.doublestar_eval(A, c3, g, (h1 + h2) % 7) == 0
-        assert rc.doublestar_property_holds(A, c3, g, h1, h2)
+        assert rc.star_eval(A, at, (h1 + h2) % 7) == 0
+        assert rc.star_rule(A, at, h1, h2)[1]
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -584,10 +564,10 @@ def test_induced_beta_equals_inducing_function(p):
     for _ in range(3):
         R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
         phi = rand_cocycle(rng, A)
-        c3 = rc.d2_star(R, rc.RestrictedTwoCochain(phi, (0,) * p))
+        alpha, beta = d2_star(R, rc.RestrictedTwoCochain(phi, (0,) * p))
         for _ in range(4):
             g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-            assert rc.doublestar_eval(A, c3, g, h) == ind2_at(R, phi, g, h)
+            assert rc.star_eval(A, rc.beta_at(alpha, beta, g), h) == ind2_at(R, phi, g, h)
 
 
 def test_doublestar_rule_fails_for_noncocycle_top_pairs():
@@ -596,11 +576,11 @@ def test_doublestar_rule_fails_for_noncocycle_top_pairs():
     rng = np.random.default_rng(59)
     A = liealg.make_m0(5)
     R = restricted.make_m0_lambda(5, (0,) * 5)
-    c3 = rc.d2_star(R, rc.basis_pair_cochain(5, 5, 4, 5))
+    alpha, beta = d2_star(R, rc.basis_pair_cochain(5, 5, 4, 5))
     failures = 0
     for _ in range(40):
         g, h1, h2 = (rand_vec(rng, 5, 5) for _ in range(3))
-        if not rc.doublestar_property_holds(A, c3, g, h1, h2):
+        if not rc.star_rule(A, rc.beta_at(alpha, beta, g), h1, h2)[1]:
             failures += 1
     assert failures > 0
 
@@ -612,10 +592,9 @@ def test_doublestar_eval_naive_route_matches(p):
     for _ in range(3):
         alpha = rand_cochain(rng, p, p, 3)
         beta = gf.normalize(rng.integers(0, p, size=(p, p)), p)
-        c3 = rc.RestrictedThreeCochain(alpha, beta)
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert doublestar_eval_naive(A, c3, g, h) == rc.doublestar_eval(
-            A, c3, g, h
+        assert doublestar_eval_naive(A, alpha, beta, g, h) == rc.star_eval(
+            A, rc.beta_at(alpha, beta, g), h
         )
 
 
@@ -689,24 +668,25 @@ def test_star_eval_stack_equals_rows(p, monkeypatch):
 def test_doublestar_eval_stack_equals_rows(p, monkeypatch):
     rng = np.random.default_rng(2300 + p)
     A = liealg.make_m0(p)
-    c3 = rc.RestrictedThreeCochain(
-        rand_cochain(rng, p, p, 3), gf.normalize(rng.integers(0, p, size=(p, p)), p)
-    )
+    alpha = rand_cochain(rng, p, p, 3)
+    beta = gf.normalize(rng.integers(0, p, size=(p, p)), p)
+
+    def beta_eval(g, h):
+        return rc.star_eval(A, rc.beta_at(alpha, beta, g), h)
+
     g = rng.integers(0, p, size=(5, p))
     h = stack_with_edge_rows(rng, p)
-    want = [rc.doublestar_eval(A, c3, x, y) for x, y in zip(g, h)]
-    assert rc.doublestar_eval(A, c3, g, h).tolist() == want
-    assert rc.doublestar_eval(A, c3, g[0], h).tolist() == [
-        rc.doublestar_eval(A, c3, g[0], y) for y in h
-    ]
+    want = [beta_eval(x, y) for x, y in zip(g, h)]
+    assert beta_eval(g, h).tolist() == want
+    assert beta_eval(g[0], h).tolist() == [beta_eval(g[0], y) for y in h]
     # g per row also serves every block of rows of h
     blocks = np.stack([h, h[::-1]])
-    want_blocks = [[rc.doublestar_eval(A, c3, x, y) for x, y in zip(g, b)] for b in blocks]
-    assert rc.doublestar_eval(A, c3, g, blocks).tolist() == want_blocks
+    want_blocks = [[beta_eval(x, y) for x, y in zip(g, b)] for b in blocks]
+    assert beta_eval(g, blocks).tolist() == want_blocks
     for _ in few_positions_per_batch(monkeypatch, h):
-        assert rc.doublestar_eval(A, c3, g, h).tolist() == want
+        assert beta_eval(g, h).tolist() == want
     for _ in few_positions_per_batch(monkeypatch, blocks):
-        assert rc.doublestar_eval(A, c3, g, blocks).tolist() == want_blocks
+        assert beta_eval(g, blocks).tolist() == want_blocks
 
 
 @pytest.mark.parametrize("p", STACK_PRIMES)
@@ -719,11 +699,12 @@ def test_sum_rules_stack_equal_rows(p):
     at_g, got = rc.star_rule(R.algebra, pair_arrays(pairs), g, h)
     assert got.tolist() == [rc.star_rule(R.algebra, *row)[1] for row in zip(pairs, g, h)]
     assert at_g.tolist() == [rc.star_eval(R.algebra, c, x) for c, x in zip(pairs, g)]
-    c3 = rc.d2_star(R, rc.basis_pair_cochain(p, p, p - 1, p))
+    alpha, beta = d2_star(R, rc.basis_pair_cochain(p, p, p - 1, p))
     g, h1, h2 = (stack_with_edge_rows(rng, p, 4) for _ in range(3))
-    got = rc.doublestar_property_holds(R.algebra, c3, g, h1, h2)
+    got = rc.star_rule(R.algebra, rc.beta_at(alpha, beta, g), h1, h2)[1]
     assert got.tolist() == [
-        rc.doublestar_property_holds(R.algebra, c3, *row) for row in zip(g, h1, h2)
+        rc.star_rule(R.algebra, rc.beta_at(alpha, beta, x), y1, y2)[1]
+        for x, y1, y2 in zip(g, h1, h2)
     ]
 
 
@@ -734,18 +715,14 @@ def test_doublestar_sequence_goes_with_blocks_of_rows(p, monkeypatch):
     rng = np.random.default_rng(2450 + p)
     A = liealg.make_m0(p)
     rc3 = [
-        rc.RestrictedThreeCochain(
-            rand_cochain(rng, p, p, 3), gf.normalize(rng.integers(0, p, size=(p, p)), p)
-        )
+        (rand_cochain(rng, p, p, 3), gf.normalize(rng.integers(0, p, size=(p, p)), p))
         for _ in range(3)
     ]
     g, h1, h2 = (rng.integers(0, p, size=(3, 2, p)) for _ in range(3))
     h1[0, 0] = 0
-    want_eval = [rc.doublestar_eval(A, c, x, y).tolist() for c, x, y in zip(rc3, g, h1)]
-    want_rule = [
-        rc.doublestar_property_holds(A, c, *rows).tolist() for c, *rows in zip(rc3, g, h1, h2)
-    ]
-    at = [rc.beta_at(c.alpha, c.beta_pairs, x) for c, x in zip(rc3, g)]
+    at = [rc.beta_at(alpha, beta, x) for (alpha, beta), x in zip(rc3, g)]
+    want_eval = [rc.star_eval(A, a, y).tolist() for a, y in zip(at, h1)]
+    want_rule = [rc.star_rule(A, a, *rows)[1].tolist() for a, *rows in zip(at, h1, h2)]
     stacked = tuple(np.stack(arrays) for arrays in zip(*at))
     assert rc.star_eval(A, stacked, h1).tolist() == want_eval
     assert rc.star_rule(A, stacked, h1, h2)[1].tolist() == want_rule
@@ -771,9 +748,7 @@ def test_beta_rule_flags_match_naive_rule(p):
     n = p + 1
     A = filiform(p, n)
     rc3 = [
-        rc.RestrictedThreeCochain(
-            rand_cochain(rng, p, n, 3), gf.normalize(rng.integers(0, p, size=(n, n)), p)
-        )
+        (rand_cochain(rng, p, n, 3), gf.normalize(rng.integers(0, p, size=(n, n)), p))
         for _ in range(2)
     ]
     g, h1, h2 = (rng.integers(0, p, size=(2, 6, n)) for _ in range(3))
@@ -784,14 +759,14 @@ def test_beta_rule_flags_match_naive_rule(p):
     h2[:, 2, 0] = 0
 
     def naive_holds(c, x, y1, y2):
-        at = [doublestar_eval_naive(A, c, x, y) for y in (y1, y2, (y1 + y2) % p)]
-        return at[2] == (at[0] + at[1] - doublestar_correction_naive(A, c.alpha, x, y1, y2)) % p
+        at = [doublestar_eval_naive(A, *c, x, y) for y in (y1, y2, (y1 + y2) % p)]
+        return at[2] == (at[0] + at[1] - doublestar_correction_naive(A, c[0], x, y1, y2)) % p
 
     rows = list(zip(rc3, g, h1, h2))
     want = [[naive_holds(c, *row) for row in zip(x, y1, y2)] for c, x, y1, y2 in rows]
-    want_h1 = [[doublestar_eval_naive(A, c, *row) for row in zip(x, y1)] for c, x, y1, _ in rows]
-    assert [rc.doublestar_property_holds(A, *row).tolist() for row in rows] == want
-    at = [rc.beta_at(c.alpha, c.beta_pairs, x) for c, x in zip(rc3, g)]
+    want_h1 = [[doublestar_eval_naive(A, *c, *row) for row in zip(x, y1)] for c, x, y1, _ in rows]
+    at = [rc.beta_at(*c, x) for c, x in zip(rc3, g)]
+    assert [rc.star_rule(A, a, *rows)[1].tolist() for a, rows in zip(at, zip(h1, h2))] == want
     stacked = tuple(np.stack(arrays) for arrays in zip(*at))
     at_h1, holds = rc.star_rule(A, stacked, h1, h2)
     assert holds.tolist() == want
