@@ -378,11 +378,11 @@ def run_extend(ns) -> int:
     c2 = parse_cocycle_spec(p, ns.cocycle)
     R = restricted.make_m0_lambda(p, lam)
     try:
-        result = extensions.extend_restricted(R, c2)
+        RE = extensions.extend_restricted(R, c2)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = extensions.extension_to_json(result)
+    payload = extensions.extension_to_json(RE, str(c2))
     if notes:
         payload["notes"] = notes
     emit(ns, json.dumps(payload, indent=2) + "\n")

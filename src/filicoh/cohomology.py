@@ -122,8 +122,9 @@ def _reduced(p: int, degree: int) -> _Reduction:
 def _kernel(p: int, degree: int, powers: tuple):
     """(dimension, kill mask of the ordinary candidates) of the kernel of
     d1* (degree 1) or of d2* without its zero Frobenius columns (degree 2),
-    for the p-power vectors spanning the rows of powers
-    (RestrictedAlgebra.power_rows); powers == () is d1 or d2 alone.
+    for the p-power vectors spanning the rows of powers (_power_rows on
+    the family, the nonzero rref rows of the power matrix in general);
+    powers == () is d1 or d2 alone.
 
     That kernel is the part of ker d that the induced rows send to zero.
     The ordinary representatives, with the d1 images in degree 2, span
@@ -251,6 +252,13 @@ def _omega_rows(R: restricted.RestrictedAlgebra) -> tuple:
     return tuple(map(tuple, r[: len(pivots)].tolist()))
 
 
+def _power_rows(lam) -> tuple:
+    """The key of a family member's p-powers: the e_k^[p] = lam_k e_p span
+    the line of e_p, or nothing at lam = 0, the nonzero rref rows of its
+    power matrix read off lam."""
+    return ((0,) * (len(lam) - 1) + (1,),) if any(lam) else ()
+
+
 def _copy(s: CohomologySummary, lam) -> CohomologySummary:
     """A memo entry with lam and a representative list of the caller's own."""
     return type(s)(**{**vars(s), "lam": lam, "representatives": list(s.representatives)})
@@ -266,7 +274,7 @@ def _restricted_summary(R: restricted.RestrictedAlgebra, degree: int, name: str)
     if not R.is_m0_family:
         raise ValueError(f"{name} is computed on the family m_0^lambda(p) only")
     omega = _omega_rows(R) if degree == 2 else ()
-    return _copy(_group(R.prime, degree, True, R.power_rows, omega), R.lam)
+    return _copy(_group(R.prime, degree, True, _power_rows(R.lam), omega), R.lam)
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:

@@ -7,15 +7,14 @@ p-power map gains omega, x^[p] -> x^[p] + omega(x) c with c^[p] = 0.
 `extend_restricted` rejects a non-cocycle with a witness, deciding it once
 on the restricted differential: d2 phi from `cochains.differential`, then
 the induced beta of `restricted_cochains.ind2_matrix`.  It then builds the
-brackets without a second cocycle check and re-verifies the restricted
-axiom on the result instead of trusting the cocycle condition.  The
-ordinary extension with its own cocycle witness is a test helper
-(`tests/helpers.extend_ordinary`), since nothing in the package builds one.
+brackets without a second cocycle check, re-verifies the restricted axiom
+on the result instead of trusting the cocycle condition, and returns the
+extension as a RestrictedAlgebra.  The ordinary extension with its own
+cocycle witness is a test helper (`tests/helpers.extend_ordinary`), since
+nothing in the package builds one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +22,6 @@ from . import cochains, gf, liealg, restricted
 from . import restricted_cochains as rcoch
 
 CENTER_LABEL = "c"
-
-
-@dataclass
-class ExtensionResult:
-    """A built extension: the algebra, its p-power structure when present,
-    and the printed form of the cocycle it came from."""
-
-    algebra: liealg.LieAlgebra
-    pmap: restricted.RestrictedAlgebra | None
-    source_cocycle: str
-
-    @property
-    def restricted(self) -> bool:
-        return self.pmap is not None
 
 
 def central_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -> liealg.LieAlgebra:
@@ -63,10 +48,10 @@ def central_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -> liealg.Lie
 
 def extend_restricted(
     R: restricted.RestrictedAlgebra, c2: rcoch.RestrictedTwoCochain
-) -> ExtensionResult:
+) -> restricted.RestrictedAlgebra:
     """Append a central c twisted by a restricted 2-cocycle (phi, omega):
     its restricted differential (d2 phi, induced beta) must vanish, d2 phi
-    checked first."""
+    checked first.  Returns the extension with its p-powers."""
     alpha = cochains.differential(R.algebra, c2.phi)
     if not alpha.is_zero():
         raise ValueError(f"not a restricted cocycle: d2 is nonzero on {min(alpha.coeffs)}")
@@ -84,7 +69,7 @@ def extend_restricted(
     ok, k = restricted.verify_restricted_map(RE)
     if not ok:
         raise RuntimeError(f"extension failed the restricted axiom at basis index {k}")
-    return ExtensionResult(algebra=E, pmap=RE, source_cocycle=str(c2))
+    return RE
 
 
 def is_trivial_ordinary_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -> bool:
@@ -96,15 +81,13 @@ def is_trivial_ordinary_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -
     return gf.SpanTracker(A.prime, image).contains(phi.coordinates())
 
 
-def extension_to_json(result: ExtensionResult) -> dict:
-    """Algebra JSON plus a provenance block naming the source cocycle."""
-    if result.pmap is not None:
-        data = restricted.to_json(result.pmap)
-    else:
-        data = liealg.to_json(result.algebra)
+def extension_to_json(RE: restricted.RestrictedAlgebra, cocycle_text: str) -> dict:
+    """The restricted extension's JSON plus a provenance block naming the
+    cocycle it came from, printed as cocycle_text."""
+    data = restricted.to_json(RE)
     data["extension_of"] = {
-        "base_dim": result.algebra.dim - 1,
-        "cocycle": result.source_cocycle,
-        "restricted": result.restricted,
+        "base_dim": RE.dim - 1,
+        "cocycle": cocycle_text,
+        "restricted": True,
     }
     return data

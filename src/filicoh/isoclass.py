@@ -18,8 +18,6 @@ verdicts against the brute-force search and reports, never decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gf
 
 # the largest prime both iso modes and verify's diagonal-search checks serve,
@@ -27,24 +25,8 @@ from . import gf
 SEARCH_LIMIT = 31
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    """A verified diagonal isomorphism, named by its two free scalars."""
-
-    prime: int
-    mu1: int
-    mu2: int
-
-    @property
-    def scale_factors(self) -> tuple[int, ...]:
-        """mu_k for k = 1..p: (mu1, mu2, mu2*mu1, mu2*mu1^2, ...)."""
-        return scale_factors(self.prime, self.mu1, self.mu2)
-
-    def __str__(self):
-        return f"mu1={self.mu1}, mu2={self.mu2}"
-
-
 def scale_factors(p: int, mu1: int, mu2: int) -> tuple[int, ...]:
+    """mu_k for k = 1..p: (mu1, mu2, mu2*mu1, mu2*mu1^2, ...)."""
     out = [mu1 % p, mu2 % p]
     for k in range(3, p + 1):
         out.append((mu2 * pow(mu1, k - 2, p)) % p)
@@ -81,8 +63,8 @@ def _carries(p, lam, lam2, mu1, mu2) -> bool:
     )
 
 
-def iso_bruteforce(p: int, lam, lam2) -> IsoWitness | None:
-    """First diagonal witness in lexicographic (mu1, mu2) order, or None
+def iso_bruteforce(p: int, lam, lam2) -> tuple[int, int] | None:
+    """First diagonal witness (mu1, mu2) in lexicographic order, or None
     after exhausting all (p-1)^2 candidates."""
     if p > SEARCH_LIMIT:
         raise ValueError(f"diagonal search is limited to p <= {SEARCH_LIMIT}")
@@ -90,7 +72,7 @@ def iso_bruteforce(p: int, lam, lam2) -> IsoWitness | None:
     for mu1 in range(1, p):
         for mu2 in range(1, p):
             if _carries(p, lam, lam2, mu1, mu2):
-                return IsoWitness(p, mu1, mu2)
+                return mu1, mu2
     return None
 
 
@@ -166,6 +148,6 @@ def proposition_formula_check(p: int, lam, lam2) -> dict:
         "statement_isomorphic": statement_witness is not None,
         "statement_witness": statement_witness,
         "bruteforce_isomorphic": brute is not None,
-        "bruteforce_witness": (brute.mu1, brute.mu2) if brute else None,
+        "bruteforce_witness": brute,
         "agree": (statement_witness is not None) == (brute is not None),
     }

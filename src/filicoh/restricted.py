@@ -3,7 +3,9 @@
 A restricted structure assigns to each basis vector e_k a p-th power
 e_k^[p], here stored as a coefficient vector.  The p-power, the omega of
 a restricted 2-cochain and the beta of a restricted 3-cochain are all
-p-semilinear on scaled basis vectors and additive up to a correction sum;
+p-semilinear on scaled basis vectors and additive up to a correction sum.
+Over GF(p), a^p = a (Fermat), so a scaled basis vector a e_k maps to a
+times the value on e_k, and no entry is raised to the p-th power.
 `split_sum` is the one routine that evaluates such a map, on a vector or
 on a stack of rows, in batches of split positions: a batch holds the
 splits of every row at a run of positions, and the correction gets them as
@@ -84,18 +86,6 @@ class RestrictedAlgebra:
     def is_m0_family(self):
         return self.lam is not None
 
-    @functools.cached_property
-    def power_rows(self) -> tuple[tuple[int, ...], ...]:
-        """A basis of the span of the e_k^[p]: the nonzero rref rows of the
-        power matrix as int tuples.  It keys the memoised H1+ and H2+, whose
-        induced omega and beta rows are built from these rows alone, so it
-        is computed once.  On the family the e_k^[p] = lam_k e_p span the
-        line of e_p, or nothing at lam = 0, which is that rref read off."""
-        if self.lam is not None:
-            return ((0,) * (self.dim - 1) + (1,),) if any(self.lam) else ()
-        r, pivots = gf.rref(self.power_matrix, self.prime)
-        return tuple(map(tuple, r[: len(pivots)].tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, RestrictedAlgebra):
             return NotImplemented
@@ -170,19 +160,14 @@ def lam_str(lam) -> str:
     return ",".join(str(int(x)) for x in lam)
 
 
-def frobenius(v, p: int):
-    """a^p mod p for every entry a of v, read from a table of the p
-    residues (by Fermat the table is the identity)."""
-    return np.array([pow(a, p, p) for a in range(p)], dtype=np.int64)[gf.normalize(v, p)]
-
-
 def p_power_closed(R: RestrictedAlgebra, g):
     """p-th power via the maximal-class closed form, of a vector or of each
     row of a stack; R is a family member, or a FamilyStack whose member m
     powers the rows g[m].
 
     Only valid on the maximal-class family; raises otherwise.  With
-    g = sum(a_k e_k), returns sum(a_k^p lam_k) e_p.
+    g = sum(a_k e_k), returns sum(a_k^p lam_k) e_p, and a_k^p = a_k over
+    GF(p) (Fermat), so that is g times lam.
     """
     if not R.is_m0_family:
         raise ValueError("closed p-power formula requires a maximal-class family member")
@@ -190,7 +175,7 @@ def p_power_closed(R: RestrictedAlgebra, g):
     g = gf.normalize(g, p)
     out = gf.zeros(g.shape)
     lam = np.asarray(R.lam, dtype=np.int64)[..., None]  # a column per member
-    out[..., p - 1] = (frobenius(g, p) @ lam)[..., 0] % p
+    out[..., p - 1] = (g @ lam)[..., 0] % p
     return out
 
 
@@ -224,9 +209,11 @@ def split_sum(p: int, v, on_basis, correction):
     head) and the sum of the terms after it (the tail).
 
     on_basis(scales) gets the entries a_k^p, shaped as v, and returns
-    sum_k scales_k f(e_k) for every row.  correction(heads, tails) gets
-    the splits at a run of positions k, shaped as v behind a leading axis
-    over k: heads np.where(cols == k, v, 0), tails np.where(cols > k, v, 0).
+    sum_k scales_k f(e_k) for every row; a_k^p = a_k over GF(p) (Fermat),
+    so the scales are the normalized rows of v themselves.
+    correction(heads, tails) gets the splits at a run of positions k,
+    shaped as v behind a leading axis over k: heads
+    np.where(cols == k, v, 0), tails np.where(cols > k, v, 0).
     It returns its values with that leading axis; data it holds per row of
     v reaches them by broadcasting.  Every split of every row is evaluated,
     without branching on its entries: a zero head or tail must give a zero
@@ -235,7 +222,7 @@ def split_sum(p: int, v, on_basis, correction):
     """
     v = gf.normalize(v, p)
     n = v.shape[-1]
-    total = np.array(on_basis(frobenius(v, p)), dtype=np.int64)
+    total = np.array(on_basis(v), dtype=np.int64)
     cols = np.arange(n)
     # the last term has no tail, so the positions are 0..n-2
     for part in batches(n - 1, v.size // n, n):

@@ -16,9 +16,11 @@ Cochain and the dim x dim array of beta's values on basis pairs: beta is
 linear in its first argument, with the analogous correction rule in its
 second (subtracted, and weighted by alpha(g ^ [..] ^ last)).  So
 beta(g, -) is the omega of a restricted 2-cochain: basis values
-beta(g, e_k) and the 2-form -alpha(g, -, -) (`beta_at`), and star_eval and
-star_rule serve both.  The restricted differential of (phi, omega) is
-(d2 phi, `ind2_matrix` of phi).
+beta(g, e_k) and the 2-form -alpha(g, -, -) (`beta_at`).  star_eval and
+star_rule serve both, and take an omega only as the arrays (basis values,
+form matrices), of one cochain or stacked over cochains; star_correction
+takes the form matrices alone.  The restricted differential of
+(phi, omega) is (d2 phi, `ind2_matrix` of phi).
 
 omega is evaluated by `restricted.split_sum`, the routine the Jacobson
 p-power shares: split each argument row into basis terms lowest index
@@ -130,10 +132,10 @@ def _pair(forms, x, y, p):
     return np.einsum("...i,...ij,...j->...", x, forms, y) % p
 
 
-def star_correction(algebra, phi, h1, h2):
-    """The omega correction sum attached to phi at the split g = h1 + h2,
-    for a pair of vectors or each pair of rows.  phi is a degree-2 Cochain,
-    or form matrices F (`form_matrix`): one for all rows, or one per row.
+def star_correction(algebra, forms, h1, h2):
+    """The omega correction sum attached to a 2-form at the split
+    g = h1 + h2, for a pair of vectors or each pair of rows.  forms are
+    its form matrices F (`form_matrix`): one for all rows, or one per row.
 
     Left-normed brackets are linear in every slot, so prefixes with equal
     h1-multiplicity are summed before bracketing continues: row d of w is
@@ -143,7 +145,6 @@ def star_correction(algebra, phi, h1, h2):
     odd p.  Weighted by 1/#h1, the rows are summed before F is applied.
     """
     p = algebra.prime
-    forms = phi if isinstance(phi, np.ndarray) else form_matrix(phi)
     h1 = gf.normalize(h1, p)
     h2 = gf.normalize(h2, p)
     if p == 2:
@@ -174,23 +175,15 @@ def beta_at(alpha, beta, g):
     return g @ beta % p, -form_matrix(alpha, g) % p
 
 
-def _omega_and_forms(c):
-    """omega basis values and form matrix of one RestrictedTwoCochain, or c
-    itself when it is already such a pair of arrays."""
-    if isinstance(c, RestrictedTwoCochain):
-        return np.array(c.omega_basis, dtype=np.int64), form_matrix(c.phi)
-    return c
-
-
 def star_eval(algebra, c, g):
     """Evaluate omega at g, a vector or a stack of rows: omega(a e_k) =
     a^p omega_k on scaled basis vectors, and the correction sum at each
-    split of `restricted.split_sum`.  c is one RestrictedTwoCochain, or a
-    pair (omega basis values, form matrices) of arrays stacked over
-    cochains, which broadcast against the rows of g as one per row.  The
-    result does not depend on the split order.
+    split of `restricted.split_sum`.  c is the pair (omega basis values,
+    form matrices) of arrays, of one cochain or stacked over cochains,
+    which broadcast against the rows of g as one per row.  The result does
+    not depend on the split order.
     """
-    omega, forms = _omega_and_forms(c)
+    omega, forms = c
     return restricted.split_sum(
         algebra.prime, g,
         lambda scales: (scales * omega).sum(axis=-1),
@@ -202,8 +195,9 @@ def star_rule(algebra, c, g, h):
     """omega at g, and whether the omega sum rule holds, at one pair (g, h)
     or at each pair of rows; c as for star_eval.  One star_eval call
     evaluates omega at g, h and g + h."""
+    _, forms = c
     at_g, at_h, at_sum = star_eval(algebra, c, np.stack([g, h, np.add(g, h)]))
-    rhs = at_g + at_h + star_correction(algebra, _omega_and_forms(c)[1], g, h)
+    rhs = at_g + at_h + star_correction(algebra, forms, g, h)
     return at_g, at_sum == rhs % algebra.prime
 
 

@@ -113,23 +113,23 @@ def left_normed_bracket(algebra, elements):
 
 
 def extend_ordinary(A, phi):
-    """The ordinary central extension by the 2-cocycle phi, as an
-    extensions.ExtensionResult without p-powers; a non-cocycle is refused
-    with the first triple where d2 phi is nonzero."""
+    """The LieAlgebra of the ordinary central extension by the 2-cocycle
+    phi; a non-cocycle is refused with the first triple where d2 phi is
+    nonzero."""
     if phi.degree != 2 or (phi.prime, phi.dim) != (A.prime, A.dim):
         raise ValueError("cocycle must be a degree-2 cochain over the algebra")
     obstruction = cochains.differential(A, phi)
     if not obstruction.is_zero():
         raise ValueError(f"not a cocycle: d2 is nonzero on {min(obstruction.coeffs)}")
-    return extensions.ExtensionResult(extensions.central_extension(A, phi), None, str(phi))
+    return extensions.central_extension(A, phi)
 
 
 def coboundary_shift_is_isomorphism(A, phi, psi) -> bool:
     """Verify x -> x + psi(x) c carries the phi-extension onto the
     (phi + d1 psi)-extension bracket-for-bracket."""
     p = A.prime
-    E1 = extend_ordinary(A, phi).algebra
-    E2 = extend_ordinary(A, phi + cochains.d1(A, psi)).algebra
+    E1 = extend_ordinary(A, phi)
+    E2 = extend_ordinary(A, phi + cochains.d1(A, psi))
     n = A.dim
 
     def image(vec):
@@ -173,11 +173,24 @@ def dense_ad_matrix(algebra, g):
     return flat.reshape(g.shape[:-1] + (n, n)) % algebra.prime
 
 
+def omega_arrays(c):
+    """A RestrictedTwoCochain as the (omega basis values, form matrix)
+    arrays that rcoch.star_eval and rcoch.star_rule take."""
+    return np.array(c.omega_basis, dtype=np.int64), rcoch.form_matrix(c.phi)
+
+
 def pair_arrays(pairs):
-    """A sequence of RestrictedTwoCochains as the (omega basis values, form
-    matrices) arrays that rcoch.star_eval and rcoch.star_rule stack."""
-    omega = np.array([c.omega_basis for c in pairs], dtype=np.int64)
-    return omega, rcoch.form_matrices([c.phi for c in pairs])
+    """A sequence of RestrictedTwoCochains as omega_arrays stacked over
+    the cochains."""
+    return tuple(np.stack(arrays) for arrays in zip(*map(omega_arrays, pairs)))
+
+
+def power_rows(R):
+    """A basis of the span of the e_k^[p] of any restricted algebra: the
+    nonzero rref rows of its power matrix as int tuples, the key that
+    cohomology._power_rows reads off lambda on the family."""
+    r, pivots = gf.rref(R.power_matrix, R.prime)
+    return tuple(map(tuple, r[: len(pivots)].tolist()))
 
 
 def p_power(R, g):

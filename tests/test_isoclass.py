@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from filicoh import isoclass
 from filicoh.cli import resolve_lambdas
 from filicoh.isoclass import (
-    IsoWitness,
     diag_iso_check,
     iso_bruteforce,
     partition_classes,
@@ -39,7 +38,7 @@ def pairwise_partition(p, lams):
 
 
 # ---------------------------------------------------------------------------
-# scale factors and witness formatting
+# scale factors
 
 
 def test_scale_factors_recursion():
@@ -54,12 +53,6 @@ def test_scale_factors_recursion():
 
 def test_scale_factors_p2():
     assert scale_factors(2, 1, 1) == (1, 1)
-
-
-def test_witness_str_and_factors():
-    w = IsoWitness(5, 2, 3)
-    assert str(w) == "mu1=2, mu2=3"
-    assert w.scale_factors == scale_factors(5, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +120,7 @@ def test_bad_inputs_rejected():
 def test_first_witness_is_lexicographic():
     # lam = lam' = 0 accepts every pair, so the search returns (1, 1)
     w = iso_bruteforce(5, (0,) * 5, (0,) * 5)
-    assert (w.mu1, w.mu2) == (1, 1)
+    assert w == (1, 1)
 
 
 def test_witness_actually_verifies():
@@ -140,7 +133,7 @@ def test_witness_actually_verifies():
             lam = proof_transform(p, lam2, mu1, mu2)
             w = iso_bruteforce(p, lam, lam2)
             assert w is not None
-            assert diag_iso_check(p, lam, lam2, w.mu1, w.mu2)
+            assert diag_iso_check(p, lam, lam2, *w)
 
 
 def test_search_checks_its_arguments_once(monkeypatch):
@@ -165,7 +158,7 @@ def test_search_checks_its_arguments_once(monkeypatch):
             monkeypatch.setattr(isoclass, "_check_args", counted)
             w = iso_bruteforce(p, lam, lam2)
             monkeypatch.undo()
-            assert (None if w is None else (w.mu1, w.mu2)) == first
+            assert w == first
             assert len(checked) == 1
             checked.clear()
             found += w is not None

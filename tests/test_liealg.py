@@ -56,9 +56,7 @@ def test_make_m0_shape(p):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 13])
 def test_bracket_triples_are_the_triples_with_a_bracket(p):
-    extended = extend_ordinary(
-        liealg.make_m0(p), cochains.dual_cochain(p, p, (1, p))
-    ).algebra
+    extended = extend_ordinary(liealg.make_m0(p), cochains.dual_cochain(p, p, (1, p)))
     for A in (liealg.make_m0(p), extended):
         want = tuple(
             (l, m, n)
@@ -165,7 +163,7 @@ def test_ad_matrix_matches_bracket_columns(p):
     on make_m0(p) and on its phi_k extensions, whose brackets land on c."""
     A = liealg.make_m0(p)
     algebras = [A] + [
-        extend_ordinary(A, cochains.phi_k(p, k)).algebra
+        extend_ordinary(A, cochains.phi_k(p, k))
         for k in cochains.phi_weights(p)
     ]
     rng = random.Random(17 + p)
@@ -231,7 +229,7 @@ def test_jacobi_check_matches_triple_oracle_on_random_algebras():
 def test_jacobi_check_matches_triple_oracle_on_phi_extensions(p):
     A = liealg.make_m0(p)
     for k in cochains.phi_weights(p):
-        E = extend_ordinary(A, cochains.phi_k(p, k)).algebra
+        E = extend_ordinary(A, cochains.phi_k(p, k))
         assert liealg.jacobi_check(E) == jacobi_check_triples(E) == (True, None)
 
 
@@ -260,7 +258,7 @@ def test_json_round_trip(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_bracket_and_ad_matrix_take_stacks(p):
     rng = random.Random(300 + p)
-    A = extend_ordinary(liealg.make_m0(p), cochains.Cochain(p, p, 2)).algebra
+    A = extend_ordinary(liealg.make_m0(p), cochains.Cochain(p, p, 2))
     g = np.stack([random_element(A, rng) for _ in range(5)])
     h = np.stack([random_element(A, rng) for _ in range(5)])
     g[0] = 0
@@ -274,7 +272,7 @@ def test_structure_is_read_only_and_antisymmetric():
     # per bracket
     p = 7
     A = liealg.make_m0(p)
-    E = extend_ordinary(A, cochains.phi_k(p, 5)).algebra
+    E = extend_ordinary(A, cochains.phi_k(p, 5))
     for B in (A, E):
         constants = B.constants
         assert B.constants is constants
@@ -347,12 +345,12 @@ def test_jacobi_check_batches_find_the_first_failing_triple(cells):
         C = random_structure_constants(rng, rng.choice([2, 3, 5]), rng.randint(1, 6))
         assert liealg.jacobi_check(C) == jacobi_check_triples(C)
     p = 13
-    extended = [extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k)).algebra
+    extended = [extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k))
                 for k in cochains.phi_weights(p)]
     for E in extended:
         assert liealg.jacobi_check(E) == jacobi_check_triples(E) == (True, None)
     # the oracle stops at its first failing triple, so it stays cheap at p = 61
-    extended.append(extend_ordinary(liealg.make_m0(61), cochains.phi_k(61, 7)).algebra)
+    extended.append(extend_ordinary(liealg.make_m0(61), cochains.phi_k(61, 7)))
     for E in extended:
         bad = dict(E.brackets)
         bad[(5, 9)] = E.basis_vector(14)

@@ -19,6 +19,7 @@ from helpers import (
     ind1_at,
     ind2_at,
     ind2_family_closed,
+    omega_arrays,
     pair_arrays,
     restricted_from_vector,
     star_correction_naive,
@@ -87,7 +88,7 @@ def test_two_cochain_str():
 def test_star_eval_zero_vector():
     A = liealg.make_m0(5)
     c = rc.basis_pair_cochain(5, 5, 1, 5)
-    assert rc.star_eval(A, c, A.zero()) == 0
+    assert rc.star_eval(A, omega_arrays(c), A.zero()) == 0
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -100,7 +101,7 @@ def test_star_eval_scaled_basis_vector(p):
         for a in (1, 2, p - 1):
             g = (a * A.basis_vector(k)) % p
             expected = (pow(a, p, p) * c.omega_basis[k - 1]) % p
-            assert rc.star_eval(A, c, g) == expected
+            assert rc.star_eval(A, omega_arrays(c), g) == expected
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -114,14 +115,14 @@ def test_frobenius_dual_acts_like_coordinate(p):
         assert c.phi.is_zero()
         for _ in range(5):
             g = rand_vec(rng, p, p)
-            assert rc.star_eval(A, c, g) == int(g[k - 1])
+            assert rc.star_eval(A, omega_arrays(c), g) == int(g[k - 1])
 
 
 def test_star_eval_pure_pair_on_basis_vectors():
     A = liealg.make_m0(7)
     c = rc.basis_pair_cochain(7, 7, 2, 5)
     for k in range(1, 8):
-        assert rc.star_eval(A, c, A.basis_vector(k)) == 0
+        assert rc.star_eval(A, omega_arrays(c), A.basis_vector(k)) == 0
 
 
 def test_star_eval_two_term_support_p3():
@@ -130,7 +131,7 @@ def test_star_eval_two_term_support_p3():
     A = liealg.make_m0(3)
     c = rc.basis_pair_cochain(3, 3, 2, 3)
     g = (A.basis_vector(1) + A.basis_vector(2)) % 3
-    assert rc.star_eval(A, c, g) == 2
+    assert rc.star_eval(A, omega_arrays(c), g) == 2
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -140,9 +141,9 @@ def test_star_eval_frobenius_homogeneous(p):
     for _ in range(5):
         c = rc.RestrictedTwoCochain(rand_cochain(rng, p, p, 2), rand_lambda(rng, p))
         g = rand_vec(rng, p, p)
-        base = rc.star_eval(A, c, g)
+        base = rc.star_eval(A, omega_arrays(c), g)
         for a in range(p):
-            scaled = rc.star_eval(A, c, (a * g) % p)
+            scaled = rc.star_eval(A, omega_arrays(c), (a * g) % p)
             assert scaled == (pow(a, p, p) * base) % p
 
 
@@ -163,7 +164,7 @@ def star_eval_highest_first(algebra, c, g):
     return (
         star_eval_highest_first(algebra, c, head)
         + star_eval_highest_first(algebra, c, tail)
-        + rc.star_correction(algebra, c.phi, head, tail)
+        + rc.star_correction(algebra, rc.form_matrix(c.phi), head, tail)
     ) % p
 
 
@@ -174,7 +175,7 @@ def test_star_eval_split_order_free_for_cocycles(p):
     for _ in range(6):
         c = rc.RestrictedTwoCochain(rand_cocycle(rng, A), rand_lambda(rng, p))
         g = rand_vec(rng, p, p)
-        assert rc.star_eval(A, c, g) == star_eval_highest_first(A, c, g)
+        assert rc.star_eval(A, omega_arrays(c), g) == star_eval_highest_first(A, c, g)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -184,7 +185,7 @@ def test_star_eval_naive_route_matches(p):
     for _ in range(3):
         c = rc.RestrictedTwoCochain(rand_cochain(rng, p, p, 2), rand_lambda(rng, p))
         g = rand_vec(rng, p, p)
-        assert star_eval_naive(A, c, g) == rc.star_eval(A, c, g)
+        assert star_eval_naive(A, c, g) == rc.star_eval(A, omega_arrays(c), g)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def test_star_correction_naive_matches_dp(p):
         phi = rand_cochain(rng, p, p, 2)
         h1, h2 = rand_vec(rng, p, p), rand_vec(rng, p, p)
         assert star_correction_naive(A, phi, h1, h2) == rc.star_correction(
-            A, phi, h1, h2
+            A, rc.form_matrix(phi), h1, h2
         )
 
 
@@ -211,7 +212,7 @@ def test_star_correction_naive_matches_dp_p13():
         phi = rand_cochain(rng, 13, 13, 2)
         h1, h2 = rand_vec(rng, 13, 13), rand_vec(rng, 13, 13)
         assert star_correction_naive(A, phi, h1, h2) == rc.star_correction(
-            A, phi, h1, h2
+            A, rc.form_matrix(phi), h1, h2
         )
 
 
@@ -220,7 +221,7 @@ def test_star_correction_p2_is_plain_pairing():
     phi = dual_cochain(2, 2, (1, 2))
     h1, h2 = [1, 0], [1, 1]
     want = phi.evaluate(h1, h2)
-    assert rc.star_correction(A, phi, h1, h2) == want
+    assert rc.star_correction(A, rc.form_matrix(phi), h1, h2) == want
     assert star_correction_naive(A, phi, h1, h2) == want
 
 
@@ -233,7 +234,7 @@ def test_coboundary_corrections_vanish(p):
     for _ in range(6):
         psi = rand_cochain(rng, p, p, 1)
         h1, h2 = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_correction(A, cochains.d1(A, psi), h1, h2) == 0
+        assert rc.star_correction(A, rc.form_matrix(cochains.d1(A, psi)), h1, h2) == 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -264,7 +265,7 @@ def test_star_rule_holds_for_induced_pairs(p):
             psi = rand_cochain(rng, p, p, 1)
             c = d1_star(R, psi)
             g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-            assert rc.star_rule(R.algebra, c, g, h)[1]
+            assert rc.star_rule(R.algebra, omega_arrays(c), g, h)[1]
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -275,7 +276,7 @@ def test_star_rule_holds_for_cocycle_pairs(p):
     for _ in range(6):
         c = rc.RestrictedTwoCochain(rand_cocycle(rng, A), rand_lambda(rng, p))
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_rule(A, c, g, h)[1]
+        assert rc.star_rule(A, omega_arrays(c), g, h)[1]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -285,7 +286,7 @@ def test_star_rule_holds_for_zero_form_any_omega(p):
     for _ in range(4):
         c = rc.RestrictedTwoCochain(Cochain(p, p, 2), rand_lambda(rng, p))
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_rule(A, c, g, h)[1]
+        assert rc.star_rule(A, omega_arrays(c), g, h)[1]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -298,7 +299,9 @@ def test_star_rule_truth_value_ignores_omega_basis(p):
         phi = rand_cochain(rng, p, p, 2)
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
         verdicts = {
-            rc.star_rule(A, rc.RestrictedTwoCochain(phi, rand_lambda(rng, p)), g, h)[1]
+            rc.star_rule(
+                A, omega_arrays(rc.RestrictedTwoCochain(phi, rand_lambda(rng, p))), g, h
+            )[1]
             for _ in range(3)
         }
         assert len(verdicts) == 1
@@ -312,7 +315,7 @@ def test_star_rule_detects_top_pair_tampering():
     failures = 0
     for _ in range(40):
         g, h = rand_vec(rng, 5, 5), rand_vec(rng, 5, 5)
-        if not rc.star_rule(A, c, g, h)[1]:
+        if not rc.star_rule(A, omega_arrays(c), g, h)[1]:
             failures += 1
     assert failures > 0
 
@@ -330,10 +333,10 @@ def test_corrupted_omega_caught_by_function_comparison():
     )
     for _ in range(15):
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
-        assert rc.star_rule(R.algebra, corrupt, g, h)[1]
+        assert rc.star_rule(R.algebra, omega_arrays(corrupt), g, h)[1]
     e1 = R.algebra.basis_vector(1)
-    assert rc.star_eval(R.algebra, corrupt, e1) != ind1_at(R, psi, e1)
-    assert rc.star_eval(R.algebra, good, e1) == ind1_at(R, psi, e1)
+    assert rc.star_eval(R.algebra, omega_arrays(corrupt), e1) != ind1_at(R, psi, e1)
+    assert rc.star_eval(R.algebra, omega_arrays(good), e1) == ind1_at(R, psi, e1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +390,7 @@ def test_induced_omega_equals_inducing_function(p):
         c = d1_star(R, psi)
         for _ in range(4):
             g = rand_vec(rng, p, p)
-            assert rc.star_eval(R.algebra, c, g) == ind1_at(R, psi, g)
+            assert rc.star_eval(R.algebra, omega_arrays(c), g) == ind1_at(R, psi, g)
 
 
 def test_ind1_rejects_wrong_degree():
@@ -611,7 +614,7 @@ def test_star_eval_linear_on_omega_only_pairs(entries):
         Cochain(5, 5, 2), (2, 0, 1, 4, 3)
     )
     expected = sum(e * w for e, w in zip(entries, (2, 0, 1, 4, 3))) % 5
-    assert rc.star_eval(A, c, entries) == expected
+    assert rc.star_eval(A, omega_arrays(c), entries) == expected
 
 
 @settings(max_examples=20, derandomize=True)
@@ -624,7 +627,7 @@ def test_star_rule_for_weight_form_pairs(g, h):
     # any omega values attached
     A = liealg.make_m0(7)
     c = rc.RestrictedTwoCochain(cochains.phi_k(7, 7), (1, 2, 3, 4, 5, 6, 0))
-    assert rc.star_rule(A, c, g, h)[1]
+    assert rc.star_rule(A, omega_arrays(c), g, h)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +656,10 @@ def test_star_eval_stack_equals_rows(p, monkeypatch):
     per_row = [
         rc.RestrictedTwoCochain(rand_cochain(rng, p, p, 2), rand_lambda(rng, p)) for _ in g
     ]
-    want_one = [rc.star_eval(A, one, row) for row in g]
-    want_rows = [rc.star_eval(A, c, row) for c, row in zip(per_row, g)]
+    want_one = [rc.star_eval(A, omega_arrays(one), row) for row in g]
+    want_rows = [rc.star_eval(A, omega_arrays(c), row) for c, row in zip(per_row, g)]
     stacked = pair_arrays(per_row)
-    assert rc.star_eval(A, one, g).tolist() == want_one
+    assert rc.star_eval(A, omega_arrays(one), g).tolist() == want_one
     assert rc.star_eval(A, stacked, g).tolist() == want_rows
     # a cochain per row also serves every block of rows before it
     assert rc.star_eval(A, stacked, np.stack([g, g])).tolist() == [want_rows] * 2
@@ -697,8 +700,10 @@ def test_sum_rules_stack_equal_rows(p):
     pairs.append(rc.basis_pair_cochain(p, p, p - 1, p))  # not a cocycle for p >= 5
     g, h = stack_with_edge_rows(rng, p, 4), rng.integers(0, p, size=(4, p))
     at_g, got = rc.star_rule(R.algebra, pair_arrays(pairs), g, h)
-    assert got.tolist() == [rc.star_rule(R.algebra, *row)[1] for row in zip(pairs, g, h)]
-    assert at_g.tolist() == [rc.star_eval(R.algebra, c, x) for c, x in zip(pairs, g)]
+    assert got.tolist() == [
+        rc.star_rule(R.algebra, omega_arrays(c), x, y)[1] for c, x, y in zip(pairs, g, h)
+    ]
+    assert at_g.tolist() == [rc.star_eval(R.algebra, omega_arrays(c), x) for c, x in zip(pairs, g)]
     alpha, beta = d2_star(R, rc.basis_pair_cochain(p, p, p - 1, p))
     g, h1, h2 = (stack_with_edge_rows(rng, p, 4) for _ in range(3))
     got = rc.star_rule(R.algebra, rc.beta_at(alpha, beta, g), h1, h2)[1]
@@ -789,7 +794,7 @@ def test_correction_stacks_match_naive_sum(p):
     h1[-1, p // 2] = 1  # a scaled basis vector, as split_sum's heads are
     star = [star_correction_naive(A, phi, x, y) for x, y in zip(h1, h2)]
     dstar = [doublestar_correction_naive(A, alpha, *row) for row in zip(g, h1, h2)]
-    assert rc.star_correction(A, phi, h1, h2).tolist() == star
+    assert rc.star_correction(A, rc.form_matrix(phi), h1, h2).tolist() == star
     assert rc.doublestar_correction(A, alpha, g, h1, h2).tolist() == dstar
 
 
