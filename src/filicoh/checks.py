@@ -8,12 +8,12 @@ degree-1 duals and d2 of each of those images, and whether the ordinary
 extension by the form part of each Frobenius dual (0, ebar^k), 0 for every
 lambda, splits.  The samples of every lambda are drawn first, in that
 order; then each oracle runs once per part of the lambda stack, a
-restricted.FamilyStack cut by restricted.batches into parts of at most
+restricted.Family cut by restricted.batches into parts of at most
 restricted.BATCH_CELLS cells, and a failure is still counted per sample.
 The beta sum rule is omega's rule of restricted_cochains.beta_at, one
 (basis values, forms) block per member, and the p-powers are the closed
-ones of the family.  Only the extension builds and the diagonal search,
-which need objects of their own, run once per lambda.
+ones of the family.  Only the extension builds, each on one member of the
+sample's stack, and the diagonal search run once per lambda.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ComplexIdentity:
     forms: np.ndarray
     ok: bool
 
-    def restricted_holds(self, family: restricted.FamilyStack) -> np.ndarray:
+    def restricted_holds(self, family: restricted.Family) -> np.ndarray:
         """d2+(d1+ e^k) = (d2(d1 e^k), induced beta of d1 e^k) = (0, 0) for
         every k, one flag per member: one ind2_matrix product of the forms
         over the stack.  self.ok decided the lambda-independent form part."""
@@ -120,7 +120,7 @@ def prime_checks(p, records, rng) -> ComplexIdentity:
 def lambda_checks(p, lams, identity: ComplexIdentity, records, rng):
     """The p-power recursion and the restricted complex identity on every
     lambda, each oracle called once per part of the lambda stack."""
-    family = restricted.FamilyStack(p, lams)
+    family = restricted.Family(p, lams)
     g = draw(rng, p, 3 * len(lams)).reshape(len(lams), 3, p)
     bad_power = bad_complex = 0
     # a lambda brings 3 rows to each split
@@ -141,8 +141,8 @@ def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
 
     Every sampled lambda's values are drawn first, in the order the checks
     have always drawn them.  The sum rules then run once per part of the
-    sample's stack; the extensions and the diagonal search build their own
-    objects per lambda."""
+    sample's stack; the extensions take its members one by one and the
+    diagonal search its lambda vectors."""
     sample = lams[:VERIFY_SAMPLE_CAP]
     cover = f"{len(sample)} of {len(lams)} lambda vector(s)"
     search = p <= isoclass.SEARCH_LIMIT
@@ -156,7 +156,7 @@ def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
         if search:
             mus.append(tuple(int(rng.integers(1, p)) if p > 2 else 1 for _ in range(2)))
     A = liealg.make_m0(p)
-    family = restricted.FamilyStack(p, sample)
+    family = restricted.Family(p, sample)
     gh, triples, omegas = np.stack(gh), np.stack(triples), np.stack(omegas)
     g, h = gh[:, 0::2], gh[:, 1::2]
     phis = rcoch.form_matrices(cocycles)
@@ -199,7 +199,7 @@ def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
     # forgotten down to an ordinary extension; that part is 0 for every lambda
     trivial = [extensions.is_trivial_ordinary_extension(A, dual.phi) for dual in duals]
     for i, lam in enumerate(sample):
-        R = restricted.make_m0_lambda(p, lam)
+        R = family[i]
         for dual, splits in zip(duals, trivial):
             try:
                 res = extensions.extend_restricted(R, dual)

@@ -122,7 +122,7 @@ GROUP_NAMES = {
 
 def group_summaries(p, lam):
     """All four cohomology summaries for one family member."""
-    R = restricted.make_m0_lambda(p, lam)
+    R = restricted.Family(p, lam)
     return {name: summary(R) for name, summary in GROUP_NAMES.items()}
 
 
@@ -232,7 +232,7 @@ def run_basis(ns) -> int:
     lines = []
     rows = []
     for lam in lams:
-        s = GROUP_NAMES[name](restricted.make_m0_lambda(p, lam))
+        s = GROUP_NAMES[name](restricted.Family(p, lam))
         report = cohomology.compare(s, cohomology.expected_summary(p, lam))
         ok = ok and report["ok"]
         row = cohomology.summary_to_json(s)
@@ -376,7 +376,7 @@ def run_extend(ns) -> int:
     if not ns.cocycle:
         raise UsageError("extend requires --cocycle")
     c2 = parse_cocycle_spec(p, ns.cocycle)
-    R = restricted.make_m0_lambda(p, lam)
+    R = restricted.Family(p, lam)
     try:
         RE = extensions.extend_restricted(R, c2)
     except ValueError as exc:

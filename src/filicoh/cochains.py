@@ -85,13 +85,6 @@ class Cochain:
                 elif skey in self.coeffs:
                     del self.coeffs[skey]
 
-    def coefficient(self, indices) -> int:
-        """Signed coefficient on any index tuple (0 on repeats)."""
-        skey, sign = _normalize_key(indices)
-        if sign == 0:
-            return 0
-        return (sign * self.coeffs.get(skey, 0)) % self.prime
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -28,9 +28,10 @@ instead: the d1 rows with zero Frobenius columns, over the W rows in the
 Frobenius columns.  The power rows alone do not fix W.  For p >= 3, ker
 d1 = span(e^1, e^2) and f(e_j^[p]) = lambda_j f(e_p) = 0 there, so W = 0
 (the paper's H1 = H1+); at p = 2 the algebra is abelian, ker d1 is
-everything and W is the line of lambda.  The closed-form dimension counts
-live in expected_summary; compare never raises on a mismatch, it reports
-one.
+everything and W is the line of lambda.  So W, like the power rows, is
+read off lambda, and no elimination runs per lambda.  The closed-form
+dimension counts live in expected_summary; compare never raises on a
+mismatch, it reports one.
 """
 
 from __future__ import annotations
@@ -122,8 +123,7 @@ def _reduced(p: int, degree: int) -> _Reduction:
 def _kernel(p: int, degree: int, powers: tuple):
     """(dimension, kill mask of the ordinary candidates) of the kernel of
     d1* (degree 1) or of d2* without its zero Frobenius columns (degree 2),
-    for the p-power vectors spanning the rows of powers (_power_rows on
-    the family, the nonzero rref rows of the power matrix in general);
+    for the p-power vectors spanning the rows of powers (_power_rows);
     powers == () is d1 or d2 alone.
 
     That kernel is the part of ker d that the induced rows send to zero.
@@ -228,8 +228,8 @@ def _group(p: int, degree: int, restricted: bool, powers: tuple = (), omega: tup
     forms, coords = _candidates(p, degree, frobenius)
     reps = [c for c, v, k in zip(forms, coords, killed) if k and span.add(v)]
     return CohomologySummary(
-        prime=p,
-        lam=None,
+        p,
+        None,  # lam: _copy sets each caller's
         degree=degree,
         restricted=restricted,
         dimension=kernel_dim - image_dim,
@@ -239,17 +239,16 @@ def _group(p: int, degree: int, restricted: bool, powers: tuple = (), omega: tup
     )
 
 
-def _omega_rows(R: restricted.RestrictedAlgebra) -> tuple:
-    """W: a basis of omega on ker d1, the nonzero rref rows of
-    K @ power_matrix^T as int tuples, with K the killed degree-1 duals (on
-    the family they span ker d1, since H1 has no image).  Row e^k of that
-    product is omega of e^k, j -> e^k(e_j^[p]), column k of power_matrix."""
-    p = R.prime
-    omega = R.power_matrix[:, _kernel(p, 1, ())[1]].T
-    if not omega.any():  # on the family from p = 3 on: f(e_p) = 0 on ker d1
+def _omega_rows(p: int, lam) -> tuple:
+    """W: a basis of omega on ker d1 in rref form, read off lam, with
+    ker d1 spanned by the killed degree-1 duals (H1 has no image).  On the
+    family omega(e^k) is j -> lam_j [k = p], so W is the line of lam,
+    scaled to a leading 1, when d1 kills e^p (only at p = 2, where the
+    algebra is abelian) and lam != 0, and 0 otherwise."""
+    if not (_kernel(p, 1, ())[1][-1] and any(lam)):
         return ()
-    r, pivots = gf.rref(omega, p)
-    return tuple(map(tuple, r[: len(pivots)].tolist()))
+    lead = gf.inv_mod(next(x for x in lam if x), p)
+    return (tuple(lead * x % p for x in lam),)
 
 
 def _power_rows(lam) -> tuple:
@@ -270,11 +269,12 @@ def _ordinary(A: liealg.LieAlgebra, degree: int, name: str) -> CohomologySummary
     return _copy(_group(A.prime, degree, False), None)
 
 
-def _restricted_summary(R: restricted.RestrictedAlgebra, degree: int, name: str):
-    if not R.is_m0_family:
-        raise ValueError(f"{name} is computed on the family m_0^lambda(p) only")
-    omega = _omega_rows(R) if degree == 2 else ()
-    return _copy(_group(R.prime, degree, True, _power_rows(R.lam), omega), R.lam)
+def _restricted_summary(R: restricted.Family, degree: int, name: str):
+    if not isinstance(R, restricted.Family) or R.lam.ndim != 1:
+        raise ValueError(f"{name} is computed on one member of the family m_0^lambda(p) only")
+    p, lam = R.prime, tuple(R.lam.tolist())
+    omega = _omega_rows(p, lam) if degree == 2 else ()
+    return _copy(_group(p, degree, True, _power_rows(lam), omega), lam)
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:
@@ -283,7 +283,7 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
     return _ordinary(A, 1, "h1")
 
 
-def h1_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
+def h1_star(R: restricted.Family) -> CohomologySummary:
     """Restricted degree-1 cohomology: the part of ker d1 that the induced
     omega rows send to zero.  d1 is reduced once per prime, and each
     p-power row space ranks its omega rows on a basis of ker d1; per
@@ -297,7 +297,7 @@ def h2(A: liealg.LieAlgebra) -> CohomologySummary:
     return _ordinary(A, 2, "h2")
 
 
-def h2_star(R: restricted.RestrictedAlgebra) -> CohomologySummary:
+def h2_star(R: restricted.Family) -> CohomologySummary:
     """Restricted degree-2 cohomology: ker d2* modulo im d1*.
 
     ker d2* is the part of ker d2 that the induced-beta rows send to zero,

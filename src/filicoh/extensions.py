@@ -47,7 +47,7 @@ def central_extension(A: liealg.LieAlgebra, phi: cochains.Cochain) -> liealg.Lie
 
 
 def extend_restricted(
-    R: restricted.RestrictedAlgebra, c2: rcoch.RestrictedTwoCochain
+    R: restricted.RestrictedAlgebra | restricted.Family, c2: rcoch.RestrictedTwoCochain
 ) -> restricted.RestrictedAlgebra:
     """Append a central c twisted by a restricted 2-cocycle (phi, omega):
     its restricted differential (d2 phi, induced beta) must vanish, d2 phi

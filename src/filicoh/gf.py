@@ -5,8 +5,10 @@ arithmetic is integer arithmetic followed by reduction mod p; no floating
 point is used anywhere.  Functions return fresh arrays and never mutate
 their inputs.
 
-This module holds elimination and its helpers: `rref`, the rank and the
-kernel read off it, and the sparse `SpanTracker`.  The other modules form
+This module holds elimination and its helpers: the sparse `SpanTracker`,
+the one elimination the other modules run, and `rref` with the rank and
+the kernel read off it, which no other module calls: they stay as the
+tests' oracles and as names the bench traces.  The other modules form
 their products with numpy's `@` on int64 and reduce after each one.
 Invariant: a product sums at most n terms, each below p^2, n being the
 inner dimension, so int64 holds it exactly while n (p-1)^2 < 2^63.  The

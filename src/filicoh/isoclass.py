@@ -132,6 +132,7 @@ def proposition_formula_check(p: int, lam, lam2) -> dict:
     whether they agree; it never overrides the search.
     """
     lam, lam2 = _check_args(p, lam, lam2)
+    brute = iso_bruteforce(p, lam, lam2)  # refuses p > SEARCH_LIMIT first
     statement_witness = None
     for mu1 in range(1, p):
         for mu2 in range(1, p):
@@ -140,7 +141,6 @@ def proposition_formula_check(p: int, lam, lam2) -> dict:
                 break
         if statement_witness:
             break
-    brute = iso_bruteforce(p, lam, lam2)
     return {
         "prime": p,
         "lambda": list(lam),

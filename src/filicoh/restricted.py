@@ -22,10 +22,13 @@ serve as mutual oracles:
   recursion on row stacks: one row per power of t, with p-1 applications
   of w -> w ad(h)^T + t w ad(g)^T starting from w = g.
 
-The p-powers of many members of the family at once are read from a
-`FamilyStack`: lam and one power matrix per member, which p_power_closed
-and p_power_jacobson broadcast against one block of rows per member.
-`batches` cuts such stacks into parts that BATCH_CELLS bounds.
+A member of the family m_0^lambda(p) is its lambda: `Family(p, lam)`
+holds make_m0(p) and lam, and reads its power matrix off lam.  A stack of
+lambda vectors is a Family as well, and p_power_closed and
+p_power_jacobson broadcast its power matrices against one block of rows
+per member.  `batches` cuts such stacks into parts that BATCH_CELLS
+bounds.  `RestrictedAlgebra` is the general case, an algebra with any
+basis p-powers, which the central extensions are.
 
 The restricted axiom ad(x^[p]) = ad(x)^p is checked on the basis by its
 definition, on sparse {index: coefficient} vectors and the constants
@@ -44,15 +47,14 @@ from . import gf, liealg
 
 
 class RestrictedAlgebra:
-    """A Lie algebra together with basis p-powers.
+    """A Lie algebra together with basis p-powers, the general case the
+    extensions build; the family m_0^lambda(p) is a `Family`.
 
     Row k-1 of the read-only power_matrix is the coefficient vector of
-    e_k^[p].  `lam` marks a member of the maximal-class family: the
-    algebra is make_m0(p) and e_k^[p] = lam[k-1] e_p for every k, which the
-    constructor checks.  It unlocks the closed p-power formula.
+    e_k^[p].
     """
 
-    def __init__(self, algebra: liealg.LieAlgebra, basis_p_powers, lam=None):
+    def __init__(self, algebra: liealg.LieAlgebra, basis_p_powers):
         self.algebra = algebra
         p, n = algebra.prime, algebra.dim
         try:
@@ -63,16 +65,6 @@ class RestrictedAlgebra:
             raise ValueError("basis_p_powers must give one vector of length dim per basis vector")
         matrix.setflags(write=False)
         self.power_matrix = matrix
-        self.lam = None if lam is None else tuple(int(x) % p for x in lam)
-        if self.lam is not None and (
-            algebra != liealg.make_m0(p)
-            or matrix[:, -1].tolist() != list(self.lam)
-            or matrix[:, :-1].any()
-        ):
-            raise ValueError(
-                "lambda is given only for the family m_0^lambda(p): "
-                "make_m0(p) with e_k^[p] = lambda_k e_p"
-            )
 
     @property
     def prime(self):
@@ -82,53 +74,31 @@ class RestrictedAlgebra:
     def dim(self):
         return self.algebra.dim
 
-    @property
-    def is_m0_family(self):
-        return self.lam is not None
-
     def __eq__(self, other):
         if not isinstance(other, RestrictedAlgebra):
             return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.lam == other.lam
-            and np.array_equal(self.power_matrix, other.power_matrix)
+        return self.algebra == other.algebra and np.array_equal(
+            self.power_matrix, other.power_matrix
         )
 
     def __repr__(self):
-        return f"RestrictedAlgebra({self.algebra!r}, lam={self.lam})"
+        return f"RestrictedAlgebra({self.algebra!r})"
 
 
-def make_m0_lambda(p: int, lam) -> RestrictedAlgebra:
-    """Maximal-class algebra with p-powers e_k^[p] = lam_k * e_p.
+class Family:
+    """Members of the maximal-class family m_0^lambda(p): the algebra
+    make_m0(p) with e_k^[p] = lam_k e_p, given by lam alone.  lam of shape
+    (p,) is one member and (L, p) a stack of L members, read-only either
+    way.  A stack is read by the routines that take one (p_power_closed,
+    p_power_jacobson, restricted_cochains.ind1_values and ind2_matrix):
+    member m reaches block m of the rows they get, so g has shape
+    (L, rows, p).  An integer index gives one member, a slice the
+    sub-stack."""
 
-    Args:
-        p: prime.
-        lam: sequence of p integers, reduced mod p.
-    """
-    lam = [int(x) % p for x in lam]
-    if len(lam) != p:
-        raise ValueError(f"lambda must have length {p}")
-    powers = gf.zeros((p, p))
-    powers[:, p - 1] = lam
-    return RestrictedAlgebra(liealg.make_m0(p), powers, lam=lam)
-
-
-class FamilyStack:
-    """The members m_0^lambda(p) of a stack of lambda vectors, held as
-    arrays: lam of shape (L, p) and power_matrix of shape (L, p, p), both
-    read-only.  It stands in for L RestrictedAlgebra objects in the
-    routines that read only prime, algebra, lam and power_matrix
-    (p_power_closed, p_power_jacobson, restricted_cochains.ind1_values and
-    ind2_matrix): member m reaches block m of the rows they get, so g has
-    shape (L, rows, p).  A slice gives the sub-stack."""
-
-    is_m0_family = True
-
-    def __init__(self, p: int, lams):
-        lam = gf.normalize(lams, p)
-        if lam.ndim != 2 or lam.shape[1] != p:
-            raise ValueError(f"a stack of lambda vectors of length {p} is needed")
+    def __init__(self, p: int, lam):
+        lam = gf.normalize(lam, p)
+        if lam.ndim not in (1, 2) or lam.shape[-1] != p:
+            raise ValueError(f"lambda must have length {p}")
         lam.setflags(write=False)
         self.algebra = liealg.make_m0(p)
         self.lam = lam
@@ -142,10 +112,13 @@ class FamilyStack:
         return self.algebra.dim
 
     def __len__(self):
+        if self.lam.ndim == 1:
+            raise TypeError("one family member is not a stack")
         return len(self.lam)
 
-    def __getitem__(self, index: slice) -> FamilyStack:
-        return FamilyStack(self.prime, self.lam[index])
+    def __getitem__(self, index) -> Family:
+        len(self)  # raises TypeError on one member
+        return Family(self.prime, self.lam[index])
 
     @functools.cached_property
     def power_matrix(self):
@@ -160,22 +133,21 @@ def lam_str(lam) -> str:
     return ",".join(str(int(x)) for x in lam)
 
 
-def p_power_closed(R: RestrictedAlgebra, g):
+def p_power_closed(R: Family, g):
     """p-th power via the maximal-class closed form, of a vector or of each
-    row of a stack; R is a family member, or a FamilyStack whose member m
-    powers the rows g[m].
+    row of a stack; R is a family member, or a stack whose member m powers
+    the rows g[m].
 
     Only valid on the maximal-class family; raises otherwise.  With
     g = sum(a_k e_k), returns sum(a_k^p lam_k) e_p, and a_k^p = a_k over
     GF(p) (Fermat), so that is g times lam.
     """
-    if not R.is_m0_family:
+    if not isinstance(R, Family):
         raise ValueError("closed p-power formula requires a maximal-class family member")
     p = R.prime
     g = gf.normalize(g, p)
     out = gf.zeros(g.shape)
-    lam = np.asarray(R.lam, dtype=np.int64)[..., None]  # a column per member
-    out[..., p - 1] = (g @ lam)[..., 0] % p
+    out[..., p - 1] = (g @ R.lam[..., None])[..., 0] % p  # a column per member
     return out
 
 
@@ -268,11 +240,12 @@ def jacobson_corrections(R: RestrictedAlgebra, g, h):
     return (inverses @ w[..., : p - 1, :]) % p
 
 
-def p_power_jacobson(R: RestrictedAlgebra, g):
+def p_power_jacobson(R: RestrictedAlgebra | Family, g):
     """p-th power of a vector, or of each row of a stack, by basis splitting
     plus corrections: (a e_k)^[p] = a^p e_k^[p] and
     (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).  R is one restricted
-    algebra, or a FamilyStack whose member m powers the rows g[m].
+    algebra or family member, or a Family stack whose member m powers the
+    rows g[m].
     """
     return split_sum(
         R.prime, g,
@@ -317,7 +290,5 @@ def verify_restricted_map(R: RestrictedAlgebra):
 def to_json(R: RestrictedAlgebra) -> dict:
     data = liealg.to_json(R.algebra)
     data["p_powers"] = R.power_matrix.tolist()
-    if R.lam is not None:
-        data["lambda"] = list(R.lam)
     return data
 

@@ -201,10 +201,11 @@ def star_rule(algebra, c, g, h):
     return at_g, at_sum == rhs % algebra.prime
 
 
-def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain):
+def ind1_values(R: restricted.RestrictedAlgebra | restricted.Family, psi: cochains.Cochain):
     """omega basis values induced by a 1-cochain: omega_k = psi(e_k^[p]),
     the power matrix times psi's coefficient vector.  R is one restricted
-    algebra, or a restricted.FamilyStack, which gives a row per member."""
+    algebra or family member, or a restricted.Family stack, which gives a
+    row per member."""
     if psi.degree != 1:
         raise ValueError("ind1 needs a degree-1 cochain")
     coefficients = gf.zeros(R.dim)
@@ -213,14 +214,15 @@ def ind1_values(R: restricted.RestrictedAlgebra, psi: cochains.Cochain):
     return R.power_matrix @ coefficients % R.prime
 
 
-def ind2_matrix(R: restricted.RestrictedAlgebra, phi):
+def ind2_matrix(R: restricted.RestrictedAlgebra | restricted.Family, phi):
     """beta values on basis pairs induced by a 2-cochain: phi(e_i ^ e_j^[p]).
 
     Entry (i, j) is row i of phi's form matrix applied to e_j^[p], so the
     matrix is one product instead of n^2 pairings.  phi is a degree-2
     Cochain, or a stack of form matrices (`form_matrix`), giving a stack.
-    R is one restricted algebra, or a restricted.FamilyStack, whose power
-    matrices broadcast against phi's stack axes as matmul does.
+    R is one restricted algebra or family member, or a restricted.Family
+    stack, whose power matrices broadcast against phi's stack axes as
+    matmul does.
     """
     if isinstance(phi, cochains.Cochain):
         if phi.degree != 2:

@@ -8,7 +8,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from filicoh import cochains, extensions, gf, liealg, restricted
+from filicoh import cochains, cohomology, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 
 
@@ -75,6 +75,14 @@ def restricted_from_vector(prime, dim, vec):
         raise ValueError("coordinate vector has wrong length")
     phi = cochain_from_vector(prime, dim, 2, vec[:npairs])
     return rcoch.RestrictedTwoCochain(phi, tuple(int(x) for x in vec[npairs:]))
+
+
+def coefficient(c, indices) -> int:
+    """Signed coefficient of the Cochain c on any index tuple (0 on repeats)."""
+    skey, sign = cochains._normalize_key(indices)
+    if sign == 0:
+        return 0
+    return (sign * c.coeffs.get(skey, 0)) % c.prime
 
 
 def homogeneous_weight(cochain):
@@ -193,9 +201,22 @@ def power_rows(R):
     return tuple(map(tuple, r[: len(pivots)].tolist()))
 
 
+def omega_rows(R):
+    """W of any restricted algebra over make_m0(p): a basis of omega on
+    ker d1, the nonzero rref rows of K @ power_matrix^T as int tuples, with
+    K the degree-1 duals that d1 kills (they span ker d1, since H1 has no
+    image).  Row e^k of that product is omega of e^k, j -> e^k(e_j^[p]),
+    column k of power_matrix; the oracle of cohomology._omega_rows, which
+    reads W off lambda on the family."""
+    p = R.prime
+    omega = R.power_matrix[:, cohomology._kernel(p, 1, ())[1]].T
+    r, pivots = gf.rref(omega, p)
+    return tuple(map(tuple, r[: len(pivots)].tolist()))
+
+
 def p_power(R, g):
     """p-th power of g: closed route on the family, Jacobson route otherwise."""
-    if R.is_m0_family:
+    if isinstance(R, restricted.Family):
         return restricted.p_power_closed(R, g)
     return restricted.p_power_jacobson(R, g)
 
@@ -224,19 +245,8 @@ def algebra_from_json(data: dict) -> liealg.LieAlgebra:
 
 def restricted_from_json(data: dict) -> restricted.RestrictedAlgebra:
     """The RestrictedAlgebra of restricted.to_json's form, or of an
-    extension report: p_powers, else the family's lambda."""
-    A = algebra_from_json(data)
-    if "p_powers" in data:
-        powers = data["p_powers"]
-    elif "lambda" in data:
-        powers = []
-        for k in range(A.dim):
-            v = [0] * A.dim
-            v[A.dim - 1] = data["lambda"][k]
-            powers.append(v)
-    else:
-        raise ValueError("restricted algebra JSON needs p_powers or lambda")
-    return restricted.RestrictedAlgebra(A, powers, lam=data.get("lambda"))
+    extension report: the algebra and its p_powers."""
+    return restricted.RestrictedAlgebra(algebra_from_json(data), data["p_powers"])
 
 
 def ind2_family_closed(R, phi, g, h) -> int:
@@ -244,7 +254,7 @@ def ind2_family_closed(R, phi, g, h) -> int:
 
     phi(g ^ h^[p]) = (sum_i h_i^p lam_i) * (sum_{j<p} g_j sigma_{j,p}).
     """
-    if not R.is_m0_family:
+    if not isinstance(R, restricted.Family):
         raise ValueError("closed induced-beta formula requires a family member")
     p = R.prime
     g = gf.normalize(g, p)
@@ -254,7 +264,7 @@ def ind2_family_closed(R, phi, g, h) -> int:
         power_part = (power_part + pow(int(h[i]), p, p) * R.lam[i]) % p
     pairing_part = 0
     for j in range(1, p):
-        pairing_part = (pairing_part + int(g[j - 1]) * phi.coefficient((j, p))) % p
+        pairing_part = (pairing_part + int(g[j - 1]) * coefficient(phi, (j, p))) % p
     return (power_part * pairing_part) % p
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_dimension_table():
         for lam in criterion_lambdas(p):
             cases += 1
             nonzero = any(lam)
-            dim_h2s = cohomology.h2_star(restricted.make_m0_lambda(p, lam)).dimension
+            dim_h2s = cohomology.h2_star(restricted.Family(p, lam)).dimension
             if p >= 3:
                 want = (2, (p + 1) // 2,
                         (3 * p - 3) // 2 if nonzero else (3 * p + 1) // 2)
@@ -107,7 +107,7 @@ def test_criterion_3_h1_equals_h1_star():
         plain = cohomology.h1(A)
         plain_kernel = gf.rref(gf.kernel_basis(cochains.d1_matrix(A), p), p)[0]
         for lam in criterion_lambdas(p):
-            R = restricted.make_m0_lambda(p, lam)
+            R = restricted.Family(p, lam)
             star = cohomology.h1_star(R)
             star_kernel = gf.kernel_basis(d1_star_matrix(R), p)
             same = plain.dimension == star.dimension == 2 and (
@@ -124,7 +124,7 @@ def test_criterion_4_splitting_at_zero_lambda():
     bad = []
     for p in PRIMES:
         h2 = cohomology.h2(liealg.make_m0(p)).dimension
-        h2s = cohomology.h2_star(restricted.make_m0_lambda(p, (0,) * p)).dimension
+        h2s = cohomology.h2_star(restricted.Family(p, (0,) * p)).dimension
         if h2s != p + h2:
             bad.append((p, h2, h2s))
     note(4, not bad,
@@ -151,13 +151,13 @@ def test_criterion_5_oracle_equivalences():
             matrices_ok = False
 
         for _ in range(100):
-            R = restricted.make_m0_lambda(p, rng.integers(0, p, size=p))
+            R = restricted.Family(p, rng.integers(0, p, size=p))
             g = gf.normalize(rng.integers(0, p, size=p), p)
             if (restricted.p_power_jacobson(R, g) != restricted.p_power_closed(R, g)).any():
                 power_ok = False
 
         for lam in criterion_lambdas(p):
-            R = restricted.make_m0_lambda(p, lam)
+            R = restricted.Family(p, lam)
             for _ in range(100):
                 phi = Cochain(
                     p, p, 2,
@@ -208,7 +208,7 @@ def test_criterion_6_complex_identities_and_gradedness():
         lams = [(0,) * p] + [
             tuple(int(x) for x in rng.integers(0, p, size=p)) for _ in range(2)
         ]
-        if not identity.restricted_holds(restricted.FamilyStack(p, lams)).all():
+        if not identity.restricted_holds(restricted.Family(p, lams)).all():
             restricted_ok = False
     ok = complex_ok and restricted_ok and graded_ok
     note(6, ok,
@@ -223,7 +223,7 @@ def test_criterion_7_sum_rule_conformance():
         A = liealg.make_m0(p)
         for _ in range(100):
             lam = tuple(int(x) for x in rng.integers(0, p, size=p))
-            R = restricted.make_m0_lambda(p, lam)
+            R = restricted.Family(p, lam)
             psi = Cochain(p, p, 1, {(k,): int(rng.integers(0, p)) for k in range(1, p + 1)})
             g = gf.normalize(rng.integers(0, p, size=p), p)
             h = gf.normalize(rng.integers(0, p, size=p), p)
@@ -231,7 +231,7 @@ def test_criterion_7_sum_rule_conformance():
                 star_fail += 1
         for _ in range(100):
             lam = tuple(int(x) for x in rng.integers(0, p, size=p))
-            R = restricted.make_m0_lambda(p, lam)
+            R = restricted.Family(p, lam)
             alpha, beta = d2_star(
                 R,
                 rcoch.RestrictedTwoCochain(
@@ -259,7 +259,7 @@ def test_criterion_8_central_extensions():
             tuple(int(x) for x in rng.integers(0, p, size=p)) for _ in range(2)
         ]
         for lam in lams:
-            R = restricted.make_m0_lambda(p, lam)
+            R = restricted.Family(p, lam)
             for k in range(1, p + 1):
                 dual = rcoch.frobenius_dual_cochain(p, p, k)
                 P = extensions.extend_restricted(R, dual)

@@ -1,5 +1,6 @@
 """Every function the benchmark's tracer wraps still exists in the package,
-and every other top-level function or class in it has a caller there.
+and every other top-level function or class in it, and every method or
+property of its classes, has a caller there.
 
 bench/spans.py names its targets by module and attribute and resolves them
 only when a traced run starts, so a rename or deletion under src/ would
@@ -45,19 +46,33 @@ def loaded_names(node, skip):
         yield from loaded_names(child, skip)
 
 
+def definitions(tree):
+    """(qualified name, node) of each top-level function and class of a
+    module, and of each non-dunder method and property of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_definition_is_used_or_traced():
-    # a top-level function or class of src/ that no code in src/ reads
-    # outside its own definition is dead, unless the bench traces it
+    # a top-level function or class, or a method or property, of src/ whose
+    # name no code in src/ reads outside its own definition is dead, unless
+    # the bench traces it
     spans = load_spans()
-    traced = {
-        f"{modname}.{attr.split('.')[0]}" for _, modname, attr in spans.TARGETS + spans.COUNTED
-    }
+    traced = set()
+    for _, modname, attr in spans.TARGETS + spans.COUNTED:
+        traced |= {f"{modname}.{attr}", f"{modname}.{attr.split('.')[0]}"}
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     unused = {
-        f"{modname}.{node.name}"
+        f"{modname}.{name}"
         for modname, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not any(node.name in loaded_names(other, node) for other in trees.values())
+        for name, node in definitions(tree)
+        if not any(node.name in loaded_names(other, node) for other in trees.values())
     }
     assert unused <= traced, sorted(unused - traced)

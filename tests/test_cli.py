@@ -99,6 +99,19 @@ def test_dims_random_seed_echoed(capsys):
     assert "seed 42" in out1
 
 
+@pytest.mark.parametrize("p", ["2", "3", "7"])
+def test_dims_reads_each_member_off_its_lambda(capsys, monkeypatch, p):
+    # the groups read the power rows and W off lambda, so no member's power
+    # matrix is built, at p = 2 (where W is the line of lambda) or later
+    def no_power_matrix(R):
+        raise AssertionError("a power matrix was built for dims")
+
+    monkeypatch.setattr(cli.restricted.Family, "power_matrix", property(no_power_matrix))
+    code, out, _ = run(capsys, "dims", "--prime", p, "--lambda", "all")
+    assert code == 0
+    assert out.endswith("all pass\n")
+
+
 # ---------------------------------------------------------------------------
 # basis
 
@@ -264,7 +277,7 @@ TARGET_LAMBDA = (1, 2, 0)
 
 
 def member_rows(family, lam):
-    """The members of a restricted.FamilyStack whose lambda is lam."""
+    """The members of a restricted.Family stack whose lambda is lam."""
     return np.flatnonzero((family.lam == lam).all(axis=-1))
 
 
@@ -385,13 +398,13 @@ def test_verify_fails_on_one_extension_breaking_the_p_map(monkeypatch, capsys):
     restricted = cli.extensions.restricted
     planted = []
 
-    def faulty(algebra, powers, lam=None):
+    def faulty(algebra, powers):
         if not planted:
             # e_2^[p] gains e_1, whose ad is not the p-th power of ad(e_2)
             planted.append(True)
             powers = [list(v) for v in powers]
             powers[1][0] += 1
-        return restricted.RestrictedAlgebra(algebra, powers, lam)
+        return restricted.RestrictedAlgebra(algebra, powers)
 
     monkeypatch.setattr(
         cli.extensions, "restricted", module_with(restricted, RestrictedAlgebra=faulty)
@@ -477,6 +490,20 @@ def test_iso_pairwise_rejects_prime_above_search_limit(capsys):
     # single vector that needs no search
     for spec in ("all", "zero", "random:3"):
         assert run(capsys, "iso", "--prime", "37", "--lambda", spec) == (2, "", err)
+
+
+def test_iso_pairwise_refuses_before_the_printed_conditions(capsys, monkeypatch):
+    # the refusal comes before the (p-1)^2 x p loop over the printed
+    # condition set, which would otherwise run through for this pair
+    def no_conditions(*args):
+        raise AssertionError("printed conditions evaluated above the search limit")
+
+    monkeypatch.setattr(cli.isoclass, "_statement_conditions", no_conditions)
+    p = 37
+    lam, lam2 = (",".join(["0"] * (p - 1) + [x]) for x in "12")
+    code, out, err = run(capsys, "iso", "--prime", str(p), "--lambda", lam, "--lambda-prime", lam2)
+    assert (code, out) == (2, "")
+    assert err == "error: diagonal search is limited to p <= 31\n"
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +719,9 @@ def test_ordinary_groups_computed_once_per_prime(monkeypatch):
     built = []
     real = cli.cohomology.CohomologySummary
 
-    def counted(**fields):
+    def counted(*args, **fields):
         built.append((fields["degree"], fields["restricted"]))
-        return real(**fields)
+        return real(*args, **fields)
 
     monkeypatch.setattr(cli.cohomology, "CohomologySummary", counted)
     cli.cohomology._group.cache_clear()

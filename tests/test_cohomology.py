@@ -19,6 +19,7 @@ from helpers import (
     extend_ordinary,
     homogeneous_weight,
     mat_mul,
+    omega_rows,
     power_rows,
     sparse,
     to_vector,
@@ -68,7 +69,7 @@ def test_h1_star_matches_h1_odd_primes(p):
     h1 = coh.h1(A)
     plain = gf.rref(gf.kernel_basis(cochains.d1_matrix(A), p), p)[0]
     for lam in [(0,) * p, one_hot(p, 1), one_hot(p, p)] + rand_lams(p, 2, 5 * p):
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         s = coh.h1_star(R)
         assert s.dimension == 2
         assert (s.kernel_dim, s.representatives) == (h1.kernel_dim, h1.representatives)
@@ -82,7 +83,7 @@ def test_h1_star_p2_depends_on_lambda():
         ((0, 1), 1, ["e^1"]),
         ((1, 1), 1, ["e^1"]),
     ]:
-        s = coh.h1_star(restricted.make_m0_lambda(2, lam))
+        s = coh.h1_star(restricted.Family(2, lam))
         assert s.dimension == want_dim
         assert [str(r) for r in s.representatives] == want_reps
 
@@ -163,7 +164,7 @@ def test_d1_matrix_rank(p):
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_h2_star_trivial_powers(p):
-    s = coh.h2_star(restricted.make_m0_lambda(p, (0,) * p))
+    s = coh.h2_star(restricted.Family(p, (0,) * p))
     assert s.dimension == (3 * p + 1) // 2
     assert s.kernel_dim == (5 * p - 3) // 2
     assert s.image_dim == p - 2
@@ -172,20 +173,20 @@ def test_h2_star_trivial_powers(p):
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_h2_star_nonzero_powers(p):
     for lam in [one_hot(p, 1), one_hot(p, p)] + rand_lams(p, 2, 7 * p):
-        s = coh.h2_star(restricted.make_m0_lambda(p, lam))
+        s = coh.h2_star(restricted.Family(p, lam))
         assert s.dimension == (3 * p - 3) // 2
         assert s.kernel_dim == (5 * p - 7) // 2
         assert s.image_dim == p - 2
 
 
 def test_h2_star_p5_kernel_dim():
-    s = coh.h2_star(restricted.make_m0_lambda(5, (0,) * 5))
+    s = coh.h2_star(restricted.Family(5, (0,) * 5))
     assert s.dimension == 8
     assert s.kernel_dim == 11
 
 
 def test_h2_star_p3_nonzero_reps():
-    s = coh.h2_star(restricted.make_m0_lambda(3, (1, 1, 1)))
+    s = coh.h2_star(restricted.Family(3, (1, 1, 1)))
     assert [str(r) for r in s.representatives] == [
         "(0, ebar^1)",
         "(0, ebar^2)",
@@ -194,7 +195,7 @@ def test_h2_star_p3_nonzero_reps():
 
 
 def test_h2_star_p7_trivial_reps():
-    s = coh.h2_star(restricted.make_m0_lambda(7, (0,) * 7))
+    s = coh.h2_star(restricted.Family(7, (0,) * 7))
     labels = [str(r) for r in s.representatives]
     assert labels[:7] == [f"(0, ebar^{k})" for k in range(1, 8)]
     assert labels[7:] == [
@@ -212,14 +213,14 @@ def test_h2_star_p2_table():
         ((0, 1), 1, ["(0, ebar^1)"]),
         ((1, 1), 1, ["(0, ebar^1)"]),
     ]:
-        s = coh.h2_star(restricted.make_m0_lambda(2, lam))
+        s = coh.h2_star(restricted.Family(2, lam))
         assert s.dimension == want_dim
         assert [str(r) for r in s.representatives] == want_reps
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_splitting_at_trivial_powers(p):
-    R = restricted.make_m0_lambda(p, (0,) * p)
+    R = restricted.Family(p, (0,) * p)
     assert coh.h2_star(R).dimension == p + coh.h2(R.algebra).dimension
 
 
@@ -227,7 +228,7 @@ def test_splitting_at_trivial_powers(p):
 def test_h2_star_reps_are_restricted_cocycles(p):
     rng = np.random.default_rng(11 + p)
     lam = tuple(int(x) for x in rng.integers(0, p, size=p))
-    R = restricted.make_m0_lambda(p, lam)
+    R = restricted.Family(p, lam)
     s = coh.h2_star(R)
     for r in s.representatives:
         alpha, beta = d2_star(R, r)
@@ -245,7 +246,7 @@ def test_image_dim_is_rank_of_image(p):
         np.stack([to_vector(cochains.d1(A, psi)) for psi in duals]), p
     )
     for lam in criterion_lambdas(p):
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         assert coh.h1_star(R).image_dim == 0
         rows = np.stack([to_vector(d1_star(R, psi)) for psi in duals])
         assert coh.h2_star(R).image_dim == gf.rank(rows, p), lam
@@ -257,7 +258,7 @@ def test_h2_star_p3_all_lambda_sweep():
         for b in range(3):
             for c in range(3):
                 lam = (a, b, c)
-                s = coh.h2_star(restricted.make_m0_lambda(3, lam))
+                s = coh.h2_star(restricted.Family(3, lam))
                 want = 5 if not any(lam) else 3
                 assert s.dimension == want, lam
 
@@ -288,7 +289,7 @@ def test_compare_all_pass(p):
     rng = np.random.default_rng(p)
     lams = [(0,) * p, tuple(int(x) for x in rng.integers(0, p, size=p))]
     for lam in lams:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         exp = coh.expected_summary(p, lam)
         for s in (coh.h1(R.algebra), coh.h1_star(R), coh.h2(R.algebra), coh.h2_star(R)):
             report = coh.compare(s, exp)
@@ -297,7 +298,7 @@ def test_compare_all_pass(p):
 
 def test_compare_flags_single_field():
     p = 5
-    R = restricted.make_m0_lambda(p, (0,) * p)
+    R = restricted.Family(p, (0,) * p)
     s = coh.h2(R.algebra)
     s = coh.CohomologySummary(
         prime=s.prime,
@@ -327,7 +328,7 @@ def test_compare_p3_full_sweep():
         for b in range(3):
             for c in range(3):
                 lam = (a, b, c)
-                R = restricted.make_m0_lambda(3, lam)
+                R = restricted.Family(3, lam)
                 exp = coh.expected_summary(3, lam)
                 ok = all(
                     coh.compare(s, exp)["ok"]
@@ -344,7 +345,7 @@ def test_compare_p3_full_sweep():
 
 
 def test_summary_json_shape():
-    s = coh.h2_star(restricted.make_m0_lambda(3, (0, 1, 2)))
+    s = coh.h2_star(restricted.Family(3, (0, 1, 2)))
     data = coh.summary_to_json(s)
     assert data["prime"] == 3
     assert data["lambda"] == [0, 1, 2]
@@ -445,7 +446,7 @@ def test_h2_kernel_matches_dense_d2(p):
 @pytest.mark.parametrize("p", DENSE_PRIMES)
 def test_h2_star_kernel_matches_dense_stack(p):
     for lam in criterion_lambdas(p):
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         dense = dense_d2_star(R)
         n = p * (p - 1) // 2
         assert_same_array(induced_beta(R.power_matrix, p), dense[-p * p :, :n])
@@ -456,7 +457,7 @@ def test_h2_star_kernel_matches_dense_stack(p):
 @pytest.mark.parametrize("p", DENSE_PRIMES)
 def test_h1_star_kernel_matches_dense_stack(p):
     for lam in criterion_lambdas(p):
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         dense = d1_star_matrix(R)
         assert coh.h1_star(R).kernel_dim == len(gf.kernel_basis(dense, p))
         assert_matches_dense(p, 1, power_rows(R), dense)
@@ -481,7 +482,9 @@ def test_family_power_rows_match_rref(p):
     else:
         lams = criterion_lambdas(p)
     for lam in lams:
-        assert coh._power_rows(lam) == power_rows(restricted.make_m0_lambda(p, lam)), lam
+        R = restricted.Family(p, lam)
+        assert coh._power_rows(lam) == power_rows(R), lam
+        assert coh._omega_rows(p, lam) == omega_rows(R), lam
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -505,7 +508,7 @@ def test_reduction_matches_dense_rref(p):
     # the block route against one rref of the dense stack, for lambda = 0
     # (d1 and d2 alone) and a one-hot lambda (the line of e_p)
     for lam in ((0,) * p, one_hot(p, 1)):
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         d2_star = dense_d2_star(R)
         assert_matches_dense(p, 1, power_rows(R), d1_star_matrix(R))
         rank = assert_matches_dense(p, 2, power_rows(R), d2_star)
@@ -548,14 +551,13 @@ def test_reduction_splits_graded_omega_rows(p):
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     # once lambda = 0 and one nonzero lambda have filled the memo, a new
-    # lambda assembles no d2 and reduces nothing new; rref gets at most the
-    # p rows of omega on ker d1 at p = 2, and from p = 3 on, where that omega
-    # is 0 and the family's power rows are read off lambda, nothing
+    # lambda assembles no d2 and reduces nothing new, and rref is never
+    # called: the family's power rows and W are read off lambda
     coh._reduced.cache_clear()
     coh._group.cache_clear()
     lams = criterion_lambdas(p)
     for lam in lams[:2]:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         coh.h1_star(R)
         coh.h2_star(R)
     misses = coh._reduced.cache_info().misses
@@ -579,10 +581,10 @@ def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     monkeypatch.setattr(cochains, "d2_matrix", no_d2_matrix)
     monkeypatch.setattr(cochains, "differential_rows", no_d2_rows)
     for lam in lams[2:]:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         coh.h1_star(R)
         coh.h2_star(R)
-    assert (seen and max(seen) <= p) if p == 2 else not seen
+    assert not seen
     assert coh._reduced.cache_info().misses == misses
 
 
@@ -638,7 +640,7 @@ def test_reduction_memo_holds_two_row_spaces_per_degree(p):
     lams, _ = cli.resolve_lambdas(p, "all")
     for degree, group in ((1, coh.h1_star), (2, coh.h2_star)):
         for lam in lams:
-            group(restricted.make_m0_lambda(p, lam))
+            group(restricted.Family(p, lam))
         assert coh._reduced.cache_info().currsize == degree
         assert coh._group.cache_info().currsize == sum(keys[d] for d in range(1, degree + 1))
     assert coh._group.cache_info().maxsize >= keys[1] + keys[2]  # one prime's keys fit
@@ -671,7 +673,7 @@ def test_restricted_selection_matches_per_lambda_greedy_pass(p):
     else:
         lams, _ = cli.resolve_lambdas(p, "all")
     for lam in lams:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         for degree, group in ((1, coh.h1_star), (2, coh.h2_star)):
             s = group(R)
             got = ([str(r) for r in s.representatives], s.kernel_dim, s.image_dim)
@@ -701,7 +703,7 @@ def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
     for group in (coh.h1_star, coh.h2_star):
         passes.clear()
         for lam in lams:
-            group(restricted.make_m0_lambda(p, lam))
+            group(restricted.Family(p, lam))
         assert len(passes) == 3, group
 
 
@@ -714,7 +716,7 @@ def test_ordinary_summaries_do_not_share_representatives():
 
 
 def test_restricted_summaries_do_not_share_representatives():
-    R = restricted.make_m0_lambda(3, (0, 1, 2))
+    R = restricted.Family(3, (0, 1, 2))
     first = coh.h2_star(R)
     first.representatives.clear()
     assert len(coh.h2_star(R).representatives) == first.dimension
@@ -723,7 +725,7 @@ def test_restricted_summaries_do_not_share_representatives():
 @pytest.mark.parametrize("p", GRID_PRIMES)
 def test_d1_star_matrix_columns_are_d1_star(p):
     for lam in criterion_lambdas(p):
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         m = d1_star_matrix(R)
         for k in range(1, p + 1):
             want = to_vector(d1_star(R, dual_cochain(p, p, (k,))))
@@ -740,12 +742,12 @@ def test_ordinary_groups_reject_algebras_off_the_family(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_restricted_groups_reject_algebras_off_the_family(p):
-    member = restricted.make_m0_lambda(p, one_hot(p, 1))
-    untagged = restricted.RestrictedAlgebra(member.algebra, member.power_matrix)
+    # the member's powers on a general RestrictedAlgebra, and a stack of
+    # two members, are refused: the groups take one Family member
+    member = restricted.Family(p, one_hot(p, 1))
+    general = restricted.RestrictedAlgebra(member.algebra, member.power_matrix)
+    stack = restricted.Family(p, [one_hot(p, 1), one_hot(p, 2)])
     for group in (coh.h1_star, coh.h2_star):
-        with pytest.raises(ValueError, match="family"):
-            group(untagged)
-    # an algebra off the family cannot carry lambda at all
-    abelian = liealg.LieAlgebra(p, p, {}, weights=range(1, p + 1))
-    with pytest.raises(ValueError, match="family"):
-        restricted.RestrictedAlgebra(abelian, member.power_matrix, lam=member.lam)
+        for R in (general, stack):
+            with pytest.raises(ValueError, match="one member of the family"):
+                group(R)

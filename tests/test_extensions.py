@@ -76,7 +76,7 @@ def test_frobenius_dual_extension_matches_power_table(p):
     # i != k, e_k^[p] = lam_k e_p + c, c^[p] = 0
     rng = np.random.default_rng(p)
     for lam in [(0,) * p, rand_lambda(rng, p)]:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         for k in range(1, p + 1):
             RE = extensions.extend_restricted(R, rcoch.frobenius_dual_cochain(p, p, k))
             E = RE.algebra
@@ -95,7 +95,7 @@ def test_extension_checks_stay_below_a_dense_structure_array():
     # extension at p = 61, a fresh copy whose cached forms are built under
     # tracing, peak below half of one dim^3 int64 array
     p = 61
-    R = restricted.make_m0_lambda(p, (0,) * p)
+    R = restricted.Family(p, (0,) * p)
     c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(p, 7), (0,) * p)
     RE = restricted_from_json(restricted.to_json(extensions.extend_restricted(R, c2)))
     tracemalloc.start()
@@ -109,7 +109,7 @@ def test_extension_checks_stay_below_a_dense_structure_array():
 
 
 def test_restricted_extension_verified():
-    R = restricted.make_m0_lambda(7, (0,) * 7)
+    R = restricted.Family(7, (0,) * 7)
     c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(7, 5), (0,) * 7)
     RE = extensions.extend_restricted(R, c2)
     ok, _ = restricted.verify_restricted_map(RE)
@@ -119,7 +119,7 @@ def test_restricted_extension_verified():
 
 
 def test_restricted_extension_with_omega_values():
-    R = restricted.make_m0_lambda(5, (2, 0, 1, 0, 3))
+    R = restricted.Family(5, (2, 0, 1, 0, 3))
     c2 = rcoch.RestrictedTwoCochain(Cochain(5, 5, 2), (1, 4, 0, 2, 3))
     RE = extensions.extend_restricted(R, c2)
     for i in range(5):
@@ -130,7 +130,7 @@ def test_restricted_extension_with_omega_values():
 
 def test_restricted_noncocycle_rejected():
     # e^{1,p} at nonzero lambda has a nonzero induced beta
-    R = restricted.make_m0_lambda(5, (1, 0, 0, 0, 0))
+    R = restricted.Family(5, (1, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="induced beta"):
         extensions.extend_restricted(R, rcoch.basis_pair_cochain(5, 5, 1, 5))
     with pytest.raises(ValueError, match="not a restricted cocycle"):
@@ -147,7 +147,7 @@ def test_restricted_extension_checks_its_cocycle_once(monkeypatch):
         return real(algebra, cochain)
 
     monkeypatch.setattr(extensions.cochains, "differential", spy)
-    R = restricted.make_m0_lambda(5, (1, 0, 0, 0, 0))
+    R = restricted.Family(5, (1, 0, 0, 0, 0))
     cocycles = (
         rcoch.frobenius_dual_cochain(5, 5, 2),
         rcoch.RestrictedTwoCochain(cochains.phi_k(5, 5), (0,) * 5),
@@ -167,7 +167,7 @@ def test_restricted_extension_checks_its_cocycle_once(monkeypatch):
 def test_top_pair_extension_at_trivial_powers():
     # at lambda = 0 the pair (e^{1,p}, 0) is a restricted cocycle even though
     # p-fold brackets of the extension reach the center
-    R = restricted.make_m0_lambda(5, (0,) * 5)
+    R = restricted.Family(5, (0,) * 5)
     RE = extensions.extend_restricted(R, rcoch.basis_pair_cochain(5, 5, 1, 5))
     ok, _ = restricted.verify_restricted_map(RE)
     assert ok
@@ -183,7 +183,7 @@ def test_power_map_additive_on_frobenius_extensions(p):
     # brackets are untouched by (0, ebar^k), so the general power recursion
     # has vanishing corrections and additivity survives the extension
     rng = np.random.default_rng(31 + p)
-    R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+    R = restricted.Family(p, rand_lambda(rng, p))
     RE = extensions.extend_restricted(R, rcoch.frobenius_dual_cochain(p, p, 2))
     for _ in range(5):
         g = gf.normalize(rng.integers(0, p, size=p + 1), p)
@@ -252,7 +252,7 @@ def test_coboundary_shift_detects_wrong_target():
 
 
 def test_extension_json_round_trip():
-    R = restricted.make_m0_lambda(3, (1, 0, 2))
+    R = restricted.Family(3, (1, 0, 2))
     c2 = rcoch.frobenius_dual_cochain(3, 3, 1)
     RE = extensions.extend_restricted(R, c2)
     data = extensions.extension_to_json(RE, str(c2))

@@ -50,7 +50,7 @@ def test_reduced_matches_sympy_rref_of_dense_stacks(p):
     # d1 or d2) as sympy's rref of the dense stack
     A = liealg.make_m0(p)
     for lam in ((0,) * p, (1,) + (0,) * (p - 1)):
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         for degree, d, dense in (
             (1, cochains.d1_matrix(A), d1_star_matrix(R)),
             (2, cochains.d2_matrix(A), dense_d2_star(R)),

@@ -31,16 +31,12 @@ def test_make_m0_is_shared_and_read_only(p):
     assert all(not vec.flags.writeable for vec in A.brackets.values())
     with pytest.raises(TypeError):
         A.brackets[(1, 2)] = A.zero()
-    # a separately built copy still compares equal and may carry lambda
+    # a separately built copy still compares equal, and one that is not m_0 does not
     copy = liealg.LieAlgebra(p, p, {k: v.copy() for k, v in A.brackets.items()}, weights=A.weights)
     assert copy is not A and copy == A and A == copy
-    powers = [A.basis_vector(p)] * p
-    assert restricted.RestrictedAlgebra(copy, powers, lam=(1,) * p).lam == (1,) * p
-    # an algebra that is not m_0 still refuses lambda
-    off = liealg.LieAlgebra(p, p, {}, weights=[1] * p)
-    assert off != A
-    with pytest.raises(ValueError, match="family"):
-        restricted.RestrictedAlgebra(off, powers, lam=(1,) * p)
+    assert liealg.LieAlgebra(p, p, {}, weights=[1] * p) != A
+    # every family member shares make_m0(p)
+    assert restricted.Family(p, (1,) * p).algebra is A
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -29,9 +29,11 @@ def one_hot(p, k):
 @pytest.mark.parametrize("p", PRIMES)
 def test_make_m0_lambda_stores_top_line_powers(p):
     lam = list(range(p))
-    R = restricted.make_m0_lambda(p, lam)
-    assert R.lam == tuple(x % p for x in lam)
-    assert R.is_m0_family
+    R = restricted.Family(p, lam)
+    assert R.lam.tolist() == [x % p for x in lam]
+    assert not R.lam.flags.writeable and not R.power_matrix.flags.writeable
+    with pytest.raises(TypeError, match="not a stack"):
+        R[0]
     for k in range(1, p + 1):
         v = R.power_matrix[k - 1]
         assert v[p - 1] == lam[k - 1] % p
@@ -39,25 +41,26 @@ def test_make_m0_lambda_stores_top_line_powers(p):
 
 
 def test_make_m0_lambda_length_checked():
-    with pytest.raises(ValueError):
-        restricted.make_m0_lambda(5, [1, 0])
+    for lam in ([1, 0], [[1, 0]], [[[0] * 5]]):
+        with pytest.raises(ValueError, match="lambda must have length 5"):
+            restricted.Family(5, lam)
 
 
 def test_p_power_closed_known_values():
-    R = restricted.make_m0_lambda(5, one_hot(5, 1))
+    R = restricted.Family(5, one_hot(5, 1))
     g = R.algebra.basis_vector(1) + R.algebra.basis_vector(2)
     assert restricted.p_power_closed(R, g).tolist() == [0, 0, 0, 0, 1]
     # (2 e_2)^[5] with lam = one-hot at 2: 2^5 = 32 = 2 mod 5.
-    R2 = restricted.make_m0_lambda(5, one_hot(5, 2))
+    R2 = restricted.Family(5, one_hot(5, 2))
     assert restricted.p_power_closed(R2, [0, 2, 0, 0, 0]).tolist() == [0, 0, 0, 0, 2]
-    Rz = restricted.make_m0_lambda(5, [0] * 5)
+    Rz = restricted.Family(5, [0] * 5)
     assert not restricted.p_power_closed(Rz, g).any()
     assert not restricted.p_power_closed(R, [0] * 5).any()
 
 
 def test_p_power_closed_guarded():
     A = liealg.make_m0(5)
-    R = restricted.RestrictedAlgebra(A, [gf.zeros(5)] * 5, lam=None)
+    R = restricted.RestrictedAlgebra(A, [gf.zeros(5)] * 5)
     with pytest.raises(ValueError):
         restricted.p_power_closed(R, A.basis_vector(1))
 
@@ -66,7 +69,7 @@ def test_p_power_closed_guarded():
 def test_jacobson_matches_closed_exhaustive(p):
     lam_choices = itertools.product(range(p), repeat=p)
     for lam in lam_choices:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         for vec in itertools.product(range(p), repeat=p):
             g = np.array(vec)
             closed = restricted.p_power_closed(R, g)
@@ -79,7 +82,7 @@ def test_jacobson_matches_closed_random(p):
     rng = random.Random(p)
     for _ in range(25):
         lam = [rng.randrange(p) for _ in range(p)]
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         g = random_element(R.algebra, rng)
         assert (restricted.p_power_closed(R, g) == restricted.p_power_jacobson(R, g)).all()
 
@@ -88,7 +91,7 @@ def test_jacobson_matches_closed_random(p):
 def test_corrections_vanish_on_maximal_class(p):
     """All Jacobson corrections are iterated brackets of length p, hence zero here."""
     rng = random.Random(17)
-    R = restricted.make_m0_lambda(p, [1] * p)
+    R = restricted.Family(p, [1] * p)
     for _ in range(20):
         g = random_element(R.algebra, rng)
         h = random_element(R.algebra, rng)
@@ -99,7 +102,7 @@ def test_corrections_vanish_on_maximal_class(p):
 def test_p_power_additive_and_semilinear_on_family(p):
     rng = random.Random(23)
     lam = [rng.randrange(p) for _ in range(p)]
-    R = restricted.make_m0_lambda(p, lam)
+    R = restricted.Family(p, lam)
     for _ in range(15):
         g = random_element(R.algebra, rng)
         h = random_element(R.algebra, rng)
@@ -119,7 +122,7 @@ def affine_line_algebra(p):
     A = liealg.LieAlgebra(p, 2, {(1, 2): v}, weights=[0, 1])
     e1 = gf.zeros(2)
     e1[0] = 1
-    return restricted.RestrictedAlgebra(A, [e1, gf.zeros(2)], lam=None)
+    return restricted.RestrictedAlgebra(A, [e1, gf.zeros(2)])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -166,7 +169,7 @@ def test_corrections_match_matrix_polynomial_on_affine_line(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_corrections_match_matrix_polynomial_on_family(p):
     rng = random.Random(40 + p)
-    R = restricted.make_m0_lambda(p, [rng.randrange(p) for _ in range(p)])
+    R = restricted.Family(p, [rng.randrange(p) for _ in range(p)])
     for _ in range(10):
         g = random_element(R.algebra, rng)
         h = random_element(R.algebra, rng)
@@ -177,7 +180,7 @@ def test_corrections_match_matrix_polynomial_on_family(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_corrections_match_matrix_polynomial_on_phi_extensions(p):
     rng = random.Random(60 + p)
-    R = restricted.make_m0_lambda(p, [0] * p)
+    R = restricted.Family(p, [0] * p)
     nonzero = 0
     for k in cochains.phi_weights(p):
         c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(p, k), (0,) * p)
@@ -195,13 +198,13 @@ def test_corrections_match_matrix_polynomial_on_phi_extensions(p):
 def test_verify_restricted_map_on_family(p):
     rng = random.Random(p + 1)
     for lam in [[0] * p, [1] * p, [rng.randrange(p) for _ in range(p)]]:
-        ok, witness = restricted.verify_restricted_map(restricted.make_m0_lambda(p, lam))
+        ok, witness = restricted.verify_restricted_map(restricted.Family(p, lam))
         assert ok and witness is None
 
 
 def test_verify_restricted_map_detects_corruption():
     p = 5
-    R = restricted.make_m0_lambda(p, [0] * p)
+    R = restricted.Family(p, [0] * p)
     bad_powers = R.power_matrix.copy()
     bad_powers[0] = R.algebra.basis_vector(1)  # e_1^[p] = e_1 but ad(e_1)^p = 0
     bad = restricted.RestrictedAlgebra(R.algebra, bad_powers)
@@ -212,7 +215,7 @@ def test_verify_restricted_map_detects_corruption():
     # ad(e_2) is not zero, but ad(e_5)^p is
     p = 31
     c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(p, 7), (0,) * p)
-    RE = extensions.extend_restricted(restricted.make_m0_lambda(p, [0] * p), c2)
+    RE = extensions.extend_restricted(restricted.Family(p, [0] * p), c2)
     bad_powers = RE.power_matrix.copy()
     bad_powers[4][1] = 1
     bad = restricted.RestrictedAlgebra(RE.algebra, bad_powers)
@@ -223,29 +226,15 @@ def test_verify_restricted_map_detects_corruption():
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_restricted_json_round_trip(p):
-    R = restricted.make_m0_lambda(p, list(range(1, p + 1)))
+    R = restricted.Family(p, list(range(1, p + 1)))
     data = restricted.to_json(R)
-    assert data["lambda"] == [k % p for k in range(1, p + 1)]
+    assert "lambda" not in data
     back = restricted_from_json(data)
-    assert back == R
-    # Round trip also without the family tag.
+    assert back == restricted.RestrictedAlgebra(R.algebra, R.power_matrix)
+    # and for an algebra off the family
     R2 = affine_line_algebra(p)
     back2 = restricted_from_json(restricted.to_json(R2))
     assert back2 == R2
-
-
-def test_from_json_rejects_lambda_contradicting_p_powers():
-    data = restricted.to_json(restricted.make_m0_lambda(5, [1, 0, 0, 0, 0]))
-    data["lambda"] = [0, 1, 0, 0, 0]
-    with pytest.raises(ValueError, match="family"):
-        restricted_from_json(data)
-
-
-def test_from_json_rejects_family_power_off_the_top_line():
-    data = restricted.to_json(restricted.make_m0_lambda(5, [1, 0, 0, 0, 0]))
-    data["p_powers"][0][3] = 2  # e_1^[p] = 2 e_4 + e_5
-    with pytest.raises(ValueError, match="family"):
-        restricted_from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +282,7 @@ def test_split_sum_matches_the_split_loop(p, monkeypatch):
 @pytest.mark.parametrize("p", PRIMES)
 def test_p_power_jacobson_stack_equals_rows(p, monkeypatch):
     rng = np.random.default_rng(70 + p)
-    R = restricted.make_m0_lambda(p, rng.integers(0, p, size=p))
+    R = restricted.Family(p, rng.integers(0, p, size=p))
     rows = stack_with_edge_rows(rng, p, p)
     got = restricted.p_power_jacobson(R, rows)
     want = np.stack([restricted.p_power_jacobson(R, row) for row in rows])
@@ -316,7 +305,7 @@ def test_p_power_jacobson_stack_equals_rows_with_corrections(p, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_corrections_match_matrix_polynomial_at_every_prime(p):
     rng = np.random.default_rng(90 + p)
-    R = restricted.make_m0_lambda(p, rng.integers(0, p, size=p))
+    R = restricted.Family(p, rng.integers(0, p, size=p))
     g = stack_with_edge_rows(rng, p, p, count=4)
     h = rng.integers(0, p, size=(4, p))
     h[3] = 0
@@ -348,7 +337,7 @@ def first_failing_power(R):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_verify_restricted_map_matches_per_k_powers(p):
-    R = restricted.make_m0_lambda(p, [1] * p)
+    R = restricted.Family(p, [1] * p)
     for k in range(1, p + 1):
         powers = R.power_matrix.copy()
         powers[k - 1][0] = (powers[k - 1][0] + 1) % p  # e_k^[p] gains e_1

@@ -11,6 +11,7 @@ from filicoh import restricted_cochains as rc
 from filicoh.cochains import Cochain, dual_cochain
 from helpers import (
     cochain_from_vector,
+    coefficient,
     d1_star,
     d2_star,
     doublestar_correction_naive,
@@ -260,7 +261,7 @@ def test_star_rule_holds_for_induced_pairs(p):
     rng = np.random.default_rng(700 + p)
     lams = [(0,) * p, rand_lambda(rng, p), rand_lambda(rng, p)]
     for lam in lams:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         for _ in range(4):
             psi = rand_cochain(rng, p, p, 1)
             c = d1_star(R, psi)
@@ -325,7 +326,7 @@ def test_corrupted_omega_caught_by_function_comparison():
     # rule; comparing against the inducing function does expose it
     rng = np.random.default_rng(77)
     p = 5
-    R = restricted.make_m0_lambda(p, (1, 2, 0, 3, 4))
+    R = restricted.Family(p, (1, 2, 0, 3, 4))
     psi = dual_cochain(p, p, (p,))
     good = d1_star(R, psi)
     corrupt = rc.RestrictedTwoCochain(
@@ -349,20 +350,20 @@ def test_ind1_values_scale_lambda(p):
     rng = np.random.default_rng(1100 + p)
     for _ in range(4):
         lam = rand_lambda(rng, p)
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         psi = rand_cochain(rng, p, p, 1)
-        top = psi.coefficient((p,))
+        top = coefficient(psi, (p,))
         assert rc.ind1_values(R, psi).tolist() == [(top * lk) % p for lk in lam]
 
 
 def test_ind1_values_p2():
-    R = restricted.make_m0_lambda(2, (1, 1))
+    R = restricted.Family(2, (1, 1))
     assert rc.ind1_values(R, dual_cochain(2, 2, (2,))).tolist() == [1, 1]
     assert rc.ind1_values(R, dual_cochain(2, 2, (1,))).tolist() == [0, 0]
 
 
 def test_ind1_values_trivial_family():
-    R = restricted.make_m0_lambda(7, (0,) * 7)
+    R = restricted.Family(7, (0,) * 7)
     rng = np.random.default_rng(17)
     psi = rand_cochain(rng, 7, 7, 1)
     assert rc.ind1_values(R, psi).tolist() == [0] * 7
@@ -373,11 +374,11 @@ def test_ind1_at_closed_form(p):
     rng = np.random.default_rng(1200 + p)
     for _ in range(5):
         lam = rand_lambda(rng, p)
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         psi = rand_cochain(rng, p, p, 1)
         g = rand_vec(rng, p, p)
         scale = sum(pow(int(g[k]), p, p) * lam[k] for k in range(p)) % p
-        assert ind1_at(R, psi, g) == (scale * psi.coefficient((p,))) % p
+        assert ind1_at(R, psi, g) == (scale * coefficient(psi, (p,))) % p
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -385,7 +386,7 @@ def test_induced_omega_equals_inducing_function(p):
     # the recursion rebuilt from basis values lands back on psi(g^[p])
     rng = np.random.default_rng(1300 + p)
     for _ in range(4):
-        R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+        R = restricted.Family(p, rand_lambda(rng, p))
         psi = rand_cochain(rng, p, p, 1)
         c = d1_star(R, psi)
         for _ in range(4):
@@ -394,7 +395,7 @@ def test_induced_omega_equals_inducing_function(p):
 
 
 def test_ind1_rejects_wrong_degree():
-    R = restricted.make_m0_lambda(5, (0,) * 5)
+    R = restricted.Family(5, (0,) * 5)
     with pytest.raises(ValueError):
         rc.ind1_values(R, dual_cochain(5, 5, (1, 2)))
 
@@ -405,24 +406,24 @@ def test_ind2_matrix_structure(p):
     rng = np.random.default_rng(1400 + p)
     for _ in range(4):
         lam = rand_lambda(rng, p)
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         phi = rand_cochain(rng, p, p, 2)
         out = rc.ind2_matrix(R, phi)
         for i in range(1, p + 1):
             for j in range(1, p + 1):
-                assert out[i - 1, j - 1] == (phi.coefficient((i, p)) * lam[j - 1]) % p
+                assert out[i - 1, j - 1] == (coefficient(phi, (i, p)) * lam[j - 1]) % p
 
 
 def test_ind2_matrix_top_dual_rows():
     lam = (3, 1, 4, 1, 5, 2, 6)
-    R = restricted.make_m0_lambda(7, lam)
+    R = restricted.Family(7, lam)
     out = rc.ind2_matrix(R, dual_cochain(7, 7, (1, 7)))
     assert tuple(int(x) for x in out[0]) == lam
     assert not out[1:].any()
 
 
 def test_ind2_matrix_trivial_family():
-    R = restricted.make_m0_lambda(5, (0,) * 5)
+    R = restricted.Family(5, (0,) * 5)
     rng = np.random.default_rng(23)
     assert not rc.ind2_matrix(R, rand_cochain(rng, 5, 5, 2)).any()
 
@@ -431,7 +432,7 @@ def test_ind2_matrix_trivial_family():
 def test_ind2_at_matches_closed_form(p):
     rng = np.random.default_rng(1500 + p)
     for _ in range(8):
-        R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+        R = restricted.Family(p, rand_lambda(rng, p))
         phi = rand_cochain(rng, p, p, 2)
         g, h = rand_vec(rng, p, p), rand_vec(rng, p, p)
         assert ind2_at(R, phi, g, h) == ind2_family_closed(R, phi, g, h)
@@ -445,7 +446,7 @@ def test_ind2_family_closed_needs_family():
 
 
 def test_ind2_rejects_wrong_degree():
-    R = restricted.make_m0_lambda(5, (0,) * 5)
+    R = restricted.Family(5, (0,) * 5)
     with pytest.raises(ValueError):
         rc.ind2_matrix(R, dual_cochain(5, 5, (1,)))
 
@@ -455,7 +456,7 @@ def test_ind2_rejects_wrong_degree():
 
 
 def test_d1_star_closed_form_trivial_powers():
-    R = restricted.make_m0_lambda(7, (0,) * 7)
+    R = restricted.Family(7, (0,) * 7)
     for k in range(3, 8):
         out = d1_star(R, dual_cochain(7, 7, (k,)))
         assert out.phi == cochains.d1_closed_m0(7, k)
@@ -465,14 +466,14 @@ def test_d1_star_closed_form_trivial_powers():
 def test_d1_star_kills_first_dual():
     rng = np.random.default_rng(29)
     for p in SMALL_PRIMES:
-        R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+        R = restricted.Family(p, rand_lambda(rng, p))
         out = d1_star(R, dual_cochain(p, p, (1,)))
         assert out.phi.is_zero()
         assert out.omega_basis == (0,) * p
 
 
 def test_d1_star_p2_sees_lambda():
-    R = restricted.make_m0_lambda(2, (1, 1))
+    R = restricted.Family(2, (1, 1))
     out = d1_star(R, dual_cochain(2, 2, (2,)))
     assert out.phi.is_zero()
     assert out.omega_basis == (1, 1)
@@ -481,7 +482,7 @@ def test_d1_star_p2_sees_lambda():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_d2_star_kills_frobenius_duals(p):
     rng = np.random.default_rng(1600 + p)
-    R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+    R = restricted.Family(p, rand_lambda(rng, p))
     for k in range(1, p + 1):
         alpha, beta = d2_star(R, rc.frobenius_dual_cochain(p, p, k))
         assert alpha.is_zero() and not beta.any()
@@ -490,7 +491,7 @@ def test_d2_star_kills_frobenius_duals(p):
 def test_d2_star_ignores_omega_part():
     rng = np.random.default_rng(37)
     p = 5
-    R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+    R = restricted.Family(p, rand_lambda(rng, p))
     phi = rand_cochain(rng, p, p, 2)
     a = d2_star(R, rc.RestrictedTwoCochain(phi, (0,) * p))
     b = d2_star(R, rc.RestrictedTwoCochain(phi, rand_lambda(rng, p)))
@@ -499,7 +500,7 @@ def test_d2_star_ignores_omega_part():
 
 def test_d2_star_top_dual_beta():
     lam = (1, 2, 3, 4, 0)
-    R = restricted.make_m0_lambda(5, lam)
+    R = restricted.Family(5, lam)
     _, beta = d2_star(R, rc.basis_pair_cochain(5, 5, 1, 5))
     assert tuple(int(x) for x in beta[0]) == lam
     assert not beta[1:].any()
@@ -510,7 +511,7 @@ def test_d2_star_after_d1_star_is_zero(p):
     rng = np.random.default_rng(1700 + p)
     lams = [(0,) * p, rand_lambda(rng, p)]
     for lam in lams:
-        R = restricted.make_m0_lambda(p, lam)
+        R = restricted.Family(p, lam)
         for k in range(1, p + 1):
             alpha, beta = d2_star(R, d1_star(R, dual_cochain(p, p, (k,))))
             assert alpha.is_zero() and not beta.any()
@@ -537,7 +538,7 @@ def test_doublestar_rule_holds_for_cocycle_images(p):
     rng = np.random.default_rng(1900 + p)
     A = liealg.make_m0(p)
     for _ in range(4):
-        R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+        R = restricted.Family(p, rand_lambda(rng, p))
         c = rc.RestrictedTwoCochain(rand_cocycle(rng, A), rand_lambda(rng, p))
         alpha, beta = d2_star(R, c)
         g, h1, h2 = (rand_vec(rng, p, p) for _ in range(3))
@@ -565,7 +566,7 @@ def test_induced_beta_equals_inducing_function(p):
     rng = np.random.default_rng(2000 + p)
     A = liealg.make_m0(p)
     for _ in range(3):
-        R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+        R = restricted.Family(p, rand_lambda(rng, p))
         phi = rand_cocycle(rng, A)
         alpha, beta = d2_star(R, rc.RestrictedTwoCochain(phi, (0,) * p))
         for _ in range(4):
@@ -578,7 +579,7 @@ def test_doublestar_rule_fails_for_noncocycle_top_pairs():
     # vanish; the rule cannot be satisfied by any beta values
     rng = np.random.default_rng(59)
     A = liealg.make_m0(5)
-    R = restricted.make_m0_lambda(5, (0,) * 5)
+    R = restricted.Family(5, (0,) * 5)
     alpha, beta = d2_star(R, rc.basis_pair_cochain(5, 5, 4, 5))
     failures = 0
     for _ in range(40):
@@ -695,7 +696,7 @@ def test_doublestar_eval_stack_equals_rows(p, monkeypatch):
 @pytest.mark.parametrize("p", STACK_PRIMES)
 def test_sum_rules_stack_equal_rows(p):
     rng = np.random.default_rng(2400 + p)
-    R = restricted.make_m0_lambda(p, rand_lambda(rng, p))
+    R = restricted.Family(p, rand_lambda(rng, p))
     pairs = [d1_star(R, rand_cochain(rng, p, p, 1)) for _ in range(3)]
     pairs.append(rc.basis_pair_cochain(p, p, p - 1, p))  # not a cocycle for p >= 5
     g, h = stack_with_edge_rows(rng, p, 4), rng.integers(0, p, size=(4, p))
@@ -842,8 +843,8 @@ def test_form_matrix_checks_the_degree():
 
 
 # ---------------------------------------------------------------------------
-# lambda stacks: one call over restricted.FamilyStack equals one call per
-# family member
+# lambda stacks: one call over a restricted.Family stack equals one call
+# per family member
 
 
 @st.composite
@@ -862,8 +863,8 @@ def lambda_stacks(draw):
 def test_family_stack_oracles_equal_each_member(stack, seed):
     p, lams = stack
     rng = np.random.default_rng(seed)
-    family = restricted.FamilyStack(p, lams)
-    members = [restricted.make_m0_lambda(p, lam) for lam in lams]
+    family = restricted.Family(p, lams)
+    members = [restricted.Family(p, lam) for lam in lams]
     g = rng.integers(0, p, size=(len(lams), 3, p))
     forms = rc.form_matrices([rand_cochain(rng, p, p, 2) for _ in range(2)])
     psi = rand_cochain(rng, p, p, 1)
@@ -872,6 +873,9 @@ def test_family_stack_oracles_equal_each_member(stack, seed):
     induced = rc.ind2_matrix(family, forms[:, None])
     omega = rc.ind1_values(family, psi)
     for m, R in enumerate(members):
+        # an integer index gives the member itself
+        assert (family[m].lam == R.lam).all()
+        assert (family[m].power_matrix == R.power_matrix).all()
         assert (jacobson[m] == restricted.p_power_jacobson(R, g[m])).all()
         assert (closed[m] == restricted.p_power_closed(R, g[m])).all()
         for f, form in enumerate(forms):
