@@ -4,9 +4,12 @@ The central construction is the filiform algebra of maximal class on basis
 e_1, ..., e_p with the only nonzero brackets [e_1, e_i] = e_{i+1} for
 1 < i < p, graded by weight(e_k) = k.  Elements are coefficient vectors
 (numpy int64, length dim, entries mod p) over the ordered basis; `bracket`
-and `ad_matrix` also take stacks of them, rows in the last axis, and
-accumulate their terms over `constants`, the cached nonzero constants;
-`jacobi_check` walks them grouped by target and by pair.
+also takes stacks of them, rows in the last axis, and accumulates its
+terms over `constants`, the cached nonzero constants; the p-power and
+sum-rule recursions step through it.  `jacobi_check` walks the constants
+grouped by target and by pair.  `ad_matrix`, the dense dim x dim matrix of
+ad(g), is called by no other module: the tests keep it as their dense
+oracle and the bench traces it by name.
 """
 
 from __future__ import annotations
@@ -183,7 +186,9 @@ def ad_matrix(algebra, g):
     vector g or, stacked the same way, for each row of a stack.
 
     Entry (k, j) of ad(g) is the e_k coefficient of [g, e_j], so each
-    nonzero constant adds g_i c at flat position k n + j.
+    nonzero constant adds g_i c at flat position k n + j.  No other module
+    calls it: it is the tests' dense oracle of `LieAlgebra.bracket` and a
+    name the bench traces.
     """
     g = gf.normalize(g, algebra.prime)
     n = algebra.dim

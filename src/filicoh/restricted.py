@@ -19,8 +19,11 @@ serve as mutual oracles:
 * p_power_jacobson: `split_sum` with Jacobson's correction terms
   s_i(g, h), where i * s_i is the coefficient of t^(i-1) in
   ad(t g + h)^(p-1) applied to g.  That polynomial is built as a vector
-  recursion on row stacks: one row per power of t, with p-1 applications
-  of w -> w ad(h)^T + t w ad(g)^T starting from w = g.
+  recursion on row stacks (`ad_recursion`): one row per power of t, with
+  p-1 applications of w -> [h, w] + t [g, w] starting from w = g, two
+  `LieAlgebra.bracket` calls each on the band of powers that is nonzero in
+  some row.  On the family a split at a e_k, k >= 2, zeroes the stack in
+  one step, and one at e_1 carries a single power.
 
 A member of the family m_0^lambda(p) is its lambda: `Family(p, lam)`
 holds make_m0(p) and lam, and reads its power matrix off lam.  A stack of
@@ -152,12 +155,17 @@ def p_power_closed(R: Family, g):
 
 
 # The one cell budget of the stacked routines.  split_sum batches as many
-# split positions as keep each array its correction holds (ad matrices,
-# recursion rows, forms: dim^2 cells a row and split) under it, and at
-# least one: max(BATCH_CELLS, rows * dim^2) cells.  `batches` applies the
-# same rule to the lambda stacks of the checks, whose parts then stay under
-# it as well; the most rows one lambda brings are the 3(p + 1) of the
-# omega sum rule, 5.5 MB an array at p = 61.
+# split positions as keep each array its correction holds under it, at
+# dim^2 cells a row and split, and at least one: max(BATCH_CELLS,
+# rows * dim^2) cells.  A row and split holds a form matrix of the sum
+# rules, dim^2 cells, and recursion rows of `ad_recursion`, band * nnz
+# cells (the powers of t it carries times the nonzero constants a bracket
+# reads), one power on the family's splits.  `batches` applies the same
+# rule to the lambda stacks of the checks, whose parts then stay under it
+# as well; the most rows one lambda brings are the 3(p + 1) of the omega
+# sum rule.  At p = 61 their forms take 1.8 MB, and the rule peaks at
+# 12.3 MB (tracemalloc) in the correction on unsplit rows, whose band
+# spans every power.
 BATCH_CELLS = 1 << 13
 
 
@@ -205,24 +213,34 @@ def split_sum(p: int, v, on_basis, correction):
 
 
 def ad_recursion(A: liealg.LieAlgebra, g, h, w, steps: int):
-    """The polynomial w(t) times `steps` factors ad(t g + h)^T, for one pair
+    """The polynomial w(t) times `steps` factors ad(t g + h), for one pair
     (g, h) or for each pair of rows of two stacks.
 
     Row d of w holds the coefficient of t^d (w carries the stack axis of g
-    and h ahead of its rows).  Each factor maps w to w ad(h)^T +
-    t w ad(g)^T, that is, every row to [h, row] plus, one power of t up,
-    [g, row].  Returns the len(w) + steps rows.
+    and h ahead of its rows).  Each factor maps every row to [h, row] plus,
+    one power of t up, [g, row]: two `bracket` calls on the stack.  Only
+    the band of powers that is nonzero in some row of the stack is
+    carried: the map is linear, so a power that is zero in every row adds
+    nothing at its own power or at the next, and once the whole stack is
+    zero the rest of it is.  Returns (low, band): band holds the rows of
+    the product from t^low on, and its other rows, len(w) + steps in all,
+    are zero.
     """
-    p, n = A.prime, A.dim
-    ad_h = liealg.ad_matrix(A, h).swapaxes(-1, -2)
-    ad_g = liealg.ad_matrix(A, g).swapaxes(-1, -2)
+    p = A.prime
+    g, h = g[..., None, :], h[..., None, :]
+    low = 0
     for _ in range(steps):
-        nxt = gf.zeros(w.shape[:-2] + (w.shape[-2] + 1, n))
-        np.matmul(w, ad_h, out=nxt[..., :-1, :])
-        nxt[..., 1:, :] += w @ ad_g
-        nxt %= p
-        w = nxt
-    return w
+        live = np.flatnonzero(w.any(axis=-1).reshape(-1, w.shape[-2]).any(axis=0))
+        if not live.size:
+            break
+        low += live[0]
+        w = w[..., live[0] : live[-1] + 1, :]
+        # [h, row] at its own power, [g, row] one power up
+        up = A.bracket(g, w)
+        w = np.concatenate([A.bracket(h, w), up[..., -1:, :]], axis=-2)
+        w[..., 1:-1, :] += up[..., :-1, :]
+        w %= p
+    return low, w
 
 
 def jacobson_corrections(R: RestrictedAlgebra, g, h):
@@ -230,14 +248,15 @@ def jacobson_corrections(R: RestrictedAlgebra, g, h):
     vectors or for each pair of rows of two stacks.
 
     i * s_i(g, h) is the coefficient of t^(i-1) in ad(t g + h)^(p-1)
-    applied to g: `ad_recursion` of w = g over p-1 factors.
+    applied to g: `ad_recursion` of w = g over p-1 factors, whose t^(p-1)
+    row is not read.
     """
     p = R.prime
     g = gf.normalize(g, p)
     h = gf.normalize(h, p)
-    inverses = np.array([gf.inv_mod(i, p) for i in range(1, p)], dtype=np.int64)
-    w = ad_recursion(R.algebra, g, h, g[..., None, :], p - 1)
-    return (inverses @ w[..., : p - 1, :]) % p
+    weights = np.array([gf.inv_mod(i, p) for i in range(1, p)] + [0], dtype=np.int64)
+    low, w = ad_recursion(R.algebra, g, h, g[..., None, :], p - 1)
+    return weights[low : low + w.shape[-2]] @ w % p
 
 
 def p_power_jacobson(R: RestrictedAlgebra | Family, g):

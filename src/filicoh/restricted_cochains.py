@@ -29,10 +29,12 @@ a run of positions at once, as (heads, tails) with a leading axis over the
 positions; the forms of each row reach them by broadcasting.  The
 correction sum has 2^(p-2) terms; grouped by the number of slots that
 carry h1, it is the recursion of the Jacobson corrections,
-w -> w ad(h2)^T + t w ad(h1)^T from w = [h1, h2], one row of w per power
-of t.  The rows are weighted by inverses and summed first, and the form, a
-dim x dim matrix (`form_matrix`), is applied twice per split.  The literal
-enumeration is a test oracle (`tests/helpers.py`).
+w -> [h2, w] + t [h1, w] from w = [h1, h2], one row of w per power of t,
+each step two `LieAlgebra.bracket` calls on the band of powers that is
+nonzero in some row (`restricted.ad_recursion`).  The rows are weighted by
+inverses and summed first, and the form, a dim x dim matrix
+(`form_matrix`), is applied twice per split.  The literal enumeration is a
+test oracle (`tests/helpers.py`).
 """
 
 from __future__ import annotations
@@ -142,7 +144,9 @@ def star_correction(algebra, forms, h1, h2):
     the sum of [g_1, ..., g_j] over the prefixes with d + 1 slots of h1.
     That is `restricted.ad_recursion` with g = h1 and h = h2, started at
     [h1, h2]; it brackets from the left, and its p-3 sign flips cancel for
-    odd p.  Weighted by 1/#h1, the rows are summed before F is applied.
+    odd p.  It returns the band of rows nonzero in some row of the stack,
+    so the weights 1/#h1 are read at the band's powers; the rows are
+    summed before F is applied.
     """
     p = algebra.prime
     h1 = gf.normalize(h1, p)
@@ -152,8 +156,11 @@ def star_correction(algebra, forms, h1, h2):
     # #h1 is d + 1 in the prefix, d + 2 when h1 also fills the last slot
     last_h1 = np.array([gf.inv_mod(d + 2, p) for d in range(p - 2)], dtype=np.int64)
     last_h2 = np.array([gf.inv_mod(d + 1, p) for d in range(p - 2)], dtype=np.int64)
-    w = restricted.ad_recursion(algebra, h1, h2, algebra.bracket(h1, h2)[..., None, :], p - 3)
-    return (_pair(forms, last_h1 @ w % p, h1, p) + _pair(forms, last_h2 @ w % p, h2, p)) % p
+    low, w = restricted.ad_recursion(algebra, h1, h2, algebra.bracket(h1, h2)[..., None, :], p - 3)
+    band = slice(low, low + w.shape[-2])
+    return (
+        _pair(forms, last_h1[band] @ w % p, h1, p) + _pair(forms, last_h2[band] @ w % p, h2, p)
+    ) % p
 
 
 def doublestar_correction(algebra, alpha, g, h1, h2):

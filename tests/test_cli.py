@@ -161,6 +161,14 @@ def test_verify_small_prime_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 31])
+def test_verify_passes_on_a_random_lambda_up_to_31(capsys, p):
+    code, out, _ = run(capsys, "verify", "--prime", str(p), "--lambda", "random:1")
+    assert code == 0
+    assert "verify result: pass" in out
+    assert "FAIL" not in out
+
+
 def test_verify_p2_all_prints_basis_table(capsys):
     code, out, _ = run(capsys, "verify", "--prime", "2", "--lambda", "all")
     assert code == 0

@@ -108,6 +108,27 @@ def test_extension_checks_stay_below_a_dense_structure_array():
     assert peak < RE.dim**3 * 8 / 2, peak
 
 
+def test_correction_recursion_stays_below_a_dense_ad_array():
+    # jacobson_corrections at p = 61 on the 3(p + 1) rows one lambda brings
+    # to a split of the omega sum rule, split at e_1 as restricted.split_sum
+    # hands them over: peak below one rows x dim^2 int64 array, the size of
+    # one stack of ad matrices
+    p = 61
+    rng = np.random.default_rng(p)
+    R = restricted.Family(p, rng.integers(0, p, size=p))
+    rows = rng.integers(0, p, size=(3 * (p + 1), p))
+    cols = np.arange(p)
+    heads, tails = np.where(cols == 0, rows, 0)[None], np.where(cols > 0, rows, 0)[None]
+    tracemalloc.start()
+    try:
+        got = restricted.jacobson_corrections(R, heads, tails)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == heads.shape and not got.any()  # they vanish on the family
+    assert peak < len(rows) * p * p * 8, peak
+
+
 def test_restricted_extension_verified():
     R = restricted.Family(7, (0,) * 7)
     c2 = rcoch.RestrictedTwoCochain(cochains.phi_k(7, 5), (0,) * 7)

@@ -10,11 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from helpers import (
+    cochain_from_vector,
     few_positions_per_batch,
     jacobson_corrections_matrix_poly,
     mat_pow,
     random_element,
     restricted_from_json,
+    star_correction_naive,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -378,3 +380,69 @@ def early_nilpotent_algebra(p):
 def test_verify_restricted_map_matches_per_k_powers_on_random_algebras(R):
     want = first_failing_power(R)
     assert restricted.verify_restricted_map(R) == (want is None, want)
+
+
+# ---------------------------------------------------------------------------
+# the correction recursion on random constants, where its band of powers of
+# t moves
+
+
+@st.composite
+def correction_cases(draw):
+    """A random restricted algebra, three rows each of g and h, and a
+    2-form."""
+    R = draw(restricted_algebras())
+    p, dim = R.prime, R.dim
+    entries = st.integers(0, p - 1)
+    rows = st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=3, max_size=3)
+    npairs = dim * (dim - 1) // 2
+    phi = draw(st.lists(entries, min_size=npairs, max_size=npairs))
+    return R, np.array(draw(rows)), np.array(draw(rows)), cochain_from_vector(p, dim, 2, phi)
+
+
+def m0_case(g, h):
+    """Rows (g, h) on make_m0(7), a missing g the zero row, with a 2-form
+    that pairs e_7 with e_1 and e_2."""
+    p = 7
+    phi = cochains.Cochain(p, p, 2, {(1, 7): 1, (2, 7): 3, (3, 5): 2})
+    rows = lambda vectors: gf.normalize([[0] * p if v is None else v for v in vectors], p)
+    return restricted.Family(p, [1] * p), rows(g), rows(h), phi
+
+
+# e_3 heads: the tails hold no e_1, so the whole stack is zero after one step
+ZERO_AT_FIRST_STEP = m0_case(
+    [[0, 0, 2, 0, 0, 0, 0], [0, 0, 5, 0, 0, 0, 0], None],
+    [[0, 0, 0, 1, 4, 0, 6], [0, 0, 0, 3, 0, 2, 1], [0, 0, 0, 1, 1, 1, 1]],
+)
+# e_1 heads: each step moves the one nonzero row a power of t up
+BAND_RISES = m0_case(
+    [[3, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [6, 0, 0, 0, 0, 0, 0]],
+    [[0, 1, 0, 2, 0, 0, 5], [0, 4, 4, 0, 1, 0, 0], [0, 0, 1, 0, 0, 2, 0]],
+)
+# both kinds of head, and a zero row, in one stack
+MIXED_HEADS = m0_case(
+    [[0, 0, 2, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0, 0], None],
+    [[0, 0, 0, 1, 4, 0, 6], [0, 1, 0, 2, 0, 0, 5], [0, 2, 1, 0, 0, 0, 3]],
+)
+# (e_2, e_1) stays at t^0 and (e_1, e_2) climbs, so the band has zero
+# powers between them
+INTERIOR_ZERO_POWERS = m0_case(
+    [[0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], None],
+    [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]],
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=correction_cases())
+@example(case=ZERO_AT_FIRST_STEP)
+@example(case=BAND_RISES)
+@example(case=MIXED_HEADS)
+@example(case=INTERIOR_ZERO_POWERS)
+def test_correction_recursion_matches_its_oracles_on_random_constants(case):
+    R, g, h, phi = case
+    A = R.algebra
+    corrections = restricted.jacobson_corrections(R, g, h)
+    sums = rcoch.star_correction(A, rcoch.form_matrix(phi), g, h)
+    for row, total, x, y in zip(corrections, sums, g, h):
+        assert (row == jacobson_corrections_matrix_poly(R, x, y)).all()
+        assert total == star_correction_naive(A, phi, x, y)
