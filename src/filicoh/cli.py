@@ -5,6 +5,15 @@ requested computation, and emits one report to stdout (and to --output
 when given).  Identical flags, including any random seed, produce
 byte-identical output; exit codes are 0 for success, 1 for a
 verification mismatch, and 2 for a usage or input error.
+
+Only what every command needs is imported here.  Each run function
+imports the modules it runs, so a fresh `iso` process loads `gf` and
+`isoclass` alone, and `dims` and `sweep` load no `checks`, `extensions`
+or `isoclass`.  A run function imports first, its helpers' modules too,
+before it allocates anything: a module loaded in the middle of a run
+raised the peak RSS of `verify` and `sweep` by up to 0.6 MB.  Functions
+are looked up on their modules at each call, so a tracer that rebinds a
+module attribute reaches every command.
 """
 
 from __future__ import annotations
@@ -16,8 +25,7 @@ import sys
 
 import numpy as np
 
-from . import checks, cochains, cohomology, extensions, gf, isoclass, restricted
-from . import restricted_cochains as rcoch
+from . import gf
 
 # master seed for the capped "all" enumeration; echoed in every report
 # that uses it so runs are replayable
@@ -95,7 +103,7 @@ def resolve_lambdas(p: int, spec: str) -> tuple[list[tuple[int, ...]], str | Non
         if seed < 0:
             raise UsageError(f"random seed must be non-negative in lambda spec {spec!r}")
         lam = _random_lambda(np.random.default_rng(seed), p)
-        note = f"lambda=random seed {seed} -> {restricted.lam_str(lam)}"
+        note = f"lambda=random seed {seed} -> {gf.vector_str(lam)}"
         return [lam], note
     try:
         lam = tuple(int(x) % p for x in spec.split(","))
@@ -110,24 +118,29 @@ def resolve_lambdas(p: int, spec: str) -> tuple[list[tuple[int, ...]], str | Non
 # shared computation and emission helpers
 
 
-# the four groups by report name, each read from a family member R; the
-# module attributes are looked up per call, so a tracer's rebinding reaches them
+# the four groups by report name, each read from the cohomology module and
+# a family member R; the module attributes are looked up per call, so a
+# tracer's rebinding reaches them
 GROUP_NAMES = {
-    "H1": lambda R: cohomology.h1(R.algebra),
-    "H1+": lambda R: cohomology.h1_star(R),
-    "H2": lambda R: cohomology.h2(R.algebra),
-    "H2+": lambda R: cohomology.h2_star(R),
+    "H1": lambda cohomology, R: cohomology.h1(R.algebra),
+    "H1+": lambda cohomology, R: cohomology.h1_star(R),
+    "H2": lambda cohomology, R: cohomology.h2(R.algebra),
+    "H2+": lambda cohomology, R: cohomology.h2_star(R),
 }
 
 
 def group_summaries(p, lam):
     """All four cohomology summaries for one family member."""
+    from . import cohomology, restricted
+
     R = restricted.Family(p, lam)
-    return {name: summary(R) for name, summary in GROUP_NAMES.items()}
+    return {name: summary(cohomology, R) for name, summary in GROUP_NAMES.items()}
 
 
 def dims_row(p, lam) -> dict:
     """Computed vs expected dimensions for one (p, lambda)."""
+    from . import cohomology
+
     summaries = group_summaries(p, lam)
     expected = cohomology.expected_summary(p, lam)
     groups = {}
@@ -194,7 +207,7 @@ def _dims_table(rows) -> list[str]:
             shown = str(g["computed"]) if g["ok"] else f"{g['computed']}!={g['expected']}"
             cells.append(f"{name}={shown}")
         status = "ok" if row["ok"] else "FAIL"
-        lam = restricted.lam_str(row["lambda"])
+        lam = gf.vector_str(row["lambda"])
         lines.append(f"p={row['prime']} {' '.join(cells)} {status} lambda={lam}")
     bad = sum(1 for r in rows if not r["ok"])
     lines.append(
@@ -206,6 +219,8 @@ def _dims_table(rows) -> list[str]:
 def run_dims(ns) -> int:
     """dims at --prime, or sweep over --primes; every prime is parsed
     before any lambda spec is resolved."""
+    from . import cohomology  # noqa: F401  dims_row's, loaded before the run allocates
+
     texts = ns.primes.split(",") if ns.command == "sweep" else [ns.prime]
     primes = [_parse_prime(x) for x in texts]
     notes = []
@@ -224,6 +239,8 @@ def run_dims(ns) -> int:
 
 
 def run_basis(ns) -> int:
+    from . import cohomology, restricted
+
     p = _parse_prime(ns.prime)
     notes = []
     lams = _lambdas(p, ns.lambda_spec, notes)
@@ -232,12 +249,12 @@ def run_basis(ns) -> int:
     lines = []
     rows = []
     for lam in lams:
-        s = GROUP_NAMES[name](restricted.Family(p, lam))
+        s = GROUP_NAMES[name](cohomology, restricted.Family(p, lam))
         report = cohomology.compare(s, cohomology.expected_summary(p, lam))
         ok = ok and report["ok"]
         row = cohomology.summary_to_json(s)
         rows.append({**row, "ok": report["ok"]})
-        lines.append(f"{name} basis, p={p}, lambda={restricted.lam_str(lam)} (dim {s.dimension})")
+        lines.append(f"{name} basis, p={p}, lambda={gf.vector_str(lam)} (dim {s.dimension})")
         lines += [f"  {rep}" for rep in row["representatives"]]
     payload = {"command": "basis", "group": name, "notes": notes, "rows": rows, "ok": ok}
     _emit_report(ns, payload, lines)
@@ -254,11 +271,13 @@ def _p2_basis_table(lams) -> list[str]:
         summaries = group_summaries(2, lam)
         h1s = ", ".join(str(r) for r in summaries["H1+"].representatives)
         h2s = ", ".join(str(r) for r in summaries["H2+"].representatives)
-        lines.append(f"  lambda={restricted.lam_str(lam)}: H1+ = [{h1s}]; H2+ = [{h2s}]")
+        lines.append(f"  lambda={gf.vector_str(lam)}: H1+ = [{h1s}]; H2+ = [{h2s}]")
     return lines
 
 
 def run_verify(ns) -> int:
+    from . import checks, cohomology  # noqa: F401  cohomology is dims_row's
+
     p = _parse_prime(ns.prime)
     notes = []
     lams = _lambdas(p, ns.lambda_spec, notes)
@@ -303,6 +322,8 @@ def run_verify(ns) -> int:
 
 def _run_iso_classify(ns, p: int) -> int:
     """Partition the selected lambda set into graded isomorphism classes."""
+    from . import isoclass
+
     notes = []
     lams = _lambdas(p, ns.lambda_spec, notes)
     try:
@@ -329,6 +350,8 @@ def run_iso(ns) -> int:
     p = _parse_prime(ns.prime)
     if ns.lambda_prime_spec is None:
         return _run_iso_classify(ns, p)
+    from . import isoclass
+
     notes = []
     lam = _single_lambda(p, ns.lambda_spec, notes)
     lam2 = _single_lambda(p, ns.lambda_prime_spec, notes)
@@ -346,8 +369,12 @@ def run_iso(ns) -> int:
 # extend
 
 
-def parse_cocycle_spec(p: int, spec: str) -> rcoch.RestrictedTwoCochain:
-    """ebar:K -> (0, ebar^K); e:I,J -> (e^{I,J}, 0); phi:K -> (phi_K, 0)."""
+def parse_cocycle_spec(p: int, spec: str):
+    """ebar:K -> (0, ebar^K); e:I,J -> (e^{I,J}, 0); phi:K -> (phi_K, 0),
+    as a restricted_cochains.RestrictedTwoCochain."""
+    from . import cochains
+    from . import restricted_cochains as rcoch
+
     kind, _, rest = spec.partition(":")
     try:
         if kind == "ebar":
@@ -370,6 +397,8 @@ def parse_cocycle_spec(p: int, spec: str) -> rcoch.RestrictedTwoCochain:
 
 
 def run_extend(ns) -> int:
+    from . import extensions, restricted
+
     p = _parse_prime(ns.prime)
     notes = []
     lam = _single_lambda(p, ns.lambda_spec, notes)

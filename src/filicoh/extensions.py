@@ -9,9 +9,14 @@ on the restricted differential: d2 phi from `cochains.differential`, then
 the induced beta of `restricted_cochains.ind2_matrix`.  It then builds the
 brackets without a second cocycle check, re-verifies the restricted axiom
 on the result instead of trusting the cocycle condition, and returns the
-extension as a RestrictedAlgebra.  The ordinary extension with its own
-cocycle witness is a test helper (`tests/helpers.extend_ordinary`), since
-nothing in the package builds one.
+extension as a RestrictedAlgebra.  Given a restricted.Family stack, it
+extends every member by the one cochain: the brackets do not depend on
+lambda, so d2 phi, the twisted brackets and their Jacobi check are made
+once, and the result holds one p-map per member over the one extended
+algebra, checked in one `restricted.verify_restricted_map` pass.  The
+ordinary extension with its own cocycle witness is a test helper
+(`tests/helpers.extend_ordinary`), since nothing in the package builds
+one.
 """
 
 from __future__ import annotations
@@ -51,24 +56,35 @@ def extend_restricted(
 ) -> restricted.RestrictedAlgebra:
     """Append a central c twisted by a restricted 2-cocycle (phi, omega):
     its restricted differential (d2 phi, induced beta) must vanish, d2 phi
-    checked first.  Returns the extension with its p-powers."""
+    checked first.  Returns the extension with its p-powers, a stack of
+    them when R is a Family stack; a failure on a stack names the first
+    failing member."""
     alpha = cochains.differential(R.algebra, c2.phi)
     if not alpha.is_zero():
         raise ValueError(f"not a restricted cocycle: d2 is nonzero on {min(alpha.coeffs)}")
+    stacked = R.power_matrix.ndim == 3
     beta = rcoch.ind2_matrix(R, c2.phi)
     if beta.any():
-        i, j = np.argwhere(beta)[0].tolist()
+        *member, i, j = np.argwhere(beta)[0].tolist()
         raise ValueError(
             f"not a restricted cocycle: induced beta is nonzero on basis pair ({i + 1}, {j + 1})"
+            + (f" of member {member[0]}" if stacked else "")
         )
     E = central_extension(R.algebra, c2.phi)
-    # omega on a basis vector is its stored value: no split, no correction
-    powers = [np.append(power, omega) for power, omega in zip(R.power_matrix, c2.omega_basis)]
-    powers.append(E.zero())  # c^[p] = 0
+    # omega on a basis vector is its stored value: no split, no correction;
+    # c^[p] = 0 is the last row
+    n = R.dim
+    powers = gf.zeros(R.power_matrix.shape[:-2] + (n + 1, n + 1))
+    powers[..., :n, :n] = R.power_matrix
+    powers[..., :n, n] = c2.omega_basis
     RE = restricted.RestrictedAlgebra(E, powers)
-    ok, k = restricted.verify_restricted_map(RE)
-    if not ok:
-        raise RuntimeError(f"extension failed the restricted axiom at basis index {k}")
+    verdicts = restricted.verify_restricted_map(RE)
+    for m, (ok, k) in enumerate(verdicts if stacked else [verdicts]):
+        if not ok:
+            raise RuntimeError(
+                f"extension failed the restricted axiom at basis index {k}"
+                + (f" of member {m}" if stacked else "")
+            )
     return RE
 
 

@@ -8,8 +8,10 @@ their inputs.
 This module holds elimination and its helpers: the sparse `SpanTracker`,
 the one elimination the other modules run, and `rref` with the rank and
 the kernel read off it, which no other module calls: they stay as the
-tests' oracles and as names the bench traces.  The other modules form
-their products with numpy's `@` on int64 and reduce after each one.
+tests' oracles and as names the bench traces.  It also holds the text of
+a residue vector (`vector_str`), since every command loads this module
+and prints lambda vectors.  The other modules form their products with
+numpy's `@` on int64 and reduce after each one.
 Invariant: a product sums at most n terms, each below p^2, n being the
 inner dimension, so int64 holds it exactly while n (p-1)^2 < 2^63.  The
 algebras built here have dim at least p, so that holds for every dim
@@ -48,6 +50,12 @@ def normalize(entries, p: int) -> Mat:
         Fresh int64 array of the same shape, entries in [0, p).
     """
     return np.asarray(entries, dtype=np.int64) % p
+
+
+def vector_str(v) -> str:
+    """A residue vector as comma-separated integers, the text a lambda spec
+    takes and the reports print."""
+    return ",".join(str(int(x)) for x in v)
 
 
 def inv_mod(a: int, p: int) -> int:

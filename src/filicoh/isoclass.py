@@ -7,9 +7,13 @@ are isomorphic exactly when lam_k * mu_p = mu_k^p * lam'_k for all k and
 some choice of (mu1, mu2), which a (p-1)^2 search decides outright.
 
 The maps act on a power vector by scaling each entry, so its class is its
-orbit under the (p-1)^2 factor vectors mu_k^p * mu_p^(-1).
-partition_classes groups vectors by a canonical key, the lexicographic
-minimum of that orbit; the pairwise search iso_bruteforce is its oracle.
+orbit under the (p-1)^2 factor vectors mu_k^p * mu_p^(-1).  Over GF(p),
+mu^p = mu, so that factor is mu1^(k-1) for 2 <= k <= p, while mu2 scales
+lam_1 alone, by any nonzero factor.  partition_classes therefore keys a
+vector by (lam_1 != 0, the lexicographic minimum over s != 0 of
+(s lam_2, s^2 lam_3, ..., s^(p-2) lam_(p-1)), lam_p): O(p^2) per vector
+instead of the O(p^3) orbit.  The orbit minimum (`tests/helpers`) and
+the pairwise search iso_bruteforce are its oracles.
 
 The literature states an alternative closed condition set whose k = 1, 2
 clauses look reparameterized; proposition_formula_check compares its
@@ -17,6 +21,8 @@ verdicts against the brute-force search and reports, never decides.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import gf
 
@@ -86,7 +92,9 @@ def proof_transform(p: int, lam2, mu1: int, mu2: int) -> tuple[int, ...]:
 
 
 def partition_classes(p: int, lam_list) -> list[list[tuple[int, ...]]]:
-    """Group power vectors into isomorphism classes by canonical orbit key.
+    """Group power vectors into isomorphism classes by a canonical key:
+    whether lam_1 is nonzero, the least of the p - 1 scalings of
+    lam_2..lam_(p-1) by (s, s^2, ..., s^(p-2)), and lam_p.
 
     Classes come in order of first appearance and keep their members in
     input order, the partition a pairwise search against each class's first
@@ -96,18 +104,15 @@ def partition_classes(p: int, lam_list) -> list[list[tuple[int, ...]]]:
         raise ValueError(f"diagonal search is limited to p <= {SEARCH_LIMIT}")
     if not gf.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = [
-        proof_transform(p, (1,) * p, mu1, mu2)
-        for mu1 in range(1, p)
-        for mu2 in range(1, p)
-    ]
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for lam in lam_list:
-        lam = tuple(int(x) % p for x in lam)
-        if len(lam) != p:
-            raise ValueError("power vectors must have one entry per basis vector")
-        key = min(tuple([f * x % p for f, x in zip(fs, lam)]) for fs in factors)
-        classes.setdefault(key, []).append(lam)
+    lams = [tuple(int(x) % p for x in lam) for lam in lam_list]
+    if any(len(lam) != p for lam in lams):
+        raise ValueError("power vectors must have one entry per basis vector")
+    # row s - 1 holds s^(k-1) for k = 2..p-1
+    scales = np.array([[pow(s, k, p) for k in range(1, p - 1)] for s in range(1, p)])
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    for lam in lams:
+        middle = min(map(tuple, (scales * lam[1:-1] % p).tolist()))
+        classes.setdefault((lam[0] != 0, middle, lam[-1]), []).append(lam)
     return list(classes.values())
 
 

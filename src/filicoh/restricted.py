@@ -35,9 +35,13 @@ basis p-powers, which the central extensions are.
 
 The restricted axiom ad(x^[p]) = ad(x)^p is checked on the basis by its
 definition, on sparse {index: coefficient} vectors and the constants
-looked up by pair (`LieAlgebra.constants_by_pair`): ad(e_k) is applied to
+looked up by pair (`LieAlgebra.constants_by_pair`, by k, then by i, so
+that ad(e_k) of a central e_k costs nothing): ad(e_k) is applied to
 each e_j until the p-th step or until the iterate vanishes, and no ad
-matrix or matrix power is built.
+matrix or matrix power is built.  A RestrictedAlgebra may hold a stack of
+p-maps over its one algebra, as the central extensions of a Family stack
+do; the iterate depends on the algebra alone, so it is computed once and
+compared with [e_j, -e_k^[p]] of every member.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class RestrictedAlgebra:
     extensions build; the family m_0^lambda(p) is a `Family`.
 
     Row k-1 of the read-only power_matrix is the coefficient vector of
-    e_k^[p].
+    e_k^[p].  A stack of L p-maps on the one algebra, shape (L, dim, dim),
+    is L members, which verify_restricted_map checks in one pass.
     """
 
     def __init__(self, algebra: liealg.LieAlgebra, basis_p_powers):
@@ -64,7 +69,7 @@ class RestrictedAlgebra:
             matrix = gf.normalize(basis_p_powers, p)
         except ValueError:  # rows of different lengths
             matrix = None
-        if matrix is None or matrix.shape != (n, n):
+        if matrix is None or matrix.ndim not in (2, 3) or matrix.shape[-2:] != (n, n):
             raise ValueError("basis_p_powers must give one vector of length dim per basis vector")
         matrix.setflags(write=False)
         self.power_matrix = matrix
@@ -130,10 +135,6 @@ class Family:
         out[..., -1] = self.lam
         out.setflags(write=False)
         return out
-
-
-def lam_str(lam) -> str:
-    return ",".join(str(int(x)) for x in lam)
 
 
 def p_power_closed(R: Family, g):
@@ -273,7 +274,7 @@ def p_power_jacobson(R: RestrictedAlgebra | Family, g):
     )
 
 
-def verify_restricted_map(R: RestrictedAlgebra):
+def verify_restricted_map(R: RestrictedAlgebra | Family):
     """Check ad(e_k^[p]) == ad(e_k)^p for every basis vector, on brackets:
     each e_j goes through x -> [e_k, x] up to p times and is compared with
     [e_k^[p], e_j].  The iteration stops once x is zero, which then stays
@@ -282,28 +283,52 @@ def verify_restricted_map(R: RestrictedAlgebra):
     terms e_i of x; [e_k^[p], e_j] is taken as [e_j, -e_k^[p]].
 
     Returns (True, None) or (False, k) for the first failing 1-based k.
+    A stack of p-maps gets one such pair per member, in a list: the
+    iterates of each k are computed once for all of them, members with the
+    same e_k^[p] are compared once, and a member is left out from its
+    first failing k on.
     """
     p = R.prime
-    by_pair = R.algebra.constants_by_pair
+    # the constants of the pairs (k, i), looked up by k, then by i
+    by_first: dict[int, dict[int, tuple]] = {}
+    for (k, i), constants in R.algebra.constants_by_pair.items():
+        by_first.setdefault(k, {})[i] = constants
 
     def ad(k, x):
+        pairs = by_first.get(k)
+        if not pairs:
+            return {}
         out: dict[int, int] = {}
         for i, a in x.items():
-            for m, c in by_pair.get((k, i), ()):
+            for m, c in pairs.get(i, ()):
                 out[m] = (out.get(m, 0) + a * c) % p
         return {m: c for m, c in out.items() if c}
 
-    for k, row in enumerate(R.power_matrix.tolist(), start=1):
-        minus_power = {i: p - c for i, c in enumerate(row, start=1) if c}
+    stack = R.power_matrix.reshape(-1, R.dim, R.dim)
+    failing = [None] * len(stack)
+    for k in range(1, R.dim + 1):
+        rows: dict[tuple, list[int]] = {}  # e_k^[p] -> the members left with it
+        for m, row in enumerate(stack[:, k - 1].tolist()):
+            if failing[m] is None:
+                rows.setdefault(tuple(row), []).append(m)
+        if not rows:
+            break
+        groups = [
+            ({i: p - c for i, c in enumerate(row, start=1) if c}, members)
+            for row, members in rows.items()
+        ]
         for j in range(1, R.dim + 1):
             x = {j: 1}
             for _ in range(p):
                 x = ad(k, x)
                 if not x:
                     break
-            if ad(j, minus_power) != x:
-                return False, k
-    return True, None
+            for minus_power, members in groups:
+                if failing[members[0]] is None and ad(j, minus_power) != x:
+                    for m in members:
+                        failing[m] = k
+    verdicts = [(k is None, k) for k in failing]
+    return verdicts if R.power_matrix.ndim == 3 else verdicts[0]
 
 
 def to_json(R: RestrictedAlgebra) -> dict:

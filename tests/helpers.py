@@ -8,7 +8,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from filicoh import cochains, cohomology, extensions, gf, liealg, restricted
+from filicoh import cochains, cohomology, extensions, gf, isoclass, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 
 
@@ -446,3 +446,32 @@ def few_positions_per_batch(monkeypatch, v):
     for cells in (1, ((n - 1) // 2 + 1) * np.size(v) * n):
         monkeypatch.setattr(restricted, "BATCH_CELLS", cells)
         yield
+
+
+def make_m2(p):
+    """The filiform algebra m_2 on p basis vectors: [e_1, e_i] = e_(i+1)
+    for 1 < i < p and [e_2, e_j] = e_(j+2) for 2 < j < p - 1, graded by
+    index.  Unlike make_m0(p), ad(e_2) is not zero from p = 5 on.  Every
+    bracket raises the weight, so ad(e_k)^p = 0 and the zero p-map makes
+    it restricted."""
+    basis = np.eye(p, dtype=np.int64)
+    brackets = {(1, i): basis[i] for i in range(2, p)}  # e_(i+1)
+    brackets.update({(2, j): basis[j + 1] for j in range(3, p - 1)})  # e_(j+2)
+    return liealg.LieAlgebra(p, p, brackets, weights=range(1, p + 1))
+
+
+def orbit_min_partition(p, lams):
+    """Classes keyed by the lexicographic minimum of each vector's orbit
+    under the (p-1)^2 diagonal maps, in order of first appearance: the
+    O(p^3)-per-vector oracle of isoclass.partition_classes' key."""
+    factors = [
+        isoclass.proof_transform(p, (1,) * p, mu1, mu2)
+        for mu1 in range(1, p)
+        for mu2 in range(1, p)
+    ]
+    classes = {}
+    for lam in lams:
+        lam = tuple(int(x) % p for x in lam)
+        key = min(tuple(f * x % p for f, x in zip(fs, lam)) for fs in factors)
+        classes.setdefault(key, []).append(lam)
+    return list(classes.values())

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filicoh import cli
+from filicoh import checks, cli, cochains, cohomology, extensions, isoclass, restricted
+from filicoh import restricted_cochains as rcoch
 from filicoh.cli import main
 
 
@@ -106,7 +107,7 @@ def test_dims_reads_each_member_off_its_lambda(capsys, monkeypatch, p):
     def no_power_matrix(R):
         raise AssertionError("a power matrix was built for dims")
 
-    monkeypatch.setattr(cli.restricted.Family, "power_matrix", property(no_power_matrix))
+    monkeypatch.setattr(restricted.Family, "power_matrix", property(no_power_matrix))
     code, out, _ = run(capsys, "dims", "--prime", p, "--lambda", "all")
     assert code == 0
     assert out.endswith("all pass\n")
@@ -207,7 +208,7 @@ def test_verify_json_separates_informational(capsys):
 
 def test_verify_marks_the_diagonal_search_not_run_above_the_search_limit(monkeypatch, capsys):
     # above isoclass.SEARCH_LIMIT no search runs, so the check is no pass
-    monkeypatch.setattr(cli.isoclass, "SEARCH_LIMIT", 5)
+    monkeypatch.setattr(isoclass, "SEARCH_LIMIT", 5)
     code, out, _ = run(capsys, "verify", "--prime", "7", "--lambda", "random:1")
     assert code == 0
     assert "  info diagonal search confirms transformed vectors (not run: p > 5)\n" in out
@@ -248,7 +249,7 @@ def verify_tags(capsys, *argv):
 
 
 def test_verify_fails_on_nonzero_induced_beta(monkeypatch, capsys):
-    real = cli.rcoch.ind2_matrix
+    real = rcoch.ind2_matrix
 
     def corrupted(R, phi):
         out = real(R, phi)
@@ -257,7 +258,7 @@ def test_verify_fails_on_nonzero_induced_beta(monkeypatch, capsys):
 
     # H2+ builds its induced-beta rows without ind2_matrix, so the
     # dimension table still passes and only the oracle check fails
-    monkeypatch.setattr(cli.rcoch, "ind2_matrix", corrupted)
+    monkeypatch.setattr(rcoch, "ind2_matrix", corrupted)
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "zero")
     assert code == 1
     assert tags["restricted complex identity"] == "FAIL"
@@ -266,12 +267,12 @@ def test_verify_fails_on_nonzero_induced_beta(monkeypatch, capsys):
 
 
 def test_verify_fails_on_corrupted_d2(monkeypatch, capsys):
-    real = cli.cochains.d2
+    real = cochains.d2
 
     def corrupted(A, c2):
-        return real(A, c2) + cli.cochains.dual_cochain(A.prime, A.dim, (1, 2, 3))
+        return real(A, c2) + cochains.dual_cochain(A.prime, A.dim, (1, 2, 3))
 
-    monkeypatch.setattr(cli.cochains, "d2", corrupted)
+    monkeypatch.setattr(cochains, "d2", corrupted)
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "zero")
     assert code == 1
     assert tags["complex identity d2(d1(psi)) = 0"] == "FAIL"
@@ -293,7 +294,7 @@ def plant_wrong_closed_p_power(monkeypatch, lam):
     """Make p_power_closed wrong on the first sample of lam, the first time
     it gets lam.  Returns the stack sizes it got, and at which call it
     planted the fault."""
-    real = cli.restricted.p_power_closed
+    real = restricted.p_power_closed
     sizes, planted = [], []
 
     def wrong(R, g):
@@ -306,7 +307,7 @@ def plant_wrong_closed_p_power(monkeypatch, lam):
         sizes.append(len(R))
         return out
 
-    monkeypatch.setattr(cli.restricted, "p_power_closed", wrong)
+    monkeypatch.setattr(restricted, "p_power_closed", wrong)
     return sizes, planted
 
 
@@ -322,7 +323,7 @@ def test_verify_fails_on_one_wrong_closed_p_power(monkeypatch, capsys):
 def test_verify_fails_on_a_wrong_p_power_in_the_last_part(monkeypatch, capsys):
     # a budget of 4 lambdas' samples cuts the 27 lambdas at p = 3 into 7
     # parts; the fault sits in the last lambda, alone in the last part
-    monkeypatch.setattr(cli.restricted, "BATCH_CELLS", 4 * 3 * 3 * 3)
+    monkeypatch.setattr(restricted, "BATCH_CELLS", 4 * 3 * 3 * 3)
     sizes, planted = plant_wrong_closed_p_power(monkeypatch, (2, 2, 2))
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
     assert sizes[:7] == [4] * 6 + [3]
@@ -334,7 +335,7 @@ def test_verify_fails_on_a_wrong_p_power_in_the_last_part(monkeypatch, capsys):
 
 
 def test_verify_fails_on_one_wrong_induced_omega(monkeypatch, capsys):
-    real = cli.rcoch.ind1_values
+    real = rcoch.ind1_values
     planted = []
 
     def off(R, psi):
@@ -345,7 +346,7 @@ def test_verify_fails_on_one_wrong_induced_omega(monkeypatch, capsys):
             values[rows] = (values[rows] + 1) % R.prime
         return values
 
-    monkeypatch.setattr(cli.rcoch, "ind1_values", off)
+    monkeypatch.setattr(rcoch, "ind1_values", off)
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
     assert planted
     assert code == 1
@@ -356,7 +357,7 @@ def test_verify_fails_on_one_wrong_induced_omega(monkeypatch, capsys):
 
 
 def test_verify_fails_on_one_corrupted_correction_row(monkeypatch, capsys):
-    real = cli.rcoch.star_correction
+    real = rcoch.star_correction
     planted = []
 
     def shifted(algebra, phi, h1, h2):
@@ -367,7 +368,7 @@ def test_verify_fails_on_one_corrupted_correction_row(monkeypatch, capsys):
             out.reshape(-1)[0] = (out.reshape(-1)[0] + 1) % algebra.prime
         return out[()]
 
-    monkeypatch.setattr(cli.rcoch, "star_correction", shifted)
+    monkeypatch.setattr(rcoch, "star_correction", shifted)
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
     assert planted
     assert code == 1
@@ -382,55 +383,76 @@ def module_with(module, **replaced):
 
 
 def test_verify_fails_on_one_extension_breaking_jacobi(monkeypatch, capsys):
-    liealg = cli.extensions.liealg
-    planted = []
+    # each Frobenius dual extends the whole sample in one build, so the
+    # extensions build three algebras at p = 3, and the first is faulty
+    real = extensions.liealg.LieAlgebra
+    builds = []
 
     def faulty(prime, dim, brackets, weights, labels=None):
-        if not planted:
+        if not builds:
             # [e_2, e_3] gains e_2: the Jacobiator of (e_1, e_2, e_3) is -e_3
-            planted.append(True)
             brackets = dict(brackets)
             vec = brackets.get((2, 3), [0] * dim)
             brackets[(2, 3)] = [c + (k == 1) for k, c in enumerate(vec)]
-        return liealg.LieAlgebra(prime, dim, brackets, weights, labels)
+        builds.append(dim)
+        return real(prime, dim, brackets, weights, labels)
 
-    monkeypatch.setattr(cli.extensions, "liealg", module_with(liealg, LieAlgebra=faulty))
+    monkeypatch.setattr(
+        extensions, "liealg", module_with(extensions.liealg, LieAlgebra=faulty)
+    )
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
-    assert planted
+    assert builds == [4, 4, 4]
     assert code == 1
     assert tags["central extensions verify and stay trivial"] == "FAIL"
     assert tags["jacobi identity"] == "ok"
 
 
-def test_verify_fails_on_one_extension_breaking_the_p_map(monkeypatch, capsys):
-    restricted = cli.extensions.restricted
-    planted = []
+def plant_p_map_fault(monkeypatch, member):
+    """Make e_2^[p] gain e_1 in one member of the first extension's stack
+    of p-maps.  Returns the stack size of each extension built."""
+    real = restricted.RestrictedAlgebra
+    sizes = []
 
     def faulty(algebra, powers):
-        if not planted:
-            # e_2^[p] gains e_1, whose ad is not the p-th power of ad(e_2)
-            planted.append(True)
-            powers = [list(v) for v in powers]
-            powers[1][0] += 1
-        return restricted.RestrictedAlgebra(algebra, powers)
+        powers = np.array(powers)
+        if not sizes:
+            # ad(e_1) is not the p-th power of ad(e_2), which is zero
+            powers[member, 1, 0] += 1
+        sizes.append(len(powers))
+        return real(algebra, powers)
 
     monkeypatch.setattr(
-        cli.extensions, "restricted", module_with(restricted, RestrictedAlgebra=faulty)
+        extensions, "restricted", module_with(restricted, RestrictedAlgebra=faulty)
     )
+    return sizes
+
+
+def test_verify_fails_on_one_extension_breaking_the_p_map(monkeypatch, capsys):
+    # the fault sits in the first of the 20 sampled lambdas at p = 3; each
+    # Frobenius dual extends the whole sample at once
+    sizes = plant_p_map_fault(monkeypatch, 0)
     code, tags = verify_tags(capsys, "--prime", "3", "--lambda", "all")
-    assert planted
+    assert sizes == [checks.VERIFY_SAMPLE_CAP] * 3
     assert code == 1
     assert tags["central extensions verify and stay trivial"] == "FAIL"
     assert tags["p-power recursion vs closed form"] == "ok"
 
 
+def test_verify_fails_on_a_p_map_fault_in_the_last_sampled_member(monkeypatch, capsys):
+    plant_p_map_fault(monkeypatch, checks.VERIFY_SAMPLE_CAP - 1)
+    code, out, _ = run(capsys, "verify", "--prime", "3", "--lambda", "all")
+    assert code == 1
+    assert "  FAIL central extensions verify and stay trivial (20 of 27 lambda vector(s))\n" in out
+    assert "verify result: FAIL" in out
+
+
 def test_verify_fails_on_wrong_corrected_closed_form(monkeypatch, capsys):
-    real = cli.cochains.d2_closed_m0_corrected
+    real = cochains.d2_closed_m0_corrected
 
     def wrong(p, i, j):
-        return real(p, i, j) + cli.cochains.dual_cochain(p, p, (1, 2, 3))
+        return real(p, i, j) + cochains.dual_cochain(p, p, (1, 2, 3))
 
-    monkeypatch.setattr(cli.cochains, "d2_closed_m0_corrected", wrong)
+    monkeypatch.setattr(cochains, "d2_closed_m0_corrected", wrong)
     code, tags = verify_tags(capsys, "--prime", "5", "--lambda", "zero")
     assert code == 1
     assert tags["degree-2 differential closed form (corrected)"] == "FAIL"
@@ -456,13 +478,13 @@ def test_iso_negative_verdict(capsys):
 
 
 def test_pairwise_iso_runs_one_diagonal_search(capsys, monkeypatch):
-    calls, search = [], cli.isoclass.iso_bruteforce
+    calls, search = [], isoclass.iso_bruteforce
 
     def counting_search(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(cli.isoclass, "iso_bruteforce", counting_search)
+    monkeypatch.setattr(isoclass, "iso_bruteforce", counting_search)
     for lam2, want_code in (("2,0,0,0,0", 0), ("0,0,0,0,1", 1)):
         calls.clear()
         code, _, _ = run(capsys, "iso", "--prime", "5", "--lambda", "1,0,0,0,0",
@@ -506,7 +528,7 @@ def test_iso_pairwise_refuses_before_the_printed_conditions(capsys, monkeypatch)
     def no_conditions(*args):
         raise AssertionError("printed conditions evaluated above the search limit")
 
-    monkeypatch.setattr(cli.isoclass, "_statement_conditions", no_conditions)
+    monkeypatch.setattr(isoclass, "_statement_conditions", no_conditions)
     p = 37
     lam, lam2 = (",".join(["0"] * (p - 1) + [x]) for x in "12")
     code, out, err = run(capsys, "iso", "--prime", str(p), "--lambda", lam, "--lambda-prime", lam2)
@@ -603,7 +625,7 @@ def test_extend_rejects_a_repeated_pair_index(spec, capsys):
 
 
 def clear_memos():
-    for memo in (cli.cohomology._reduced, cli.cohomology._group, cli.cohomology._candidates):
+    for memo in (cohomology._reduced, cohomology._group, cohomology._candidates):
         memo.cache_clear()
 
 
@@ -626,7 +648,7 @@ def test_reports_run_no_evaluate_based_differential(argv, monkeypatch, capsys):
     def refuse(self, *vectors):
         raise AssertionError("Cochain.evaluate called")
 
-    monkeypatch.setattr(cli.cochains.Cochain, "evaluate", refuse)
+    monkeypatch.setattr(cochains.Cochain, "evaluate", refuse)
     clear_memos()
     try:
         assert run(capsys, *argv) == want
@@ -636,15 +658,15 @@ def test_reports_run_no_evaluate_based_differential(argv, monkeypatch, capsys):
 
 
 def test_extend_refuses_a_cocycle_with_a_spurious_differential_term(monkeypatch, capsys):
-    real = cli.cochains.differential
+    real = cochains.differential
 
     def one_term_too_many(algebra, cochain):
         out = real(algebra, cochain)
         if cochain.degree == 2:
-            out = out + cli.cochains.dual_cochain(algebra.prime, algebra.dim, (1, 2, 4))
+            out = out + cochains.dual_cochain(algebra.prime, algebra.dim, (1, 2, 4))
         return out
 
-    monkeypatch.setattr(cli.cochains, "differential", one_term_too_many)
+    monkeypatch.setattr(cochains, "differential", one_term_too_many)
     code, out, err = run(capsys, "extend", "--prime", "5", "--cocycle", "phi:5")
     assert (code, out) == (1, "")
     assert err == "error: not a restricted cocycle: d2 is nonzero on (1, 2, 4)\n"
@@ -661,7 +683,7 @@ def test_pair_tables_hold_one_prime_across_primes():
     try:
         for p in (5, 7, 11):
             cli.dims_row(p, (1,) * p)
-        assert cli.cochains._positions.cache_info().currsize <= 2
+        assert cochains._positions.cache_info().currsize <= 2
     finally:
         clear_memos()
 
@@ -725,14 +747,14 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
 def test_ordinary_groups_computed_once_per_prime(monkeypatch):
     # every row asks for H1 and H2; only the first builds them
     built = []
-    real = cli.cohomology.CohomologySummary
+    real = cohomology.CohomologySummary
 
     def counted(*args, **fields):
         built.append((fields["degree"], fields["restricted"]))
         return real(*args, **fields)
 
-    monkeypatch.setattr(cli.cohomology, "CohomologySummary", counted)
-    cli.cohomology._group.cache_clear()
+    monkeypatch.setattr(cohomology, "CohomologySummary", counted)
+    cohomology._group.cache_clear()
     rows = [cli.dims_row(5, lam) for lam in ((0,) * 5, (1, 0, 2, 0, 0), (0,) * 5)]
     assert sorted(b for b in built if not b[1]) == [(1, False), (2, False)]
     assert all(r["ok"] for r in rows)
@@ -867,3 +889,44 @@ def test_cli_starts_numpy_with_one_blas_thread():
     assert probe() == ["1", "Threads:\t1"]
     env["OPENBLAS_NUM_THREADS"] = "2"
     assert probe()[0] == "2"
+
+
+LOADED_PROBE = (
+    "import contextlib, io, sys\n"
+    "from filicoh import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, out.getvalue().splitlines()[-1])\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('filicoh.')))\n"
+)
+
+
+def loaded_modules(*argv):
+    """Exit code, last report line and the filicoh modules a fresh process
+    holds after running the command."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    code, _, last = out[0].partition(" ")
+    return int(code), last, {m.removeprefix("filicoh.") for m in out[1].split()}
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    code, last, loaded = loaded_modules("iso", "--prime", "7", "--lambda", "all")
+    assert code == 0 and last.startswith("[[")
+    assert not loaded & {"cohomology", "cochains", "restricted", "checks", "extensions"}
+    assert loaded == {"cli", "gf", "isoclass"}
+    # the random specs' notes print their vectors without the restricted module
+    code, last, loaded = loaded_modules(
+        "iso", "--prime", "7", "--lambda", "random:3", "--lambda-prime", "random:4"
+    )
+    assert (code, last) == (1, "not isomorphic")
+    assert loaded == {"cli", "gf", "isoclass"}
+    for argv in (["dims", "--prime", "5", "--lambda", "random:1"],
+                 ["sweep", "--primes", "2,3", "--lambda", "all"]):
+        code, last, loaded = loaded_modules(*argv)
+        assert code == 0 and last.endswith("all pass")
+        assert not loaded & {"checks", "extensions", "isoclass"}

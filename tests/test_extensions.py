@@ -90,6 +90,55 @@ def test_frobenius_dual_extension_matches_power_table(p):
             assert not RE.power_matrix[p].any()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_stacked_extension_equals_each_member_extension(p):
+    # one build for a Family stack: its algebra is each member's, and its
+    # p-map m is member m's
+    rng = np.random.default_rng(p)
+    family = restricted.Family(p, [(0,) * p] + [rand_lambda(rng, p) for _ in range(4)])
+    # and phi_5 = e^{2,3}, which meets no e_p from p = 5 on, with a random omega
+    cocycles = [rcoch.frobenius_dual_cochain(p, p, k) for k in (1, 2, p)]
+    if p >= 5:
+        cocycles.append(rcoch.RestrictedTwoCochain(cochains.phi_k(p, 5), rng.integers(0, p, size=p)))
+    for c2 in cocycles:
+        RE = extensions.extend_restricted(family, c2)
+        assert RE.power_matrix.shape == (len(family), p + 1, p + 1)
+        for m in range(len(family)):
+            one = extensions.extend_restricted(family[m], c2)
+            assert RE.algebra == one.algebra
+            assert (RE.power_matrix[m] == one.power_matrix).all()
+
+
+def test_stacked_extension_names_the_failing_member():
+    # e^{1,p} is a cocycle whose induced beta(e_1, e_j) is lam_j: zero for
+    # the zero member only
+    p = 5
+    family = restricted.Family(p, [(0,) * p, (0, 3, 0, 0, 0)])
+    c2 = rcoch.basis_pair_cochain(p, p, 1, p)
+    assert extensions.extend_restricted(family[0], c2).power_matrix.shape == (p + 1, p + 1)
+    with pytest.raises(ValueError, match=r"basis pair \(1, 2\) of member 1$"):
+        extensions.extend_restricted(family, c2)
+    with pytest.raises(ValueError, match=r"basis pair \(1, 2\)$"):
+        extensions.extend_restricted(family[1], c2)
+
+
+def test_stacked_extension_names_the_member_failing_the_axiom(monkeypatch):
+    # e_2^[p] of member 2 gains e_1, which ad(e_2)^p = 0 does not match
+    p = 5
+    family = restricted.Family(p, np.arange(4 * p).reshape(4, p))
+    real = restricted.RestrictedAlgebra
+
+    def faulty(algebra, powers):
+        powers = np.array(powers)
+        powers[..., 2, 1, 0] += 1
+        return real(algebra, powers)
+
+    monkeypatch.setattr(extensions.restricted, "RestrictedAlgebra", faulty)
+    dual = rcoch.frobenius_dual_cochain(p, p, 1)
+    with pytest.raises(RuntimeError, match=r"axiom at basis index 2 of member 2$"):
+        extensions.extend_restricted(family, dual)
+
+
 def test_extension_checks_stay_below_a_dense_structure_array():
     # jacobi_check and verify_restricted_map on the restricted phi_7
     # extension at p = 61, a fresh copy whose cached forms are built under

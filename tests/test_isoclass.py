@@ -16,6 +16,7 @@ from filicoh.isoclass import (
     proposition_formula_check,
     scale_factors,
 )
+from helpers import orbit_min_partition
 
 
 def all_lambdas(p):
@@ -320,6 +321,32 @@ def test_transformed_vector_falls_in_its_class(case):
     p, lam, mu1, mu2 = case
     other = proof_transform(p, lam, mu1, mu2)
     assert partition_classes(p, [lam, other]) == [[tuple(lam), other]]
+
+
+@pytest.mark.parametrize("p, count", [(2, 4), (3, 12), (5, 330)])
+def test_key_matches_the_orbit_minimum_on_every_vector(p, count):
+    # Burnside: lam_1 is 0 or not, lam_p is fixed, and s in GF(p)* scales
+    # lam_k by s^(k-1) for 1 < k < p; at p = 5 that leaves 2 * 5 * 33 classes
+    lams = all_lambdas(p)
+    classes = partition_classes(p, lams)
+    assert classes == orbit_min_partition(p, lams)
+    assert len(classes) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, 11, 13, 17, 19, 23, 29, 31]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(
+        st.lists(st.integers(0, p - 1), min_size=p, max_size=p).map(tuple),
+        min_size=1, max_size=40,
+    ),
+    st.lists(st.tuples(st.integers(1, p - 1), st.integers(1, p - 1)), max_size=40),
+)))
+def test_key_matches_the_orbit_minimum_on_random_lists(case):
+    # the drawn vectors and transforms of them, so that classes repeat
+    p, lams, mus = case
+    lams = lams + [proof_transform(p, lam, *mu) for lam, mu in zip(lams, mus)]
+    assert partition_classes(p, lams) == orbit_min_partition(p, lams)
 
 
 def test_partition_refuses_prime_above_search_limit():

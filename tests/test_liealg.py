@@ -17,6 +17,7 @@ from helpers import (
     extend_ordinary,
     jacobi_check_triples,
     left_normed_bracket,
+    make_m2,
     mat_pow,
     random_element,
 )
@@ -184,6 +185,14 @@ def test_jacobi_holds(p):
     A = liealg.make_m0(p)
     ok, witness = liealg.jacobi_check(A)
     assert ok and witness is None
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_jacobi_holds_on_m2(p):
+    # m_2 brackets through e_2 as well as e_1, so chains of two constants
+    # meet on more triples than on make_m0(p)
+    A = make_m2(p)
+    assert liealg.jacobi_check(A) == jacobi_check_triples(A) == (True, None)
 
 
 def test_jacobi_detects_violation():

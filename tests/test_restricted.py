@@ -11,8 +11,10 @@ from filicoh import cochains, extensions, gf, liealg, restricted
 from filicoh import restricted_cochains as rcoch
 from helpers import (
     cochain_from_vector,
+    extend_ordinary,
     few_positions_per_batch,
     jacobson_corrections_matrix_poly,
+    make_m2,
     mat_pow,
     random_element,
     restricted_from_json,
@@ -380,6 +382,77 @@ def early_nilpotent_algebra(p):
 def test_verify_restricted_map_matches_per_k_powers_on_random_algebras(R):
     want = first_failing_power(R)
     assert restricted.verify_restricted_map(R) == (want is None, want)
+
+
+def member_verdicts(A, powers):
+    """verify_restricted_map of each p-map of a stack on its own, and the
+    first failing k of each by ad matrix powers."""
+    single = [restricted.verify_restricted_map(restricted.RestrictedAlgebra(A, m)) for m in powers]
+    dense = [first_failing_power(restricted.RestrictedAlgebra(A, m)) for m in powers]
+    return single, dense
+
+
+# members of a stack broken at chosen k (1-based, the last index standing
+# for dim): each such e_k^[p] gains e_1, which is not central from p = 3 on
+BROKEN = ((), (1,), (2, -1), (-1,), (), (3, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_stacked_restricted_map_matches_per_k_powers(p):
+    # make_m0(p) + c with random p-maps into its centre, span(e_p, c), so
+    # every unbroken member is restricted
+    A = extend_ordinary(liealg.make_m0(p), cochains.Cochain(p, p, 2))
+    n = A.dim
+    rng = np.random.default_rng(p)
+    powers = gf.zeros((len(BROKEN), n, n))
+    powers[..., p - 1 :] = rng.integers(0, p, size=(len(BROKEN), n, 2))
+    for m, ks in enumerate(BROKEN):
+        for k in ks:
+            powers[m, k % (n + 1) - 1, 0] += 1
+    got = restricted.verify_restricted_map(restricted.RestrictedAlgebra(A, powers))
+    single, dense = member_verdicts(A, powers)
+    assert got == single == [(k is None, k) for k in dense]
+    want = [min(k % (n + 1) for k in ks) if ks and p > 2 else None for ks in BROKEN]
+    assert dense == want
+    # a stack of one gives the one member's verdict, in a list
+    for m in range(len(BROKEN)):
+        one = restricted.RestrictedAlgebra(A, powers[m : m + 1])
+        assert restricted.verify_restricted_map(one) == [single[m]]
+
+
+@st.composite
+def restricted_stacks(draw):
+    """A random algebra as restricted_algebras draws it, with one to four
+    random p-maps stacked on it."""
+    R = draw(restricted_algebras())
+    vectors = st.lists(st.integers(0, R.prime - 1), min_size=R.dim, max_size=R.dim)
+    maps = st.lists(vectors, min_size=R.dim, max_size=R.dim)
+    return restricted.RestrictedAlgebra(R.algebra, draw(st.lists(maps, min_size=1, max_size=4)))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(R=restricted_stacks())
+def test_stacked_restricted_map_matches_per_k_powers_on_random_algebras(R):
+    single, dense = member_verdicts(R.algebra, R.power_matrix)
+    assert restricted.verify_restricted_map(R) == single == [(k is None, k) for k in dense]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_stacked_restricted_map_on_m2(p):
+    # m_2, where ad(e_2) is not zero: the zero p-map, random p-maps into
+    # its centre, the line of e_p, and one member whose e_2^[p] gains e_1
+    A = make_m2(p)
+    rng = np.random.default_rng(p)
+    powers = gf.zeros((4, p, p))
+    assert restricted.verify_restricted_map(restricted.RestrictedAlgebra(A, powers)) == [
+        (True, None)
+    ] * 4
+    powers[1:, :, -1] = rng.integers(0, p, size=(3, p))
+    powers[2, 1, 0] = 1
+    got = restricted.verify_restricted_map(restricted.RestrictedAlgebra(A, powers))
+    single, dense = member_verdicts(A, powers)
+    assert got == single == [(True, None), (True, None), (False, 2), (True, None)]
+    assert dense == [None, None, 2, None]
 
 
 # ---------------------------------------------------------------------------
