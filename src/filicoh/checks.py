@@ -1,8 +1,11 @@
 """The checks `filicoh verify` runs, shared with the acceptance tests.
 
 Each check appends a record {name, ok, detail, info}; an info record never
-fails the run.  The checks draw from one numpy generator in a fixed order,
-so a seeded run replays byte for byte.  What does not depend on lambda is
+fails the run.  The checks draw from one seeded stream in a fixed order,
+so a seeded run replays byte for byte.  The stream is cli.SeededStream:
+numpy's default generator stream (SeedSequence, PCG64, Lemire's bounded
+draw) computed in plain Python, without numpy's random module, and pinned
+draw for draw to numpy's generator by a test.  What does not depend on lambda is
 evaluated once per prime: d2 of each dual pair, the d1 images of the
 degree-1 duals and d2 of each of those images, and whether the ordinary
 extension by the form part of each Frobenius dual (0, ebar^k), 0 for every
@@ -69,8 +72,9 @@ def transform_confirmed(p: int, lam, mu1: int, mu2: int) -> bool:
 
 
 def draw(rng, p, count):
-    """count random vectors, stacked as rows, in one rng call: a
-    Generator's bounded draws give the stream of one call per vector, which
+    """count random vectors, stacked as rows, in one rng call.  rng is a
+    cli.SeededStream, or the numpy generator whose stream it computes;
+    either's bounded draws give the stream of one call per vector, which
     is how the checks have always drawn them."""
     return rng.integers(0, p, size=(count, p))
 
@@ -156,7 +160,7 @@ def sampled_checks(p, lams, identity: ComplexIdentity, records, rng):
         gh.append(np.vstack([pairs_gh, draw(rng, p, 2)]))  # and for the cocycle pair
         triples.append(draw(rng, p, 9))
         if search:
-            mus.append(tuple(int(rng.integers(1, p)) if p > 2 else 1 for _ in range(2)))
+            mus.append(tuple(int(rng.integers(1, p)) for _ in range(2)))  # no draw at p = 2
     A = liealg.make_m0(p)
     family = restricted.Family(p, sample)
     gh, triples, omegas = np.stack(gh), np.stack(triples), np.stack(omegas)

@@ -323,8 +323,10 @@ def random_cocycle(rng, p: int) -> Cochain:
     """A degree-2 cocycle of make_m0(p): a random combination of the closed
     generators e^{1,p} and phi_k plus a random coboundary.
 
-    rng is a numpy Generator; its draws come in a fixed order (the e^{1,p}
-    coefficient, one per phi_k, then one per e^k), so a seed replays.
+    rng is a cli.SeededStream (numpy's default generator stream, computed
+    without numpy's random module) or the numpy generator it reproduces;
+    its draws come in a fixed order (the e^{1,p} coefficient, one per
+    phi_k, then one per e^k), so a seed replays.
     """
     A = liealg.make_m0(p)
     phi = int(rng.integers(0, p)) * dual_cochain(p, p, (1, p))

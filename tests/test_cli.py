@@ -930,3 +930,106 @@ def test_each_command_loads_only_the_modules_it_runs():
         code, last, loaded = loaded_modules(*argv)
         assert code == 0 and last.endswith("all pass")
         assert not loaded & {"checks", "extensions", "isoclass"}
+
+
+# ---------------------------------------------------------------------------
+# the seeded stream: numpy's generator is its oracle
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200] + [
+    [cli.CAP_SEED, p, lam_count] for p, lam_count in ((5, 201), (7, 201), (13, 1), (31, 1))
+]
+STREAM_PRIMES = (2, 3, 5, 7, 13, 31, 101)
+# a span near 3 * 2^30: Lemire's rejection throws away about a quarter of
+# the draws, so its loop runs
+REJECTING_SPAN = 3 * 2**30 + 7
+
+
+def assert_same_draws(ours, theirs, calls):
+    for low, high, size in calls:
+        got, want = ours.integers(low, high, size), theirs.integers(low, high, size)
+        if size is None:
+            assert type(got) is int and got == want
+        else:
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+def test_seeded_stream_matches_numpy_draw_for_draw(seed):
+    calls = [(0, REJECTING_SPAN, 64), (5, REJECTING_SPAN + 5, None), (0, 2**32, 3)]
+    for p in STREAM_PRIMES:
+        for low in (0, 1):
+            # scalars between the arrays leave the buffered half of a 64-bit
+            # output to the next call; (1, 2) draws nothing at all
+            calls += [(low, p, None), (low, p, p), (low, p, None), (low, p, (3, p))]
+    assert_same_draws(cli.SeededStream(seed), np.random.default_rng(seed), calls)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**256) | st.lists(st.integers(0, 2**70), min_size=1, max_size=7),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 2**31),
+            st.integers(1, 200) | st.integers(1, 2**31),
+            st.sampled_from([None, 1, 7, (2, 5), (0,)]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_seeded_stream_matches_numpy_on_any_seed_and_bounds(seed, calls):
+    calls = [(low, low + span, size) for low, span, size in calls]
+    assert_same_draws(cli.SeededStream(seed), np.random.default_rng(seed), calls)
+
+
+@pytest.mark.parametrize("low, high", [(-1, 5), (3, 3), (5, 2), (0, 2**32 + 1), (2**32, 2**33)])
+def test_seeded_stream_refuses_bounds_numpy_draws_otherwise(low, high):
+    with pytest.raises(ValueError, match="0 <= low < high <= 2"):
+        cli.SeededStream(0).integers(low, high)
+
+
+def test_seeded_stream_refuses_a_negative_seed():
+    for seed in (-1, [0, -1]):
+        with pytest.raises(ValueError, match="non-negative"):
+            cli.SeededStream(seed)
+
+
+NUMPY_RANDOM_PROBE = (
+    "import contextlib, io, sys\n"
+    "from filicoh import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, 'numpy.random' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("dims --lambda random:1 --prime 7", 0),
+        ("dims --prime 5 --lambda all", 0),
+        ("sweep --primes 2,3,5,7 --lambda random:5", 0),
+        ("verify --prime 5 --lambda all", 0),
+        ("iso --prime 5 --lambda all", 0),
+        ("iso --prime 7 --lambda random:3 --lambda-prime random:4", 1),
+        ("basis --prime 7 --lambda random:2", 0),
+        ("extend --prime 7 --lambda random:2 --cocycle ebar:3", 0),
+    ],
+)
+def test_no_command_loads_numpy_random(argv, code):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE, *argv.split()], env=env,
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == f"{code} False\n"
+
+
+def test_no_source_file_names_numpy_random():
+    src = Path(cli.__file__).resolve().parent
+    for path in src.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "numpy.random" not in text and "np.random" not in text, path.name
+        assert "default_rng" not in text, path.name

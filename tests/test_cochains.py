@@ -13,6 +13,7 @@ from helpers import (
     coefficient,
     extend_ordinary,
     homogeneous_weight,
+    make_m2,
     mat_mul,
     random_element,
     to_vector,
@@ -190,6 +191,29 @@ def test_matrices_match_evaluate_oracle_on_extensions(p):
     for k in cochains.phi_weights(p):
         E = extend_ordinary(liealg.make_m0(p), cochains.phi_k(p, k))
         _assert_matrices_match_oracle(E)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_differentials_on_m2_match_the_evaluate_oracles(p):
+    # m_2(p): d2 has rows with three entries from p = 7 on, and ad(e_2)
+    # is not zero, which no input built on make_m0 has
+    A = make_m2(p)
+    for degree, oracle in ((1, cochains.d1), (2, cochains.d2)):
+        dense = _oracle_matrix(A, oracle, degree)
+        targets = cochains.index_tuples(p, degree + 1)
+        built = np.zeros_like(dense)
+        for key, row in cochains.differential_rows(A, degree).items():
+            assert row and all(0 < value < p for value in row.values())
+            for col, value in row.items():
+                built[targets.index(key), col] = value
+        assert (built == dense).all()
+        keys = cochains.index_tuples(p, degree)
+        for col, key in enumerate(keys):
+            assert (to_vector(cochains.differential(A, dual_cochain(p, p, key))) == dense[:, col]).all()
+        c = _dense_cochain(A, degree)
+        assert cochains.differential(A, c) == oracle(A, c)
+    three = sum(len(row) == 3 for row in cochains.differential_rows(A, 2).values())
+    assert three == p - 5
 
 
 def _cochain_of(draw, A, degree):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from filicoh import gf
-from helpers import mat_mul, mat_pow, matrices_mod_p, sparse
+from filicoh import cochains, gf
+from helpers import dense_rows, make_m2, mat_mul, mat_pow, matrices_mod_p, sparse
 
 PRIMES = [2, 3, 5, 7]
 
@@ -219,6 +219,21 @@ def test_span_tracker_matches_rref(case):
         assert tracker.rank == gf.rank(m[:n], p)
     assert tracker.pivots == tuple(gf.rref(m, p)[1])
     assert tracker.rank == len(tracker.pivots)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_span_tracker_matches_rref_on_the_differentials_of_m2(p):
+    # rows of d2 with three entries, which make_m0 never has; ker d1 is
+    # spanned by e^1 and e^2, and ker d2 has dimension p + 1
+    A = make_m2(p)
+    for degree, kernel in ((1, 2), (2, p + 1)):
+        rows = list(cochains.differential_rows(A, degree).values())
+        ncols = len(cochains.index_tuples(p, degree))
+        tracker = gf.SpanTracker(p, rows)
+        assert tracker.pivots == tuple(gf.rref(dense_rows(rows, ncols), p)[1])
+        assert ncols - tracker.rank == kernel
+        # and row by row, in reverse, to the same pivots
+        assert gf.SpanTracker(p, rows[::-1]).pivots == tracker.pivots
 
 
 @pytest.mark.parametrize("p", [2, 5, 13])
