@@ -117,7 +117,7 @@ class Cochain:
                 )
         return total % self.prime
 
-    def _binop(self, other, op):
+    def __add__(self, other):
         if not isinstance(other, Cochain) or (self.prime, self.dim, self.degree) != (
             other.prime,
             other.dim,
@@ -126,23 +126,14 @@ class Cochain:
             raise ValueError("cochain mismatch")
         merged = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            merged[key] = (merged.get(key, 0) + op * value) % self.prime
+            merged[key] = (merged.get(key, 0) + value) % self.prime
         return Cochain(self.prime, self.dim, self.degree, merged)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
 
     def __rmul__(self, scalar: int):
         return Cochain(
             self.prime, self.dim, self.degree,
             {k: (scalar * v) % self.prime for k, v in self.coeffs.items()},
         )
-
-    def __neg__(self):
-        return (-1) * self
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):

@@ -4,20 +4,22 @@ Only make_m0(p) and its restricted family members are accepted; anything
 else raises ValueError.  The restricted groups sit inside the ordinary
 ones: ker d1* and ker d2* are the parts of ker d1 and ker d2 that the
 maps induced by the p-powers (omega for d1*, beta for d2*) send to zero.
-So d1 and d2 are eliminated once per prime: their sparse rows go into one
-sparse gf.SpanTracker, and nothing of the size of d2 is built densely.
-The memo keeps the pivots, which give dim ker d, and which distinguished
-cocycles d kills.  The induced rows depend on lambda only through the row
-space of the p-power vectors, on the family 0 or the line of e_p, and
-each such key applies them to a basis of ker d (the ordinary
-representatives, with the d1 images in degree 2): the kernel loses their
-rank there, and a candidate stays killed when they send it to zero.  That
-is p-sized work per key; no row of d is reduced twice.
+They depend on lambda only through whether it is zero: a nonzero
+lambda's p-powers e_k^[p] = lam_k e_p span the line of e_p, so the
+induced maps send a cochain to zero exactly when it has no coefficient on
+the duals that hold p, e^p in degree 1 and the e^{i,p} in degree 2.  So
+d1 and d2 are eliminated once per prime: their sparse rows go into one
+sparse gf.SpanTracker, and then the unit rows of those duals go into the
+same tracker.  Nothing of the size of d2 is built densely.  The memo
+keeps the pivots of d alone, which give dim ker d, the rank with the unit
+rows, which gives the restricted kernel for a nonzero lambda, and which
+distinguished cocycles d kills; a nonzero lambda keeps those of them with
+no coefficient on the duals that hold p.
 
 The groups pick those killed candidates by a deterministic greedy pass
 that keeps one exactly when it grows the span past the image, so golden
 tests can compare labels rather than raw coordinates.  All four groups
-come from one memo, keyed (p, degree, restricted, power rows, W), W only
+come from one memo, keyed (p, degree, restricted, lambda != 0, W), W only
 in H2+'s keys; a call copies its entry, and per lambda H1+ and H2+ only
 build the key and copy the entry with their own lambda.  W is the row
 space of omega on ker d1, and only H2+ reads it.  The image of d1* is the
@@ -25,13 +27,13 @@ rows (d1 f, omega_f); its span projects onto im d1 and meets the
 Frobenius coordinates in W, and the pass reads nothing else, because the
 Frobenius duals are tried first.  So the pass runs over a canonical image
 instead: the d1 rows with zero Frobenius columns, over the W rows in the
-Frobenius columns.  The power rows alone do not fix W.  For p >= 3, ker
-d1 = span(e^1, e^2) and f(e_j^[p]) = lambda_j f(e_p) = 0 there, so W = 0
-(the paper's H1 = H1+); at p = 2 the algebra is abelian, ker d1 is
-everything and W is the line of lambda.  So W, like the power rows, is
-read off lambda, and no elimination runs per lambda.  The closed-form
-dimension counts live in expected_summary; compare never raises on a
-mismatch, it reports one.
+Frobenius columns.  Whether lambda is zero does not fix W.  For p >= 3,
+ker d1 = span(e^1, e^2) and f(e_j^[p]) = lambda_j f(e_p) = 0 there, so
+W = 0 (the paper's H1 = H1+); at p = 2 the algebra is abelian, ker d1 is
+everything and W is the line of lambda.  So W, like the rest of the key,
+is read off lambda, and no elimination runs per lambda.  The closed forms
+are one table keyed (p, lambda != 0), read through closed_form; compare
+never raises on a mismatch, it returns False.
 """
 
 from __future__ import annotations
@@ -68,108 +70,61 @@ class CohomologySummary:
 
 
 @dataclass(frozen=True)
-class ExpectedEntry:
-    dimension: int
-    kernel_dim: int
-    image_dim: int
-
-
-@dataclass(frozen=True)
-class ExpectedSummary:
-    """Closed-form dimension table for one (p, lambda)."""
-
-    prime: int
-    lam: tuple[int, ...]
-    h1: ExpectedEntry
-    h1_star: ExpectedEntry
-    h2: ExpectedEntry
-    h2_star: ExpectedEntry
-
-    def entry(self, degree: int, restricted_flag: bool) -> ExpectedEntry:
-        table = {
-            (1, False): self.h1,
-            (1, True): self.h1_star,
-            (2, False): self.h2,
-            (2, True): self.h2_star,
-        }
-        return table[(degree, restricted_flag)]
-
-
-@dataclass(frozen=True)
 class _Reduction:
-    """What the groups read of one reduction of d1 or d2: its pivot columns
+    """What the groups read of one reduction of d1 or d2: its pivot
+    columns, its rank with the unit rows of the duals that hold p added,
     and which of the ordinary candidates it kills."""
 
     pivots: tuple[int, ...]
+    held_rank: int
     killed: np.ndarray
 
 
 @functools.lru_cache(maxsize=2)
 def _reduced(p: int, degree: int) -> _Reduction:
     """Reduction of d1 (degree 1) or d2 of make_m0(p): its sparse rows fed
-    to one gf.SpanTracker, whose pivots are those of the rref, and the
-    candidates whose cochains.differential is zero.  The memo keeps both
-    degrees of one prime, since grids and sweeps visit primes in turn.
-    The kill mask is read-only because every caller shares it."""
+    to one gf.SpanTracker, whose pivots are those of the rref, then the
+    unit rows of the duals that hold p (_held) fed to the same tracker;
+    and the candidates whose cochains.differential is zero.  The memo
+    keeps both degrees of one prime, since grids and sweeps visit primes in
+    turn.  The kill mask is read-only because every caller shares it."""
     A = liealg.make_m0(p)
     forms = _candidates(p, degree, False)[0]
     killed = np.array([cochains.differential(A, c).is_zero() for c in forms], dtype=bool)
     killed.setflags(write=False)
     # a list, so the dict's row keys are freed before the elimination
     rows = list(cochains.differential_rows(A, degree).values())
-    return _Reduction(gf.SpanTracker(p, rows).pivots, killed)
+    span = gf.SpanTracker(p, rows)
+    pivots = span.pivots
+    del rows  # kept alive under the unit rows, they raised the peak RSS (31 MB at p = 1009)
+    for c in _held(p, degree):
+        span.add({c: 1})
+    return _Reduction(pivots, span.rank, killed)
 
 
-def _kernel(p: int, degree: int, powers: tuple):
+def _held(p: int, degree: int) -> list[int]:
+    """The positions of the duals that hold p: e^p in degree 1, e^{i,p}
+    for i < p in degree 2."""
+    positions = cochains._positions(p, degree)
+    return [positions[(p,)]] if degree == 1 else [positions[(i, p)] for i in range(1, p)]
+
+
+def _kernel(p: int, degree: int, nonzero: bool):
     """(dimension, kill mask of the ordinary candidates) of the kernel of
     d1* (degree 1) or of d2* without its zero Frobenius columns (degree 2),
-    for the p-power vectors spanning the rows of powers (_power_rows);
-    powers == () is d1 or d2 alone.
+    for lambda nonzero or not; at lambda = 0 that is d1 or d2 alone.
 
-    That kernel is the part of ker d that the induced rows send to zero.
-    The ordinary representatives, with the d1 images in degree 2, span
-    ker d (CohomologySummary holds their count to kernel_dim - image_dim),
-    so it loses the rank of the induced rows on them, and a candidate is
-    killed when d kills it and so do the induced rows.  Those rows are read
-    only through the columns a vector touches; no row of d is reduced
-    again."""
+    A nonzero lambda's p-powers e_k^[p] = lam_k e_p span the line of e_p,
+    so the induced rows (omega for d1*, beta for d2*) send a cochain to
+    zero exactly when it has no coefficient on the duals that hold p.  The
+    kernel is then that of d with their unit rows added, and a candidate
+    stays killed when d kills it and it has no coefficient on them."""
     entry = _reduced(p, degree)
-    kernel_dim = math.comb(p, degree) - len(entry.pivots)
-    if not powers:
-        return kernel_dim, entry.killed
-    columns: dict[int, list] = {}
-    for r, row in enumerate(_induced_rows(p, degree, powers)):
-        for c, x in row.items():
-            columns.setdefault(c, []).append((r, x))
-
-    def induced(coords):
-        sums: dict[int, int] = {}
-        for c, x in coords.items():
-            for r, m in columns.get(c, ()):
-                sums[r] = (sums.get(r, 0) + m * x) % p
-        return {r: s for r, s in sums.items() if s}
-
-    spanning = [c.coordinates() for c in _group(p, degree, False).representatives]
-    if degree == 2:
-        spanning += _d1_images(p)
-    rank = gf.SpanTracker(p, map(induced, spanning)).rank
-    zero = np.array([not induced(c) for c in _candidates(p, degree, False)[1]], dtype=bool)
-    return kernel_dim - rank, entry.killed & zero
-
-
-def _induced_rows(p: int, degree: int, powers) -> list[dict[int, int]]:
-    """The induced rows of d1* (degree 1) or d2* for the p-power vectors
-    w_j in powers, as sparse rows over the columns of d1 or d2.  Degree 1:
-    row j is omega of each dual e^k, the value w_j[k].  Degree 2: row
-    (i, j), in the order of ind2_matrix's entries, is e^{a,b}(e_i ^ w_j),
-    nonzero only at the pairs (i, b) with b in the support of w_j."""
-    if degree == 1:
-        return [{k: int(x) % p for k, x in enumerate(w) if x % p} for w in powers]
-    return [
-        cochains.Cochain(p, p, 2, {(i, b): x for b, x in enumerate(w, start=1) if x}).coordinates()
-        for i in range(1, p + 1)
-        for w in powers
-    ]
+    if not nonzero:
+        return math.comb(p, degree) - len(entry.pivots), entry.killed
+    held = set(_held(p, degree))
+    free = np.array([held.isdisjoint(c) for c in _candidates(p, degree, False)[1]], dtype=bool)
+    return math.comb(p, degree) - entry.held_rank, entry.killed & free
 
 
 @functools.lru_cache(maxsize=4)
@@ -197,11 +152,11 @@ def _d1_images(p: int) -> list[dict[int, int]]:
 
 
 @functools.lru_cache(maxsize=8)
-def _group(p: int, degree: int, restricted: bool, powers: tuple = (), omega: tuple = ()):
+def _group(p: int, degree: int, restricted: bool, nonzero: bool = False, omega: tuple = ()):
     """H1 or H2 of make_m0(p) (restricted False), or H1+ or H2+ of every
-    family member whose p-power vectors span the rows of powers and, for
-    H2+, whose omega on ker d1 spans the rows of omega (_omega_rows; H1+
-    keys omega = ()), with lam None.
+    family member with lambda nonzero or not and, for H2+, whose omega on
+    ker d1 spans the rows of omega (_omega_rows; H1+ keys omega = ()), with
+    lam None.
 
     The kernel is _kernel's, modulo the span of the image rows: none in
     degree 1, the d1 images in degree 2.  H2+ counts the p zero Frobenius
@@ -215,7 +170,7 @@ def _group(p: int, degree: int, restricted: bool, powers: tuple = (), omega: tup
     and the three lines, or two from p = 3 on.  The memo keeps them all,
     since grids and sweeps visit primes in turn.  The public groups hand out
     copies (_copy), so no caller can change an entry."""
-    kernel_dim, killed = _kernel(p, degree, powers)
+    kernel_dim, killed = _kernel(p, degree, nonzero)
     image = _d1_images(p) if degree == 2 else []
     frobenius = restricted and degree == 2
     if frobenius:
@@ -245,17 +200,10 @@ def _omega_rows(p: int, lam) -> tuple:
     family omega(e^k) is j -> lam_j [k = p], so W is the line of lam,
     scaled to a leading 1, when d1 kills e^p (only at p = 2, where the
     algebra is abelian) and lam != 0, and 0 otherwise."""
-    if not (_kernel(p, 1, ())[1][-1] and any(lam)):
+    if not (_kernel(p, 1, False)[1][-1] and any(lam)):
         return ()
     lead = gf.inv_mod(next(x for x in lam if x), p)
     return (tuple(lead * x % p for x in lam),)
-
-
-def _power_rows(lam) -> tuple:
-    """The key of a family member's p-powers: the e_k^[p] = lam_k e_p span
-    the line of e_p, or nothing at lam = 0, the nonzero rref rows of its
-    power matrix read off lam."""
-    return ((0,) * (len(lam) - 1) + (1,),) if any(lam) else ()
 
 
 def _copy(s: CohomologySummary, lam) -> CohomologySummary:
@@ -274,7 +222,7 @@ def _restricted_summary(R: restricted.Family, degree: int, name: str):
         raise ValueError(f"{name} is computed on one member of the family m_0^lambda(p) only")
     p, lam = R.prime, tuple(R.lam.tolist())
     omega = _omega_rows(p, lam) if degree == 2 else ()
-    return _copy(_group(p, degree, True, _power_rows(lam), omega), lam)
+    return _copy(_group(p, degree, True, any(lam), omega), lam)
 
 
 def h1(A: liealg.LieAlgebra) -> CohomologySummary:
@@ -285,9 +233,9 @@ def h1(A: liealg.LieAlgebra) -> CohomologySummary:
 
 def h1_star(R: restricted.Family) -> CohomologySummary:
     """Restricted degree-1 cohomology: the part of ker d1 that the induced
-    omega rows send to zero.  d1 is reduced once per prime, and each
-    p-power row space ranks its omega rows on a basis of ker d1; per
-    lambda the memoised summary is copied with this lambda."""
+    omega rows send to zero, which for a nonzero lambda is the part with
+    no coefficient on e^p.  Both come from the one reduction of d1 per
+    prime; per lambda the memoised summary is copied with this lambda."""
     return _restricted_summary(R, 1, "h1_star")
 
 
@@ -301,64 +249,59 @@ def h2_star(R: restricted.Family) -> CohomologySummary:
     """Restricted degree-2 cohomology: ker d2* modulo im d1*.
 
     ker d2* is the part of ker d2 that the induced-beta rows send to zero,
-    plus the p zero Frobenius columns.  d2 is reduced once per prime, and
-    each key (p-power row space, W) ranks the beta rows of a basis of the
-    p-powers, n rows per basis vector, on a basis of ker d2; per lambda the
-    memoised summary is copied with this lambda."""
+    which for a nonzero lambda is the part with no coefficient on any
+    e^{i,p}, plus the p zero Frobenius columns.  Both come from the one
+    reduction of d2 per prime; per lambda the memoised summary for (lambda
+    nonzero or not, W) is copied with this lambda."""
     return _restricted_summary(R, 2, "h2_star")
 
 
-def expected_summary(p: int, lam) -> ExpectedSummary:
-    """Closed-form dimensions for the graded family at one (p, lambda)."""
+@functools.lru_cache(maxsize=None)
+def _closed_forms(p: int, nonzero: bool) -> dict:
+    """The paper's (dimension, kernel_dim, image_dim) of H1, H1+, H2 and
+    H2+, keyed (degree, restricted); they depend on lambda only through
+    whether it is nonzero."""
+    if p == 2:
+        return {
+            (1, False): (2, 2, 0),
+            (1, True): (1, 1, 0) if nonzero else (2, 2, 0),
+            (2, False): (1, 1, 0),
+            (2, True): (1, 2, 1) if nonzero else (3, 3, 0),
+        }
+    if nonzero:
+        h2_star = ((3 * p - 3) // 2, (5 * p - 7) // 2, p - 2)
+    else:
+        h2_star = ((3 * p + 1) // 2, (5 * p - 3) // 2, p - 2)
+    return {
+        (1, False): (2, 2, 0),
+        (1, True): (2, 2, 0),
+        (2, False): ((p + 1) // 2, (3 * p - 3) // 2, p - 2),
+        (2, True): h2_star,
+    }
+
+
+def closed_form(p: int, lam, degree: int, restricted: bool) -> tuple[int, int, int]:
+    """The closed-form (dimension, kernel_dim, image_dim) of one group of
+    the family member (p, lambda), lambda read mod p."""
     if not gf.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    lam = tuple(int(x) % p for x in lam)
     if len(lam) != p:
         raise ValueError("lambda must have one entry per basis vector")
-    return ExpectedSummary(p, lam, *_expected_entries(p, any(lam)))
+    return _closed_forms(p, any(int(x) % p for x in lam))[degree, restricted]
 
 
-@functools.lru_cache(maxsize=None)
-def _expected_entries(p: int, nonzero: bool) -> tuple[ExpectedEntry, ...]:
-    """The closed-form H1, H1+, H2 and H2+ entries, which depend on lambda
-    only through whether it is nonzero."""
-    if p >= 3:
-        h1e = ExpectedEntry(2, 2, 0)
-        h1se = ExpectedEntry(2, 2, 0)
-        h2e = ExpectedEntry((p + 1) // 2, (3 * p - 3) // 2, p - 2)
-        if nonzero:
-            h2se = ExpectedEntry((3 * p - 3) // 2, (5 * p - 7) // 2, p - 2)
-        else:
-            h2se = ExpectedEntry((3 * p + 1) // 2, (5 * p - 3) // 2, p - 2)
-    else:
-        h1e = ExpectedEntry(2, 2, 0)
-        h1se = ExpectedEntry(1, 1, 0) if nonzero else ExpectedEntry(2, 2, 0)
-        h2e = ExpectedEntry(1, 1, 0)
-        h2se = ExpectedEntry(1, 2, 1) if nonzero else ExpectedEntry(3, 3, 0)
-    return h1e, h1se, h2e, h2se
-
-
-def compare(computed: CohomologySummary, expected: ExpectedSummary) -> dict:
-    """Field-by-field report of a computed summary against the closed forms."""
-    checks = []
-
-    def add(name, got, want):
-        checks.append({"field": name, "computed": got, "expected": want, "ok": got == want})
-
-    add("prime", computed.prime, expected.prime)
-    if computed.lam is not None:
-        add("lambda", tuple(computed.lam), tuple(expected.lam))
-    entry = expected.entry(computed.degree, computed.restricted)
-    add("dim", computed.dimension, entry.dimension)
-    add("kernel_dim", computed.kernel_dim, entry.kernel_dim)
-    add("image_dim", computed.image_dim, entry.image_dim)
-    add("representative_count", len(computed.representatives), entry.dimension)
-    return {
-        "degree": computed.degree,
-        "restricted": computed.restricted,
-        "ok": all(c["ok"] for c in checks),
-        "checks": checks,
-    }
+def compare(computed: CohomologySummary, p: int, lam) -> bool:
+    """Whether a computed summary is the closed form's at (p, lambda): the
+    same prime, lambda mod p (when the summary has one), dimension, kernel
+    and image dimensions, and one representative per dimension.  A
+    mismatch, of the prime or lambda too, is False, never an error."""
+    if computed.prime != p or len(lam) != p:
+        return False
+    if computed.lam is not None and any((int(x) - y) % p for x, y in zip(lam, computed.lam)):
+        return False
+    want = closed_form(p, lam, computed.degree, computed.restricted)
+    got = (computed.dimension, computed.kernel_dim, computed.image_dim)
+    return got == want and len(computed.representatives) == want[0]
 
 
 def summary_to_json(s: CohomologySummary) -> dict:

@@ -7,9 +7,9 @@ e_1, ..., e_p with the only nonzero brackets [e_1, e_i] = e_{i+1} for
 also takes stacks of them, rows in the last axis, and accumulates its
 terms over `constants`, the cached nonzero constants; the p-power and
 sum-rule recursions step through it.  `jacobi_check` walks the constants
-grouped by target and by pair.  `ad_matrix`, the dense dim x dim matrix of
-ad(g), is called by no other module: the tests keep it as their dense
-oracle and the bench traces it by name.
+grouped by target and by first slot.  `ad_matrix`, the dense dim x dim
+matrix of ad(g), is called by no other module: the tests keep it as their
+dense oracle and the bench traces it by name.
 """
 
 from __future__ import annotations
@@ -116,14 +116,17 @@ class LieAlgebra:
         return types.MappingProxyType({k: tuple(terms) for k, terms in out.items()})
 
     @functools.cached_property
-    def constants_by_pair(self):
-        """`constants` grouped by ordered pair: a read-only
-        {(i, j): ((k, c), ...)}, 1-based, for both orders of every stored
+    def constants_by_first(self):
+        """`constants` grouped by first slot, then second: a read-only
+        {i: {j: ((k, c), ...)}}, 1-based, for both orders of every stored
         pair, where c is the coefficient of e_k in [e_i, e_j]."""
-        out: dict[tuple, list] = {}
+        out: dict[int, dict[int, list]] = {}
         for i, j, k, c in self.constants.tolist():
-            out.setdefault((i + 1, j + 1), []).append((k + 1, c))
-        return types.MappingProxyType({pair: tuple(terms) for pair, terms in out.items()})
+            out.setdefault(i + 1, {}).setdefault(j + 1, []).append((k + 1, c))
+        return types.MappingProxyType({
+            i: types.MappingProxyType({j: tuple(terms) for j, terms in row.items()})
+            for i, row in out.items()
+        })
 
     @functools.cached_property
     def bracket_triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -213,14 +216,15 @@ def jacobi_check(algebra):
         failing 1-based triple in lexicographic order.
     """
     sums: dict[tuple, int] = {}
-    for (k, z), second in algebra.constants_by_pair.items():
-        for x, y, c1 in algebra.constants_by_target.get(k, ()):
-            if z in (x, y):
-                continue
-            key = tuple(sorted((x, y, z)))
-            sign = -1 if x < z < y else 1
-            for m, c2 in second:
-                sums[key, m] = sums.get((key, m), 0) + sign * c1 * c2
+    for k, row in algebra.constants_by_first.items():
+        for z, second in row.items():
+            for x, y, c1 in algebra.constants_by_target.get(k, ()):
+                if z in (x, y):
+                    continue
+                key = tuple(sorted((x, y, z)))
+                sign = -1 if x < z < y else 1
+                for m, c2 in second:
+                    sums[key, m] = sums.get((key, m), 0) + sign * c1 * c2
     failing = [key for (key, _), total in sums.items() if total % algebra.prime]
     if failing:
         return False, min(failing)

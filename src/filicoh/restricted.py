@@ -35,8 +35,8 @@ basis p-powers, which the central extensions are.
 
 The restricted axiom ad(x^[p]) = ad(x)^p is checked on the basis by its
 definition, on sparse {index: coefficient} vectors and the constants
-looked up by pair (`LieAlgebra.constants_by_pair`, by k, then by i, so
-that ad(e_k) of a central e_k costs nothing): ad(e_k) is applied to
+looked up by first slot (`LieAlgebra.constants_by_first`, by k, then by
+i, so that ad(e_k) of a central e_k costs nothing): ad(e_k) is applied to
 each e_j until the p-th step or until the iterate vanishes, and no ad
 matrix or matrix power is built.  A RestrictedAlgebra may hold a stack of
 p-maps over its one algebra, as the central extensions of a Family stack
@@ -289,10 +289,7 @@ def verify_restricted_map(R: RestrictedAlgebra | Family):
     first failing k on.
     """
     p = R.prime
-    # the constants of the pairs (k, i), looked up by k, then by i
-    by_first: dict[int, dict[int, tuple]] = {}
-    for (k, i), constants in R.algebra.constants_by_pair.items():
-        by_first.setdefault(k, {})[i] = constants
+    by_first = R.algebra.constants_by_first
 
     def ad(k, x):
         pairs = by_first.get(k)

@@ -193,14 +193,6 @@ def pair_arrays(pairs):
     return tuple(np.stack(arrays) for arrays in zip(*map(omega_arrays, pairs)))
 
 
-def power_rows(R):
-    """A basis of the span of the e_k^[p] of any restricted algebra: the
-    nonzero rref rows of its power matrix as int tuples, the key that
-    cohomology._power_rows reads off lambda on the family."""
-    r, pivots = gf.rref(R.power_matrix, R.prime)
-    return tuple(map(tuple, r[: len(pivots)].tolist()))
-
-
 def omega_rows(R):
     """W of any restricted algebra over make_m0(p): a basis of omega on
     ker d1, the nonzero rref rows of K @ power_matrix^T as int tuples, with
@@ -209,7 +201,7 @@ def omega_rows(R):
     column k of power_matrix; the oracle of cohomology._omega_rows, which
     reads W off lambda on the family."""
     p = R.prime
-    omega = R.power_matrix[:, cohomology._kernel(p, 1, ())[1]].T
+    omega = R.power_matrix[:, cohomology._kernel(p, 1, False)[1]].T
     r, pivots = gf.rref(omega, p)
     return tuple(map(tuple, r[: len(pivots)].tolist()))
 

@@ -15,12 +15,10 @@ from helpers import (
     d1_star_matrix,
     d2_star,
     dense_d2_star,
-    dense_rows,
     extend_ordinary,
     homogeneous_weight,
     mat_mul,
     omega_rows,
-    power_rows,
     sparse,
     to_vector,
 )
@@ -268,20 +266,39 @@ def test_h2_star_p3_all_lambda_sweep():
 
 
 def test_expected_summary_examples():
-    e7 = coh.expected_summary(7, (0,) * 7)
-    assert e7.h2.dimension == 4
-    assert e7.h2_star.dimension == 11
-    e3 = coh.expected_summary(3, (0, 0, 1))
-    assert e3.h2_star.dimension == 3
-    e2 = coh.expected_summary(2, (0, 0))
-    assert e2.h2_star.dimension == 3
+    assert coh.closed_form(7, (0,) * 7, 2, False) == (4, 9, 5)
+    assert coh.closed_form(7, (0,) * 7, 2, True)[0] == 11
+    assert coh.closed_form(3, (0, 0, 1), 2, True)[0] == 3
+    assert coh.closed_form(2, (0, 0), 2, True) == (3, 3, 0)
 
 
 def test_expected_summary_validates_input():
     with pytest.raises(ValueError):
-        coh.expected_summary(4, (0, 0, 0, 0))
+        coh.closed_form(4, (0, 0, 0, 0), 1, False)
     with pytest.raises(ValueError):
-        coh.expected_summary(5, (0, 0))
+        coh.closed_form(5, (0, 0), 1, False)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lambda_of_multiples_of_p_takes_the_zero_key(p):
+    # nonzero integers that are 0 mod p: the zero key in the computed route
+    # (the family reads lambda mod p) and in the closed forms
+    lam = tuple(p * k for k in range(1, p + 1))
+    R = restricted.Family(p, lam)
+    for degree, restricted_flag in itertools.product((1, 2), (False, True)):
+        assert coh.closed_form(p, lam, degree, restricted_flag) == coh.closed_form(
+            p, (0,) * p, degree, restricted_flag
+        )
+    for group in (coh.h1_star, coh.h2_star):
+        s = group(R)
+        zero = group(restricted.Family(p, (0,) * p))
+        assert s.lam == (0,) * p
+        assert (s.dimension, s.kernel_dim, s.image_dim) == (
+            zero.dimension, zero.kernel_dim, zero.image_dim
+        )
+        assert [str(r) for r in s.representatives] == [str(r) for r in zero.representatives]
+        assert coh.compare(s, p, lam)
+    assert cli.dims_row(p, lam)["ok"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -290,17 +307,20 @@ def test_compare_all_pass(p):
     lams = [(0,) * p, tuple(int(x) for x in rng.integers(0, p, size=p))]
     for lam in lams:
         R = restricted.Family(p, lam)
-        exp = coh.expected_summary(p, lam)
         for s in (coh.h1(R.algebra), coh.h1_star(R), coh.h2(R.algebra), coh.h2_star(R)):
-            report = coh.compare(s, exp)
-            assert report["ok"], report
+            assert coh.compare(s, p, lam), s
 
 
 def test_compare_flags_single_field():
+    # each field on its own turns compare false: kernel and image moved
+    # together (the summary holds dimension = kernel - image), the
+    # dimension with its representatives, and lambda
     p = 5
-    R = restricted.Family(p, (0,) * p)
+    zero = (0,) * p
+    R = restricted.Family(p, zero)
     s = coh.h2(R.algebra)
-    s = coh.CohomologySummary(
+    assert coh.compare(s, p, zero)
+    shifted = coh.CohomologySummary(
         prime=s.prime,
         lam=s.lam,
         degree=s.degree,
@@ -310,16 +330,24 @@ def test_compare_flags_single_field():
         image_dim=s.image_dim + 1,
         representatives=s.representatives,
     )
-    report = coh.compare(s, coh.expected_summary(p, (0,) * p))
-    assert not report["ok"]
-    bad = [c["field"] for c in report["checks"] if not c["ok"]]
-    assert bad == ["kernel_dim", "image_dim"]
+    assert not coh.compare(shifted, p, zero)
+    grown = coh.CohomologySummary(
+        p, None, 2, False, s.dimension + 1, s.kernel_dim + 1, s.image_dim,
+        s.representatives + [s.representatives[0]],
+    )
+    assert not coh.compare(grown, p, zero)
+    s = coh.h2_star(R)
+    assert coh.compare(s, p, zero)
+    assert not coh.compare(s, p, one_hot(p, 1))
+    assert not coh.compare(s, p, zero[1:])
 
 
 def test_compare_never_raises_on_prime_mismatch():
     s = coh.h2(liealg.make_m0(3))
-    report = coh.compare(s, coh.expected_summary(5, (0,) * 5))
-    assert not report["ok"]
+    assert coh.compare(s, 3, (0,) * 3) is True
+    assert coh.compare(s, 5, (0,) * 5) is False
+    assert coh.compare(s, 4, (0,) * 4) is False
+    assert coh.compare(s, 0, ()) is False
 
 
 def test_compare_p3_full_sweep():
@@ -329,9 +357,8 @@ def test_compare_p3_full_sweep():
             for c in range(3):
                 lam = (a, b, c)
                 R = restricted.Family(3, lam)
-                exp = coh.expected_summary(3, lam)
                 ok = all(
-                    coh.compare(s, exp)["ok"]
+                    coh.compare(s, 3, lam)
                     for s in (
                         coh.h1(R.algebra),
                         coh.h1_star(R),
@@ -364,7 +391,7 @@ def test_summary_consistency_guard():
 
 def test_d2_rows_is_read_only():
     # every memoised reduction is shared: read-only, built once per
-    # (p, degree); a p-power key only narrows its kill mask
+    # (p, degree); a nonzero lambda only narrows its kernel and kill mask
     for degree in (1, 2):
         entry = coh._reduced(5, degree)
         assert not entry.killed.flags.writeable
@@ -372,9 +399,11 @@ def test_d2_rows_is_read_only():
             entry.killed[0] = 0
         assert coh._reduced(5, degree) is entry
         assert isinstance(entry.pivots, tuple)
-        assert coh._kernel(5, degree, ()) == (math.comb(5, degree) - len(entry.pivots), entry.killed)
-        kernel_dim, killed = coh._kernel(5, degree, ((0, 0, 0, 0, 1),))
-        assert kernel_dim <= math.comb(5, degree) - len(entry.pivots)
+        kernel_dim = math.comb(5, degree) - len(entry.pivots)
+        assert coh._kernel(5, degree, False) == (kernel_dim, entry.killed)
+        kernel_dim, killed = coh._kernel(5, degree, True)
+        assert kernel_dim == math.comb(5, degree) - entry.held_rank
+        assert entry.held_rank >= len(entry.pivots)
         assert not (killed & ~entry.killed).any()
 
 
@@ -405,12 +434,6 @@ def assert_same_array(got, want):
     assert (got == want).all()
 
 
-def induced_beta(powers, p):
-    """The sparse induced-beta rows of d2* for the rows of powers,
-    densified over the pair duals."""
-    return dense_rows(coh._induced_rows(p, 2, powers), math.comb(p, 2))
-
-
 @functools.lru_cache(maxsize=None)
 def d_pivots(p, degree):
     """The pivot columns of the rref of the dense d1 or d2 of make_m0(p)."""
@@ -418,16 +441,16 @@ def d_pivots(p, degree):
     return tuple(gf.rref(cochains.d1_matrix(A) if degree == 1 else cochains.d2_matrix(A), p)[1])
 
 
-def assert_matches_dense(p, degree, powers, dense):
-    """The kernel of (p, degree, powers) against one rref of the dense
-    matrix, whose columns start with those of d1 or d2: the same kernel
-    dimension on those columns and the same candidates killed; and the
-    memoised reduction of d against the rref of d alone: the same pivots.
-    Returns the rank of the dense matrix."""
+def assert_matches_dense(p, degree, nonzero, dense):
+    """The kernel of (p, degree, lambda nonzero or not) against one rref of
+    the dense matrix, whose columns start with those of d1 or d2: the same
+    kernel dimension on those columns and the same candidates killed; and
+    the memoised reduction of d against the rref of d alone: the same
+    pivots.  Returns the rank of the dense matrix."""
     r, pivots = gf.rref(dense, p)
     assert coh._reduced(p, degree).pivots == d_pivots(p, degree)
     n = math.comb(p, degree)
-    kernel_dim, killed = coh._kernel(p, degree, powers)
+    kernel_dim, killed = coh._kernel(p, degree, nonzero)
     assert kernel_dim == n - len(pivots)
     vectors = np.stack([to_vector(c) for c in coh._candidates(p, degree, False)[0]])
     want = ~mat_mul(r[: len(pivots), :n], vectors.T, p).any(axis=0)
@@ -440,7 +463,7 @@ def test_h2_kernel_matches_dense_d2(p):
     A = liealg.make_m0(p)
     dense = cochains.d2_matrix(A)
     assert coh.h2(A).kernel_dim == len(gf.kernel_basis(dense, p))
-    assert_matches_dense(p, 2, (), dense)
+    assert_matches_dense(p, 2, False, dense)
 
 
 @pytest.mark.parametrize("p", DENSE_PRIMES)
@@ -448,10 +471,8 @@ def test_h2_star_kernel_matches_dense_stack(p):
     for lam in criterion_lambdas(p):
         R = restricted.Family(p, lam)
         dense = dense_d2_star(R)
-        n = p * (p - 1) // 2
-        assert_same_array(induced_beta(R.power_matrix, p), dense[-p * p :, :n])
         assert coh.h2_star(R).kernel_dim == len(gf.kernel_basis(dense, p))
-        assert_matches_dense(p, 2, power_rows(R), dense)
+        assert_matches_dense(p, 2, any(lam), dense)
 
 
 @pytest.mark.parametrize("p", DENSE_PRIMES)
@@ -460,47 +481,19 @@ def test_h1_star_kernel_matches_dense_stack(p):
         R = restricted.Family(p, lam)
         dense = d1_star_matrix(R)
         assert coh.h1_star(R).kernel_dim == len(gf.kernel_basis(dense, p))
-        assert_matches_dense(p, 1, power_rows(R), dense)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_ind2_block_matches_ind2_matrix_for_any_powers(p):
-    # on the family only e_p^[p] terms occur; random powers reach every entry
-    rng = np.random.default_rng(3 * p)
-    powers = rng.integers(0, p, size=(p, p))
-    R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
-    n = p * (p - 1) // 2
-    assert_same_array(induced_beta(powers, p), dense_d2_star(R)[-p * p :, :n])
+        assert_matches_dense(p, 1, any(lam), dense)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_family_power_rows_match_rref(p):
-    # the key read off lambda is the rref route's: every lambda at p = 2
-    # and 3, the criterion grid above
+    # W read off lambda is the rref route's: every lambda at p = 2 and 3,
+    # the criterion grid above
     if p <= 3:
         lams = list(itertools.product(range(p), repeat=p))
     else:
         lams = criterion_lambdas(p)
     for lam in lams:
-        R = restricted.Family(p, lam)
-        assert coh._power_rows(lam) == power_rows(R), lam
-        assert coh._omega_rows(p, lam) == omega_rows(R), lam
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_power_row_basis_keeps_beta_row_space(p):
-    # n rows per basis vector of the powers span the same rows as all n^2,
-    # for powers of every rank, so the per-lambda rref is that of the dense block
-    rng = np.random.default_rng(17 * p)
-    for rank in range(p + 1):
-        powers = mat_mul(rng.integers(0, p, size=(p, rank)), rng.integers(0, p, size=(rank, p)), p)
-        R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
-        basis = np.array(power_rows(R), dtype=np.int64).reshape(-1, p)
-        assert len(basis) == gf.rank(powers, p)
-        got = gf.rref(induced_beta(basis, p), p)
-        want = gf.rref(induced_beta(powers, p), p)
-        assert got[1] == want[1]
-        assert_same_array(got[0][: len(got[1])], want[0][: len(want[1])])
+        assert coh._omega_rows(p, lam) == omega_rows(restricted.Family(p, lam)), lam
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -510,8 +503,8 @@ def test_reduction_matches_dense_rref(p):
     for lam in ((0,) * p, one_hot(p, 1)):
         R = restricted.Family(p, lam)
         d2_star = dense_d2_star(R)
-        assert_matches_dense(p, 1, power_rows(R), d1_star_matrix(R))
-        rank = assert_matches_dense(p, 2, power_rows(R), d2_star)
+        assert_matches_dense(p, 1, any(lam), d1_star_matrix(R))
+        rank = assert_matches_dense(p, 2, any(lam), d2_star)
         # h2_star counts the zero Frobenius columns of d2* in its kernel,
         # and the Frobenius duals that lead its candidates are cocycles
         assert coh.h2_star(R).kernel_dim == d2_star.shape[1] - rank
@@ -519,40 +512,11 @@ def test_reduction_matches_dense_rref(p):
         assert not mat_mul(d2_star, frobenius.T, p).any()
 
 
-def power_matrices(p, seed):
-    """The one-hot power lines e_k, the mixed line e_1 + e_p and seeded
-    random power matrices of every rank up to p."""
-    rng = np.random.default_rng(seed)
-    mixed = np.array(one_hot(p, 1)) + np.array(one_hot(p, p))
-    yield from ([one_hot(p, k)] * p for k in range(1, p + 1))
-    yield [mixed] * p
-    for rank in range(p + 1):
-        yield mat_mul(rng.integers(0, p, size=(p, rank)), rng.integers(0, p, size=(rank, p)), p)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_reduction_splits_any_graded_beta_rows(p):
-    # induced-beta rows of any power matrix, within one weight or across
-    # several, reduce d2* to the pivots and kill mask of the dense rref
-    for powers in power_matrices(p, 23 * p):
-        R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
-        assert_matches_dense(p, 2, power_rows(R), dense_d2_star(R))
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_reduction_splits_graded_omega_rows(p):
-    # omega rows of any power matrix, within one weight or across several,
-    # reduce d1* to the pivots and kill mask of the dense rref
-    for powers in power_matrices(p, 29 * p):
-        R = restricted.RestrictedAlgebra(liealg.make_m0(p), powers)
-        assert_matches_dense(p, 1, power_rows(R), d1_star_matrix(R))
-
-
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_per_lambda_work_eliminates_only_the_induced_rows(p, monkeypatch):
     # once lambda = 0 and one nonzero lambda have filled the memo, a new
     # lambda assembles no d2 and reduces nothing new, and rref is never
-    # called: the family's power rows and W are read off lambda
+    # called: the key (lambda zero or not) and W are read off lambda
     coh._reduced.cache_clear()
     coh._group.cache_clear()
     lams = criterion_lambdas(p)
@@ -616,13 +580,12 @@ def test_dims_row_matches_closed_forms_to_the_frontier(p):
     # one seeded nonzero lambda against the closed-form table
     for lam in ((0,) * p, rand_lams(p, 1, seed=p)[0]):
         row = cli.dims_row(p, lam)
-        want = coh.expected_summary(p, lam)
         got = {name: g["computed"] for name, g in row["groups"].items()}
         assert got == {
-            "H1": want.h1.dimension,
-            "H1+": want.h1_star.dimension,
-            "H2": want.h2.dimension,
-            "H2+": want.h2_star.dimension,
+            "H1": coh.closed_form(p, lam, 1, False)[0],
+            "H1+": coh.closed_form(p, lam, 1, True)[0],
+            "H2": coh.closed_form(p, lam, 2, False)[0],
+            "H2+": coh.closed_form(p, lam, 2, True)[0],
         }
         assert row["ok"], row
 
@@ -630,11 +593,10 @@ def test_dims_row_matches_closed_forms_to_the_frontier(p):
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_reduction_memo_holds_two_row_spaces_per_degree(p):
     # on the family the p-powers span 0 or the line of e_p, so the whole
-    # lambda grid adds one reduction of d, the ordinary group that spans
-    # ker d and two restricted selections per degree; H2+ also keys W,
-    # which is 0 from p = 3 on and at p = 2 runs over 0 and the three
-    # lines: four selections
-    keys = {1: 3, 2: 5 if p == 2 else 3}
+    # lambda grid adds one reduction of d and two restricted selections
+    # per degree; H2+ also keys W, which is 0 from p = 3 on and at p = 2
+    # runs over 0 and the three lines: four selections
+    keys = {1: 2, 2: 4 if p == 2 else 2}
     coh._reduced.cache_clear()
     coh._group.cache_clear()
     lams, _ = cli.resolve_lambdas(p, "all")
@@ -643,7 +605,8 @@ def test_reduction_memo_holds_two_row_spaces_per_degree(p):
             group(restricted.Family(p, lam))
         assert coh._reduced.cache_info().currsize == degree
         assert coh._group.cache_info().currsize == sum(keys[d] for d in range(1, degree + 1))
-    assert coh._group.cache_info().maxsize >= keys[1] + keys[2]  # one prime's keys fit
+    # one prime's keys fit, with its two ordinary groups
+    assert coh._group.cache_info().maxsize >= 2 + keys[1] + keys[2]
 
 
 def per_lambda_greedy_pass(R, degree):
@@ -651,7 +614,7 @@ def per_lambda_greedy_pass(R, degree):
     by a greedy pass over the image of this lambda's own d1*, the rows
     d1*(e^k): oracle for the memoised selection over the canonical image."""
     p = R.prime
-    kernel_dim, killed = coh._kernel(p, degree, power_rows(R))
+    kernel_dim, killed = coh._kernel(p, degree, bool(R.lam.any()))
     if degree == 1:
         image, forms = (), coh._candidates(p, 1, False)[0]
     else:
@@ -682,16 +645,15 @@ def test_restricted_selection_matches_per_lambda_greedy_pass(p):
 
 
 def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
-    # with d reduced and the ordinary groups memoised, the span trackers
-    # left are one greedy pass per key and one rank of the induced rows on
-    # ker d for the line of e_p (lambda = 0 reads the kernel of d itself):
-    # two keys, three trackers per degree
+    # with d reduced, its tracker holding the unit rows as well, the span
+    # trackers left are one greedy pass per key: two keys, two trackers per
+    # degree
     p = 13
     coh._group.cache_clear()
     lams, _ = cli.resolve_lambdas(p, "all")
-    for powers in {coh._power_rows(lam) for lam in lams}:
+    for nonzero in {any(lam) for lam in lams}:
         for degree in (1, 2):
-            coh._kernel(p, degree, powers)
+            coh._kernel(p, degree, nonzero)
     passes = []
 
     class CountingSpanTracker(gf.SpanTracker):
@@ -704,7 +666,7 @@ def test_lambda_grid_runs_the_greedy_pass_at_most_twice_per_degree(monkeypatch):
         passes.clear()
         for lam in lams:
             group(restricted.Family(p, lam))
-        assert len(passes) == 3, group
+        assert len(passes) == 2, group
 
 
 def test_ordinary_summaries_do_not_share_representatives():

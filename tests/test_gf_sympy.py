@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from filicoh import cochains, cohomology as coh, gf, liealg, restricted
-from helpers import d1_star_matrix, dense_d2_star, matrices_mod_p, power_rows, to_vector
+from helpers import d1_star_matrix, dense_d2_star, matrices_mod_p, to_vector
 
 GF = pytest.importorskip("sympy").GF
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -45,7 +45,7 @@ def test_rref_matches_sympy(case):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduced_matches_sympy_rref_of_dense_stacks(p):
     # the reduction of d1 or d2 keeps the pivots of sympy's rref of d
-    # alone; lambda = 0 and a one-hot lambda (the induced rows added) keep
+    # alone; lambda = 0 and a one-hot lambda (the unit rows added) keep
     # its kernel dimension and the candidates it kills (on the columns of
     # d1 or d2) as sympy's rref of the dense stack
     A = liealg.make_m0(p)
@@ -58,7 +58,7 @@ def test_reduced_matches_sympy_rref_of_dense_stacks(p):
             assert coh._reduced(p, degree).pivots == tuple(sympy_rref(d, p)[1])
             want, want_pivots = sympy_rref(dense, p)
             n = math.comb(p, degree)
-            kernel_dim, killed = coh._kernel(p, degree, power_rows(R))
+            kernel_dim, killed = coh._kernel(p, degree, any(lam))
             assert kernel_dim == n - len(want_pivots)
             vectors = np.stack([to_vector(c) for c in coh._candidates(p, degree, False)[0]])
             want_killed = ~((want[:, :n] @ vectors.T) % p).any(axis=0)

@@ -519,3 +519,35 @@ def test_correction_recursion_matches_its_oracles_on_random_constants(case):
     for row, total, x, y in zip(corrections, sums, g, h):
         assert (row == jacobson_corrections_matrix_poly(R, x, y)).all()
         assert total == star_correction_naive(A, phi, x, y)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_correction_recursion_matches_its_oracles_on_m2(p):
+    # m_2 under the zero p-map: scaled heads e_1 .. e_{p-2} and one random
+    # head, random tails and one random 2-form per row.  [e_2, e_j] =
+    # e_{j+2} carries the e_2 row up the powers of t, which on make_m0(p)
+    # only an e_1 head does
+    A = make_m2(p)
+    R = restricted.RestrictedAlgebra(A, gf.zeros((p, p)))
+    rng = np.random.default_rng(31 * p)
+    g = np.diag(rng.integers(1, p, size=p))[: p - 2]
+    g = np.vstack([g, rng.integers(0, p, size=(1, p))])
+    h = rng.integers(0, p, size=g.shape)
+    npairs = p * (p - 1) // 2
+    phis = [cochain_from_vector(p, p, 2, rng.integers(0, p, size=npairs)) for _ in g]
+
+    def top_power(algebra):
+        """The highest power of t nonzero in ad(t g + h)^s g, 0 < s < p,
+        for the e_2 row."""
+        powers = [0]
+        for steps in range(1, p):
+            low, w = restricted.ad_recursion(algebra, g[1], h[1], g[1][None, :], steps)
+            powers += [low + d for d in np.flatnonzero(w.any(axis=-1)).tolist()]
+        return max(powers)
+
+    assert top_power(A) > 0 == top_power(liealg.make_m0(p))
+    corrections = restricted.jacobson_corrections(R, g, h)
+    sums = rcoch.star_correction(A, rcoch.form_matrices(phis), g, h)
+    for row, total, x, y, phi in zip(corrections, sums, g, h, phis):
+        assert (row == jacobson_corrections_matrix_poly(R, x, y)).all()
+        assert total == star_correction_naive(A, phi, x, y)
